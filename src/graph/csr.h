@@ -16,36 +16,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 
 namespace kgov::graph {
-
-/// How a CsrSnapshot orders its rows.
-enum class CsrLayout {
-  /// Rows in WeightedDigraph node-id order. The serving layout: node ids
-  /// in the view are the graph's node ids, and results stay
-  /// bitwise-stable across snapshots of the same graph.
-  kNatural,
-  /// Rows sorted by descending out-degree (ties by ascending original
-  /// id). Hub rows - the ones every frontier expansion keeps revisiting -
-  /// pack into one contiguous hot prefix of the neighbor array, so
-  /// propagation on power-law graphs works out of a cache-resident block.
-  /// Node ids in the view are INTERNAL ids; use ToInternal()/ToOriginal()
-  /// to translate seeds and answers. Offline/bench use: summed scores are
-  /// equal up to floating-point reassociation, not bitwise.
-  kDegreeOrdered,
-};
-
-/// Validated options for CsrSnapshot construction.
-struct CsrOptions {
-  CsrLayout layout = CsrLayout::kNatural;
-
-  /// Always OK today; exists so layout knobs added later are validated at
-  /// the same place consumers already check.
-  Status Validate() const;
-};
 
 /// Frozen graph storage. Cheap to move, immutable after construction.
 class CsrSnapshot {
@@ -60,10 +34,6 @@ class CsrSnapshot {
   /// graph, including the empty graph and graphs whose tail nodes have no
   /// out-edges.
   explicit CsrSnapshot(const WeightedDigraph& graph);
-
-  /// Captures `graph` under `options` (see CsrLayout). Asserts on invalid
-  /// options (Validate them first when they come from config).
-  CsrSnapshot(const WeightedDigraph& graph, const CsrOptions& options);
 
   size_t NumNodes() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -93,19 +63,6 @@ class CsrSnapshot {
                      edge_ids_.data());
   }
 
-  /// True when rows were permuted (kDegreeOrdered); kNatural snapshots
-  /// return false and the id maps below are the identity.
-  bool IsReordered() const { return !internal_to_original_.empty(); }
-
-  /// Internal (row) id of the graph's `original` node id.
-  NodeId ToInternal(NodeId original) const {
-    return IsReordered() ? original_to_internal_[original] : original;
-  }
-  /// Original graph node id of the snapshot's `internal` row id.
-  NodeId ToOriginal(NodeId internal) const {
-    return IsReordered() ? internal_to_original_[internal] : internal;
-  }
-
  private:
   // offsets_[v]..offsets_[v+1] indexes neighbors_ for node v; has
   // NumNodes()+1 entries (default-constructed snapshot: stays empty).
@@ -113,9 +70,6 @@ class CsrSnapshot {
   std::vector<Neighbor> neighbors_;
   // Parallel to neighbors_: the WeightedDigraph EdgeId each slot came from.
   std::vector<EdgeId> edge_ids_;
-  // Row permutation (kDegreeOrdered only; both empty for kNatural).
-  std::vector<NodeId> internal_to_original_;
-  std::vector<NodeId> original_to_internal_;
 };
 
 }  // namespace kgov::graph

@@ -2,7 +2,7 @@
 //
 // The mutable WeightedDigraph is the *write* representation (O(1) weight
 // updates for the optimizer); every read-side consumer — EIPD serving, PPR,
-// SimRank, Omega scoring, the Q&A baselines — operates on a GraphView:
+// Omega scoring, the Q&A baselines — operates on a GraphView:
 // contiguous (target, weight) neighbor ranges plus an optional edge-id
 // table mapping each CSR slot back to the originating WeightedDigraph edge,
 // so weight overrides keyed by EdgeId (judgment filter, per-cluster

@@ -8,18 +8,6 @@
 
 namespace kgov::ppr {
 
-const char* EipdKernelName(EipdKernel kernel) {
-  switch (kernel) {
-    case EipdKernel::kAuto:
-      return "auto";
-    case EipdKernel::kDense:
-      return "dense";
-    case EipdKernel::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
 Status EipdOptions::Validate() const {
   if (max_length < 1) {
     return Status::InvalidArgument(
@@ -30,11 +18,6 @@ Status EipdOptions::Validate() const {
     return Status::InvalidArgument(
         "EipdOptions.restart must be in (0, 1), got " +
         std::to_string(restart));
-  }
-  if (!(std::isfinite(sparse_threshold) && sparse_threshold >= 0.0)) {
-    return Status::InvalidArgument(
-        "EipdOptions.sparse_threshold must be finite and >= 0, got " +
-        std::to_string(sparse_threshold));
   }
   return Status::OK();
 }
@@ -87,15 +70,11 @@ const std::vector<double>& EipdEngine::PropagateInto(
   static telemetry::Counter* const queries =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.queries");
-  static telemetry::Counter* const dense_queries =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.kernel.dense");
-  static telemetry::Counter* const sparse_queries =
+  // Counts every single-root propagation. The name predates the one
+  // kernel; kgbench reads it for ppr.kernel_sparse_ratio.
+  static telemetry::Counter* const propagations =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.kernel.sparse");
-  static telemetry::Counter* const sparse_pruned =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.sparse.pruned_nodes");
   Timer timer;
   if (overrides != nullptr) {
     // Overrides are keyed by EdgeId; without the edge-id table they would
@@ -104,16 +83,9 @@ const std::vector<double>& EipdEngine::PropagateInto(
     KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0);
   }
   if (ws == nullptr) ws = &ThreadLocalWorkspace();
-  if (KernelFor(seed) == EipdKernel::kSparse) {
-    size_t pruned = internal::PropagatePhiSparse(
-        internal::ViewAdjacency{view_}, seed, options_, overrides, ws);
-    sparse_queries->Increment();
-    if (pruned > 0) sparse_pruned->Increment(pruned);
-  } else {
-    internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_,
-                           overrides, ws);
-    dense_queries->Increment();
-  }
+  internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_,
+                         overrides, ws);
+  propagations->Increment();
   queries->Increment();
   latency->Observe(timer.ElapsedSeconds());
   return ws->phi;

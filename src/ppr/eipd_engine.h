@@ -2,35 +2,25 @@
 //
 //   Phi(vq, va) = sum over walks z : vq ~> va, |z| <= L of P[z]*c*(1-c)^|z|
 //
-// Two kernels share one set of per-lane primitives, selected through
-// EipdOptions::kernel:
+// One kernel computes it: internal::PropagatePhi, a level-synchronous
+// truncated power iteration that scores every node of the view in one
+// pass. Its floating-point operation sequence is frozen - the serving-path
+// bitwise gates (single-flight leader reuse, multi-root lanes, cache hits)
+// compare results with memcmp, and tests/test_eipd.cc pins a CRC-32C of
+// the phi bytes.
 //
-//  - internal::PropagatePhi (kDense): the level-synchronous reference
-//    kernel. Its floating-point operation sequence is frozen - the
-//    serving-path bitwise gates (single-flight leader reuse, multi-root
-//    lanes, cache hits) compare against it with memcmp.
-//  - internal::PropagatePhiSparse (kSparse): identical per-level push
-//    order, but the O(n) workspace reset is replaced by a lazy reset of
-//    only the entries the previous query touched, and frontier nodes whose
-//    mass has decayed below EipdOptions::sparse_threshold are absorbed but
-//    not expanded. With sparse_threshold == 0 the arithmetic is
-//    bitwise-identical to kDense; with a positive threshold the pruning
-//    error is one-sided and bounded (see docs/scale.md).
-//
-// kAuto (the default) resolves per query via internal::ResolveKernel:
-// dense below kSparseKernelMinNodes or when the seed covers a large
-// fraction of the graph, sparse otherwise - so existing toy-graph
-// workloads keep their bitwise-frozen dense behavior while million-node
-// graphs get O(touched) queries.
-//
-// PropagationWorkspace keeps the per-query O(n) scratch (`phi`, `mass`,
-// `next` plus the frontiers) alive across queries so steady-state serving
-// does no per-call allocation. Pass one explicitly to reuse it across
-// engines, or pass nullptr to use a per-thread workspace.
+// Per-query cost is O(touched nodes + traversed edges), independent of
+// |V|: PropagationWorkspace keeps `phi`, `mass` and `next` alive across
+// queries, logs every frontier it absorbs into phi, and the next query
+// zeroes only those entries (or all of phi once the log reaches |V|).
+// Nothing is pruned; every walk of length <= L contributes. Pass a
+// workspace explicitly to reuse it across engines, or pass nullptr to use
+// a per-thread workspace. docs/scale.md has the cost model.
 
 #ifndef KGOV_PPR_EIPD_ENGINE_H_
 #define KGOV_PPR_EIPD_ENGINE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
@@ -45,91 +35,64 @@
 
 namespace kgov::ppr {
 
-/// Which propagation kernel an EipdEngine runs (see the header comment).
-enum class EipdKernel {
-  /// Resolve per query from graph size and seed sparsity
-  /// (internal::ResolveKernel). The default.
-  kAuto,
-  /// The frozen-op-order dense kernel; the bitwise reference.
-  kDense,
-  /// Frontier-tracked kernel with lazy workspace reset and threshold
-  /// pruning. Bitwise-identical to kDense when sparse_threshold == 0.
-  kSparse,
-};
-
-/// Human-readable kernel name ("auto" / "dense" / "sparse").
-const char* EipdKernelName(EipdKernel kernel);
-
 struct EipdOptions {
   /// Maximum walk length L (number of edges, including the query's first
   /// hop). Paper default: 5.
   int max_length = 5;
   /// Restart probability c. Paper default: ~0.15.
   double restart = 0.15;
-  /// Kernel selection. kAuto keeps small graphs on the bitwise-frozen
-  /// dense kernel and routes large, sparsely-seeded graphs to kSparse.
-  EipdKernel kernel = EipdKernel::kAuto;
-  /// kSparse only: a frontier node whose remaining walk mass is below this
-  /// is absorbed into phi but not expanded further. Every pruned score is
-  /// an underestimate of the dense score by at most
-  /// sparse_threshold * (1 - restart) per pruned (node, level) - see
-  /// docs/scale.md for the ranking-perturbation bound. 0 disables pruning
-  /// (bitwise-dense results through the sparse data path).
-  double sparse_threshold = 1e-12;
 
-  /// OK iff the options describe a usable propagation: max_length >= 1,
-  /// restart in (0, 1), and sparse_threshold finite and >= 0. Consumers
-  /// (EipdEngine, QaSystem, serve::QueryEngine) call this at construction;
-  /// the message names the offending field.
+  /// OK iff the options describe a usable propagation: max_length >= 1 and
+  /// restart in (0, 1). Consumers (EipdEngine, QaSystem,
+  /// serve::QueryEngine) call this at construction; the message names the
+  /// offending field.
   Status Validate() const;
 };
 
-/// Reusable per-query scratch buffers. Prepare(n) zeroes (and if needed
-/// grows) them; capacity is retained, so repeated queries on graphs of
-/// stable size allocate nothing. Not thread-safe: use one workspace per
-/// thread (the engines default to a thread_local one).
+/// Reusable per-query scratch buffers; capacity is retained, so repeated
+/// queries on graphs of stable size allocate nothing. Not thread-safe: use
+/// one workspace per thread (the engines default to a thread_local one).
+///
+/// Between queries the kernel leaves `next` all zero, `mass` nonzero only
+/// on `frontier`, and `phi` nonzero only on `touched` - unless `touched`
+/// holds n entries, the cap past which it stops growing. Prepare(n) relies
+/// on exactly that to reset in O(touched) rather than O(n).
 struct PropagationWorkspace {
   std::vector<double> phi;
   std::vector<double> mass;
   std::vector<double> next;
   std::vector<graph::NodeId> frontier;
   std::vector<graph::NodeId> next_frontier;
-  /// Every node whose phi/mass/next entry may be nonzero, maintained only
-  /// by the sparse kernel (may contain duplicates). Lets PrepareSparse
-  /// reset in O(touched) instead of O(n).
+  /// Every frontier absorbed into phi since the last Prepare, in order
+  /// (may contain duplicates), capped at phi.size() entries.
   std::vector<graph::NodeId> touched;
-  /// True while `touched` covers all possibly-nonzero entries. A dense run
-  /// writes without tracking, so it clears the flag and the next sparse
-  /// run falls back to one full reset.
-  bool sparse_tracked = false;
 
+  /// Zeroes what the previous query left behind, or allocates n zeroed
+  /// entries when n differs from the current size.
   void Prepare(size_t n) {
-    phi.assign(n, 0.0);
-    mass.assign(n, 0.0);
-    next.assign(n, 0.0);
+    if (phi.size() != n) {
+      phi.assign(n, 0.0);
+      mass.assign(n, 0.0);
+      next.assign(n, 0.0);
+    } else {
+      if (touched.size() >= n) {
+        std::fill(phi.begin(), phi.end(), 0.0);
+      } else {
+        for (graph::NodeId v : touched) phi[v] = 0.0;
+      }
+      for (graph::NodeId v : frontier) mass[v] = 0.0;
+    }
     frontier.clear();
     next_frontier.clear();
     touched.clear();
-    sparse_tracked = false;
   }
 
-  /// Sparse-kernel reset: zeroes only the entries the previous sparse
-  /// query touched. Falls back to Prepare(n) after a resize or a dense
-  /// run. Steady-state cost is O(previous query's touched set).
-  void PrepareSparse(size_t n) {
-    if (!sparse_tracked || phi.size() != n) {
-      Prepare(n);
-    } else {
-      for (graph::NodeId v : touched) {
-        phi[v] = 0.0;
-        mass[v] = 0.0;
-        next[v] = 0.0;
-      }
-      touched.clear();
-      frontier.clear();
-      next_frontier.clear();
-    }
-    sparse_tracked = true;
+  /// Appends the current frontier to `touched`, up to the cap of n.
+  void LogFrontier() {
+    const size_t room = phi.size() - touched.size();
+    const size_t count = std::min(room, frontier.size());
+    touched.insert(touched.end(), frontier.begin(),
+                   frontier.begin() + static_cast<std::ptrdiff_t>(count));
   }
 };
 
@@ -141,9 +104,6 @@ PropagationWorkspace& ThreadLocalWorkspace();
 /// serving worker that batches queries steadily allocates nothing.
 struct MultiPropagationWorkspace {
   std::vector<PropagationWorkspace> lanes;
-  /// Per-lane kernel resolution of the current pass (scratch; sized by
-  /// PropagatePhiMulti).
-  std::vector<EipdKernel> lane_kernels;
 
   void EnsureLanes(size_t count) {
     if (lanes.size() < count) lanes.resize(count);
@@ -197,11 +157,12 @@ void SeedLane(const Adjacency& adj, const QuerySeed& seed,
 }
 
 /// Absorbs the current level's mass into phi at the given decay
-/// c*(1-c)^len.
+/// c*(1-c)^len, and logs the frontier for the next query's reset.
 inline void AbsorbLane(PropagationWorkspace* ws, double decay) {
   for (graph::NodeId v : ws->frontier) {
     ws->phi[v] += ws->mass[v] * decay;
   }
+  ws->LogFrontier();
 }
 
 /// Pushes the lane's mass one level along the out-edges.
@@ -226,8 +187,9 @@ void AdvanceLane(const Adjacency& adj,
   }
   // `next` entries touched twice keep their accumulated value;
   // next_frontier may contain duplicates only if next[v] was exactly 0
-  // after a prior add, which cannot happen with positive weights. After
-  // the swap the old mass array (all zeroed above) becomes next.
+  // after a prior add, which cannot happen with positive weights. Every
+  // nonzero mass entry sat on the frontier and was zeroed above, so after
+  // the swap `next` is all zero again.
   ws->mass.swap(ws->next);
   ws->frontier.swap(ws->next_frontier);
 }
@@ -255,127 +217,14 @@ void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
   }
 }
 
-// --- Sparse (frontier-tracked) lane primitives -----------------------
-// Same per-level iteration and push order as the dense primitives - the
-// only behavioral differences are the lazy workspace reset (PrepareSparse
-// + touched tracking) and the prune_threshold check in the advance step.
-// With prune_threshold == 0 every floating-point operation matches the
-// dense lane exactly, so sparse results are bitwise-identical to dense
-// ones (tests/test_eipd_sparse.cc).
-
-/// Sparse level 1: the query's first hop, with touched tracking.
-template <typename Adjacency>
-void SeedLaneSparse(const Adjacency& adj, const QuerySeed& seed,
-                    PropagationWorkspace* ws) {
-  ws->PrepareSparse(adj.NumNodes());
-  for (const auto& [node, weight] : seed.links) {
-    KGOV_DCHECK(adj.IsValidNode(node));
-    if (weight <= 0.0) continue;
-    if (ws->mass[node] == 0.0) {
-      ws->frontier.push_back(node);
-      ws->touched.push_back(node);
-    }
-    ws->mass[node] += weight;
-  }
-}
-
-/// Sparse advance: pushes mass one level along the out-edges, skipping
-/// frontier nodes whose remaining mass is below `prune_threshold` (their
-/// mass was already absorbed into phi this level; only their downstream
-/// expansion is dropped). Returns the number of pruned frontier nodes.
-template <typename Adjacency>
-size_t AdvanceLaneSparse(
-    const Adjacency& adj,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    double prune_threshold, PropagationWorkspace* ws) {
-  std::vector<double>& next = ws->next;
-  ws->next_frontier.clear();
-  size_t pruned = 0;
-  for (graph::NodeId u : ws->frontier) {
-    const double m = ws->mass[u];
-    ws->mass[u] = 0.0;
-    if (m < prune_threshold) {
-      ++pruned;
-      continue;
-    }
-    adj.ForEachOut(u, [&](graph::NodeId to, double w, graph::EdgeId e) {
-      if (overrides != nullptr) {
-        auto it = overrides->find(e);
-        if (it != overrides->end()) w = it->second;
-      }
-      if (w <= 0.0) return;
-      if (next[to] == 0.0) {
-        ws->next_frontier.push_back(to);
-        ws->touched.push_back(to);
-      }
-      next[to] += m * w;
-    });
-  }
-  // All frontier masses were zeroed above, so after the swap the old mass
-  // array is all-zero and becomes next for the following level.
-  ws->mass.swap(ws->next);
-  ws->frontier.swap(ws->next_frontier);
-  return pruned;
-}
-
-/// The frontier-tracked kernel: same walk-sum as PropagatePhi, but the
-/// per-query cost is O(touched nodes + traversed edges) instead of
-/// O(n + traversed edges) - on a million-node graph with a sparse seed the
-/// dense kernel's three O(n) zeroing sweeps dominate, and this kernel
-/// skips them. Returns the total number of pruned (node, level) pairs.
-template <typename Adjacency>
-size_t PropagatePhiSparse(
-    const Adjacency& adj, const QuerySeed& seed, const EipdOptions& options,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    PropagationWorkspace* ws) {
-  const double c = options.restart;
-  SeedLaneSparse(adj, seed, ws);
-  double decay = c * (1.0 - c);
-  size_t pruned = 0;
-  for (int len = 1; len <= options.max_length; ++len) {
-    AbsorbLane(ws, decay);
-    if (len == options.max_length) break;
-    pruned +=
-        AdvanceLaneSparse(adj, overrides, options.sparse_threshold, ws);
-    decay *= 1.0 - c;
-  }
-  return pruned;
-}
-
-// --- Kernel resolution ------------------------------------------------
-
-/// Below this node count kAuto always picks kDense: the O(n) reset is
-/// cheap, and every pre-existing bitwise gate (single-flight, multi-root,
-/// cache) runs on graphs well under this size.
-inline constexpr size_t kSparseKernelMinNodes = 16384;
-/// kAuto picks kDense when seed_links * this >= num_nodes (a seed covering
-/// >= 1/16 of the graph floods most of it by level 2, so frontier
-/// tracking only adds overhead).
-inline constexpr size_t kSparseKernelSeedFactor = 16;
-
-/// Pure dispatch rule behind EipdOptions::kernel == kAuto. Deterministic
-/// in (options, num_nodes, seed_links) so a multi-root lane resolves
-/// exactly as the same seed would solo.
-inline EipdKernel ResolveKernel(const EipdOptions& options, size_t num_nodes,
-                                size_t seed_links) {
-  if (options.kernel != EipdKernel::kAuto) return options.kernel;
-  if (num_nodes < kSparseKernelMinNodes) return EipdKernel::kDense;
-  if (seed_links >= num_nodes / kSparseKernelSeedFactor) {
-    return EipdKernel::kDense;
-  }
-  return EipdKernel::kSparse;
-}
-
 /// The multi-root kernel: B seeds advance level-synchronously through one
 /// pass, lane b in ws->lanes[b]. Because the lanes interleave at level
 /// granularity (every lane absorbs, then every lane advances), the
 /// adjacency rows a level touches are revisited across lanes while still
 /// warm - the locality batched serving rides on - and each lane's
 /// operation sequence is exactly the single-root sequence, so results
-/// are bitwise-identical per root. Each lane resolves its kernel exactly
-/// as the same seed would solo (ResolveKernel is deterministic per seed),
-/// preserving that identity under kAuto and kSparse too. No overrides:
-/// the batched serving path reads the epoch's frozen weights.
+/// are bitwise-identical per root. No overrides: the batched serving path
+/// reads the epoch's frozen weights.
 template <typename Adjacency>
 void PropagatePhiMulti(const Adjacency& adj,
                        const std::vector<const QuerySeed*>& seeds,
@@ -384,15 +233,8 @@ void PropagatePhiMulti(const Adjacency& adj,
   const double c = options.restart;
   const size_t lanes = seeds.size();
   ws->EnsureLanes(lanes);
-  ws->lane_kernels.resize(lanes);
   for (size_t b = 0; b < lanes; ++b) {
-    ws->lane_kernels[b] =
-        ResolveKernel(options, adj.NumNodes(), seeds[b]->links.size());
-    if (ws->lane_kernels[b] == EipdKernel::kSparse) {
-      SeedLaneSparse(adj, *seeds[b], &ws->lanes[b]);
-    } else {
-      SeedLane(adj, *seeds[b], &ws->lanes[b]);
-    }
+    SeedLane(adj, *seeds[b], &ws->lanes[b]);
   }
   double decay = c * (1.0 - c);
   for (int len = 1; len <= options.max_length; ++len) {
@@ -401,12 +243,7 @@ void PropagatePhiMulti(const Adjacency& adj,
     }
     if (len == options.max_length) break;
     for (size_t b = 0; b < lanes; ++b) {
-      if (ws->lane_kernels[b] == EipdKernel::kSparse) {
-        AdvanceLaneSparse(adj, nullptr, options.sparse_threshold,
-                          &ws->lanes[b]);
-      } else {
-        AdvanceLane(adj, nullptr, &ws->lanes[b]);
-      }
+      AdvanceLane(adj, nullptr, &ws->lanes[b]);
     }
     decay *= 1.0 - c;
   }
@@ -431,14 +268,6 @@ class EipdEngine {
 
   const EipdOptions& options() const { return options_; }
   const graph::GraphView& view() const { return view_; }
-
-  /// The kernel a propagation of `seed` on this engine resolves to
-  /// (kDense or kSparse, never kAuto). Deterministic; exposed so dispatch
-  /// decisions are testable and observable.
-  EipdKernel KernelFor(const QuerySeed& seed) const {
-    return internal::ResolveKernel(options_, view_.NumNodes(),
-                                   seed.links.size());
-  }
 
   /// OK iff every seed link names a valid node of the view with a finite,
   /// non-negative weight. The error message names the offending link.
@@ -494,9 +323,8 @@ class EipdEngine {
 
  private:
   /// The one kernel invocation every entry point funnels through:
-  /// resolves the workspace and the kernel (KernelFor), runs PropagatePhi
-  /// or PropagatePhiSparse, records telemetry, and returns the
-  /// workspace's phi vector.
+  /// resolves the workspace, runs PropagatePhi, records telemetry, and
+  /// returns the workspace's phi vector.
   const std::vector<double>& PropagateInto(
       const QuerySeed& seed,
       const std::unordered_map<graph::EdgeId, double>* overrides,

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/crc32.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "ppr/ppr.h"
+#include "telemetry/metrics.h"
 
 namespace kgov::ppr {
 namespace {
@@ -174,6 +178,21 @@ TEST(EipdTest, SnapshotServesWhileGraphEvolves) {
   EXPECT_LT(engine_after.Scores(seed, {1}).value()[0], score_before);
 }
 
+TEST(EipdTest, KernelCounterCountsEveryPropagation) {
+  // serving.eipd.kernel.sparse counts single-root propagations; its name
+  // predates the one kernel, and kgbench reads it.
+  WeightedDigraph g = MakeFixture();
+  CsrSnapshot snap(g);
+  EipdEngine engine(snap.View());
+  telemetry::Counter* counter =
+      telemetry::MetricRegistry::Global().GetCounter(
+          "serving.eipd.kernel.sparse");
+  const uint64_t before = counter->Value();
+  ASSERT_TRUE(engine.Propagate(SeedAt(0)).ok());
+  ASSERT_TRUE(engine.Rank(SeedAt(1), {3, 4}, 2).ok());
+  EXPECT_EQ(counter->Value(), before + 2);
+}
+
 // --- Theorem 1 (paper): extended inverse P-distance equals the PPR vector
 // scores, verified as a property over random graphs and seeds. ---
 
@@ -238,6 +257,221 @@ TEST_P(MonotoneLengthProperty, SimilarityGrowsWithL) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, MonotoneLengthProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// --- Golden digest: served scores are pinned bit for bit. ---
+//
+// CRC-32C of the raw phi bytes for a fixed query sequence on a seeded
+// scale-free graph, at three walk lengths, through one reused workspace.
+// The sequence mixes single-node seeds, a flooding seed (links to a
+// quarter of the graph) and an overrides query. The digest was recorded
+// from the level-synchronous kernel that zeroed the whole workspace before
+// every query; a change to the per-level push order, the decay arithmetic
+// or the workspace reset moves it.
+TEST(EipdGoldenTest, PhiDigestIsPinned) {
+  Rng rng(2024);
+  Result<WeightedDigraph> g =
+      graph::ScaleFreeWithTargetEdges(3000, 12000, rng);
+  ASSERT_TRUE(g.ok());
+  CsrSnapshot snap(*g);
+
+  std::vector<QuerySeed> seeds;
+  for (graph::NodeId v : {0u, 1u, 17u, 256u, 1999u, 2999u}) {
+    seeds.push_back(QuerySeed::FromNode(*g, v));
+  }
+  QuerySeed flood;
+  for (graph::NodeId v = 0; v < 3000; v += 4) {
+    flood.links.emplace_back(v, 1.0);
+  }
+  seeds.push_back(flood);
+  seeds.push_back(QuerySeed::FromNode(*g, 5));
+
+  std::unordered_map<graph::EdgeId, double> overrides;
+  for (graph::EdgeId e = 0; e < g->NumEdges(); e += 7) overrides[e] = 0.25;
+
+  uint32_t crc = 0;
+  for (int length : {1, 3, 5}) {
+    EipdEngine engine(snap.View(), {.max_length = length});
+    PropagationWorkspace ws;
+    for (const QuerySeed& seed : seeds) {
+      StatusOr<std::vector<double>> phi = engine.Propagate(seed, &ws);
+      ASSERT_TRUE(phi.ok()) << phi.status();
+      crc = Crc32c(phi->data(), phi->size() * sizeof(double), crc);
+    }
+    StatusOr<std::vector<double>> overridden =
+        engine.PropagateWithOverrides(seeds[2], overrides, &ws);
+    ASSERT_TRUE(overridden.ok()) << overridden.status();
+    crc = Crc32c(overridden->data(), overridden->size() * sizeof(double),
+                 crc);
+  }
+  EXPECT_EQ(crc, 0xc17a53b9u) << std::hex << "digest 0x" << crc;
+}
+
+// --- Workspace reuse: the O(touched) reset leaves nothing behind. ---
+//
+// Prepare zeroes phi only over the logged frontiers, or all of phi once
+// the log reached n entries, and mass only over the last frontier. Each
+// case drives one shared workspace through consecutive queries, a graph
+// that grows and then shrinks, and an overrides query followed by a plain
+// one, and every result must equal a fresh workspace's bit for bit.
+
+enum class SeedShape {
+  // One node's out-links on a large sparse graph: the log stays short.
+  kSingleNode,
+  // Links to every other node: the log reaches n, with repeats, before
+  // every node phi was written on is logged, so only the full fill of phi
+  // clears it.
+  kFlooding,
+};
+
+class WorkspaceReuse : public ::testing::TestWithParam<SeedShape> {};
+
+bool BitwiseEqualVectors(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+QuerySeed MakeSeed(const WeightedDigraph& g, graph::NodeId v,
+                   SeedShape shape) {
+  if (shape == SeedShape::kSingleNode) return QuerySeed::FromNode(g, v);
+  QuerySeed flood;
+  for (graph::NodeId u = v % 2; u < g.NumNodes(); u += 2) {
+    flood.links.emplace_back(u, 1.0 + static_cast<double>((u + v) % 7));
+  }
+  return flood;
+}
+
+// Propagates `seed` through `shared`, checks which reset branch the next
+// query will take, and compares the result with a fresh workspace's.
+void ExpectMatchesFresh(
+    const EipdEngine& engine, const QuerySeed& seed, SeedShape shape,
+    PropagationWorkspace* shared,
+    const std::unordered_map<graph::EdgeId, double>* overrides = nullptr) {
+  PropagationWorkspace fresh;
+  StatusOr<std::vector<double>> reused =
+      overrides == nullptr
+          ? engine.Propagate(seed, shared)
+          : engine.PropagateWithOverrides(seed, *overrides, shared);
+  StatusOr<std::vector<double>> clean =
+      overrides == nullptr
+          ? engine.Propagate(seed, &fresh)
+          : engine.PropagateWithOverrides(seed, *overrides, &fresh);
+  ASSERT_TRUE(reused.ok()) << reused.status();
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_TRUE(BitwiseEqualVectors(*reused, *clean))
+      << "a reused workspace left stale state behind";
+  const size_t n = engine.view().NumNodes();
+  if (shape == SeedShape::kSingleNode) {
+    EXPECT_LT(shared->touched.size(), n) << "expected the O(touched) reset";
+  } else {
+    EXPECT_EQ(shared->touched.size(), n) << "expected the full reset";
+  }
+}
+
+TEST_P(WorkspaceReuse, EveryQueryMatchesAFreshWorkspace) {
+  const SeedShape shape = GetParam();
+  Rng rng(61);
+  Result<WeightedDigraph> large =
+      graph::ScaleFreeWithTargetEdges(2000, 2600, rng);
+  Result<WeightedDigraph> small = graph::ErdosRenyi(90, 500, rng);
+  ASSERT_TRUE(large.ok());
+  ASSERT_TRUE(small.ok());
+  CsrSnapshot large_snap(*large);
+  CsrSnapshot small_snap(*small);
+  EipdEngine on_large(large_snap.View());
+  EipdEngine on_small(small_snap.View());
+
+  std::vector<QuerySeed> large_seeds;
+  for (graph::NodeId v = 0; v < 2000 && large_seeds.size() < 8; v += 97) {
+    QuerySeed seed = MakeSeed(*large, v, shape);
+    if (!seed.empty()) large_seeds.push_back(std::move(seed));
+  }
+  QuerySeed small_seed = MakeSeed(*small, 1, shape);
+  ASSERT_GE(large_seeds.size(), 2u);
+  ASSERT_FALSE(small_seed.empty());
+
+  PropagationWorkspace shared;
+  // Consecutive queries on one graph.
+  for (const QuerySeed& seed : large_seeds) {
+    ExpectMatchesFresh(on_large, seed, shape, &shared);
+  }
+  // Shrink to a small graph, grow back, shrink again.
+  ExpectMatchesFresh(on_small, small_seed, SeedShape::kFlooding, &shared);
+  ExpectMatchesFresh(on_large, large_seeds[1], shape, &shared);
+  ExpectMatchesFresh(on_small, small_seed, SeedShape::kFlooding, &shared);
+
+  // An overrides query, then a plain one.
+  std::unordered_map<graph::EdgeId, double> overrides;
+  for (graph::EdgeId e = 0; e < large->NumEdges(); e += 5) {
+    overrides[e] = 0.9;
+  }
+  ExpectMatchesFresh(on_large, large_seeds[0], shape, &shared, &overrides);
+  ExpectMatchesFresh(on_large, large_seeds[0], shape, &shared);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResetBranches, WorkspaceReuse,
+    ::testing::Values(SeedShape::kSingleNode, SeedShape::kFlooding),
+    [](const ::testing::TestParamInfo<SeedShape>& info) {
+      return info.param == SeedShape::kSingleNode ? "ShortLog" : "FullLog";
+    });
+
+TEST(SparseWorkspaceTest, ConsecutiveSparseQueriesLazyResetCorrectly) {
+  Rng rng(61);
+  Result<WeightedDigraph> g = graph::ScaleFreeWithTargetEdges(150, 700, rng);
+  ASSERT_TRUE(g.ok());
+  CsrSnapshot snap(*g);
+  EipdEngine engine(snap.View());
+
+  PropagationWorkspace shared;
+  for (graph::NodeId v = 0; v < 150; v += 13) {
+    QuerySeed seed = QuerySeed::FromNode(*g, v);
+    if (seed.empty()) continue;
+    StatusOr<std::vector<double>> reused = engine.Propagate(seed, &shared);
+    PropagationWorkspace fresh;
+    StatusOr<std::vector<double>> clean = engine.Propagate(seed, &fresh);
+    ASSERT_TRUE(reused.ok());
+    ASSERT_TRUE(clean.ok());
+    EXPECT_TRUE(BitwiseEqualVectors(*reused, *clean))
+        << "lazy reset left stale state behind (seed " << v << ")";
+  }
+}
+
+TEST(SparseWorkspaceTest, ResizeAcrossGraphsFallsBackToFullReset) {
+  Rng rng(71);
+  Result<WeightedDigraph> small = graph::ErdosRenyi(40, 200, rng);
+  Result<WeightedDigraph> large = graph::ErdosRenyi(90, 500, rng);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  CsrSnapshot small_snap(*small);
+  CsrSnapshot large_snap(*large);
+
+  EipdEngine on_small(small_snap.View());
+  EipdEngine on_large(large_snap.View());
+
+  QuerySeed small_seed = QuerySeed::FromNode(*small, 1);
+  QuerySeed large_seed = QuerySeed::FromNode(*large, 1);
+  ASSERT_FALSE(small_seed.empty());
+  ASSERT_FALSE(large_seed.empty());
+
+  PropagationWorkspace shared;
+  ASSERT_TRUE(on_small.Propagate(small_seed, &shared).ok());
+  StatusOr<std::vector<double>> grown =
+      on_large.Propagate(large_seed, &shared);
+  StatusOr<std::vector<double>> clean = on_large.Propagate(large_seed);
+  ASSERT_TRUE(grown.ok());
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(BitwiseEqualVectors(*grown, *clean));
+
+  // Shrink back down again: size mismatch must trigger the full reset.
+  StatusOr<std::vector<double>> shrunk =
+      on_small.Propagate(small_seed, &shared);
+  StatusOr<std::vector<double>> small_clean =
+      on_small.Propagate(small_seed);
+  ASSERT_TRUE(shrunk.ok());
+  ASSERT_TRUE(small_clean.ok());
+  EXPECT_TRUE(BitwiseEqualVectors(*shrunk, *small_clean));
+}
 
 }  // namespace
 }  // namespace kgov::ppr

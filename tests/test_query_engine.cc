@@ -662,36 +662,5 @@ TEST(QueryEngineTest, DegradedModeServesValidShorterWalksAndNeverCaches) {
   EXPECT_GE(stats.degraded, 2u);
 }
 
-TEST(QueryEngineTest, SparseKernelServesIdenticalToDenseAtZeroThreshold) {
-  // The serve path must be kernel-transparent: with sparse_threshold == 0
-  // the sparse kernel is bitwise-identical to dense, so two engines over
-  // the same graph differing only in EipdOptions::kernel return identical
-  // rankings for every query.
-  WeightedDigraph g = MakeFixture();
-  OnlineKgOptimizer online_dense(g, SmallOnlineOptions());
-  OnlineKgOptimizer online_sparse(g, SmallOnlineOptions());
-
-  QueryEngineOptions dense_opts = SmallEngineOptions();
-  dense_opts.eipd.kernel = ppr::EipdKernel::kDense;
-  QueryEngineOptions sparse_opts = SmallEngineOptions();
-  sparse_opts.eipd.kernel = ppr::EipdKernel::kSparse;
-  sparse_opts.eipd.sparse_threshold = 0.0;
-
-  auto dense_or =
-      QueryEngine::Create(&online_dense, &Candidates(), dense_opts);
-  auto sparse_or =
-      QueryEngine::Create(&online_sparse, &Candidates(), sparse_opts);
-  ASSERT_TRUE(dense_or.ok()) << dense_or.status();
-  ASSERT_TRUE(sparse_or.ok()) << sparse_or.status();
-
-  for (const ppr::QuerySeed& seed : SeededStream(32, 77)) {
-    StatusOr<RankedAnswers> a = (*dense_or)->Submit(seed);
-    StatusOr<RankedAnswers> b = (*sparse_or)->Submit(seed);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    ExpectIdenticalAnswers(a->answers, b->answers);
-  }
-}
-
 }  // namespace
 }  // namespace kgov::serve
