@@ -1,7 +1,7 @@
-// Shared answer-ranking helpers: the one top-k sort used by every ranking
-// path (EIPD engine, the compatibility evaluators, and the Q&A baselines).
-// Rankings are deterministic: descending score, ties broken by ascending
-// id, truncated to k.
+// Shared answer-ranking helpers: the one top-k selection used by every
+// ranking path (EIPD engine, the compatibility evaluators, and the Q&A
+// baselines). Rankings are deterministic: descending score, ties broken by
+// ascending id, truncated to k.
 
 #ifndef KGOV_PPR_RANKING_H_
 #define KGOV_PPR_RANKING_H_
@@ -22,20 +22,27 @@ struct ScoredAnswer {
   double score = 0.0;
 };
 
-/// Sorts `entries` by descending score with ties broken by ascending id
-/// and truncates to the top k. `score_of` / `id_of` project an entry to
-/// its score and its tie-break id.
+/// Keeps the top k of `entries` by descending score with ties broken by
+/// ascending id, in that order. `score_of` / `id_of` project an entry to
+/// its score and its tie-break id. The order is total, so selecting the
+/// first k with a partial sort (O(n log k)) yields exactly the first k of
+/// a full sort.
 template <typename Entry, typename ScoreFn, typename IdFn>
 void SortRankedTruncate(std::vector<Entry>* entries, size_t k,
                         ScoreFn score_of, IdFn id_of) {
-  std::sort(entries->begin(), entries->end(),
-            [&](const Entry& a, const Entry& b) {
-              const double sa = score_of(a);
-              const double sb = score_of(b);
-              if (sa != sb) return sa > sb;
-              return id_of(a) < id_of(b);
-            });
-  if (entries->size() > k) entries->resize(k);
+  auto ranks_before = [&](const Entry& a, const Entry& b) {
+    const double sa = score_of(a);
+    const double sb = score_of(b);
+    if (sa != sb) return sa > sb;
+    return id_of(a) < id_of(b);
+  };
+  if (k >= entries->size()) {
+    std::sort(entries->begin(), entries->end(), ranks_before);
+    return;
+  }
+  const auto middle = entries->begin() + static_cast<std::ptrdiff_t>(k);
+  std::partial_sort(entries->begin(), middle, entries->end(), ranks_before);
+  entries->erase(middle, entries->end());
 }
 
 /// The common case: rank ScoredAnswers by score, ties by node id.

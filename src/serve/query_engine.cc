@@ -1,6 +1,7 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <optional>
@@ -10,7 +11,6 @@
 
 #include "common/contracts.h"
 #include "common/timer.h"
-#include "graph/subgraph.h"
 #include "serve/validate.h"
 #include "telemetry/metrics.h"
 
@@ -124,6 +124,7 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       admission_(options_.admission),
       workspaces_(options_.num_threads),
       multi_workspaces_(options_.num_threads),
+      dependency_scratch_(options_.num_threads),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
 QueryEngine::~QueryEngine() = default;
@@ -195,17 +196,62 @@ void QueryEngine::MaybeRefreshEpoch() {
 }
 
 std::vector<uint32_t> QueryEngine::DependencyClusters(
-    graph::GraphView view, const ppr::QuerySeed& seed) const {
-  std::vector<graph::NodeId> roots;
-  roots.reserve(seed.links.size());
-  for (const auto& [node, weight] : seed.links) roots.push_back(node);
-  // Every edge a walk of length <= L from the seed can traverse has its
-  // source inside this ball, and cluster identity is keyed by edge
-  // source (matching the optimizer's bitwise diff), so these clusters
-  // over-approximate everything the ranking depends on.
-  const std::vector<graph::NodeId> ball = graph::CollectOutNeighborhood(
-      view, roots, options_.eipd.max_length);
-  return partition_->ClustersOf(ball);
+    graph::GraphView view, const ppr::QuerySeed& seed) {
+  // The walk mirrors the nodes whose out-edges PropagatePhi reads; why
+  // that makes hits bitwise exact is in result_cache.h. L = 1 reads no
+  // edge and depends on nothing. Degraded (shorter) walks are never
+  // cached, so the configured depth bounds every entry.
+  DependencyScratch& scratch = *DependencyScratchForThisThread();
+  if (scratch.stamp.size() != view.NumNodes()) {
+    scratch.stamp.assign(view.NumNodes(), 0);
+    scratch.generation = 0;
+  }
+  if (++scratch.generation == 0) {  // stamps wrapped: start over
+    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+    scratch.generation = 1;
+  }
+  scratch.cluster_bits.assign((partition_->num_clusters() + 63) / 64, 0);
+  scratch.frontier.clear();
+
+  auto visit = [&](graph::NodeId node) {
+    if (scratch.stamp[node] == scratch.generation) return false;
+    scratch.stamp[node] = scratch.generation;
+    const uint32_t cluster = partition_->ClusterOf(node);
+    scratch.cluster_bits[cluster / 64] |= uint64_t{1} << (cluster % 64);
+    return true;
+  };
+  const int hops = options_.eipd.max_length - 2;
+  if (hops >= 0) {
+    for (const auto& [node, weight] : seed.links) {
+      KGOV_DCHECK(view.IsValidNode(node));
+      if (weight <= 0.0) continue;
+      if (visit(node)) scratch.frontier.push_back(node);
+    }
+  }
+  for (int hop = 0; hop < hops && !scratch.frontier.empty(); ++hop) {
+    scratch.next.clear();
+    for (graph::NodeId u : scratch.frontier) {
+      for (const graph::GraphView::Neighbor* it = view.begin(u);
+           it != view.end(u); ++it) {
+        if (it->weight <= 0.0) continue;  // the kernel skips it too
+        if (visit(it->to)) scratch.next.push_back(it->to);
+      }
+    }
+    scratch.frontier.swap(scratch.next);
+  }
+
+  size_t count = 0;
+  for (uint64_t bits : scratch.cluster_bits) count += std::popcount(bits);
+  std::vector<uint32_t> clusters;
+  clusters.reserve(count);
+  for (size_t word = 0; word < scratch.cluster_bits.size(); ++word) {
+    for (uint64_t bits = scratch.cluster_bits[word]; bits != 0;
+         bits &= bits - 1) {
+      clusters.push_back(static_cast<uint32_t>(
+          word * 64 + static_cast<size_t>(std::countr_zero(bits))));
+    }
+  }
+  return clusters;
 }
 
 ppr::PropagationWorkspace* QueryEngine::WorkspaceForThisThread() {
@@ -222,6 +268,15 @@ ppr::MultiPropagationWorkspace* QueryEngine::MultiWorkspaceForThisThread() {
     return &ppr::ThreadLocalMultiWorkspace();
   }
   return &multi_workspaces_[index];
+}
+
+QueryEngine::DependencyScratch* QueryEngine::DependencyScratchForThisThread() {
+  const size_t index = pool_->CurrentWorkerIndex();
+  if (index == ThreadPool::kNotAWorker) {
+    static thread_local DependencyScratch scratch;
+    return &scratch;
+  }
+  return &dependency_scratch_[index];
 }
 
 ppr::EipdOptions QueryEngine::EffectiveEipd(bool degraded) const {

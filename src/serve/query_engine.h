@@ -223,10 +223,12 @@ class QueryEngine {
   /// when no usable delta exists) BEFORE the new pin becomes visible.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
 
-  /// The partition clusters `seed`'s ranking can depend on: the L-ball
-  /// around its link nodes mapped through the streaming partition.
+  /// The partition clusters `seed`'s full-depth ranking can depend on,
+  /// sorted unique: the clusters of every node within max_length - 2
+  /// positive-weight hops of a positive-weight seed link - exactly the
+  /// nodes whose out-edges the propagation reads.
   std::vector<uint32_t> DependencyClusters(graph::GraphView view,
-                                           const ppr::QuerySeed& seed) const;
+                                           const ppr::QuerySeed& seed);
 
   /// The worker-side body of one query.
   StatusOr<RankedAnswers> ServeOne(const ppr::QuerySeed& seed)
@@ -254,10 +256,24 @@ class QueryEngine {
 
   std::chrono::nanoseconds FollowerDeadline() const;
 
+  /// Reusable scratch for DependencyClusters' walk: visited stamps over
+  /// the view's nodes (a node is visited iff its stamp equals
+  /// `generation`), the walk's two frontiers and a bitmap over the
+  /// partition's clusters. Sized once per graph, so a miss allocates
+  /// nothing but the returned set.
+  struct DependencyScratch {
+    std::vector<uint32_t> stamp;
+    uint32_t generation = 0;
+    std::vector<graph::NodeId> frontier;
+    std::vector<graph::NodeId> next;
+    std::vector<uint64_t> cluster_bits;
+  };
+
   /// This worker's reusable workspace (falls back to the thread-local
   /// workspace for non-pool callers).
   ppr::PropagationWorkspace* WorkspaceForThisThread();
   ppr::MultiPropagationWorkspace* MultiWorkspaceForThisThread();
+  DependencyScratch* DependencyScratchForThisThread();
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
@@ -276,6 +292,7 @@ class QueryEngine {
   AdmissionController admission_;
   std::vector<ppr::PropagationWorkspace> workspaces_;
   std::vector<ppr::MultiPropagationWorkspace> multi_workspaces_;
+  std::vector<DependencyScratch> dependency_scratch_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> hits_{0};

@@ -1,15 +1,24 @@
 // Delta-aware sharded LRU cache of per-seed ranking results.
 //
 // The serving hot path answers many repeats of the same query seed between
-// graph updates, and an EIPD propagation is the entire cost of a query.
-// This cache memoizes ranked answers keyed by the exact seed bytes. Each
-// entry carries the partition clusters its score can depend on (the
-// L-ball around the seed mapped through stream::GraphPartition) plus the
-// epoch it was computed on, so an epoch swap only drops entries whose
-// dependency set intersects the published changed-cluster delta
-// (AdvanceEpoch) - the selective invalidation the streaming pipeline's
-// hit-rate retention rides on. A full=true advance (unknown or too-large
-// delta) degenerates to the old wholesale flush.
+// graph updates; a hit skips a miss's propagation, top-k selection and
+// dependency walk. This cache memoizes ranked answers keyed by the exact
+// seed bytes. Each entry carries the partition clusters its score
+// can depend on plus the epoch it was computed on, so an epoch swap only
+// drops entries whose dependency set intersects the published
+// changed-cluster delta (AdvanceEpoch) - the selective invalidation the
+// streaming pipeline's hit-rate retention rides on. A full=true advance
+// (unknown or too-large delta) degenerates to the old wholesale flush.
+//
+// The dependency set (serve::QueryEngine's DependencyClusters) is the
+// clusters of every node within L-2 positive-weight hops of a
+// positive-weight seed link, L = max_length. It is exact because:
+//  * PropagatePhi seeds level 1 with the positive links and advances L-1
+//    times along positive edges, so every edge it reads leaves such a node;
+//  * the optimizer's delta keys every bitwise weight change by its edge's
+//    source cluster (DiffChangedClusters);
+//  * so, level by level, an entry whose set misses every intervening
+//    delta walks the same nodes with the same weights as a recompute.
 //
 // Validity rules (proved against the bitwise changed-set deltas the
 // optimizer publishes; see docs/streaming.md):

@@ -2,8 +2,6 @@
 
 #include <deque>
 
-#include "stream/epoch_delta.h"
-
 namespace kgov::stream {
 
 Result<GraphPartition> GraphPartition::Build(
@@ -53,17 +51,6 @@ Result<GraphPartition> GraphPartition::Build(
   }
   return GraphPartition(std::move(cluster_of),
                         static_cast<size_t>(cluster) + 1);
-}
-
-std::vector<uint32_t> GraphPartition::ClustersOf(
-    const std::vector<graph::NodeId>& nodes) const {
-  std::vector<uint32_t> clusters;
-  clusters.reserve(nodes.size());
-  for (graph::NodeId node : nodes) {
-    if (node < cluster_of_.size()) clusters.push_back(cluster_of_[node]);
-  }
-  CanonicalizeClusterSet(&clusters);
-  return clusters;
 }
 
 }  // namespace kgov::stream

@@ -8,8 +8,9 @@
 //  * the write side maps each accepted vote to the clusters its L-ball
 //    touches (DirtyClusterTracker) and re-solves only those, and diffs
 //    consecutive graphs into a changed-cluster set per epoch;
-//  * the serve side tags each cached ranking with the clusters its seed's
-//    L-ball touches and drops only entries that intersect an epoch's
+//  * the serve side tags each cached ranking with the clusters of the
+//    nodes its propagation reads out-edges from (serve::QueryEngine's
+//    DependencyClusters) and drops only entries that intersect an epoch's
 //    changed set.
 //
 // BFS chunking keeps each cluster topologically local, so a vote's L-ball
@@ -40,10 +41,6 @@ class GraphPartition {
   uint32_t ClusterOf(graph::NodeId node) const {
     return node < cluster_of_.size() ? cluster_of_[node] : 0;
   }
-
-  /// The sorted unique cluster set touched by `nodes`.
-  std::vector<uint32_t> ClustersOf(
-      const std::vector<graph::NodeId>& nodes) const;
 
   size_t num_clusters() const { return num_clusters_; }
   size_t num_nodes() const { return cluster_of_.size(); }

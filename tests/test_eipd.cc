@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "common/crc32.h"
@@ -156,6 +158,58 @@ TEST(EipdTest, RankTieBreaksByNodeId) {
   ASSERT_EQ(ranked->size(), 2u);
   EXPECT_EQ((*ranked)[0].node, 1u);
   EXPECT_EQ((*ranked)[1].node, 2u);
+}
+
+// Oracle for the partial top-k: TopKByScore keeps exactly the first k
+// entries of a full sort by descending score, ties by ascending id. The
+// score vectors are dominated by exact ties, as in serving: most
+// candidates score an exact 0.0 because no walk reaches them.
+TEST(EipdTest, TopKMatchesFullSortOracle) {
+  std::mt19937_64 rng(0x70CC);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t num_nodes = 64 + rng() % 512;
+    std::vector<double> phi(num_nodes);
+    for (double& score : phi) {
+      const uint64_t draw = rng() % 10;
+      if (draw < 7) {
+        score = 0.0;
+      } else if (draw < 9) {
+        score = 0.125 * static_cast<double>(1 + rng() % 4);
+      } else {
+        score = std::ldexp(static_cast<double>(rng() % 1000), -12);
+      }
+    }
+    // Drawn with replacement, so some candidates repeat.
+    const size_t n = 2 + rng() % (num_nodes - 1);
+    std::vector<graph::NodeId> candidates(n);
+    for (graph::NodeId& node : candidates) {
+      node = static_cast<graph::NodeId>(rng() % num_nodes);
+    }
+    std::vector<ScoredAnswer> oracle;
+    for (graph::NodeId node : candidates) {
+      oracle.push_back(ScoredAnswer{node, phi[node]});
+    }
+    std::sort(oracle.begin(), oracle.end(),
+              [](const ScoredAnswer& a, const ScoredAnswer& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.node < b.node;
+              });
+
+    for (size_t k : {size_t{1}, size_t{20}, n - 1, n, n + 5}) {
+      StatusOr<std::vector<ScoredAnswer>> ranked =
+          TopKByScore(phi, candidates, k);
+      ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+      ASSERT_EQ(ranked->size(), std::min(k, n)) << "trial " << trial;
+      for (size_t i = 0; i < ranked->size(); ++i) {
+        EXPECT_EQ((*ranked)[i].node, oracle[i].node)
+            << "trial " << trial << " k " << k << " rank " << i;
+        EXPECT_EQ(std::memcmp(&(*ranked)[i].score, &oracle[i].score,
+                              sizeof(double)),
+                  0)
+            << "trial " << trial << " k " << k << " rank " << i;
+      }
+    }
+  }
 }
 
 TEST(EipdTest, SnapshotServesWhileGraphEvolves) {

@@ -275,17 +275,6 @@ TEST(GraphPartitionTest, OneClusterPerNodeWhenTargetIsLarge) {
   EXPECT_EQ(partition->ClusterOf(10'000), 0u);
 }
 
-TEST(GraphPartitionTest, ClustersOfReturnsSortedUniqueSet) {
-  WeightedDigraph g = MakeFixture();
-  Result<GraphPartition> partition = GraphPartition::Build(g, 5);
-  ASSERT_TRUE(partition.ok());
-  std::vector<uint32_t> clusters =
-      partition->ClustersOf({0, 1, 2, 3, 4, 0, 1});
-  for (size_t i = 1; i < clusters.size(); ++i) {
-    EXPECT_LT(clusters[i - 1], clusters[i]);
-  }
-}
-
 TEST(EpochDeltaTest, ClustersIntersectOnSortedSets) {
   EXPECT_TRUE(ClustersIntersect({1, 3, 5}, {5, 7}));
   EXPECT_FALSE(ClustersIntersect({1, 3, 5}, {0, 2, 6}));

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/online_optimizer.h"
@@ -284,6 +286,172 @@ TEST(StreamInvalidationProperty, SelectiveRetainsStrictlyMoreThanFullFlush) {
   EXPECT_GE(selective_hits, kPods - 1);
   EXPECT_GT(selective.CacheStats().selective_sweeps, 0u);
   EXPECT_GT(full.CacheStats().full_sweeps, 0u);
+}
+
+// ------------------------------------------------- dependency depth
+//
+// A cached ranking depends on the clusters of the nodes whose out-edges
+// the propagation reads: those within max_length - 2 positive-weight hops
+// of a positive-weight seed link. Fixture (seed at node 0, engine L = 4,
+// so nodes 0-2 are read and node 3 sits exactly L - 1 hops out):
+//
+//   0 -> 1 (0.7), 0 -> 11 (0.3)
+//   1 -> 2 (1.0)
+//   2 -> 3 (0.5), 2 -> 4 (0.3), 2 -> 5 (0.2)
+//   3 -> 6 (0.6), 3 -> 7 (0.4)
+//   8 -> 9 (0.6), 8 -> 10 (0.4)      (reached only by a zero-weight link)
+//
+// Every node is its own partition cluster, and each epoch below comes
+// from one vote flushed scoped to one node's cluster, so exactly that
+// node's out-edge weights change.
+
+constexpr size_t kChainNodes = 12;
+
+WeightedDigraph MakeChain() {
+  WeightedDigraph g(kChainNodes);
+  EXPECT_TRUE(g.AddEdge(0, 1, 0.7).ok());
+  EXPECT_TRUE(g.AddEdge(0, 11, 0.3).ok());
+  EXPECT_TRUE(g.AddEdge(1, 2, 1.0).ok());
+  EXPECT_TRUE(g.AddEdge(2, 3, 0.5).ok());
+  EXPECT_TRUE(g.AddEdge(2, 4, 0.3).ok());
+  EXPECT_TRUE(g.AddEdge(2, 5, 0.2).ok());
+  EXPECT_TRUE(g.AddEdge(3, 6, 0.6).ok());
+  EXPECT_TRUE(g.AddEdge(3, 7, 0.4).ok());
+  EXPECT_TRUE(g.AddEdge(8, 9, 0.6).ok());
+  EXPECT_TRUE(g.AddEdge(8, 10, 0.4).ok());
+  return g;
+}
+
+OnlineOptimizerOptions ChainOnlineOptions() {
+  OnlineOptimizerOptions options = StreamingOnlineOptions();
+  options.partition_clusters = kChainNodes;  // one cluster per node
+  return options;
+}
+
+/// Flushes one vote at `node` (answers: the two given out-neighbours,
+/// the currently weaker one voted best) scoped to `node`'s cluster, and
+/// requires that exactly that cluster changed.
+void ChangeOutEdgesOf(OnlineKgOptimizer& online, graph::NodeId node,
+                      graph::NodeId stronger, graph::NodeId weaker) {
+  votes::Vote vote;
+  vote.id = node;
+  vote.query.links.emplace_back(node, 1.0);
+  vote.answer_list = {stronger, weaker};
+  vote.best_answer = weaker;
+  ASSERT_TRUE(online.IngestLogged(std::move(vote)).ok());
+  const uint32_t cluster = online.partition()->ClusterOf(node);
+  Result<core::FlushReport> report = online.FlushScoped({cluster});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->epoch_published);
+  ASSERT_EQ(report->changed_clusters, std::vector<uint32_t>{cluster});
+}
+
+struct ChainEngines {
+  std::vector<graph::NodeId> candidates;
+  std::unique_ptr<QueryEngine> cached;
+  std::unique_ptr<QueryEngine> cold;
+};
+
+ChainEngines MakeChainEngines(const OnlineKgOptimizer& online,
+                              int max_length) {
+  ChainEngines engines;
+  for (graph::NodeId v = 0; v < kChainNodes; ++v) {
+    engines.candidates.push_back(v);
+  }
+  QueryEngineOptions cached = EngineOptions(true, true);
+  cached.eipd.max_length = max_length;
+  QueryEngineOptions cold = EngineOptions(false, true);
+  cold.eipd.max_length = max_length;
+  auto cached_or = QueryEngine::Create(&online, &engines.candidates, cached);
+  auto cold_or = QueryEngine::Create(&online, &engines.candidates, cold);
+  EXPECT_TRUE(cached_or.ok()) << cached_or.status();
+  EXPECT_TRUE(cold_or.ok()) << cold_or.status();
+  if (cached_or.ok()) engines.cached = std::move(cached_or).value();
+  if (cold_or.ok()) engines.cold = std::move(cold_or).value();
+  return engines;
+}
+
+ppr::QuerySeed ChainSeed() {
+  ppr::QuerySeed seed;
+  seed.links.emplace_back(0, 1.0);
+  return seed;
+}
+
+/// Serves `seed` on both engines at the optimizer's current epoch and
+/// requires bitwise-identical rankings; returns whether the cached engine
+/// answered from its cache.
+bool ServedFromCacheAndExact(ChainEngines& engines,
+                             const OnlineKgOptimizer& online,
+                             const ppr::QuerySeed& seed) {
+  StatusOr<RankedAnswers> memo = engines.cached->Submit(seed);
+  StatusOr<RankedAnswers> fresh = engines.cold->Submit(seed);
+  EXPECT_TRUE(memo.ok()) << memo.status();
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+  if (!memo.ok() || !fresh.ok()) return false;
+  EXPECT_EQ(memo->epoch, online.CurrentEpochNumber());
+  EXPECT_EQ(fresh->epoch, online.CurrentEpochNumber());
+  ExpectIdenticalAnswers(fresh->answers, memo->answers);
+  return memo->from_cache;
+}
+
+TEST(StreamInvalidationProperty, ChangeBeyondReadDepthKeepsEntry) {
+  // Node 3 is L - 1 = 3 hops from the seed: the walk reaches it at the
+  // last level and never reads its out-edges.
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
+  ASSERT_NE(engines.cached, nullptr);
+  ASSERT_NE(engines.cold, nullptr);
+  const ppr::QuerySeed seed = ChainSeed();
+  EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
+
+  ChangeOutEdgesOf(online, 3, 6, 7);
+  EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
+  EXPECT_EQ(engines.cached->CacheStats().invalidations, 0u);
+}
+
+TEST(StreamInvalidationProperty, ChangeWithinReadDepthInvalidatesEntry) {
+  // Node 2 is L - 2 = 2 hops out: the last level reads its out-edges.
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
+  ASSERT_NE(engines.cached, nullptr);
+  ASSERT_NE(engines.cold, nullptr);
+  const ppr::QuerySeed seed = ChainSeed();
+  EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
+
+  ChangeOutEdgesOf(online, 2, 4, 5);
+  EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
+  EXPECT_EQ(engines.cached->CacheStats().invalidations, 1u);
+}
+
+TEST(StreamInvalidationProperty, SingleLevelWalkDependsOnNoEdge) {
+  // At max_length = 1 the score is the seed mass alone: no edge is read,
+  // so even a change to the seed node's own out-edges keeps the entry.
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  ChainEngines engines = MakeChainEngines(online, /*max_length=*/1);
+  ASSERT_NE(engines.cached, nullptr);
+  ASSERT_NE(engines.cold, nullptr);
+  const ppr::QuerySeed seed = ChainSeed();
+  EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
+
+  ChangeOutEdgesOf(online, 0, 1, 11);
+  EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
+  ChangeOutEdgesOf(online, 2, 4, 5);
+  EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
+}
+
+TEST(StreamInvalidationProperty, ZeroWeightSeedLinkIsNotADependency) {
+  // The kernel never seeds a zero-weight link, so node 8's out-edges are
+  // never read and a change to them keeps the entry.
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
+  ASSERT_NE(engines.cached, nullptr);
+  ASSERT_NE(engines.cold, nullptr);
+  ppr::QuerySeed seed = ChainSeed();
+  seed.links.emplace_back(8, 0.0);
+  EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
+
+  ChangeOutEdgesOf(online, 8, 9, 10);
+  EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #      with the durability kill-tests rerun standalone so their recovery
 #      artifacts land in a known directory for the CI upload,
 #   2. the ASan/UBSan pass (tools/ci/sanitize.sh),
-#   3. the serving-path perf probe, emitting BENCH_serving.json at the
+#   3. a kgbench correctness smoke (qa_cold and stream_mixed, 3 s each,
+#      gated on the workloads' own output checks, never on timing), then
+#      the serving-path perf probe, emitting BENCH_serving.json at the
 #      repo root so the queries/sec trajectory is tracked per commit,
 #      plus the durability bench smoke run gating the WAL's flush-path
 #      overhead below 5%, the scale bench smoke run gating the EIPD
@@ -53,6 +55,31 @@ else
 fi
 
 if [[ "${KGOV_SKIP_BENCH:-0}" != "1" ]]; then
+  echo "== [3/3] kgbench correctness smoke (qa_cold, stream_mixed) =="
+  # kgbench checks its own outputs before it prints a result; on qa_cold
+  # that includes every 509th served top-k against a direct
+  # EipdEngine::Rank, bitwise. Gate on that verdict only: a 3 s run on a
+  # shared CI host says nothing about speed, so no timing is gated.
+  for workload in qa_cold stream_mixed; do
+    if ! result="$(python3 "$REPO_ROOT/kgbench/run.py" --workload "$workload" \
+        --seed 1 --seconds 3 --trace 0 | tail -n 1)"; then
+      echo "FAIL: kgbench $workload exited non-zero" >&2
+      exit 1
+    fi
+    python3 - "$workload" "$result" <<'EOF'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+try:
+    result = json.loads(line)
+except ValueError:
+    sys.exit(f"FAIL: kgbench {workload} printed no result line")
+if not isinstance(result, dict) or result.get("correct") is not True:
+    sys.exit(f"FAIL: kgbench {workload} result is not correct: {line}")
+print(f"kgbench {workload} OK: {result.get('attempted')} operations,",
+      f"{result.get('failed')} failed")
+EOF
+  done
+
   echo "== [3/3] serving-path bench =="
   TELEMETRY_JSON="$REPO_ROOT/BENCH_serving_telemetry.json"
   rm -f "$TELEMETRY_JSON"
