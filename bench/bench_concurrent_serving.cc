@@ -23,9 +23,9 @@
 //    against the coalescing engine; the propagation count must equal the
 //    number of cold keys (exactly one leader per key), verified from the
 //    engine's own outcome counters.
-//  * batching - the same stream executed with multi-root batching on vs
-//    off (cache off so every query propagates), plus the
-//    serving.eipd.multi_passes / multi_roots counter deltas.
+//  * batching - the stream executed with cache and single-flight off, so
+//    every query propagates as a lane of its same-cluster group's pass,
+//    plus the serving.eipd.multi_passes / multi_roots counter deltas.
 //  * shedding - clients hammer a capacity-2 admission window; shed
 //    Submits must return kResourceExhausted promptly (p99 is gated in
 //    tools/ci/check.sh).
@@ -95,11 +95,10 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
   options.top_k = 20;
   options.num_threads = threads;
   options.enable_cache = cache;
-  // The sweep is the baseline serving path (comparable across revisions):
-  // miss collapse and multi-root batching are measured by their own
-  // phases below, not folded into these rows.
+  // Miss collapse is measured by its own phase below, not folded into
+  // these rows. SubmitBatch groups same-cluster queries into multi-root
+  // passes here as everywhere.
   options.enable_single_flight = false;
-  options.enable_batching = false;
   auto engine_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
   KGOV_CHECK(engine_or.ok());
@@ -181,7 +180,6 @@ SingleFlightReport RunSingleFlightPhase(const Setup& s,
   options.num_threads = 4;
   options.enable_cache = true;
   options.enable_single_flight = true;
-  options.enable_batching = false;
   auto collapsed_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
   KGOV_CHECK(collapsed_or.ok());
@@ -200,60 +198,52 @@ SingleFlightReport RunSingleFlightPhase(const Setup& s,
 struct BatchingReport {
   uint64_t queries = 0;
   double qps_batched = 0.0;
-  double qps_solo = 0.0;
   uint64_t multi_passes = 0;
+  uint64_t multi_roots = 0;
   double avg_roots_per_pass = 0.0;
 };
 
-/// Multi-root batching on vs off over the same stream. Cache and
-/// single-flight stay off so every query propagates and the comparison
-/// isolates the execution path (one interleaved pass per cluster group
-/// vs one solo pass per query).
+/// Multi-root execution over the stream. Cache and single-flight stay off
+/// so every query propagates, each as one lane of its same-cluster
+/// group's pass; the counters show how many lanes the passes folded.
 BatchingReport RunBatchingPhase(const Setup& s,
                                 const core::OnlineKgOptimizer& online,
                                 int rounds) {
-  auto run = [&](bool batching) {
-    serve::QueryEngineOptions options = PhaseOptions();
-    options.num_threads = 2;
-    options.enable_cache = false;
-    options.enable_single_flight = false;
-    options.enable_batching = batching;
-    options.max_batch_roots = 8;
-    auto engine_or =
-        serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
-    KGOV_CHECK(engine_or.ok());
-    serve::QueryEngine& engine = **engine_or;
-    auto serve_round = [&]() {
-      std::vector<StatusOr<serve::RankedAnswers>> results =
-          engine.SubmitBatch(s.seeds);
-      for (const auto& r : results) KGOV_CHECK(r.ok());
-    };
-    serve_round();  // warm-up
-    Timer timer;
-    for (int r = 0; r < rounds; ++r) serve_round();
-    return timer.ElapsedSeconds();
+  serve::QueryEngineOptions options = PhaseOptions();
+  options.num_threads = 2;
+  options.enable_cache = false;
+  options.enable_single_flight = false;
+  auto engine_or =
+      serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
+  KGOV_CHECK(engine_or.ok());
+  serve::QueryEngine& engine = **engine_or;
+  auto serve_round = [&]() {
+    std::vector<StatusOr<serve::RankedAnswers>> results =
+        engine.SubmitBatch(s.seeds);
+    for (const auto& r : results) KGOV_CHECK(r.ok());
   };
+  serve_round();  // warm-up
 
   telemetry::MetricRegistry& registry = telemetry::MetricRegistry::Global();
   telemetry::Counter* passes =
       registry.GetCounter("serving.eipd.multi_passes");
   telemetry::Counter* roots = registry.GetCounter("serving.eipd.multi_roots");
+  const uint64_t passes_before = passes->Value();
+  const uint64_t roots_before = roots->Value();
+  Timer timer;
+  for (int r = 0; r < rounds; ++r) serve_round();
+  const double wall = timer.ElapsedSeconds();
 
   BatchingReport report;
   report.queries = static_cast<uint64_t>(rounds) * s.seeds.size();
-  const double solo_wall = run(false);
-  const uint64_t passes_before = passes->Value();
-  const uint64_t roots_before = roots->Value();
-  const double batched_wall = run(true);
   report.multi_passes = passes->Value() - passes_before;
-  const uint64_t multi_roots = roots->Value() - roots_before;
+  report.multi_roots = roots->Value() - roots_before;
   report.avg_roots_per_pass =
       report.multi_passes == 0
           ? 0.0
-          : static_cast<double>(multi_roots) /
+          : static_cast<double>(report.multi_roots) /
                 static_cast<double>(report.multi_passes);
-  report.qps_solo = static_cast<double>(report.queries) / solo_wall;
-  report.qps_batched = static_cast<double>(report.queries) / batched_wall;
+  report.qps_batched = static_cast<double>(report.queries) / wall;
   return report;
 }
 
@@ -285,7 +275,6 @@ ShedReport RunShedPhase(const Setup& s, const core::OnlineKgOptimizer& online,
   options.num_threads = 1;
   options.enable_cache = false;  // every admitted query occupies the window
   options.enable_single_flight = false;
-  options.enable_batching = false;
   options.admission.capacity = 2;
   auto engine_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
@@ -427,10 +416,11 @@ void RunAndReport(bool smoke, const char* json_path,
 
   BatchingReport batching = RunBatchingPhase(s, online, rounds);
   std::printf(
-      "batching: %.1f q/s batched vs %.1f q/s solo "
-      "(%llu multi-root passes, %.1f roots/pass)\n",
-      batching.qps_batched, batching.qps_solo,
+      "batching: %.1f q/s batched "
+      "(%llu multi-root passes, %llu roots, %.1f roots/pass)\n",
+      batching.qps_batched,
       static_cast<unsigned long long>(batching.multi_passes),
+      static_cast<unsigned long long>(batching.multi_roots),
       batching.avg_roots_per_pass);
 
   ShedReport shed = RunShedPhase(s, online, smoke ? 200 : 1000);
@@ -491,8 +481,8 @@ void RunAndReport(bool smoke, const char* json_path,
                "\"collapsed_wall_seconds\": %.6f, "
                "\"duplicated_wall_seconds\": %.6f},\n"
                "  \"batching\": {\"queries\": %llu, "
-               "\"qps_batched\": %.2f, \"qps_solo\": %.2f, "
-               "\"multi_passes\": %llu, \"avg_roots_per_pass\": %.2f},\n"
+               "\"qps_batched\": %.2f, \"multi_passes\": %llu, "
+               "\"multi_roots\": %llu, \"avg_roots_per_pass\": %.2f},\n"
                "  \"shedding\": {\"capacity\": %zu, \"attempted\": %llu, "
                "\"served\": %llu, \"shed\": %llu, "
                "\"shed_p50_seconds\": %.8f, \"shed_p99_seconds\": %.8f}\n"
@@ -506,8 +496,9 @@ void RunAndReport(bool smoke, const char* json_path,
                static_cast<unsigned long long>(sf.stats.timeouts),
                sf.collapsed_wall_seconds, sf.duplicated_wall_seconds,
                static_cast<unsigned long long>(batching.queries),
-               batching.qps_batched, batching.qps_solo,
+               batching.qps_batched,
                static_cast<unsigned long long>(batching.multi_passes),
+               static_cast<unsigned long long>(batching.multi_roots),
                batching.avg_roots_per_pass, shed.capacity,
                static_cast<unsigned long long>(shed.attempted),
                static_cast<unsigned long long>(shed.served),

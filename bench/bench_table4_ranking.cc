@@ -30,7 +30,9 @@ std::vector<std::vector<qa::RankedDocument>> AskAll(
   std::vector<std::vector<qa::RankedDocument>> rankings;
   rankings.reserve(questions.size());
   for (const qa::Question& q : questions) {
-    rankings.push_back(system.Ask(q));
+    StatusOr<std::vector<qa::RankedDocument>> docs = system.Answer(q);
+    KGOV_CHECK(docs.ok()) << docs.status().ToString();
+    rankings.push_back(std::move(docs).value());
   }
   return rankings;
 }

@@ -74,7 +74,9 @@ int Run() {
                         t.env.deployed.num_entities, t.sim_params.qa);
     Rankings rankings;
     for (const qa::Question& q : questions) {
-      rankings.push_back(system.Ask(q));
+      StatusOr<std::vector<qa::RankedDocument>> docs = system.Answer(q);
+      KGOV_CHECK(docs.ok()) << docs.status().ToString();
+      rankings.push_back(std::move(docs).value());
     }
     return rankings;
   };

@@ -140,7 +140,7 @@ struct FlushReport {
 };
 
 /// Owns a knowledge graph that evolves under vote feedback. The write path
-/// (AddVote/Flush) is single-threaded; serving()/snapshot() are safe to
+/// (AddVote/Flush) is single-threaded; serving()/CurrentEpoch() are safe to
 /// call from concurrent reader threads and never block on an in-progress
 /// optimize (the epoch lock guards only the pointer swap).
 class OnlineKgOptimizer {
@@ -181,13 +181,6 @@ class OnlineKgOptimizer {
   /// serve path's cheap staleness probe (see serve::QueryEngine).
   uint64_t CurrentEpochNumber() const {
     return epoch_number_.load(std::memory_order_acquire);
-  }
-
-  /// Compatibility: the current epoch's frozen snapshot. Thread-safe.
-  std::shared_ptr<const graph::CsrSnapshot> snapshot() const
-      KGOV_EXCLUDES(serving_mu_) {
-    MutexLock lock(serving_mu_);
-    return serving_.snapshot;
   }
 
   /// Attaches the write-ahead vote log. Once set, AddVote appends each

@@ -22,14 +22,9 @@ Status EipdOptions::Validate() const {
   return Status::OK();
 }
 
-PropagationWorkspace& ThreadLocalWorkspace() {
-  static thread_local PropagationWorkspace workspace;
-  return workspace;
-}
-
-MultiPropagationWorkspace& ThreadLocalMultiWorkspace() {
-  static thread_local MultiPropagationWorkspace workspace;
-  return workspace;
+std::vector<PropagationWorkspace>& ThreadLocalLanes() {
+  static thread_local std::vector<PropagationWorkspace> lanes(1);
+  return lanes;
 }
 
 EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options)
@@ -57,37 +52,60 @@ Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {
   return Status::OK();
 }
 
-const std::vector<double>& EipdEngine::PropagateInto(
-    const QuerySeed& seed,
+void EipdEngine::PropagateLanes(
+    std::span<const QuerySeed* const> roots,
     const std::unordered_map<graph::EdgeId, double>* overrides,
-    PropagationWorkspace* ws) const {
+    PropagationWorkspace* lanes) const {
   // Serving-latency telemetry: one Timer (two steady-clock reads) and one
-  // histogram Observe per propagation -- a fraction of a percent of a
-  // single propagation pass on the bench graph.
+  // histogram Observe per pass -- a fraction of a percent of a single
+  // propagation on the bench graph. Each lane counts as one query (it does
+  // the arithmetic a single-root query would); passes that fold two or
+  // more lanes are counted too, so dashboards can see the batching ratio.
   static telemetry::Histogram* const latency =
       telemetry::MetricRegistry::Global().GetHistogram(
           "serving.eipd.propagate.seconds");
   static telemetry::Counter* const queries =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.queries");
-  // Counts every single-root propagation. The name predates the one
-  // kernel; kgbench reads it for ppr.kernel_sparse_ratio.
+  // Counts every lane. The name predates the one kernel; kgbench reads it
+  // for ppr.kernel_sparse_ratio.
   static telemetry::Counter* const propagations =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.kernel.sparse");
+  static telemetry::Counter* const multi_passes =
+      telemetry::MetricRegistry::Global().GetCounter(
+          "serving.eipd.multi_passes");
+  static telemetry::Counter* const multi_roots =
+      telemetry::MetricRegistry::Global().GetCounter(
+          "serving.eipd.multi_roots");
   Timer timer;
-  if (overrides != nullptr) {
-    // Overrides are keyed by EdgeId; without the edge-id table they would
-    // be silently ignored, so fail loudly (an edgeless view has nothing to
+  if (overrides == nullptr) {
+    internal::PropagatePhi(internal::ViewAdjacency{view_}, roots, options_,
+                           lanes);
+  } else {
+    // Overrides are keyed by EdgeId; without the edge-id table they could
+    // not be applied, so fail loudly (an edgeless view has nothing to
     // override and is fine).
     KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0);
+    internal::PropagatePhi(internal::OverrideAdjacency{view_, overrides},
+                           roots, options_, lanes);
   }
-  if (ws == nullptr) ws = &ThreadLocalWorkspace();
-  internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_,
-                         overrides, ws);
-  propagations->Increment();
-  queries->Increment();
+  propagations->Increment(roots.size());
+  queries->Increment(roots.size());
+  if (roots.size() > 1) {
+    multi_passes->Increment();
+    multi_roots->Increment(roots.size());
+  }
   latency->Observe(timer.ElapsedSeconds());
+}
+
+const std::vector<double>& EipdEngine::PropagateInto(
+    const QuerySeed& seed,
+    const std::unordered_map<graph::EdgeId, double>* overrides,
+    PropagationWorkspace* ws) const {
+  if (ws == nullptr) ws = &ThreadLocalLanes().front();
+  const QuerySeed* root = &seed;
+  PropagateLanes({&root, 1}, overrides, ws);
   return ws->phi;
 }
 
@@ -172,7 +190,7 @@ StatusOr<std::vector<ScoredAnswer>> EipdEngine::RankWithOverrides(
 StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
     const std::vector<QuerySeed>& seeds,
     const std::vector<graph::NodeId>& candidates, size_t k,
-    MultiPropagationWorkspace* ws) const {
+    std::vector<PropagationWorkspace>* lanes) const {
   std::vector<std::vector<ScoredAnswer>> results;
   if (seeds.empty()) return results;
   std::vector<const QuerySeed*> roots;
@@ -181,35 +199,14 @@ StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
     KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
     roots.push_back(&seed);
   }
-
-  // Telemetry mirrors the single-root path: each lane counts as one
-  // propagation (a lane does the same arithmetic a solo query would), and
-  // the pass itself is counted so dashboards can see the batching ratio.
-  static telemetry::Histogram* const latency =
-      telemetry::MetricRegistry::Global().GetHistogram(
-          "serving.eipd.propagate.seconds");
-  static telemetry::Counter* const queries =
-      telemetry::MetricRegistry::Global().GetCounter("serving.eipd.queries");
-  static telemetry::Counter* const multi_passes =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_passes");
-  static telemetry::Counter* const multi_roots =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_roots");
-  Timer timer;
-  if (ws == nullptr) ws = &ThreadLocalMultiWorkspace();
-  internal::PropagatePhiMulti(internal::ViewAdjacency{view_}, roots,
-                              options_, ws);
-  queries->Increment(roots.size());
-  multi_passes->Increment();
-  multi_roots->Increment(roots.size());
-  latency->Observe(timer.ElapsedSeconds());
+  if (lanes == nullptr) lanes = &ThreadLocalLanes();
+  if (lanes->size() < roots.size()) lanes->resize(roots.size());
+  PropagateLanes(roots, nullptr, lanes->data());
 
   results.reserve(roots.size());
   for (size_t b = 0; b < roots.size(); ++b) {
-    KGOV_ASSIGN_OR_RETURN(
-        std::vector<ScoredAnswer> ranked,
-        TopKByScore(ws->lanes[b].phi, candidates, k));
+    KGOV_ASSIGN_OR_RETURN(std::vector<ScoredAnswer> ranked,
+                          TopKByScore((*lanes)[b].phi, candidates, k));
     results.push_back(std::move(ranked));
   }
   return results;

@@ -2,10 +2,13 @@
 //
 //   Phi(vq, va) = sum over walks z : vq ~> va, |z| <= L of P[z]*c*(1-c)^|z|
 //
-// One kernel computes it: internal::PropagatePhi, a level-synchronous
+// One driver computes it: internal::PropagatePhi, a level-synchronous
 // truncated power iteration that scores every node of the view in one
-// pass. Its floating-point operation sequence is frozen - the serving-path
-// bitwise gates (single-flight leader reuse, multi-root lanes, cache hits)
+// pass, for B >= 1 seeds at once (one lane per seed; a single-root query
+// is one lane). Weight overrides are an adjacency adapter
+// (internal::OverrideAdjacency), not a kernel branch. Each lane's
+// floating-point operation sequence is frozen - the serving-path bitwise
+// gates (single-flight leader reuse, multi-root lanes, cache hits)
 // compare results with memcmp, and tests/test_eipd.cc pins a CRC-32C of
 // the phi bytes.
 //
@@ -15,13 +18,14 @@
 // zeroes only those entries (or all of phi once the log reaches |V|).
 // Nothing is pruned; every walk of length <= L contributes. Pass a
 // workspace explicitly to reuse it across engines, or pass nullptr to use
-// a per-thread workspace. docs/scale.md has the cost model.
+// the thread's lanes (ThreadLocalLanes). docs/scale.md has the cost model.
 
 #ifndef KGOV_PPR_EIPD_ENGINE_H_
 #define KGOV_PPR_EIPD_ENGINE_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -51,7 +55,7 @@ struct EipdOptions {
 
 /// Reusable per-query scratch buffers; capacity is retained, so repeated
 /// queries on graphs of stable size allocate nothing. Not thread-safe: use
-/// one workspace per thread (the engines default to a thread_local one).
+/// one workspace per thread (the engines default to ThreadLocalLanes()).
 ///
 /// Between queries the kernel leaves `next` all zero, `mass` nonzero only
 /// on `frontier`, and `phi` nonzero only on `touched` - unless `touched`
@@ -96,23 +100,11 @@ struct PropagationWorkspace {
   }
 };
 
-/// The per-thread default workspace used when callers pass nullptr.
-PropagationWorkspace& ThreadLocalWorkspace();
-
-/// Scratch for a multi-root pass: one PropagationWorkspace lane per root.
-/// Lane capacity is retained across passes (EnsureLanes only grows), so a
-/// serving worker that batches queries steadily allocates nothing.
-struct MultiPropagationWorkspace {
-  std::vector<PropagationWorkspace> lanes;
-
-  void EnsureLanes(size_t count) {
-    if (lanes.size() < count) lanes.resize(count);
-  }
-};
-
-/// The per-thread default multi-root workspace used when callers pass
-/// nullptr to RankMulti.
-MultiPropagationWorkspace& ThreadLocalMultiWorkspace();
+/// The per-thread default lanes used when callers pass nullptr: never
+/// empty, and a single-root query runs on the first lane. Lane capacity is
+/// retained (multi-root calls only grow the vector), so a thread that
+/// ranks steadily allocates nothing.
+std::vector<PropagationWorkspace>& ThreadLocalLanes();
 
 namespace internal {
 
@@ -125,23 +117,43 @@ struct ViewAdjacency {
 
   template <typename Fn>
   void ForEachOut(graph::NodeId u, Fn&& fn) const {
+    for (const graph::GraphView::Neighbor* it = view.begin(u);
+         it != view.end(u); ++it) {
+      fn(it->to, it->weight);
+    }
+  }
+};
+
+/// A GraphView whose edge weights are replaced, by EdgeId, where
+/// `overrides` names the edge (judgment filter's extreme condition,
+/// per-cluster solution checks). The view must carry edge ids when it has
+/// any edges.
+struct OverrideAdjacency {
+  graph::GraphView view;
+  const std::unordered_map<graph::EdgeId, double>* overrides;
+
+  size_t NumNodes() const { return view.NumNodes(); }
+  bool IsValidNode(graph::NodeId v) const { return view.IsValidNode(v); }
+
+  template <typename Fn>
+  void ForEachOut(graph::NodeId u, Fn&& fn) const {
     const graph::GraphView::Neighbor* b = view.begin(u);
     const graph::GraphView::Neighbor* e = view.end(u);
     const graph::EdgeId* ids = view.edge_ids(u);
     for (const graph::GraphView::Neighbor* it = b; it != e; ++it) {
-      fn(it->to, it->weight,
-         ids == nullptr ? graph::kInvalidEdge : ids[it - b]);
+      auto found = overrides->find(ids[it - b]);
+      fn(it->to, found == overrides->end() ? it->weight : found->second);
     }
   }
 };
 
 // --- Per-lane primitives ---------------------------------------------
-// One lane = one seed's propagation state in its own workspace. Both the
-// single-root driver (PropagatePhi) and the multi-root driver
-// (PropagatePhiMulti) are composed of exactly these steps, so a lane's
-// floating-point operation sequence is identical whichever driver runs
-// it: a multi-root result is bitwise-identical, per root, to the
-// single-root propagation of the same seed (tests/test_eipd_multi.cc).
+// One lane = one seed's propagation state in its own workspace. The
+// driver (PropagatePhi) runs every lane through exactly these steps, so a
+// lane's floating-point operation sequence does not depend on how many
+// lanes share the pass: a lane of a multi-root pass is bitwise-identical
+// to the single-lane propagation of the same seed
+// (tests/test_eipd_multi.cc).
 
 /// Level 1: the query's first hop.
 template <typename Adjacency>
@@ -167,18 +179,12 @@ inline void AbsorbLane(PropagationWorkspace* ws, double decay) {
 
 /// Pushes the lane's mass one level along the out-edges.
 template <typename Adjacency>
-void AdvanceLane(const Adjacency& adj,
-                 const std::unordered_map<graph::EdgeId, double>* overrides,
-                 PropagationWorkspace* ws) {
+void AdvanceLane(const Adjacency& adj, PropagationWorkspace* ws) {
   std::vector<double>& next = ws->next;
   ws->next_frontier.clear();
   for (graph::NodeId u : ws->frontier) {
     const double m = ws->mass[u];
-    adj.ForEachOut(u, [&](graph::NodeId to, double w, graph::EdgeId e) {
-      if (overrides != nullptr) {
-        auto it = overrides->find(e);
-        if (it != overrides->end()) w = it->second;
-      }
+    adj.ForEachOut(u, [&](graph::NodeId to, double w) {
       if (w <= 0.0) return;
       if (next[to] == 0.0) ws->next_frontier.push_back(to);
       next[to] += m * w;
@@ -194,57 +200,30 @@ void AdvanceLane(const Adjacency& adj,
   ws->frontier.swap(ws->next_frontier);
 }
 
-/// THE propagation body: level-synchronous mass propagation (a truncated
-/// power iteration over the walk length), yielding the scores of *all*
-/// nodes in one pass - the property behind the paper's Table VI efficiency
-/// result. Walks longer than L are dropped (SIV-A; L = 5 in the paper's
-/// experiments, justified by Fig. 7). Weights present in `overrides`
-/// (keyed by EdgeId; may be null) replace the adjacency's weights.
-/// Results land in ws->phi.
+/// THE propagation driver: level-synchronous mass propagation (a
+/// truncated power iteration over the walk length), yielding the scores
+/// of *all* nodes in one pass - the property behind the paper's Table VI
+/// efficiency result. Walks longer than L are dropped (SIV-A; L = 5 in the
+/// paper's experiments, justified by Fig. 7).
+///
+/// B = seeds.size() >= 1 lanes advance together, seed b in lanes[b]
+/// (`lanes` points at B workspaces); a single-root query is one lane.
+/// Because the lanes interleave at level granularity (every lane absorbs,
+/// then every lane advances), the adjacency rows a level touches are
+/// revisited across lanes while still warm - the locality batched serving
+/// rides on. Lane b's result lands in lanes[b].phi.
 template <typename Adjacency>
-void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
-                  const EipdOptions& options,
-                  const std::unordered_map<graph::EdgeId, double>* overrides,
-                  PropagationWorkspace* ws) {
+void PropagatePhi(const Adjacency& adj,
+                  std::span<const QuerySeed* const> seeds,
+                  const EipdOptions& options, PropagationWorkspace* lanes) {
   const double c = options.restart;
-  SeedLane(adj, seed, ws);
+  const size_t count = seeds.size();
+  for (size_t b = 0; b < count; ++b) SeedLane(adj, *seeds[b], &lanes[b]);
   double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
   for (int len = 1; len <= options.max_length; ++len) {
-    AbsorbLane(ws, decay);
+    for (size_t b = 0; b < count; ++b) AbsorbLane(&lanes[b], decay);
     if (len == options.max_length) break;
-    AdvanceLane(adj, overrides, ws);
-    decay *= 1.0 - c;
-  }
-}
-
-/// The multi-root kernel: B seeds advance level-synchronously through one
-/// pass, lane b in ws->lanes[b]. Because the lanes interleave at level
-/// granularity (every lane absorbs, then every lane advances), the
-/// adjacency rows a level touches are revisited across lanes while still
-/// warm - the locality batched serving rides on - and each lane's
-/// operation sequence is exactly the single-root sequence, so results
-/// are bitwise-identical per root. No overrides: the batched serving path
-/// reads the epoch's frozen weights.
-template <typename Adjacency>
-void PropagatePhiMulti(const Adjacency& adj,
-                       const std::vector<const QuerySeed*>& seeds,
-                       const EipdOptions& options,
-                       MultiPropagationWorkspace* ws) {
-  const double c = options.restart;
-  const size_t lanes = seeds.size();
-  ws->EnsureLanes(lanes);
-  for (size_t b = 0; b < lanes; ++b) {
-    SeedLane(adj, *seeds[b], &ws->lanes[b]);
-  }
-  double decay = c * (1.0 - c);
-  for (int len = 1; len <= options.max_length; ++len) {
-    for (size_t b = 0; b < lanes; ++b) {
-      AbsorbLane(&ws->lanes[b], decay);
-    }
-    if (len == options.max_length) break;
-    for (size_t b = 0; b < lanes; ++b) {
-      AdvanceLane(adj, nullptr, &ws->lanes[b]);
-    }
+    for (size_t b = 0; b < count; ++b) AdvanceLane(adj, &lanes[b]);
     decay *= 1.0 - c;
   }
 }
@@ -310,21 +289,30 @@ class EipdEngine {
       size_t k, const std::unordered_map<graph::EdgeId, double>& overrides,
       PropagationWorkspace* ws = nullptr) const;
 
-  /// Ranks every seed against `candidates` in ONE multi-root propagation
-  /// pass (internal::PropagatePhiMulti): the seeds advance
+  /// Ranks every seed against `candidates` in ONE propagation pass with
+  /// one lane per seed (internal::PropagatePhi): the seeds advance
   /// level-synchronously, so adjacency rows shared by related roots are
   /// revisited while still cache-warm. results[b] is bitwise-identical
   /// to Rank(seeds[b], ...) - per-lane arithmetic order is preserved.
-  /// The batched serving path folds same-cluster misses through this.
+  /// `lanes` grows to seeds.size() and never shrinks. The serving path
+  /// runs every query group through this.
   StatusOr<std::vector<std::vector<ScoredAnswer>>> RankMulti(
       const std::vector<QuerySeed>& seeds,
       const std::vector<graph::NodeId>& candidates, size_t k,
-      MultiPropagationWorkspace* ws = nullptr) const;
+      std::vector<PropagationWorkspace>* lanes = nullptr) const;
 
  private:
-  /// The one kernel invocation every entry point funnels through:
-  /// resolves the workspace, runs PropagatePhi, records telemetry, and
-  /// returns the workspace's phi vector.
+  /// The one kernel invocation every entry point funnels through: picks
+  /// the adjacency (the view, or the view under `overrides` when non-null)
+  /// once, runs PropagatePhi over lanes[0 .. roots.size()), and records
+  /// telemetry.
+  void PropagateLanes(
+      std::span<const QuerySeed* const> roots,
+      const std::unordered_map<graph::EdgeId, double>* overrides,
+      PropagationWorkspace* lanes) const;
+
+  /// A single-root PropagateLanes on `ws` (the thread's first lane when
+  /// null); returns the workspace's phi vector.
   const std::vector<double>& PropagateInto(
       const QuerySeed& seed,
       const std::unordered_map<graph::EdgeId, double>* overrides,

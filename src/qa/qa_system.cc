@@ -89,17 +89,4 @@ StatusOr<std::vector<RankedDocument>> QaSystem::Answer(
   return docs;
 }
 
-std::vector<ppr::ScoredAnswer> QaSystem::AskSeed(
-    const ppr::QuerySeed& seed) const {
-  StatusOr<std::vector<ppr::ScoredAnswer>> ranked = AnswerSeed(seed);
-  if (!ranked.ok()) return {};
-  return std::move(ranked).value();
-}
-
-std::vector<RankedDocument> QaSystem::Ask(const Question& question) const {
-  StatusOr<std::vector<RankedDocument>> docs = Answer(question);
-  if (!docs.ok()) return {};
-  return std::move(docs).value();
-}
-
 }  // namespace kgov::qa

@@ -75,14 +75,6 @@ class QaSystem {
   StatusOr<std::vector<ppr::ScoredAnswer>> AnswerSeed(
       const ppr::QuerySeed& seed) const;
 
-  /// Deprecated: use Answer(). Returns an empty list where Answer()
-  /// returns an error.
-  std::vector<RankedDocument> Ask(const Question& question) const;
-
-  /// Deprecated: use AnswerSeed(). Returns an empty list where
-  /// AnswerSeed() returns an error.
-  std::vector<ppr::ScoredAnswer> AskSeed(const ppr::QuerySeed& seed) const;
-
  private:
   // Set only by the WeightedDigraph constructor; declared before engine_
   // so the view it backs is valid when engine_ initializes.

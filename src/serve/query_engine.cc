@@ -88,10 +88,6 @@ Status QueryEngineOptions::Validate() const {
     return Status::InvalidArgument(
         "QueryEngineOptions.single_flight_deadline_seconds must be > 0");
   }
-  if (max_batch_roots < 1) {
-    return Status::InvalidArgument(
-        "QueryEngineOptions.max_batch_roots must be >= 1");
-  }
   KGOV_RETURN_IF_ERROR(admission.Validate());
   return Status::OK();
 }
@@ -122,9 +118,7 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       pinned_(source->CurrentEpoch()),
       cache_(options_.cache_capacity, options_.cache_shards),
       admission_(options_.admission),
-      workspaces_(options_.num_threads),
-      multi_workspaces_(options_.num_threads),
-      dependency_scratch_(options_.num_threads),
+      scratch_(options_.num_threads),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
 QueryEngine::~QueryEngine() = default;
@@ -201,7 +195,7 @@ std::vector<uint32_t> QueryEngine::DependencyClusters(
   // that makes hits bitwise exact is in result_cache.h. L = 1 reads no
   // edge and depends on nothing. Degraded (shorter) walks are never
   // cached, so the configured depth bounds every entry.
-  DependencyScratch& scratch = *DependencyScratchForThisThread();
+  DependencyScratch& scratch = ScratchForThisThread().dependency;
   if (scratch.stamp.size() != view.NumNodes()) {
     scratch.stamp.assign(view.NumNodes(), 0);
     scratch.generation = 0;
@@ -254,29 +248,13 @@ std::vector<uint32_t> QueryEngine::DependencyClusters(
   return clusters;
 }
 
-ppr::PropagationWorkspace* QueryEngine::WorkspaceForThisThread() {
+QueryEngine::WorkerScratch& QueryEngine::ScratchForThisThread() {
   const size_t index = pool_->CurrentWorkerIndex();
   if (index == ThreadPool::kNotAWorker) {
-    return &ppr::ThreadLocalWorkspace();
+    static thread_local WorkerScratch scratch;
+    return scratch;
   }
-  return &workspaces_[index];
-}
-
-ppr::MultiPropagationWorkspace* QueryEngine::MultiWorkspaceForThisThread() {
-  const size_t index = pool_->CurrentWorkerIndex();
-  if (index == ThreadPool::kNotAWorker) {
-    return &ppr::ThreadLocalMultiWorkspace();
-  }
-  return &multi_workspaces_[index];
-}
-
-QueryEngine::DependencyScratch* QueryEngine::DependencyScratchForThisThread() {
-  const size_t index = pool_->CurrentWorkerIndex();
-  if (index == ThreadPool::kNotAWorker) {
-    static thread_local DependencyScratch scratch;
-    return &scratch;
-  }
-  return &dependency_scratch_[index];
+  return scratch_[index];
 }
 
 ppr::EipdOptions QueryEngine::EffectiveEipd(bool degraded) const {
@@ -293,137 +271,6 @@ std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
       std::chrono::duration<double>(options_.single_flight_deadline_seconds));
 }
 
-StatusOr<RankedAnswers> QueryEngine::ServeOne(const ppr::QuerySeed& seed) {
-  MaybeRefreshEpoch();
-  core::ServingEpoch epoch;
-  {
-    ReaderMutexLock lock(epoch_mu_);
-    epoch = pinned_;
-  }
-  // Debug builds re-check the pinned epoch's structural contract on every
-  // query (compiled out under NDEBUG; see serve/validate.h).
-  KGOV_DCHECK_OK(ValidateEpochPin(epoch));
-
-  const ServeMetrics& metrics = ServeMetrics::Get();
-  const bool degraded = admission_.degraded();
-
-  RankedAnswers result;
-  result.epoch = epoch.epoch;
-  result.degraded = degraded;
-
-  const std::string key = EncodeCacheKey(seed);
-  if (options_.enable_cache && cache_.Get(key, epoch.epoch, &result.answers)) {
-    result.from_cache = true;
-    result.degraded = false;  // cached rankings are always full depth
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_hits->Increment();
-    return result;
-  }
-
-  ppr::EipdEngine engine(epoch.view(), EffectiveEipd(degraded));
-  // Validate before taking flight leadership: an invalid seed is an ERROR
-  // outcome, not a miss, and no valid query shares its flight key anyway.
-  Status valid = engine.ValidateSeed(seed);
-  if (!valid.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.errors->Increment();
-    return valid;
-  }
-
-  auto compute = [&]() -> Status {
-    StatusOr<std::vector<ppr::ScoredAnswer>> ranked = engine.Rank(
-        seed, *candidates_, options_.top_k, WorkspaceForThisThread());
-    if (!ranked.ok()) return ranked.status();
-    result.answers = std::move(ranked).value();
-    return Status::OK();
-  };
-  auto publish = [&]() {
-    // Degraded rankings are never cached: they are not bitwise-comparable
-    // to the full-depth result a later hit would be checked against.
-    if (options_.enable_cache && !degraded) {
-      if (cache_.Put(key, result.answers,
-                     DependencyClusters(epoch.view(), seed), epoch.epoch)) {
-        metrics.cache_evictions->Increment();
-      }
-    }
-  };
-  auto count_propagation = [&]() {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.enable_cache) metrics.cache_misses->Increment();
-    if (degraded) {
-      degraded_served_.fetch_add(1, std::memory_order_relaxed);
-      metrics.degraded_queries->Increment();
-    }
-  };
-
-  if (options_.enable_single_flight) {
-    const std::string flight_key = EncodeFlightKey(key, epoch.epoch, degraded);
-    SingleFlightGroup::JoinOutcome join = flights_.JoinOrLead(flight_key);
-    if (join.token != nullptr) {
-      // Leader. Re-probe the cache first: the previous leader for this
-      // key publishes to the cache BEFORE retiring its flight, so a miss
-      // that wins leadership just after the old flight retired may find
-      // the value already published - serving it keeps "exactly one
-      // propagation per cold key" exact instead of best-effort.
-      if (options_.enable_cache &&
-          cache_.Get(key, epoch.epoch, &result.answers)) {
-        join.token->Complete(Status::OK(), result.answers);
-        result.from_cache = true;
-        result.degraded = false;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics.cache_hits->Increment();
-        return result;
-      }
-      Status computed = compute();
-      if (!computed.ok()) {
-        join.token->Complete(computed, {});
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        return computed;
-      }
-      publish();  // to the cache BEFORE Complete (see the re-probe above)
-      join.token->Complete(Status::OK(), result.answers);
-      count_propagation();
-      leaders_.fetch_add(1, std::memory_order_relaxed);
-      metrics.sf_leaders->Increment();
-      return result;
-    }
-
-    SingleFlightGroup::WaitResult wait =
-        SingleFlightGroup::Wait(join.flight, FollowerDeadline());
-    if (wait.published) {
-      if (!wait.status.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        return wait.status;
-      }
-      result.answers = std::move(wait.answers);
-      result.coalesced = true;
-      followers_.fetch_add(1, std::memory_order_relaxed);
-      metrics.sf_followers->Increment();
-      if (degraded) {
-        degraded_served_.fetch_add(1, std::memory_order_relaxed);
-        metrics.degraded_queries->Increment();
-      }
-      return result;
-    }
-    // Deadline expired: detach and propagate for ourselves (counted as a
-    // timeout AND a miss; the flight stays live for other followers).
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    metrics.sf_timeouts->Increment();
-  }
-
-  Status computed = compute();
-  if (!computed.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.errors->Increment();
-    return computed;
-  }
-  publish();
-  count_propagation();
-  return result;
-}
-
 std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     const std::vector<ppr::QuerySeed>& seeds,
     const std::vector<size_t>& indices) {
@@ -433,6 +280,8 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     ReaderMutexLock lock(epoch_mu_);
     epoch = pinned_;
   }
+  // Debug builds re-check the pinned epoch's structural contract on every
+  // group (compiled out under NDEBUG; see serve/validate.h).
   KGOV_DCHECK_OK(ValidateEpochPin(epoch));
 
   const ServeMetrics& metrics = ServeMetrics::Get();
@@ -453,6 +302,43 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
       degraded_served_.fetch_add(1, std::memory_order_relaxed);
       metrics.degraded_queries->Increment();
     }
+  };
+  auto fail = [&](size_t index, Status status) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    metrics.errors->Increment();
+    out.emplace_back(index, std::move(status));
+  };
+  auto serve_hit = [&](size_t index, RankedAnswers result) {
+    result.from_cache = true;
+    result.degraded = false;  // cached rankings are always full depth
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics.cache_hits->Increment();
+    out.emplace_back(index, std::move(result));
+  };
+  auto serve_coalesced = [&](size_t index, RankedAnswers result) {
+    result.coalesced = true;
+    followers_.fetch_add(1, std::memory_order_relaxed);
+    metrics.sf_followers->Increment();
+    count_degraded();
+    out.emplace_back(index, std::move(result));
+  };
+  // A ranking this task propagated: publish it to the cache, then count
+  // the propagation. Callers complete the key's flight only afterwards
+  // (see the leader re-probe below). Degraded rankings are never cached:
+  // they are not bitwise-comparable to the full-depth result a later hit
+  // would be checked against.
+  auto publish_propagated = [&](const std::string& key,
+                                const ppr::QuerySeed& seed,
+                                const RankedAnswers& result) {
+    if (options_.enable_cache && !degraded) {
+      if (cache_.Put(key, result.answers,
+                     DependencyClusters(epoch.view(), seed), epoch.epoch)) {
+        metrics.cache_evictions->Increment();
+      }
+    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.enable_cache) metrics.cache_misses->Increment();
+    count_degraded();
   };
 
   // One propagation lane this task leads: the leading query, its flight
@@ -480,18 +366,14 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     std::string key = EncodeCacheKey(seed);
     if (options_.enable_cache &&
         cache_.Get(key, epoch.epoch, &result.answers)) {
-      result.from_cache = true;
-      result.degraded = false;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.cache_hits->Increment();
-      out.emplace_back(index, std::move(result));
+      serve_hit(index, std::move(result));
       continue;
     }
+    // Validate before taking flight leadership: an invalid seed is an
+    // ERROR outcome, not a miss, and no valid query shares its flight key.
     Status valid = engine.ValidateSeed(seed);
     if (!valid.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics.errors->Increment();
-      out.emplace_back(index, std::move(valid));
+      fail(index, std::move(valid));
       continue;
     }
     if (!options_.enable_single_flight) {
@@ -510,76 +392,52 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
       waiting.push_back(Waiting{index, std::move(join)});
       continue;
     }
-    // Leader re-probe (same reasoning as ServeOne).
+    // Leader. Re-probe the cache first: the previous leader for this key
+    // publishes to the cache BEFORE retiring its flight, so a miss that
+    // wins leadership just after the old flight retired may find the
+    // value already published - serving it keeps "exactly one
+    // propagation per cold key" exact instead of best-effort.
     if (options_.enable_cache &&
         cache_.Get(key, epoch.epoch, &result.answers)) {
       join.token->Complete(Status::OK(), result.answers);
-      result.from_cache = true;
-      result.degraded = false;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.cache_hits->Increment();
-      out.emplace_back(index, std::move(result));
+      serve_hit(index, std::move(result));
       continue;
     }
     local.emplace(std::move(flight_key), led.size());
     led.push_back(Led{index, std::move(key), std::move(join.token), {}});
   }
 
-  // Phase 2: ONE multi-root propagation over every lane this task leads,
+  WorkerScratch& scratch = ScratchForThisThread();
+
+  // Phase 2: ONE propagation pass with a lane per key this task leads,
   // then resolve our own flights. This MUST precede any foreign Wait
   // (the deadlock discipline in single_flight.h).
   if (!led.empty()) {
     std::vector<ppr::QuerySeed> roots;
     roots.reserve(led.size());
     for (const Led& l : led) roots.push_back(seeds[l.index]);
-    metrics.batch_groups->Increment();
-    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> multi =
+    if (indices.size() > 1) metrics.batch_groups->Increment();
+    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> lanes =
         engine.RankMulti(roots, *candidates_, options_.top_k,
-                         MultiWorkspaceForThisThread());
-    if (!multi.ok()) {
-      for (Led& l : led) {
-        if (l.token != nullptr) l.token->Complete(multi.status(), {});
-        out.emplace_back(l.index, multi.status());
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        for (size_t dup : l.coalesced) {
-          out.emplace_back(dup, multi.status());
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          metrics.errors->Increment();
-        }
+                         &scratch.lanes);
+    for (size_t b = 0; b < led.size(); ++b) {
+      Led& l = led[b];
+      if (!lanes.ok()) {
+        if (l.token != nullptr) l.token->Complete(lanes.status(), {});
+        fail(l.index, lanes.status());
+        for (size_t dup : l.coalesced) fail(dup, lanes.status());
+        continue;
       }
-    } else {
-      std::vector<std::vector<ppr::ScoredAnswer>> lanes =
-          std::move(multi).value();
-      for (size_t b = 0; b < led.size(); ++b) {
-        Led& l = led[b];
-        RankedAnswers result = base_result();
-        result.answers = std::move(lanes[b]);
-        if (options_.enable_cache && !degraded) {
-          if (cache_.Put(l.cache_key, result.answers,
-                         DependencyClusters(epoch.view(), seeds[l.index]),
-                         epoch.epoch)) {
-            metrics.cache_evictions->Increment();
-          }
-        }
-        if (l.token != nullptr) {
-          l.token->Complete(Status::OK(), result.answers);
-          leaders_.fetch_add(1, std::memory_order_relaxed);
-          metrics.sf_leaders->Increment();
-        }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.enable_cache) metrics.cache_misses->Increment();
-        count_degraded();
-        for (size_t dup : l.coalesced) {
-          RankedAnswers copy = result;
-          copy.coalesced = true;
-          followers_.fetch_add(1, std::memory_order_relaxed);
-          metrics.sf_followers->Increment();
-          count_degraded();
-          out.emplace_back(dup, std::move(copy));
-        }
-        out.emplace_back(l.index, std::move(result));
+      RankedAnswers result = base_result();
+      result.answers = std::move((*lanes)[b]);
+      publish_propagated(l.cache_key, seeds[l.index], result);
+      if (l.token != nullptr) {
+        l.token->Complete(Status::OK(), result.answers);
+        leaders_.fetch_add(1, std::memory_order_relaxed);
+        metrics.sf_leaders->Increment();
       }
+      for (size_t dup : l.coalesced) serve_coalesced(dup, result);
+      out.emplace_back(l.index, std::move(result));
     }
   }
 
@@ -590,43 +448,29 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
         SingleFlightGroup::Wait(w.join.flight, FollowerDeadline());
     if (wait.published) {
       if (!wait.status.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        out.emplace_back(w.index, std::move(wait.status));
+        fail(w.index, std::move(wait.status));
         continue;
       }
       RankedAnswers result = base_result();
       result.answers = std::move(wait.answers);
-      result.coalesced = true;
-      followers_.fetch_add(1, std::memory_order_relaxed);
-      metrics.sf_followers->Increment();
-      count_degraded();
-      out.emplace_back(w.index, std::move(result));
+      serve_coalesced(w.index, std::move(result));
       continue;
     }
-    // Deadline expired: detach and propagate solo.
+    // Deadline expired: detach and propagate for ourselves (counted as a
+    // timeout AND a miss; the flight stays live for other followers). The
+    // pass above is done, so its first lane is free.
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     metrics.sf_timeouts->Increment();
     const ppr::QuerySeed& seed = seeds[w.index];
-    RankedAnswers result = base_result();
     StatusOr<std::vector<ppr::ScoredAnswer>> ranked = engine.Rank(
-        seed, *candidates_, options_.top_k, WorkspaceForThisThread());
+        seed, *candidates_, options_.top_k, &scratch.lanes.front());
     if (!ranked.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics.errors->Increment();
-      out.emplace_back(w.index, ranked.status());
+      fail(w.index, ranked.status());
       continue;
     }
+    RankedAnswers result = base_result();
     result.answers = std::move(ranked).value();
-    if (options_.enable_cache && !degraded) {
-      if (cache_.Put(EncodeCacheKey(seed), result.answers,
-                     DependencyClusters(epoch.view(), seed), epoch.epoch)) {
-        metrics.cache_evictions->Increment();
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.enable_cache) metrics.cache_misses->Increment();
-    count_degraded();
+    publish_propagated(EncodeCacheKey(seed), seed, result);
     out.emplace_back(w.index, std::move(result));
   }
   return out;
@@ -636,16 +480,15 @@ std::vector<std::vector<size_t>> QueryEngine::GroupForBatch(
     const std::vector<ppr::QuerySeed>& seeds,
     const std::vector<size_t>& admitted) const {
   std::vector<std::vector<size_t>> groups;
-  if (!options_.enable_batching || options_.max_batch_roots <= 1 ||
-      admitted.size() <= 1) {
+  if (admitted.size() <= 1) {
     groups.reserve(admitted.size());
     for (size_t index : admitted) groups.push_back({index});
     return groups;
   }
   // Bucket by the cluster of the seed's first link node: queries rooted
   // in the same cluster start their frontiers in the same region, so one
-  // multi-root pass walks shared structure. Seeds with no links serve
-  // solo (they have no root cluster).
+  // pass walks shared structure. Seeds with no links form groups of one
+  // (they have no root cluster).
   std::unordered_map<uint32_t, std::vector<size_t>> buckets;
   std::vector<uint32_t> order;  // deterministic group order
   for (size_t index : admitted) {
@@ -662,9 +505,9 @@ std::vector<std::vector<size_t>> QueryEngine::GroupForBatch(
   for (uint32_t cluster : order) {
     const std::vector<size_t>& members = buckets[cluster];
     for (size_t begin = 0; begin < members.size();
-         begin += options_.max_batch_roots) {
+         begin += kMaxGroupRoots) {
       const size_t end =
-          std::min(members.size(), begin + options_.max_batch_roots);
+          std::min(members.size(), begin + kMaxGroupRoots);
       groups.emplace_back(members.begin() + static_cast<ptrdiff_t>(begin),
                           members.begin() + static_cast<ptrdiff_t>(end));
     }
@@ -708,12 +551,7 @@ std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
     Timer enqueue_timer;
     futures.push_back(pool_->Submit(
         [this, &seeds, group = std::move(group), enqueue_timer, &metrics]() {
-          GroupResult served;
-          if (group.size() == 1) {
-            served.emplace_back(group.front(), ServeOne(seeds[group.front()]));
-          } else {
-            served = ServeGroup(seeds, group);
-          }
+          GroupResult served = ServeGroup(seeds, group);
           // End-to-end latency: queue wait + propagation (or cache hit),
           // observed at completion so gather order cannot inflate it.
           // Each admitted query releases its admission slot here.

@@ -7,9 +7,11 @@
 //  * It pins a core::ServingEpoch (ref-counted CSR snapshot + epoch
 //    number) and serves every query from that frozen view; an optimizer
 //    flush never blocks or mutates an in-flight query.
-//  * Queries fan out across a ThreadPool. Each worker owns a reusable
-//    ppr::PropagationWorkspace, so steady-state serving performs no
-//    per-query allocation (the workspace is addressed by
+//  * Queries fan out across a ThreadPool in groups, and every group runs
+//    one serving body (ServeGroup); Submit is a group of one. Each worker
+//    owns reusable propagation lanes (ppr::PropagationWorkspace) and
+//    dependency-walk scratch, so steady-state serving performs no
+//    per-query allocation (the store is addressed by
 //    ThreadPool::CurrentWorkerIndex - no locks, no thread_local growth).
 //  * Results are memoized in a delta-aware ShardedResultCache. A cache
 //    hit is bitwise identical to the propagation it replaced. On epoch
@@ -25,10 +27,11 @@
 //    embeds the pinned epoch and the degraded bit, so a follower is
 //    never handed a result computed under a different pin or depth.
 //  * Queries that share a partition cluster inside one SubmitBatch window
-//    fold into a single multi-root propagation pass
+//    (up to kMaxGroupRoots of them) fold into one group, whose misses run
+//    as the lanes of a single propagation pass
 //    (ppr::EipdEngine::RankMulti), amortizing the level-synchronous
 //    frontier walk across roots while keeping each lane's result bitwise
-//    identical to a solo propagation.
+//    identical to a single-root propagation.
 //  * An AdmissionController bounds the admitted-and-unfinished window:
 //    beyond capacity, Submit sheds immediately with kResourceExhausted
 //    (never parks the caller), and under a sustained latency-SLO breach
@@ -42,7 +45,8 @@
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.singleflight.leaders /
 // .followers / .timeouts, serve.admission.shed / .degraded (gauge),
-// serve.degraded_queries, serve.errors, serve.batch.groups,
+// serve.degraded_queries, serve.errors, serve.batch.groups (groups of
+// two or more queries that ran a pass),
 // serve.epoch_refreshes, serve.queue_depth (gauge, published atomically
 // via Gauge::Add from the admission window), span.serve.query.seconds
 // (end-to-end latency histogram), stream.invalidation.selective / .full.
@@ -104,12 +108,6 @@ struct QueryEngineOptions {
   /// propagating for itself. A backstop, not a latency target - it only
   /// fires if a leader stalls for a full propagation's worth of time.
   double single_flight_deadline_seconds = 5.0;
-  /// Fold same-cluster queries within one SubmitBatch call into
-  /// multi-root propagation passes.
-  bool enable_batching = true;
-  /// Max roots folded into one multi-root pass (bounds per-task latency
-  /// and workspace footprint).
-  size_t max_batch_roots = 8;
   /// Admission window + load-shedding + SLO degradation settings.
   AdmissionOptions admission;
 
@@ -186,9 +184,9 @@ class QueryEngine {
   /// queueing) when the admission window is full.
   StatusOr<RankedAnswers> Submit(const ppr::QuerySeed& seed);
 
-  /// Serves a batch: admitted queries are grouped by partition cluster
-  /// (when batching is enabled), enqueued up front (saturating the
-  /// pool), then gathered in order. results[i] corresponds to seeds[i].
+  /// Serves a batch: admitted queries are grouped by partition cluster,
+  /// enqueued up front (saturating the pool), then gathered in order.
+  /// results[i] corresponds to seeds[i].
   std::vector<StatusOr<RankedAnswers>> SubmitBatch(
       const std::vector<ppr::QuerySeed>& seeds);
 
@@ -230,21 +228,21 @@ class QueryEngine {
   std::vector<uint32_t> DependencyClusters(graph::GraphView view,
                                            const ppr::QuerySeed& seed);
 
-  /// The worker-side body of one query.
-  StatusOr<RankedAnswers> ServeOne(const ppr::QuerySeed& seed)
-      KGOV_EXCLUDES(epoch_mu_);
-
-  /// The worker-side body of one same-cluster group: per-seed cache
-  /// probes, local + cross-task single-flight coalescing, then ONE
-  /// multi-root propagation pass over the keys this task leads. Returns
-  /// (index-into-seeds, result) pairs covering exactly `indices`.
+  /// The worker-side body of every query, run once per same-cluster
+  /// group: per-seed cache probes, local + cross-task single-flight
+  /// coalescing, then ONE propagation pass with a lane per key this task
+  /// leads. Returns (index-into-seeds, result) pairs covering exactly
+  /// `indices`.
   std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> ServeGroup(
       const std::vector<ppr::QuerySeed>& seeds,
       const std::vector<size_t>& indices) KGOV_EXCLUDES(epoch_mu_);
 
-  /// Splits the admitted indices into per-task groups: singleton groups
-  /// when batching is off, else same-cluster runs capped at
-  /// max_batch_roots (cluster of the seed's first link node).
+  /// Most queries folded into one group, hence lanes in one propagation
+  /// pass (bounds per-task latency and workspace footprint).
+  static constexpr size_t kMaxGroupRoots = 8;
+
+  /// Splits the admitted indices into per-task groups: same-cluster runs
+  /// capped at kMaxGroupRoots (cluster of the seed's first link node).
   std::vector<std::vector<size_t>> GroupForBatch(
       const std::vector<ppr::QuerySeed>& seeds,
       const std::vector<size_t>& admitted) const;
@@ -269,11 +267,17 @@ class QueryEngine {
     std::vector<uint64_t> cluster_bits;
   };
 
-  /// This worker's reusable workspace (falls back to the thread-local
-  /// workspace for non-pool callers).
-  ppr::PropagationWorkspace* WorkspaceForThisThread();
-  ppr::MultiPropagationWorkspace* MultiWorkspaceForThisThread();
-  DependencyScratch* DependencyScratchForThisThread();
+  /// One worker's reusable state: the propagation lanes of its groups'
+  /// passes (never empty; the follower-timeout fallback runs on the first
+  /// lane once the pass is done) and its dependency-walk scratch.
+  struct WorkerScratch {
+    std::vector<ppr::PropagationWorkspace> lanes =
+        std::vector<ppr::PropagationWorkspace>(1);
+    DependencyScratch dependency;
+  };
+
+  /// This worker's scratch (a thread-local one for non-pool callers).
+  WorkerScratch& ScratchForThisThread();
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
@@ -290,9 +294,7 @@ class QueryEngine {
   ShardedResultCache cache_;
   SingleFlightGroup flights_;
   AdmissionController admission_;
-  std::vector<ppr::PropagationWorkspace> workspaces_;
-  std::vector<ppr::MultiPropagationWorkspace> multi_workspaces_;
-  std::vector<DependencyScratch> dependency_scratch_;
+  std::vector<WorkerScratch> scratch_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> hits_{0};

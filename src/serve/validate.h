@@ -6,7 +6,7 @@
 // that has not moved backwards relative to what the caller already
 // observed, and a structurally sound CSR view (graph::ValidateCsr).
 //
-// QueryEngine::ServeOne runs this under KGOV_DCHECK_OK, so the check is
+// QueryEngine::ServeGroup runs this under KGOV_DCHECK_OK, so the check is
 // free in release builds and honors contracts::CheckMode in debug builds.
 
 #ifndef KGOV_SERVE_VALIDATE_H_

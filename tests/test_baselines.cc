@@ -79,7 +79,9 @@ TEST(RandomWalkQaTest, AgreesWithEipdRankingOnTinyKg) {
 
   Question q;
   q.mentions = {{0, 1}, {3, 1}};
-  std::vector<RankedDocument> eipd_docs = eipd_system.Ask(q);
+  StatusOr<std::vector<RankedDocument>> answered = eipd_system.Answer(q);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  const std::vector<RankedDocument>& eipd_docs = *answered;
   std::vector<RankedDocument> rw_docs = rw_system.Ask(q);
   ASSERT_EQ(eipd_docs.size(), rw_docs.size());
   for (size_t i = 0; i < eipd_docs.size(); ++i) {

@@ -461,6 +461,24 @@ TEST_P(WorkspaceReuse, EveryQueryMatchesAFreshWorkspace) {
   }
   ExpectMatchesFresh(on_large, large_seeds[0], shape, &shared, &overrides);
   ExpectMatchesFresh(on_large, large_seeds[0], shape, &shared);
+
+  // Overrides that restate every edge's own weight: the override adapter
+  // must feed the kernel the same weights in the same order, so phi is
+  // bitwise the plain propagation's. The small graph is the dense one,
+  // where push order decides the sums.
+  std::unordered_map<graph::EdgeId, double> identity;
+  for (graph::EdgeId e = 0; e < small->NumEdges(); ++e) {
+    identity[e] = small->Weight(e);
+  }
+  ExpectMatchesFresh(on_small, small_seed, SeedShape::kFlooding, &shared,
+                     &identity);
+  StatusOr<std::vector<double>> restated =
+      on_small.PropagateWithOverrides(small_seed, identity, &shared);
+  StatusOr<std::vector<double>> plain = on_small.Propagate(small_seed, &shared);
+  ASSERT_TRUE(restated.ok()) << restated.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_TRUE(BitwiseEqualVectors(*restated, *plain))
+      << "identity overrides changed the propagation";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,4 +1,4 @@
-// Multi-root propagation (EipdEngine::RankMulti / PropagatePhiMulti).
+// Multi-root propagation (EipdEngine::RankMulti / PropagatePhi lanes).
 //
 // The serving-path batcher folds same-cluster queries into one
 // level-interleaved pass; its load-bearing contract is that every lane is
@@ -97,16 +97,16 @@ TEST(RankMultiTest, FullPhiVectorsBitwiseMatchSoloPropagation) {
 
   std::vector<const QuerySeed*> roots;
   for (const QuerySeed& seed : seeds) roots.push_back(&seed);
-  MultiPropagationWorkspace multi_ws;
-  internal::PropagatePhiMulti(internal::ViewAdjacency{view}, roots, options,
-                              &multi_ws);
+  std::vector<PropagationWorkspace> multi_ws(roots.size());
+  internal::PropagatePhi(internal::ViewAdjacency{view}, roots, options,
+                         multi_ws.data());
 
   PropagationWorkspace solo_ws;
   for (size_t b = 0; b < seeds.size(); ++b) {
-    internal::PropagatePhi(internal::ViewAdjacency{view}, seeds[b], options,
-                           nullptr, &solo_ws);
-    ASSERT_EQ(solo_ws.phi.size(), multi_ws.lanes[b].phi.size());
-    EXPECT_EQ(std::memcmp(solo_ws.phi.data(), multi_ws.lanes[b].phi.data(),
+    internal::PropagatePhi(internal::ViewAdjacency{view}, {&roots[b], 1},
+                           options, &solo_ws);
+    ASSERT_EQ(solo_ws.phi.size(), multi_ws[b].phi.size());
+    EXPECT_EQ(std::memcmp(solo_ws.phi.data(), multi_ws[b].phi.data(),
                           solo_ws.phi.size() * sizeof(double)),
               0)
         << "lane " << b << " diverged from the solo propagation";
@@ -152,9 +152,9 @@ TEST(RankMultiTest, WorkspaceLanesGrowButNeverShrinkAcrossCalls) {
   }
   if (seeds.size() < 4) GTEST_SKIP();
 
-  MultiPropagationWorkspace ws;
+  std::vector<PropagationWorkspace> ws;
   ASSERT_TRUE(engine.RankMulti(seeds, candidates, 3, &ws).ok());
-  EXPECT_EQ(ws.lanes.size(), 4u);
+  EXPECT_EQ(ws.size(), 4u);
 
   // A smaller batch reuses the first lanes in place (steady-state batched
   // serving allocates nothing per pass).
@@ -162,7 +162,7 @@ TEST(RankMultiTest, WorkspaceLanesGrowButNeverShrinkAcrossCalls) {
   StatusOr<std::vector<std::vector<ScoredAnswer>>> again =
       engine.RankMulti(two, candidates, 3, &ws);
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(ws.lanes.size(), 4u);
+  EXPECT_EQ(ws.size(), 4u);
   StatusOr<std::vector<ScoredAnswer>> solo = engine.Rank(two[1], candidates, 3);
   ASSERT_TRUE(solo.ok());
   ExpectIdenticalRanking(*solo, (*again)[1]);

@@ -269,7 +269,9 @@ TEST(FaultPipelineTest, CorruptedUpdateRollsBackServingSnapshot) {
   options.optimizer.apply_judgment_filter = false;
   OnlineKgOptimizer online(g, options);
 
-  std::shared_ptr<const graph::CsrSnapshot> serving = online.snapshot();
+  std::shared_ptr<const graph::CsrSnapshot> serving =
+
+      online.CurrentEpoch().snapshot;
   std::vector<double> before_weights;
   for (graph::EdgeId e = 0; e < online.graph().NumEdges(); ++e) {
     before_weights.push_back(online.graph().Weight(e));
@@ -284,7 +286,7 @@ TEST(FaultPipelineTest, CorruptedUpdateRollsBackServingSnapshot) {
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   }
   // Rolled back: same snapshot object, same weights, vote preserved.
-  EXPECT_EQ(online.snapshot().get(), serving.get());
+  EXPECT_EQ(online.CurrentEpoch().snapshot.get(), serving.get());
   for (graph::EdgeId e = 0; e < online.graph().NumEdges(); ++e) {
     EXPECT_DOUBLE_EQ(online.graph().Weight(e), before_weights[e]) << e;
   }
@@ -296,7 +298,7 @@ TEST(FaultPipelineTest, CorruptedUpdateRollsBackServingSnapshot) {
   Result<FlushReport> retry = online.Flush();
   ASSERT_TRUE(retry.ok()) << retry.status();
   EXPECT_EQ(retry->votes_flushed, 1u);
-  EXPECT_NE(online.snapshot().get(), serving.get());
+  EXPECT_NE(online.CurrentEpoch().snapshot.get(), serving.get());
   for (graph::EdgeId e = 0; e < online.graph().NumEdges(); ++e) {
     EXPECT_TRUE(std::isfinite(online.graph().Weight(e))) << e;
   }

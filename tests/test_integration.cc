@@ -51,7 +51,10 @@ class EndToEndTest : public ::testing::Test {
     std::vector<std::vector<qa::RankedDocument>> rankings;
     rankings.reserve(env_.test_questions.size());
     for (const qa::Question& q : env_.test_questions) {
-      rankings.push_back(system.Ask(q));
+      StatusOr<std::vector<qa::RankedDocument>> docs = system.Answer(q);
+      EXPECT_TRUE(docs.ok()) << docs.status();
+      rankings.push_back(docs.ok() ? std::move(docs).value()
+                                   : std::vector<qa::RankedDocument>{});
     }
     return qa::EvaluateRankings(env_.test_questions, rankings);
   }

@@ -166,7 +166,11 @@ TEST(EvaluateServingViewTest, MatchesManualAskAndEvaluate) {
 
   QaSystem system(&kg->graph, &kg->answer_nodes, kg->num_entities);
   std::vector<std::vector<RankedDocument>> rankings;
-  for (const Question& q : questions) rankings.push_back(system.Ask(q));
+  for (const Question& q : questions) {
+    StatusOr<std::vector<RankedDocument>> docs = system.Answer(q);
+    ASSERT_TRUE(docs.ok()) << docs.status();
+    rankings.push_back(std::move(docs).value());
+  }
   RankingMetrics manual = EvaluateRankings(questions, rankings);
 
   EXPECT_EQ(from_view.num_questions, manual.num_questions);

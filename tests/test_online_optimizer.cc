@@ -92,7 +92,8 @@ TEST(OnlineOptimizerTest, EmptyFlushIsNoOp) {
 TEST(OnlineOptimizerTest, SnapshotStableAcrossFlushes) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOptions(10));
-  std::shared_ptr<const graph::CsrSnapshot> before = online.snapshot();
+  std::shared_ptr<const graph::CsrSnapshot> before =
+      online.CurrentEpoch().snapshot;
   ppr::EipdEngine before_eval(before->View(), {.max_length = 4});
   votes::Vote vote = MakeVote(4, 0);
   double s4_before = before_eval.Scores(vote.query, {4}).value()[0];
@@ -103,7 +104,8 @@ TEST(OnlineOptimizerTest, SnapshotStableAcrossFlushes) {
   // Old snapshot still serves old scores; the new one reflects the flush.
   EXPECT_DOUBLE_EQ(before_eval.Scores(vote.query, {4}).value()[0],
                    s4_before);
-  std::shared_ptr<const graph::CsrSnapshot> after = online.snapshot();
+  std::shared_ptr<const graph::CsrSnapshot> after =
+      online.CurrentEpoch().snapshot;
   EXPECT_NE(before.get(), after.get());
   ppr::EipdEngine after_eval(after->View(), {.max_length = 4});
   EXPECT_GT(after_eval.Scores(vote.query, {4}).value()[0], s4_before);
@@ -159,12 +161,13 @@ TEST(OnlineOptimizerTest, EpochAdvancesOnlyOnSuccessfulFlush) {
   EXPECT_EQ(online.serving().epoch, 1u);
 
   // A failed flush leaves the serving epoch untouched.
-  std::shared_ptr<const graph::CsrSnapshot> pinned = online.snapshot();
+  std::shared_ptr<const graph::CsrSnapshot> pinned =
+      online.CurrentEpoch().snapshot;
   votes::Vote malformed;  // empty answer list -> nothing encodes
   ASSERT_TRUE(online.AddVote(malformed).ok());  // buffered, batch not full
   EXPECT_FALSE(online.Flush().ok());
   EXPECT_EQ(online.serving().epoch, 1u);
-  EXPECT_EQ(online.snapshot().get(), pinned.get());
+  EXPECT_EQ(online.CurrentEpoch().snapshot.get(), pinned.get());
 }
 
 TEST(OnlineOptimizerTest, PinnedEpochServesIdenticalScoresAcrossFlushes) {

@@ -57,7 +57,9 @@ TEST_F(QaSystemTest, AskReturnsRankedDocuments) {
   QaSystem system(&kg_.graph, &kg_.answer_nodes, kg_.num_entities, options);
   Question q;
   q.mentions = {{0, 1}};  // asks about entity 0
-  std::vector<RankedDocument> docs = system.Ask(q);
+  StatusOr<std::vector<RankedDocument>> answered = system.Answer(q);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  const std::vector<RankedDocument>& docs = *answered;
   ASSERT_FALSE(docs.empty());
   for (size_t i = 1; i < docs.size(); ++i) {
     EXPECT_GE(docs[i - 1].score, docs[i].score);
@@ -74,9 +76,10 @@ TEST_F(QaSystemTest, EntityHeavyDocumentRanksHigh) {
   QaSystem system(&kg_.graph, &kg_.answer_nodes, kg_.num_entities, options);
   Question q;
   q.mentions = {{2, 1}};  // entity 2 dominates doc2 (count 3)
-  std::vector<RankedDocument> docs = system.Ask(q);
-  ASSERT_FALSE(docs.empty());
-  EXPECT_EQ(docs.front().document, 2);
+  StatusOr<std::vector<RankedDocument>> docs = system.Answer(q);
+  ASSERT_TRUE(docs.ok()) << docs.status();
+  ASSERT_FALSE(docs->empty());
+  EXPECT_EQ(docs->front().document, 2);
 }
 
 TEST_F(QaSystemTest, TopKTruncates) {
@@ -85,23 +88,28 @@ TEST_F(QaSystemTest, TopKTruncates) {
   QaSystem system(&kg_.graph, &kg_.answer_nodes, kg_.num_entities, options);
   Question q;
   q.mentions = {{0, 1}};
-  EXPECT_EQ(system.Ask(q).size(), 1u);
+  StatusOr<std::vector<RankedDocument>> docs = system.Answer(q);
+  ASSERT_TRUE(docs.ok()) << docs.status();
+  EXPECT_EQ(docs->size(), 1u);
 }
 
 TEST_F(QaSystemTest, EmptySeedYieldsNoAnswers) {
   QaSystem system(&kg_.graph, &kg_.answer_nodes, kg_.num_entities);
   Question q;
   q.mentions = {{99, 1}};
-  EXPECT_TRUE(system.Ask(q).empty());
+  StatusOr<std::vector<RankedDocument>> docs = system.Answer(q);
+  ASSERT_TRUE(docs.ok()) << docs.status();
+  EXPECT_TRUE(docs->empty());
 }
 
 TEST_F(QaSystemTest, AskSeedExposesNodeLevelApi) {
   QaSystem system(&kg_.graph, &kg_.answer_nodes, kg_.num_entities);
   ppr::QuerySeed seed;
   seed.links.emplace_back(0, 1.0);
-  std::vector<ppr::ScoredAnswer> ranked = system.AskSeed(seed);
-  ASSERT_FALSE(ranked.empty());
-  for (const ppr::ScoredAnswer& sa : ranked) {
+  StatusOr<std::vector<ppr::ScoredAnswer>> ranked = system.AnswerSeed(seed);
+  ASSERT_TRUE(ranked.ok()) << ranked.status();
+  ASSERT_FALSE(ranked->empty());
+  for (const ppr::ScoredAnswer& sa : *ranked) {
     EXPECT_GE(sa.node, kg_.num_entities);
   }
 }
@@ -114,7 +122,9 @@ TEST_F(QaSystemTest, FreezesSnapshotAtConstruction) {
   QaSystem system(&copy, &kg_.answer_nodes, kg_.num_entities);
   Question q;
   q.mentions = {{0, 1}};
-  std::vector<RankedDocument> before = system.Ask(q);
+  StatusOr<std::vector<RankedDocument>> before_or = system.Answer(q);
+  ASSERT_TRUE(before_or.ok()) << before_or.status();
+  const std::vector<RankedDocument>& before = *before_or;
   ASSERT_FALSE(before.empty());
 
   // Crush all of entity 0's outgoing weights except the doc1 link.
@@ -124,7 +134,9 @@ TEST_F(QaSystemTest, FreezesSnapshotAtConstruction) {
   copy.NormalizeOutWeights(0);
 
   // The frozen system still serves the old ranking...
-  std::vector<RankedDocument> after = system.Ask(q);
+  StatusOr<std::vector<RankedDocument>> after_or = system.Answer(q);
+  ASSERT_TRUE(after_or.ok()) << after_or.status();
+  const std::vector<RankedDocument>& after = *after_or;
   ASSERT_EQ(after.size(), before.size());
   for (size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i].document, before[i].document);
@@ -133,7 +145,9 @@ TEST_F(QaSystemTest, FreezesSnapshotAtConstruction) {
 
   // ...and a system rebuilt over the mutated graph sees the change.
   QaSystem rebuilt(&copy, &kg_.answer_nodes, kg_.num_entities);
-  std::vector<RankedDocument> fresh = rebuilt.Ask(q);
+  StatusOr<std::vector<RankedDocument>> fresh_or = rebuilt.Answer(q);
+  ASSERT_TRUE(fresh_or.ok()) << fresh_or.status();
+  const std::vector<RankedDocument>& fresh = *fresh_or;
   ASSERT_FALSE(fresh.empty());
   EXPECT_EQ(fresh.front().document, 1);
 }
@@ -146,8 +160,12 @@ TEST_F(QaSystemTest, ViewConstructorServesFromCallerSnapshot) {
   QaSystem from_graph(&kg_.graph, &kg_.answer_nodes, kg_.num_entities);
   Question q;
   q.mentions = {{0, 1}, {2, 2}};
-  std::vector<RankedDocument> a = from_view.Ask(q);
-  std::vector<RankedDocument> b = from_graph.Ask(q);
+  StatusOr<std::vector<RankedDocument>> a_or = from_view.Answer(q);
+  ASSERT_TRUE(a_or.ok()) << a_or.status();
+  const std::vector<RankedDocument>& a = *a_or;
+  StatusOr<std::vector<RankedDocument>> b_or = from_graph.Answer(q);
+  ASSERT_TRUE(b_or.ok()) << b_or.status();
+  const std::vector<RankedDocument>& b = *b_or;
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());
   for (size_t i = 0; i < a.size(); ++i) {

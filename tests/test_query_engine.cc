@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <random>
 #include <thread>
@@ -116,14 +117,6 @@ TEST(QueryEngineTest, CreateFailsFastNamingTheField) {
   auto null_candidates =
       QueryEngine::Create(&online, nullptr, SmallEngineOptions());
   EXPECT_FALSE(null_candidates.ok());
-
-  QueryEngineOptions bad_batch = SmallEngineOptions();
-  bad_batch.max_batch_roots = 0;
-  auto batch_or = QueryEngine::Create(&online, &Candidates(), bad_batch);
-  ASSERT_FALSE(batch_or.ok());
-  EXPECT_NE(batch_or.status().message().find("max_batch_roots"),
-            std::string::npos)
-      << batch_or.status().message();
 
   QueryEngineOptions bad_admission = SmallEngineOptions();
   bad_admission.admission.capacity = 0;
@@ -388,7 +381,7 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());
 
-  // All seeds share first-link node 0 so the batcher folds them into
+  // All seeds share first-link node 0 so the engine folds them into
   // same-cluster multi-root groups deterministically.
   std::mt19937_64 rng(0xBA7C4);
   std::uniform_real_distribution<double> weight(0.1, 1.0);
@@ -401,37 +394,68 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
     stream.push_back(std::move(seed));
   }
 
-  QueryEngineOptions batched = SmallEngineOptions();
-  batched.enable_cache = false;
-  batched.enable_single_flight = false;  // every lane propagates
-  batched.enable_batching = true;
-  batched.max_batch_roots = 8;
-  QueryEngineOptions solo = batched;
-  solo.enable_batching = false;
+  QueryEngineOptions options = SmallEngineOptions();
+  options.enable_cache = false;
+  options.enable_single_flight = false;  // every lane propagates
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
 
-  auto batched_or = QueryEngine::Create(&online, &Candidates(), batched);
-  auto solo_or = QueryEngine::Create(&online, &Candidates(), solo);
-  ASSERT_TRUE(batched_or.ok()) << batched_or.status();
-  ASSERT_TRUE(solo_or.ok()) << solo_or.status();
+  // The oracle: a single-root Rank of each seed on the pinned epoch.
+  const core::ServingEpoch epoch = online.CurrentEpoch();
+  const ppr::EipdEngine oracle(epoch.view(), options.eipd);
+  auto expect_oracle = [&](const ppr::QuerySeed& seed,
+                           const StatusOr<RankedAnswers>& served) {
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served->epoch, epoch.epoch);
+    StatusOr<std::vector<ppr::ScoredAnswer>> solo =
+        oracle.Rank(seed, Candidates(), options.top_k);
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    ExpectIdenticalAnswers(*solo, served->answers);
+  };
 
   telemetry::Counter* multi_passes =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.multi_passes");
   const uint64_t passes_before = multi_passes->Value();
 
-  std::vector<StatusOr<RankedAnswers>> from_batched =
-      (*batched_or)->SubmitBatch(stream);
-  std::vector<StatusOr<RankedAnswers>> from_solo =
-      (*solo_or)->SubmitBatch(stream);
-  ASSERT_EQ(from_batched.size(), stream.size());
+  std::vector<StatusOr<RankedAnswers>> served = engine.SubmitBatch(stream);
+  ASSERT_EQ(served.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(from_batched[i].ok()) << from_batched[i].status();
-    ASSERT_TRUE(from_solo[i].ok()) << from_solo[i].status();
-    ExpectIdenticalAnswers(from_solo[i]->answers, from_batched[i]->answers);
+    expect_oracle(stream[i], served[i]);
   }
-  // The batched engine really took the multi-root path.
+  // The engine really took the multi-root path.
   EXPECT_GT(multi_passes->Value(), passes_before);
-  EXPECT_EQ((*batched_or)->GetServeStats().misses, stream.size());
+  EXPECT_EQ(engine.GetServeStats().misses, stream.size());
+
+  // One batch mixing, in the same cluster, valid seeds with a seed naming
+  // a node outside the view and a seed with a NaN weight: the bad seeds
+  // fail alone, every valid seed still matches the oracle bit for bit.
+  ppr::QuerySeed out_of_range;
+  out_of_range.links = {{0, 0.5}, {99, 0.5}};
+  ppr::QuerySeed nan_weight;
+  nan_weight.links = {{0, std::numeric_limits<double>::quiet_NaN()}};
+  std::vector<ppr::QuerySeed> mixed(stream.begin(), stream.begin() + 6);
+  mixed.insert(mixed.begin() + 2, out_of_range);
+  mixed.insert(mixed.begin() + 5, nan_weight);
+  std::vector<StatusOr<RankedAnswers>> mixed_served =
+      engine.SubmitBatch(mixed);
+  ASSERT_EQ(mixed_served.size(), mixed.size());
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    if (i == 2 || i == 5) {
+      ASSERT_FALSE(mixed_served[i].ok()) << "seed " << i;
+      EXPECT_EQ(mixed_served[i].status().code(),
+                StatusCode::kInvalidArgument);
+    } else {
+      expect_oracle(mixed[i], mixed_served[i]);
+    }
+  }
+  QueryEngine::ServeStats stats = engine.GetServeStats();
+  EXPECT_EQ(stats.queries, stream.size() + mixed.size());
+  EXPECT_EQ(stats.errors, 2u);
+  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
+                stats.errors,
+            stats.queries);
 }
 
 TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {

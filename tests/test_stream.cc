@@ -462,13 +462,15 @@ TEST(StreamPipelineTest, RejectedMicroBatchPublishesNoEpoch) {
   ASSERT_TRUE(pipeline_or.ok());
   StreamPipeline& pipeline = **pipeline_or;
 
-  std::shared_ptr<const graph::CsrSnapshot> pinned = online.snapshot();
+  std::shared_ptr<const graph::CsrSnapshot> pinned =
+
+      online.CurrentEpoch().snapshot;
   ASSERT_TRUE(pipeline.Offer(MalformedVote(11)).ok());
   StatusOr<size_t> drained = pipeline.DrainOnce(16);
   EXPECT_FALSE(drained.ok());  // the flush failed, loudly
 
   EXPECT_EQ(online.CurrentEpochNumber(), 0u);
-  EXPECT_EQ(online.snapshot().get(), pinned.get());
+  EXPECT_EQ(online.CurrentEpoch().snapshot.get(), pinned.get());
   ASSERT_EQ(online.DeadLetters().size(), 1u);
   EXPECT_EQ(online.DeadLetters()[0].id, 11u);
   StreamPipeline::Stats stats = pipeline.GetStats();
