@@ -53,8 +53,6 @@ const char* RankName(Rank rank) {
       return "kVoteLogSerial";
     case Rank::kEpochPublish:
       return "kEpochPublish";
-    case Rank::kAdmissionSlo:
-      return "kAdmissionSlo";
     case Rank::kSingleFlightFlight:
       return "kSingleFlightFlight";
     case Rank::kSingleFlightTable:

@@ -96,9 +96,6 @@ enum class Rank : uint16_t {
   /// lock, taken under the stream queue (flush) and the query epoch pin
   /// (re-pin probe).
   kEpochPublish = 450,
-  /// serve::AdmissionController::slo_mu_ - outcome recording runs inside
-  /// the serve path.
-  kAdmissionSlo = 500,
   /// serve::SingleFlightGroup per-flight mutex - published under no other
   /// serve lock, but below the flight table for Resolve's scopes.
   kSingleFlightFlight = 550,

@@ -678,6 +678,9 @@ Status Explorer::RunOne(const std::function<Scenario()>& factory,
     for (std::thread& t : threads) t.detach();
   } else {
     for (std::thread& t : threads) t.join();
+    // Each record points back at the run; break the cycle so a finished
+    // run is freed.
+    for (const auto& t : run->threads) t->run.reset();
   }
 
   lockinstr::g_active.fetch_and(~lockinstr::kExplorerBit,

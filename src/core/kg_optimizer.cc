@@ -1,7 +1,6 @@
 #include "core/kg_optimizer.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "common/timer.h"
 #include "graph/csr.h"
 #include "graph/subgraph.h"
-#include "ppr/eipd_engine.h"
 #include "ppr/eipd_engine.h"
 #include "telemetry/metrics.h"
 
@@ -109,10 +107,6 @@ Status OptimizerOptions::Validate() const {
         "OptimizerOptions.encoder.weight_upper_bound must be >= "
         "weight_lower_bound");
   }
-  if (judgment_shared_weight <= 0.0 || judgment_shared_weight >= 1.0) {
-    return Status::InvalidArgument(
-        "OptimizerOptions.judgment_shared_weight must be in (0, 1)");
-  }
   if (single_vote_refine_rounds < 1) {
     return Status::InvalidArgument(
         "OptimizerOptions.single_vote_refine_rounds must be >= 1");
@@ -154,7 +148,6 @@ std::vector<votes::Vote> KgOptimizer::Filter(
   votes::JudgmentOptions judgment;
   judgment.symbolic = options_.encoder.symbolic;
   judgment.is_variable = options_.encoder.is_variable;
-  judgment.shared_edge_weight = options_.judgment_shared_weight;
   votes::JudgmentFilter filter(&graph, std::move(judgment));
   return filter.FilterVotes(votes);
 }
@@ -203,9 +196,7 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
         report.weight_changes[edge] += delta;
       }
       program.variables.ApplyValues(solution.x, &current);
-      if (options_.normalize_after_update) {
-        NormalizeTouchedSources(round_changes, &current);
-      }
+      NormalizeTouchedSources(round_changes, &current);
       if (!encoded_any) {
         report.constraints_total += solution.total_constraints;
         ++report.votes_encoded;
@@ -267,9 +258,7 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
   RecordDeltas(program.variables, report.optimized, solution.x,
                &report.weight_changes);
   program.variables.ApplyValues(solution.x, &report.optimized);
-  if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, &report.optimized);
-  }
+  NormalizeTouchedSources(report.weight_changes, &report.optimized);
   report.constraints_total = solution.total_constraints;
   report.constraints_satisfied = solution.satisfied_constraints;
   return report;
@@ -278,47 +267,6 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
 Result<OptimizeReport> KgOptimizer::SplitMergeSolve(
     const std::vector<votes::Vote>& votes) const {
   return SplitMergeImpl(votes, nullptr);
-}
-
-namespace {
-
-// Options identical to `base` except that the encoder's variable set is
-// narrowed to edges satisfying both the original predicate and `scope`.
-// The judgment filter inherits encoder.is_variable, so filtering sees the
-// same narrowed scope the solve does.
-OptimizerOptions NarrowToScope(const OptimizerOptions& base,
-                               ppr::SymbolicEipd::VariablePredicate scope) {
-  OptimizerOptions scoped = base;
-  if (base.encoder.is_variable) {
-    scoped.encoder.is_variable =
-        [outer = base.encoder.is_variable, scope = std::move(scope)](
-            const graph::WeightedDigraph& g, graph::EdgeId e) {
-          return outer(g, e) && scope(g, e);
-        };
-  } else {
-    scoped.encoder.is_variable = std::move(scope);
-  }
-  return scoped;
-}
-
-}  // namespace
-
-Result<OptimizeReport> KgOptimizer::MultiVoteSolveScoped(
-    const std::vector<votes::Vote>& votes,
-    ppr::SymbolicEipd::VariablePredicate scope) const {
-  KGOV_RETURN_IF_ERROR(options_status_);
-  if (!scope) return MultiVoteSolve(votes);
-  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)));
-  return scoped.MultiVoteSolve(votes);
-}
-
-Result<OptimizeReport> KgOptimizer::SplitMergeSolveScoped(
-    const std::vector<votes::Vote>& votes,
-    ppr::SymbolicEipd::VariablePredicate scope) const {
-  KGOV_RETURN_IF_ERROR(options_status_);
-  if (!scope) return SplitMergeSolve(votes);
-  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)));
-  return scoped.SplitMergeImpl(votes, nullptr);
 }
 
 Result<OptimizeReport> KgOptimizer::DistributedSplitMergeSolve(
@@ -372,13 +320,8 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   // Frozen parent CSR shared (read-only) by all cluster tasks: each
   // verification builds a zero-copy induced sub-view over it instead of
   // materializing a per-cluster WeightedDigraph.
-  std::unique_ptr<graph::CsrSnapshot> parent_snapshot;
-  if (options_.verify_cluster_solutions) {
-    parent_snapshot = std::make_unique<graph::CsrSnapshot>(*graph_);
-  }
-  const graph::GraphView parent_view =
-      parent_snapshot == nullptr ? graph::GraphView{}
-                                 : parent_snapshot->View();
+  const graph::CsrSnapshot parent_snapshot(*graph_);
+  const graph::GraphView parent_view = parent_snapshot.View();
 
   // Solve one multi-vote SGP per cluster (clusters are independent by
   // construction, so they may run in parallel). A cluster whose solve
@@ -452,7 +395,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     // keeps the parent's EdgeIds, so the solver's keys apply directly).
     size_t verified = 0;
     size_t satisfied = 0;
-    if (options_.verify_cluster_solutions) {
+    {
       telemetry::ScopedSpan verify_span(metrics.verify_span);
       std::unordered_map<graph::EdgeId, double> overrides;
       overrides.reserve(program.variables.NumVariables());
@@ -526,9 +469,6 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
       }
     }
   }
-  if (!options_.quarantine_failed_clusters && !first_error.ok()) {
-    return first_error;
-  }
   if (report.failed_clusters.size() == num_clusters && num_clusters > 0) {
     // Nothing survived: surface the failure instead of a silent no-op.
     return first_error;
@@ -545,9 +485,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     report.optimized.SetWeight(edge, w);
   }
   report.weight_changes = std::move(merged);
-  if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, &report.optimized);
-  }
+  NormalizeTouchedSources(report.weight_changes, &report.optimized);
   return report;
 }
 

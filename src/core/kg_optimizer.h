@@ -11,12 +11,19 @@
 //                                 overlap with affinity propagation, solve
 //                                 one multi-vote SGP per cluster, merge the
 //                                 weight changes by the voting rule (SVI).
+//                                 A cluster whose solve fails is skipped
+//                                 and its votes quarantined into the
+//                                 report; every solved cluster is verified
+//                                 by re-ranking its votes.
 //   * DistributedSplitMergeSolve- S-M with clusters solved in parallel on a
 //                                 thread pool (the paper's 4-machine
 //                                 distributed variant).
 //
 // All strategies leave the input graph untouched and return the optimized
-// copy G* plus a report of what happened.
+// copy G* plus a report of what happened. Every applied solution is
+// re-normalized per touched source node (Alg. 1 line 16). Which edges a
+// solve may change is encoder.is_variable alone; the streaming write path
+// narrows it to the dirty partition clusters (OnlineKgOptimizer).
 
 #ifndef KGOV_CORE_KG_OPTIMIZER_H_
 #define KGOV_CORE_KG_OPTIMIZER_H_
@@ -46,12 +53,8 @@ struct OptimizerOptions {
   /// the formulation set here.
   math::SgpSolverOptions sgp;
   /// Run the judgment filter before multi-vote encoding (SV). The filter
-  /// inherits the encoder's symbolic settings.
+  /// inherits the encoder's symbolic settings and variable set.
   bool apply_judgment_filter = true;
-  /// Constant for shared edges in the judgment extreme condition.
-  double judgment_shared_weight = 0.5;
-  /// Re-normalize out-weights after applying a solution (Alg. 1 line 16).
-  bool normalize_after_update = true;
   /// Single-vote refinement: the hard-constraint solution sits exactly on
   /// the feasibility boundary, and the subsequent normalization can cancel
   /// slack placed on out-degree-1 edges (whose relative weight is
@@ -67,17 +70,6 @@ struct OptimizerOptions {
   /// and per-cluster). max_attempts = 1 reproduces the non-resilient
   /// behaviour.
   RetryOptions retry;
-  /// Split-and-merge failure isolation: when a cluster's solve fails after
-  /// the full retry chain (or its task dies), skip the cluster and
-  /// quarantine its votes into the report instead of aborting the batch.
-  /// When false a cluster failure fails the whole solve.
-  bool quarantine_failed_clusters = true;
-  /// Split-and-merge: after each cluster solve, re-rank the cluster's
-  /// votes by EIPD on a zero-copy induced sub-view of the parent CSR (the
-  /// L-ball around the votes' seeds and answers) with the solved weights
-  /// applied as EdgeId-keyed overrides — no per-cluster WeightedDigraph is
-  /// materialized. Fills votes_verified / votes_satisfied in the report.
-  bool verify_cluster_solutions = true;
 
   /// Checks this struct and its nested option structs; returns
   /// InvalidArgument naming the first offending field. KgOptimizer captures
@@ -117,9 +109,9 @@ struct OptimizeReport {
   /// Total SGP solve attempts, counting retries (split-and-merge and
   /// multi-vote strategies).
   size_t solve_attempts = 0;
-  /// Split-and-merge with verify_cluster_solutions: votes re-ranked on
-  /// their cluster's sub-view under the solved weights, and how many of
-  /// them ranked their voted best answer first.
+  /// Split-and-merge: votes re-ranked on their cluster's sub-view under
+  /// the solved weights, and how many of them ranked their voted best
+  /// answer first.
   size_t votes_verified = 0;
   size_t votes_satisfied = 0;
   /// Clusters skipped by failure isolation (split-and-merge strategies).
@@ -146,24 +138,9 @@ class KgOptimizer {
   Result<OptimizeReport> MultiVoteSolve(
       const std::vector<votes::Vote>& votes) const;
 
-  /// MultiVoteSolve restricted to a sub-scope: only edges satisfying
-  /// `scope` (ANDed with the configured encoder.is_variable) are treated
-  /// as variables; everything else is held constant. The streaming write
-  /// path uses this to re-solve only dirty partition clusters. A null
-  /// scope degenerates to MultiVoteSolve.
-  Result<OptimizeReport> MultiVoteSolveScoped(
-      const std::vector<votes::Vote>& votes,
-      ppr::SymbolicEipd::VariablePredicate scope) const;
-
   /// Split-and-merge (SVI); sequential cluster solves.
   Result<OptimizeReport> SplitMergeSolve(
       const std::vector<votes::Vote>& votes) const;
-
-  /// SplitMergeSolve restricted to a sub-scope (see MultiVoteSolveScoped):
-  /// the incremental re-solve entry point of the streaming pipeline.
-  Result<OptimizeReport> SplitMergeSolveScoped(
-      const std::vector<votes::Vote>& votes,
-      ppr::SymbolicEipd::VariablePredicate scope) const;
 
   /// Split-and-merge with clusters solved on `pool` (must have >= 1
   /// worker; the paper used 4 machines).

@@ -266,26 +266,26 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
 
   Timer timer;
   Result<OptimizeReport> result = [&]() -> Result<OptimizeReport> {
-    KgOptimizer optimizer(&graph_, options_.optimizer);
-    if (scope == nullptr) {
-      return options_.strategy == FlushStrategy::kMultiVote
-                 ? optimizer.MultiVoteSolve(votes)
-                 : optimizer.SplitMergeSolve(votes);
+    OptimizerOptions optimizer_options = options_.optimizer;
+    if (scope != nullptr) {
+      // Restrict the solve to edges whose source node lies in a dirty
+      // cluster, ANDed into the configured encoder.is_variable (the
+      // judgment filter inherits the narrowed set).
+      auto dirty = std::make_shared<std::vector<uint32_t>>(*scope);
+      stream::CanonicalizeClusterSet(dirty.get());
+      optimizer_options.encoder.is_variable =
+          [outer = std::move(optimizer_options.encoder.is_variable),
+           part = partition_, dirty](const graph::WeightedDigraph& g,
+                                     graph::EdgeId e) {
+            return (!outer || outer(g, e)) &&
+                   std::binary_search(dirty->begin(), dirty->end(),
+                                      part->ClusterOf(g.edges()[e].from));
+          };
     }
-    // Restrict the solve to edges whose source node lies in a dirty
-    // cluster. The predicate composes (ANDs) with the configured
-    // encoder.is_variable inside the scoped entry points.
-    auto dirty = std::make_shared<std::vector<uint32_t>>(*scope);
-    stream::CanonicalizeClusterSet(dirty.get());
-    ppr::SymbolicEipd::VariablePredicate in_scope =
-        [part = partition_, dirty](const graph::WeightedDigraph& g,
-                                   graph::EdgeId e) {
-          return std::binary_search(dirty->begin(), dirty->end(),
-                                    part->ClusterOf(g.edges()[e].from));
-        };
+    KgOptimizer optimizer(&graph_, std::move(optimizer_options));
     return options_.strategy == FlushStrategy::kMultiVote
-               ? optimizer.MultiVoteSolveScoped(votes, std::move(in_scope))
-               : optimizer.SplitMergeSolveScoped(votes, std::move(in_scope));
+               ? optimizer.MultiVoteSolve(votes)
+               : optimizer.SplitMergeSolve(votes);
   }();
   if (!result.ok()) {
     // The batch is unusable this round, but the votes are NOT dropped:
@@ -306,21 +306,18 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
     opt.optimized.SetWeight(0, std::numeric_limits<double>::quiet_NaN());
   }
 
-  if (options_.validate_updates) {
-    Status valid =
-        ValidateGraphUpdate(graph_, opt.optimized, options_.validator);
-    if (!valid.ok()) {
-      // Rollback: the serving graph and snapshot stay exactly as they
-      // were; the batch is re-queued for the next flush.
-      ++rollback_count_;
-      last_flush_status_ = valid;
-      metrics.flush_failures->Increment();
-      metrics.rollbacks->Increment();
-      metrics.dead_lettered->Increment(
-          RequeueOrDeadLetter(std::move(batch)));
-      metrics.pending_votes->Set(static_cast<double>(buffer_.size()));
-      return valid;
-    }
+  Status valid =
+      ValidateGraphUpdate(graph_, opt.optimized, options_.validator);
+  if (!valid.ok()) {
+    // Rollback: the serving graph and snapshot stay exactly as they were;
+    // the batch is re-queued for the next flush.
+    ++rollback_count_;
+    last_flush_status_ = valid;
+    metrics.flush_failures->Increment();
+    metrics.rollbacks->Increment();
+    metrics.dead_lettered->Increment(RequeueOrDeadLetter(std::move(batch)));
+    metrics.pending_votes->Set(static_cast<double>(buffer_.size()));
+    return valid;
   }
 
   // Quarantined votes (failed clusters) are re-queued with their attempt

@@ -82,11 +82,10 @@ struct OnlineOptimizerOptions {
   int max_vote_attempts = 3;
   /// Dead-letter capacity; the oldest entries are evicted beyond this.
   size_t dead_letter_capacity = 4096;
-  /// Validate the optimized graph before swapping it in, rolling back on
-  /// violation.
-  bool validate_updates = true;
-  /// Invariants checked by the pre-swap validator. The weight bounds are
-  /// widened to cover the encoder's configured bounds automatically.
+  /// Invariants checked by the validator that runs on every optimized
+  /// graph before it is swapped in (a violation rolls the flush back). The
+  /// weight bounds are widened to cover the encoder's configured bounds
+  /// automatically.
   GraphValidatorOptions validator;
   /// Target cluster count of the streaming partition (stream.md): the
   /// granularity of dirty tracking, scoped re-solves, and selective cache

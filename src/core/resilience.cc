@@ -1,10 +1,9 @@
 #include "core/resilience.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,28 +13,11 @@
 
 namespace kgov::core {
 
-
 Status RetryOptions::Validate() const {
   if (max_attempts < 1) {
     return Status::InvalidArgument(
         "RetryOptions.max_attempts must be >= 1, got " +
         std::to_string(max_attempts));
-  }
-  if (!(initial_backoff_seconds >= 0.0) ||
-      !std::isfinite(initial_backoff_seconds)) {
-    return Status::InvalidArgument(
-        "RetryOptions.initial_backoff_seconds must be finite and >= 0, "
-        "got " + std::to_string(initial_backoff_seconds));
-  }
-  if (!(backoff_multiplier >= 1.0) || !std::isfinite(backoff_multiplier)) {
-    return Status::InvalidArgument(
-        "RetryOptions.backoff_multiplier must be finite and >= 1, got " +
-        std::to_string(backoff_multiplier));
-  }
-  if (!(restart_jitter >= 0.0 && restart_jitter < 1.0)) {
-    return Status::InvalidArgument(
-        "RetryOptions.restart_jitter must be in [0, 1), got " +
-        std::to_string(restart_jitter));
   }
   return Status::OK();
 }
@@ -63,6 +45,19 @@ Status GraphValidatorOptions::Validate() const {
 }
 
 namespace {
+
+// Formulations tried after the base formulation fails, in order.
+constexpr math::SgpFormulation kFallbackChain[] = {
+    math::SgpFormulation::kReducedSigmoid,
+    math::SgpFormulation::kDeviationVariables,
+    math::SgpFormulation::kHardConstraints};
+
+// Restart perturbation of retry k > 0, as a fraction of each variable's
+// box width: initial + kRestartJitter * U(-1, 1) * width.
+constexpr double kRestartJitter = 0.05;
+
+// Seed of the deterministic jitter stream.
+constexpr uint64_t kJitterSeed = 0x51F0'D2B4'9C3E'A871ull;
 
 // Retryable failures: transient (a different start point or formulation can
 // succeed). InvalidArgument/Internal are structural and retried never.
@@ -130,15 +125,14 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
   }
   const int max_attempts = std::max(1, retry_.max_attempts);
 
-  // Effective fallback chain: base formulation first, then the configured
+  // Effective fallback chain: base formulation first, then the fixed
   // chain minus duplicates of the base.
   std::vector<math::SgpFormulation> chain = {base_.formulation};
-  for (math::SgpFormulation f : retry_.formulation_chain) {
+  for (math::SgpFormulation f : kFallbackChain) {
     if (f != base_.formulation) chain.push_back(f);
   }
 
-  Rng jitter_rng(retry_.seed ^ (seed_salt * 0x9E3779B97F4A7C15ull));
-  const std::vector<double> original_initial = problem.initial();
+  Rng jitter_rng(kJitterSeed ^ (seed_salt * 0x9E3779B97F4A7C15ull));
 
   bool have_best = false;
   math::SgpSolution best;
@@ -147,35 +141,25 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
     math::SgpSolverOptions options = base_;
     options.formulation =
         chain[std::min<size_t>(attempt, chain.size() - 1)];
-    if (retry_.attempt_deadline_seconds > 0.0) {
-      options.deadline_seconds = retry_.attempt_deadline_seconds;
-    }
 
     // Restart point: the original initial values on attempt 0, a jittered
     // perturbation afterwards. The anchor (proximal target) stays pinned
     // to the original weights either way.
-    math::SgpProblem restarted;  // only used when jitter applies
+    math::SgpProblem restarted;  // only used on retries
     const math::SgpProblem* to_solve = &problem;
-    if (attempt > 0 && retry_.restart_jitter > 0.0) {
+    if (attempt > 0) {
       restarted = problem;
-      std::vector<double> x0 = original_initial;
+      std::vector<double> x0 = problem.initial();
       const math::BoxBounds& bounds = problem.bounds();
       for (size_t i = 0; i < x0.size(); ++i) {
         double width = 1.0;
         if (i < bounds.lower.size() && i < bounds.upper.size()) {
           width = bounds.upper[i] - bounds.lower[i];
         }
-        x0[i] += retry_.restart_jitter * jitter_rng.Uniform(-1.0, 1.0) *
-                 width;
+        x0[i] += kRestartJitter * jitter_rng.Uniform(-1.0, 1.0) * width;
       }
       restarted.SetInitial(std::move(x0));
       to_solve = &restarted;
-    }
-
-    if (attempt > 0 && retry_.initial_backoff_seconds > 0.0) {
-      double backoff = retry_.initial_backoff_seconds *
-                       std::pow(retry_.backoff_multiplier, attempt - 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
 
     Timer timer;
@@ -220,15 +204,7 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
 
   outcome.exhausted = true;
   metrics.exhausted->Increment();
-  if (retry_.accept_best_effort) {
-    outcome.solution = std::move(best);
-  } else {
-    // Strict mode: report the failure against the untouched initial point.
-    outcome.solution.x = original_initial;
-    outcome.solution.status = best.status;
-    outcome.solution.total_constraints = best.total_constraints;
-    outcome.solution.satisfied_constraints = 0;
-  }
+  outcome.solution = std::move(best);
   return outcome;
 }
 
@@ -236,24 +212,22 @@ Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const graph::WeightedDigraph& after,
                            const GraphValidatorOptions& options) {
   KGOV_RETURN_IF_ERROR(options.Validate());
-  if (options.check_edge_drift) {
-    if (after.NumNodes() != before.NumNodes()) {
-      return Status::FailedPrecondition(
-          "node count drift: " + std::to_string(before.NumNodes()) + " -> " +
-          std::to_string(after.NumNodes()));
-    }
-    if (after.NumEdges() != before.NumEdges()) {
-      return Status::FailedPrecondition(
-          "edge count drift: " + std::to_string(before.NumEdges()) + " -> " +
-          std::to_string(after.NumEdges()));
-    }
-    for (graph::EdgeId e = 0; e < before.NumEdges(); ++e) {
-      const graph::Edge& eb = before.edge(e);
-      const graph::Edge& ea = after.edge(e);
-      if (eb.from != ea.from || eb.to != ea.to) {
-        return Status::FailedPrecondition("edge " + std::to_string(e) +
-                                          " endpoints drifted");
-      }
+  if (after.NumNodes() != before.NumNodes()) {
+    return Status::FailedPrecondition(
+        "node count drift: " + std::to_string(before.NumNodes()) + " -> " +
+        std::to_string(after.NumNodes()));
+  }
+  if (after.NumEdges() != before.NumEdges()) {
+    return Status::FailedPrecondition(
+        "edge count drift: " + std::to_string(before.NumEdges()) + " -> " +
+        std::to_string(after.NumEdges()));
+  }
+  for (graph::EdgeId e = 0; e < before.NumEdges(); ++e) {
+    const graph::Edge& eb = before.edge(e);
+    const graph::Edge& ea = after.edge(e);
+    if (eb.from != ea.from || eb.to != ea.to) {
+      return Status::FailedPrecondition("edge " + std::to_string(e) +
+                                        " endpoints drifted");
     }
   }
   const double lo = options.weight_lower_bound - options.tolerance;
@@ -271,8 +245,7 @@ Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
           std::to_string(options.weight_upper_bound) + "]");
     }
   }
-  if (options.check_substochastic &&
-      !after.IsSubStochastic(options.tolerance)) {
+  if (!after.IsSubStochastic(options.tolerance)) {
     return Status::FailedPrecondition(
         "out-weight normalization violated: a node's out-weights sum to "
         "more than 1");

@@ -2,12 +2,10 @@
 //
 //  * ResilientSgpSolver - wraps SgpSolver with a retry/fallback policy:
 //    failed solves (NotConverged / NumericalError / DeadlineExceeded /
-//    Infeasible) are retried from jittered restart points with exponential
-//    backoff, walking a configurable formulation fallback chain
-//    (ReducedSigmoid -> DeviationVariables -> HardConstraints by default).
-//    Every attempt is recorded; the best finite point seen is returned
-//    even when every attempt failed, so callers can choose best-effort or
-//    strict behaviour.
+//    Infeasible) are retried at once from jittered restart points, walking
+//    the formulation fallback chain ReducedSigmoid -> DeviationVariables
+//    -> HardConstraints. Every attempt is recorded; the best finite point
+//    seen is returned even when every attempt failed.
 //
 //  * ValidateGraphUpdate - invariant checks run on an optimized graph
 //    before it replaces the serving graph: finite weights, weights in
@@ -15,8 +13,9 @@
 //    violation means the update must be rolled back (see
 //    OnlineKgOptimizer::Flush).
 //
-// Everything here is deterministic: the jitter stream is seeded, and a
-// fixed seed plus fixed attempt order replays identical restarts.
+// Everything here is deterministic: the jitter stream has a fixed seed
+// (salted per caller), so a fixed attempt order replays identical
+// restarts.
 
 #ifndef KGOV_CORE_RESILIENCE_H_
 #define KGOV_CORE_RESILIENCE_H_
@@ -32,29 +31,11 @@ namespace kgov::core {
 /// Retry/fallback policy for one logical SGP solve.
 struct RetryOptions {
   /// Total attempts, including the first one. 1 disables retries.
+  /// Attempt k > 0 runs the k-th formulation of the fallback chain
+  /// (skipping the base formulation; attempts beyond the chain reuse its
+  /// last entry) from the initial point perturbed by 0.05 x U(-1, 1) x
+  /// each variable's box width.
   int max_attempts = 3;
-  /// Formulations tried after the base formulation fails; entries equal to
-  /// the base formulation are skipped. Attempts beyond the chain reuse its
-  /// last entry (with fresh jitter).
-  std::vector<math::SgpFormulation> formulation_chain = {
-      math::SgpFormulation::kReducedSigmoid,
-      math::SgpFormulation::kDeviationVariables,
-      math::SgpFormulation::kHardConstraints};
-  /// Wall budget per attempt; <= 0 keeps the base options' deadline.
-  double attempt_deadline_seconds = 0.0;
-  /// Backoff before retry k (1-based): initial * multiplier^(k-1). The
-  /// default 0 disables sleeping (retries are usually CPU-bound, not
-  /// contention-bound; deployments waiting on shared resources set this).
-  double initial_backoff_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  /// Restart perturbation, as a fraction of each variable's box width.
-  /// Retry k starts from initial + jitter * U(-1, 1) * width, projected.
-  double restart_jitter = 0.05;
-  /// Seed for the deterministic jitter/backoff stream.
-  uint64_t seed = 0x51F0'D2B4'9C3E'A871ull;
-  /// When every attempt fails, still return the best finite point seen
-  /// (with the failing status). When false the last attempt is returned.
-  bool accept_best_effort = true;
 
   /// Checks every field range; returns InvalidArgument naming the first
   /// offending field. ResilientSgpSolver::Solve fails fast with the result.
@@ -83,8 +64,6 @@ class ResilientSgpSolver {
   ResilientSgpSolver(math::SgpSolverOptions base, RetryOptions retry)
       : base_(std::move(base)), retry_(std::move(retry)) {}
 
-  const RetryOptions& retry_options() const { return retry_; }
-
   /// Solves with retries. `seed_salt` is mixed into the jitter seed so
   /// concurrent callers (e.g. per-cluster solves) draw independent but
   /// deterministic restart streams; pass the cluster index.
@@ -101,12 +80,7 @@ class ResilientSgpSolver {
 struct GraphValidatorOptions {
   double weight_lower_bound = 0.0;
   double weight_upper_bound = 1.0;
-  /// Require every node's out-weights to sum to <= 1 + tolerance (the
-  /// convergence condition for the random-walk similarity series).
-  bool check_substochastic = true;
-  /// Require the optimized graph to have exactly the same node and edge
-  /// sets as the input (the optimizer only changes weights).
-  bool check_edge_drift = true;
+  /// Slack on the weight bounds and on the sub-stochastic check.
   double tolerance = 1e-6;
 
   /// Checks every field range. ValidateGraphUpdate fails fast with the
@@ -114,8 +88,11 @@ struct GraphValidatorOptions {
   Status Validate() const;
 };
 
-/// Verifies that `after` is a legal weight-only update of `before`.
-/// Returns OK or FailedPrecondition naming the first violated invariant.
+/// Verifies that `after` is a legal weight-only update of `before`: the
+/// same node and edge sets, finite weights within the bounds, and every
+/// node's out-weights summing to <= 1 + tolerance (the convergence
+/// condition of the random-walk similarity series). Returns OK or
+/// FailedPrecondition naming the first violated invariant.
 Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const graph::WeightedDigraph& after,
                            const GraphValidatorOptions& options = {});

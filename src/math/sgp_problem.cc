@@ -12,7 +12,6 @@ VarId SgpProblem::AddVariable(double initial, double lo, double hi) {
   initial_.push_back(initial);
   bounds_.lower.push_back(lo);
   bounds_.upper.push_back(hi);
-  proximal_mask_.push_back(true);
   return id;
 }
 
@@ -34,11 +33,6 @@ void SgpProblem::SetInitial(std::vector<double> x0) {
   if (anchor_.empty()) anchor_ = initial_;
   initial_ = std::move(x0);
   bounds_.Project(&initial_);
-}
-
-void SgpProblem::ExcludeFromProximal(VarId var) {
-  KGOV_CHECK(var < proximal_mask_.size());
-  proximal_mask_[var] = false;
 }
 
 Status SgpProblem::Validate() const {

@@ -57,10 +57,6 @@ class SgpProblem {
   /// the restart still minimizes distance from the original weights.
   void SetInitial(std::vector<double> x0);
 
-  /// Marks a variable as excluded from the proximal term (used for
-  /// deviation variables, which have no "original value" to stay close to).
-  void ExcludeFromProximal(VarId var);
-
   size_t num_variables() const { return initial_.size(); }
   const std::vector<double>& initial() const { return initial_; }
   const std::vector<double>& anchor() const {
@@ -73,7 +69,6 @@ class SgpProblem {
   const std::vector<Signomial>& sigmoid_terms() const {
     return sigmoid_terms_;
   }
-  const std::vector<bool>& proximal_mask() const { return proximal_mask_; }
 
   /// Validates internal consistency (variable ids in range, bounds sane).
   Status Validate() const;
@@ -82,7 +77,6 @@ class SgpProblem {
   std::vector<double> initial_;
   std::vector<double> anchor_;
   BoxBounds bounds_;
-  std::vector<bool> proximal_mask_;  // true = participates in proximal term
   std::vector<SgpConstraint> constraints_;
   std::vector<Signomial> sigmoid_terms_;
 };

@@ -15,21 +15,23 @@ namespace kgov::math {
 namespace {
 
 // Objective shared by every formulation:
-//   lambda1 * sum_{i in mask} (x_i - anchor_i)^2
+//   lambda1 * sum_{i < num_proximal} (x_i - anchor_i)^2
 //   + lambda2 * sum_j sigmoid(w * s_j(x))
 // where the s_j differ per formulation (deviation monomials or full
 // constraint signomials).
 class CompositeObjective : public DifferentiableFunction {
  public:
-  /// `term_weights` scales each sigmoid term (empty = all 1).
+  /// The proximal term covers the first `num_proximal` variables (the
+  /// edge weights; deviation variables follow them and have no original
+  /// value to stay close to). `term_weights` scales each sigmoid term
+  /// (empty = all 1).
   CompositeObjective(double lambda1, const std::vector<double>& anchor,
-                     const std::vector<bool>& proximal_mask, double lambda2,
-                     double steepness,
+                     size_t num_proximal, double lambda2, double steepness,
                      const std::vector<const Signomial*>& sigmoid_terms,
                      std::vector<double> term_weights = {})
       : lambda1_(lambda1),
         anchor_(anchor),
-        proximal_mask_(proximal_mask),
+        num_proximal_(num_proximal),
         lambda2_(lambda2),
         steepness_(steepness),
         sigmoid_terms_(sigmoid_terms),
@@ -40,8 +42,7 @@ class CompositeObjective : public DifferentiableFunction {
     if (grad) grad->assign(x.size(), 0.0);
     double value = 0.0;
     if (lambda1_ != 0.0) {
-      for (size_t i = 0; i < anchor_.size(); ++i) {
-        if (!proximal_mask_[i]) continue;
+      for (size_t i = 0; i < num_proximal_; ++i) {
         double d = x[i] - anchor_[i];
         value += lambda1_ * d * d;
         if (grad) (*grad)[i] += 2.0 * lambda1_ * d;
@@ -67,7 +68,7 @@ class CompositeObjective : public DifferentiableFunction {
  private:
   double lambda1_;
   const std::vector<double>& anchor_;
-  const std::vector<bool>& proximal_mask_;
+  size_t num_proximal_;
   double lambda2_;
   double steepness_;
   std::vector<const Signomial*> sigmoid_terms_;
@@ -287,7 +288,7 @@ SgpSolution SgpSolver::SolveDispatch(const SgpProblem& problem) const {
 SgpSolution SgpSolver::SolveHard(const SgpProblem& problem) const {
   Timer timer;
   CompositeObjective objective(options_.lambda1, problem.anchor(),
-                               problem.proximal_mask(), 0.0,
+                               problem.num_variables(), 0.0,
                                options_.sigmoid_steepness, {});
 
   std::vector<std::unique_ptr<SignomialConstraint>> owned;
@@ -331,8 +332,6 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
 
   std::vector<double> initial = problem.initial();
   BoxBounds bounds = problem.bounds();
-  std::vector<bool> proximal_mask = problem.proximal_mask();
-  std::vector<double> anchor = problem.anchor();
 
   // Deviation variables: bounded generously (similarity differences lie in
   // [-1, 1]; the bound only needs to contain them). Started at a point that
@@ -349,8 +348,6 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
     initial.push_back(d0);
     bounds.lower.push_back(-kDevBound);
     bounds.upper.push_back(kDevBound);
-    proximal_mask.push_back(false);
-    anchor.push_back(0.0);
 
     Signomial dev_term;
     dev_term.AddTerm(Monomial(1.0, {{dev_id, 1.0}}));
@@ -398,7 +395,7 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
     auglag.deadline_seconds =
         RemainingBudget(timer, options_.deadline_seconds);
     AugmentedLagrangianSolver solver(auglag);
-    CompositeObjective objective(options_.lambda1, anchor, proximal_mask,
+    CompositeObjective objective(options_.lambda1, problem.anchor(), n,
                                  options_.lambda2, steepness, sigmoid_ptrs,
                                  term_weights);
     result = solver.Minimize(objective, constraints, x, bounds);
@@ -466,7 +463,7 @@ SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
               : remaining;
     }
     CompositeObjective objective(options_.lambda1, problem.anchor(),
-                                 problem.proximal_mask(), options_.lambda2,
+                                 problem.num_variables(), options_.lambda2,
                                  steepness, sigmoid_ptrs, term_weights);
     result = RunInner(step_options, objective, x, problem.bounds());
     x = result.x;

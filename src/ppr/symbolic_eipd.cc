@@ -8,7 +8,6 @@
 
 namespace kgov::ppr {
 
-
 Status SymbolicEipdOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(eipd.Validate());
   if (!(min_path_mass >= 0.0) || !std::isfinite(min_path_mass)) {
@@ -31,7 +30,6 @@ struct SymbolicEipd::DfsState {
   std::vector<graph::EdgeId> variable_edges;
   // Precomputed c*(1-c)^len for len = 0..L.
   std::vector<double> decay;
-  size_t dropped_terms = 0;
 };
 
 SymbolicEipd::SymbolicEipd(const graph::WeightedDigraph* graph,
@@ -83,10 +81,6 @@ std::vector<SymbolicAnswer> SymbolicEipd::Collect(
   for (SymbolicAnswer& answer : out) {
     answer.similarity.Compact();
   }
-  if (state.dropped_terms > 0) {
-    KGOV_LOG(DEBUG) << "symbolic EIPD dropped " << state.dropped_terms
-                    << " walks past the per-answer term cap";
-  }
   return out;
 }
 
@@ -95,22 +89,16 @@ void SymbolicEipd::Dfs(DfsState* state, graph::NodeId node, int length,
   int answer_idx = state->answer_index[node];
   if (answer_idx >= 0) {
     SymbolicAnswer& answer = (*state->out)[answer_idx];
-    if (options_.max_terms_per_answer != 0 &&
-        answer.similarity.NumTerms() >= options_.max_terms_per_answer) {
-      ++state->dropped_terms;
-    } else {
-      std::vector<std::pair<math::VarId, double>> powers;
-      powers.reserve(state->variable_edges.size());
-      for (graph::EdgeId e : state->variable_edges) {
-        powers.emplace_back(state->vars->GetOrRegister(e), 1.0);
-      }
-      // Monomial normalization merges repeated edges into one power.
-      answer.similarity.AddTerm(
-          math::Monomial(fixed_coeff * state->decay[length], std::move(powers)));
-      answer.path_edges.insert(state->walk_edges.begin(),
-                               state->walk_edges.end());
-      answer.numeric_value += numeric_mass * state->decay[length];
+    std::vector<std::pair<math::VarId, double>> powers;
+    powers.reserve(state->variable_edges.size());
+    for (graph::EdgeId e : state->variable_edges) {
+      powers.emplace_back(state->vars->GetOrRegister(e), 1.0);
     }
+    // Monomial normalization merges repeated edges into one power.
+    answer.similarity.AddTerm(
+        math::Monomial(fixed_coeff * state->decay[length], std::move(powers)));
+    answer.path_edges.insert(state->walk_edges.begin(),
+                             state->walk_edges.end());
   }
 
   if (length >= options_.eipd.max_length) return;

@@ -32,8 +32,6 @@ struct SymbolicAnswer {
   /// Set(va) used by the judgment filter (SV) and by the vote-similarity
   /// measure (Eq. 20).
   std::unordered_set<graph::EdgeId> path_edges;
-  /// Numeric Phi at the current graph weights (after pruning).
-  double numeric_value = 0.0;
 };
 
 struct SymbolicEipdOptions {
@@ -42,9 +40,6 @@ struct SymbolicEipdOptions {
   /// symbolic expansion (keeps the monomial count bounded on dense graphs).
   /// 0 disables pruning.
   double min_path_mass = 0.0;
-  /// Hard cap on emitted monomials per answer; further walks are dropped
-  /// with a debug log. 0 = unlimited.
-  size_t max_terms_per_answer = 0;
 
   /// Checks this struct and the nested EipdOptions.
   Status Validate() const;

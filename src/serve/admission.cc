@@ -10,19 +10,13 @@ namespace {
 
 struct AdmissionMetrics {
   telemetry::Counter* shed;
-  telemetry::Counter* degraded_entered;
-  telemetry::Counter* degraded_exited;
   telemetry::Gauge* queue_depth;
-  telemetry::Gauge* degraded;
 
   static const AdmissionMetrics& Get() {
     static const AdmissionMetrics m = [] {
       telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Global();
       return AdmissionMetrics{reg.GetCounter("serve.admission.shed"),
-                              reg.GetCounter("serve.admission.degraded_entered"),
-                              reg.GetCounter("serve.admission.degraded_exited"),
-                              reg.GetGauge("serve.queue_depth"),
-                              reg.GetGauge("serve.admission.degraded")};
+                              reg.GetGauge("serve.queue_depth")};
     }();
     return m;
   }
@@ -34,26 +28,6 @@ Status AdmissionOptions::Validate() const {
   if (capacity < 1) {
     return Status::InvalidArgument(
         "AdmissionOptions.capacity must be >= 1");
-  }
-  if (slo_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "AdmissionOptions.slo_seconds must be >= 0, got " +
-        std::to_string(slo_seconds));
-  }
-  if (degraded_max_length < 1) {
-    return Status::InvalidArgument(
-        "AdmissionOptions.degraded_max_length must be >= 1, got " +
-        std::to_string(degraded_max_length));
-  }
-  if (!(ewma_alpha > 0.0) || ewma_alpha > 1.0) {
-    return Status::InvalidArgument(
-        "AdmissionOptions.ewma_alpha must be in (0, 1], got " +
-        std::to_string(ewma_alpha));
-  }
-  if (!(recover_fraction > 0.0) || !(recover_fraction < 1.0)) {
-    return Status::InvalidArgument(
-        "AdmissionOptions.recover_fraction must be in (0, 1), got " +
-        std::to_string(recover_fraction));
   }
   return Status::OK();
 }
@@ -82,48 +56,15 @@ Status AdmissionController::TryAdmit() {
   return Status::OK();
 }
 
-void AdmissionController::Finish(double latency_seconds) {
-  const AdmissionMetrics& metrics = AdmissionMetrics::Get();
+void AdmissionController::Finish() {
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  metrics.queue_depth->Add(-1.0);
-
-  if (options_.slo_seconds <= 0.0) return;
-  MutexLock lock(slo_mu_);
-  if (has_sample_) {
-    ewma_seconds_ = options_.ewma_alpha * latency_seconds +
-                    (1.0 - options_.ewma_alpha) * ewma_seconds_;
-  } else {
-    ewma_seconds_ = latency_seconds;
-    has_sample_ = true;
-  }
-  const bool was_degraded = degraded_.load(std::memory_order_relaxed);
-  if (!was_degraded && ewma_seconds_ > options_.slo_seconds) {
-    degraded_.store(true, std::memory_order_relaxed);
-    degraded_entered_.fetch_add(1, std::memory_order_relaxed);
-    metrics.degraded_entered->Increment();
-    metrics.degraded->Set(1.0);
-  } else if (was_degraded &&
-             ewma_seconds_ <
-                 options_.recover_fraction * options_.slo_seconds) {
-    degraded_.store(false, std::memory_order_relaxed);
-    degraded_exited_.fetch_add(1, std::memory_order_relaxed);
-    metrics.degraded_exited->Increment();
-    metrics.degraded->Set(0.0);
-  }
-}
-
-double AdmissionController::EwmaLatencySeconds() const {
-  MutexLock lock(slo_mu_);
-  return ewma_seconds_;
+  AdmissionMetrics::Get().queue_depth->Add(-1.0);
 }
 
 AdmissionController::Stats AdmissionController::GetStats() const {
   Stats stats;
   stats.admitted = admitted_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.degraded_entered =
-      degraded_entered_.load(std::memory_order_relaxed);
-  stats.degraded_exited = degraded_exited_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -2,25 +2,13 @@
 //
 // Without a bound in front of the thread-pool fan-out, a traffic spike
 // queues without limit: every query is eventually served, but tail
-// latency grows with the backlog and the engine melts instead of
-// degrading. AdmissionController makes overload a first-class outcome:
-//
-//  * A bounded admission window (`capacity` queries admitted and not yet
-//    finished - queued plus executing). TryAdmit is non-blocking: when
-//    the window is full the query is SHED immediately with
-//    kResourceExhausted (counted in serve.admission.shed), never parked.
-//    Callers that must not drop can retry; the engine itself stays
-//    responsive.
-//  * Graceful degradation under a latency SLO. Finish() feeds each
-//    query's end-to-end latency into an EWMA; when the smoothed latency
-//    exceeds `slo_seconds` the controller enters DEGRADED mode and the
-//    QueryEngine serves misses with `degraded_max_length` instead of the
-//    configured eipd.max_length - shorter walks, bounded work per query,
-//    still a valid ranking (the paper's Fig. 7 shows depth beyond ~5
-//    contributes little). The controller recovers once the EWMA falls
-//    below recover_fraction x slo. Degraded rankings are never cached
-//    (they are not bitwise-comparable to full-depth results) and are
-//    flagged on the RankedAnswers.
+// latency grows with the backlog. AdmissionController makes overload a
+// first-class outcome with a bounded admission window: `capacity`
+// queries admitted and not yet finished (queued plus executing). TryAdmit
+// is non-blocking: when the window is full the query is SHED immediately
+// with kResourceExhausted (counted in serve.admission.shed), never
+// parked. Callers that must not drop can retry; the engine itself stays
+// responsive.
 //
 // The in-flight count is also the source of truth for the
 // serve.queue_depth gauge, published with the atomic Gauge::Add - the
@@ -36,7 +24,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace kgov::serve {
 
@@ -44,36 +31,20 @@ struct AdmissionOptions {
   /// Queries admitted and not yet finished (queued + executing) before
   /// TryAdmit sheds. Sized for the worst burst the pool should absorb.
   size_t capacity = 1024;
-  /// End-to-end latency SLO driving degraded mode; 0 disables
-  /// degradation (the admission bound still applies).
-  double slo_seconds = 0.0;
-  /// eipd.max_length served under sustained pressure. Must be >= 1 and
-  /// makes sense only below the engine's configured max_length.
-  int degraded_max_length = 3;
-  /// Weight of the newest latency sample in the EWMA, in (0, 1].
-  double ewma_alpha = 0.2;
-  /// Leave degraded mode when the EWMA falls below this fraction of the
-  /// SLO, in (0, 1). The gap between enter and exit thresholds is the
-  /// hysteresis that stops mode flapping.
-  double recover_fraction = 0.5;
 
   /// Checks every field range; returns InvalidArgument naming the first
   /// offending field.
   Status Validate() const;
 };
 
-/// Bounded admission window + SLO-driven degradation state. Thread-safe;
-/// one instance per QueryEngine. Every admitted query must be matched by
-/// exactly one Finish() (the engine pairs them RAII-style in its task
-/// body).
+/// Bounded admission window. Thread-safe and lock-free; one instance per
+/// QueryEngine. Every admitted query must be matched by exactly one
+/// Finish() (the engine pairs them RAII-style in its task body).
 class AdmissionController {
  public:
   struct Stats {
     uint64_t admitted = 0;
     uint64_t shed = 0;
-    /// Mode transitions (entered >= exited; they differ by at most 1).
-    uint64_t degraded_entered = 0;
-    uint64_t degraded_exited = 0;
   };
 
   /// `options` must already validate OK (the engine validates at
@@ -87,23 +58,13 @@ class AdmissionController {
   /// window is full. Non-blocking either way.
   Status TryAdmit();
 
-  /// Releases the slot taken by TryAdmit and feeds the query's
-  /// end-to-end latency into the SLO tracker.
-  void Finish(double latency_seconds) KGOV_EXCLUDES(slo_mu_);
-
-  /// True while the smoothed latency is above the SLO (always false when
-  /// slo_seconds == 0).
-  bool degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
+  /// Releases the slot taken by TryAdmit.
+  void Finish();
 
   /// Queries admitted and not yet finished.
   size_t InFlight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
-
-  /// Smoothed end-to-end latency (0 before the first Finish).
-  double EwmaLatencySeconds() const KGOV_EXCLUDES(slo_mu_);
 
   Stats GetStats() const;
 
@@ -113,18 +74,8 @@ class AdmissionController {
   AdmissionOptions options_;
 
   std::atomic<size_t> in_flight_{0};
-  std::atomic<bool> degraded_{false};
-
-  /// Guards the EWMA update + mode transition so the entered/exited
-  /// counters are exact (the hot-path reads above stay lock-free).
-  mutable Mutex slo_mu_{KGOV_LOCK_RANK(kAdmissionSlo)};
-  double ewma_seconds_ KGOV_GUARDED_BY(slo_mu_) = 0.0;
-  bool has_sample_ KGOV_GUARDED_BY(slo_mu_) = false;
-
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> degraded_entered_{0};
-  std::atomic<uint64_t> degraded_exited_{0};
 };
 
 }  // namespace kgov::serve

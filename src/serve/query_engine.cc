@@ -31,7 +31,6 @@ struct ServeMetrics {
   telemetry::Counter* sf_followers;
   telemetry::Counter* sf_timeouts;
   telemetry::Counter* errors;
-  telemetry::Counter* degraded_queries;
   telemetry::Counter* batch_groups;
   telemetry::Counter* epoch_refreshes;
   telemetry::Counter* invalidation_selective;
@@ -50,7 +49,6 @@ struct ServeMetrics {
                           reg.GetCounter("serve.singleflight.followers"),
                           reg.GetCounter("serve.singleflight.timeouts"),
                           reg.GetCounter("serve.errors"),
-                          reg.GetCounter("serve.degraded_queries"),
                           reg.GetCounter("serve.batch.groups"),
                           reg.GetCounter("serve.epoch_refreshes"),
                           reg.GetCounter("stream.invalidation.selective"),
@@ -138,7 +136,6 @@ QueryEngine::ServeStats QueryEngine::GetServeStats() const {
   stats.timeouts = timeouts_.load(std::memory_order_relaxed);
   stats.shed = admission_.GetStats().shed;
   stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.degraded = degraded_served_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -193,8 +190,7 @@ std::vector<uint32_t> QueryEngine::DependencyClusters(
     graph::GraphView view, const ppr::QuerySeed& seed) {
   // The walk mirrors the nodes whose out-edges PropagatePhi reads; why
   // that makes hits bitwise exact is in result_cache.h. L = 1 reads no
-  // edge and depends on nothing. Degraded (shorter) walks are never
-  // cached, so the configured depth bounds every entry.
+  // edge and depends on nothing.
   DependencyScratch& scratch = ScratchForThisThread().dependency;
   if (scratch.stamp.size() != view.NumNodes()) {
     scratch.stamp.assign(view.NumNodes(), 0);
@@ -257,15 +253,6 @@ QueryEngine::WorkerScratch& QueryEngine::ScratchForThisThread() {
   return scratch_[index];
 }
 
-ppr::EipdOptions QueryEngine::EffectiveEipd(bool degraded) const {
-  ppr::EipdOptions eipd = options_.eipd;
-  if (degraded) {
-    eipd.max_length =
-        std::min(eipd.max_length, options_.admission.degraded_max_length);
-  }
-  return eipd;
-}
-
 std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(options_.single_flight_deadline_seconds));
@@ -285,8 +272,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
   KGOV_DCHECK_OK(ValidateEpochPin(epoch));
 
   const ServeMetrics& metrics = ServeMetrics::Get();
-  const bool degraded = admission_.degraded();
-  ppr::EipdEngine engine(epoch.view(), EffectiveEipd(degraded));
+  ppr::EipdEngine engine(epoch.view(), options_.eipd);
 
   std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> out;
   out.reserve(indices.size());
@@ -294,14 +280,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
   auto base_result = [&]() {
     RankedAnswers r;
     r.epoch = epoch.epoch;
-    r.degraded = degraded;
     return r;
-  };
-  auto count_degraded = [&]() {
-    if (degraded) {
-      degraded_served_.fetch_add(1, std::memory_order_relaxed);
-      metrics.degraded_queries->Increment();
-    }
   };
   auto fail = [&](size_t index, Status status) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -310,7 +289,6 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
   };
   auto serve_hit = [&](size_t index, RankedAnswers result) {
     result.from_cache = true;
-    result.degraded = false;  // cached rankings are always full depth
     hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.cache_hits->Increment();
     out.emplace_back(index, std::move(result));
@@ -319,18 +297,15 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     result.coalesced = true;
     followers_.fetch_add(1, std::memory_order_relaxed);
     metrics.sf_followers->Increment();
-    count_degraded();
     out.emplace_back(index, std::move(result));
   };
   // A ranking this task propagated: publish it to the cache, then count
   // the propagation. Callers complete the key's flight only afterwards
-  // (see the leader re-probe below). Degraded rankings are never cached:
-  // they are not bitwise-comparable to the full-depth result a later hit
-  // would be checked against.
+  // (see the leader re-probe below).
   auto publish_propagated = [&](const std::string& key,
                                 const ppr::QuerySeed& seed,
                                 const RankedAnswers& result) {
-    if (options_.enable_cache && !degraded) {
+    if (options_.enable_cache) {
       if (cache_.Put(key, result.answers,
                      DependencyClusters(epoch.view(), seed), epoch.epoch)) {
         metrics.cache_evictions->Increment();
@@ -338,7 +313,6 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     if (options_.enable_cache) metrics.cache_misses->Increment();
-    count_degraded();
   };
 
   // One propagation lane this task leads: the leading query, its flight
@@ -380,7 +354,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
       led.push_back(Led{index, std::move(key), nullptr, {}});
       continue;
     }
-    std::string flight_key = EncodeFlightKey(key, epoch.epoch, degraded);
+    std::string flight_key = EncodeFlightKey(key, epoch.epoch);
     auto it = local.find(flight_key);
     if (it != local.end()) {
       // In-batch duplicate of a lane we already lead.
@@ -558,7 +532,7 @@ std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
           const double elapsed = enqueue_timer.ElapsedSeconds();
           for (size_t i = 0; i < served.size(); ++i) {
             metrics.query_span->Observe(elapsed);
-            admission_.Finish(elapsed);
+            admission_.Finish();
           }
           return served;
         }));

@@ -24,8 +24,8 @@
 //  * Concurrent misses on the same (seed, epoch) key collapse onto one
 //    single-flight leader propagation; followers receive the leader's
 //    bitwise-identical result (serve/single_flight.h). The flight key
-//    embeds the pinned epoch and the degraded bit, so a follower is
-//    never handed a result computed under a different pin or depth.
+//    embeds the pinned epoch, so a follower is never handed a result
+//    computed under a different pin.
 //  * Queries that share a partition cluster inside one SubmitBatch window
 //    (up to kMaxGroupRoots of them) fold into one group, whose misses run
 //    as the lanes of a single propagation pass
@@ -34,9 +34,7 @@
 //    identical to a single-root propagation.
 //  * An AdmissionController bounds the admitted-and-unfinished window:
 //    beyond capacity, Submit sheds immediately with kResourceExhausted
-//    (never parks the caller), and under a sustained latency-SLO breach
-//    the engine serves misses at a reduced eipd.max_length (degraded
-//    rankings are flagged and never cached).
+//    (never parks the caller).
 //  * Before each query the engine probes
 //    OnlineKgOptimizer::CurrentEpochNumber() (one acquire load) and
 //    re-pins when the optimizer has published a newer epoch, so fresh
@@ -44,9 +42,8 @@
 //
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.singleflight.leaders /
-// .followers / .timeouts, serve.admission.shed / .degraded (gauge),
-// serve.degraded_queries, serve.errors, serve.batch.groups (groups of
-// two or more queries that ran a pass),
+// .followers / .timeouts, serve.admission.shed, serve.errors,
+// serve.batch.groups (groups of two or more queries that ran a pass),
 // serve.epoch_refreshes, serve.queue_depth (gauge, published atomically
 // via Gauge::Add from the admission window), span.serve.query.seconds
 // (end-to-end latency histogram), stream.invalidation.selective / .full.
@@ -108,7 +105,7 @@ struct QueryEngineOptions {
   /// propagating for itself. A backstop, not a latency target - it only
   /// fires if a leader stalls for a full propagation's worth of time.
   double single_flight_deadline_seconds = 5.0;
-  /// Admission window + load-shedding + SLO degradation settings.
+  /// Admission window (load-shedding) settings.
   AdmissionOptions admission;
 
   /// Checks every field range; returns InvalidArgument naming the first
@@ -127,10 +124,6 @@ struct RankedAnswers {
   /// True when the ranking was coalesced off another query's propagation
   /// (single-flight follower or in-batch duplicate).
   bool coalesced = false;
-  /// True when the ranking was computed at the admission controller's
-  /// degraded max_length instead of the configured depth. Degraded
-  /// rankings are never cached.
-  bool degraded = false;
 };
 
 /// Concurrent query-serving engine over an OnlineKgOptimizer's published
@@ -160,8 +153,6 @@ class QueryEngine {
     uint64_t shed = 0;
     /// Failed with any other status (invalid seed, abandoned leader...).
     uint64_t errors = 0;
-    /// Served at the degraded depth (compute or coalesced; not hits).
-    uint64_t degraded = 0;
   };
 
   /// `source` and `candidates` are borrowed and must outlive the engine.
@@ -205,9 +196,6 @@ class QueryEngine {
     return admission_.GetStats();
   }
 
-  /// True while the engine is serving misses at the degraded depth.
-  bool Degraded() const { return admission_.degraded(); }
-
   const QueryEngineOptions& options() const { return options_; }
 
  private:
@@ -246,11 +234,6 @@ class QueryEngine {
   std::vector<std::vector<size_t>> GroupForBatch(
       const std::vector<ppr::QuerySeed>& seeds,
       const std::vector<size_t>& admitted) const;
-
-  /// The propagation settings for this query: the configured eipd, with
-  /// max_length clamped to the admission controller's degraded depth
-  /// while the engine is degraded.
-  ppr::EipdOptions EffectiveEipd(bool degraded) const;
 
   std::chrono::nanoseconds FollowerDeadline() const;
 
@@ -303,7 +286,6 @@ class QueryEngine {
   std::atomic<uint64_t> followers_{0};
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> degraded_served_{0};
 
   /// Declared last: destroyed first, so workers drain before the state
   /// they touch goes away.

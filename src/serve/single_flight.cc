@@ -58,15 +58,13 @@ void SingleFlightGroup::Resolve(const std::string& key,
   flight->cv.NotifyAll();
 }
 
-std::string EncodeFlightKey(const std::string& cache_key, uint64_t epoch,
-                            bool degraded) {
+std::string EncodeFlightKey(const std::string& cache_key, uint64_t epoch) {
   std::string key;
-  key.reserve(cache_key.size() + sizeof(epoch) + 1);
+  key.reserve(cache_key.size() + sizeof(epoch));
   key.append(cache_key);
   char bytes[sizeof(epoch)];
   std::memcpy(bytes, &epoch, sizeof(epoch));
   key.append(bytes, sizeof(epoch));
-  key.push_back(degraded ? '\1' : '\0');
   return key;
 }
 

@@ -9,12 +9,12 @@
 // leader publishes its result, then receives a bitwise-identical copy.
 //
 // Epoch safety: the flight key the QueryEngine passes in includes the
-// pinned epoch number (and the degraded-mode bit), so a follower pinned
-// at epoch E can only ever join a flight whose leader is computing under
-// the same pin. A query that re-pins to E' after an optimizer flush
-// starts a fresh flight - a follower is never handed a result computed
-// under a different epoch without revalidation (the property
-// tests/test_query_engine.cc races epoch swaps to verify).
+// pinned epoch number, so a follower pinned at epoch E can only ever join
+// a flight whose leader is computing under the same pin. A query that
+// re-pins to E' after an optimizer flush starts a fresh flight - a
+// follower is never handed a result computed under a different epoch
+// without revalidation (the property tests/test_query_engine.cc races
+// epoch swaps to verify).
 //
 // Deadlock freedom: JoinOrLead never blocks - it either hands back a
 // LeaderToken (the obligation to compute) or a follower handle to Wait
@@ -155,10 +155,8 @@ class SingleFlightGroup {
 };
 
 /// The flight key for a serving query: the cache key (exact seed bytes)
-/// plus the pinned epoch and the degraded-mode bit, so flights never mix
-/// results across epochs or effective propagation depths.
-std::string EncodeFlightKey(const std::string& cache_key, uint64_t epoch,
-                            bool degraded);
+/// plus the pinned epoch, so flights never mix results across epochs.
+std::string EncodeFlightKey(const std::string& cache_key, uint64_t epoch);
 
 }  // namespace kgov::serve
 

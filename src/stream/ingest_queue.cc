@@ -47,7 +47,7 @@ VoteIngestQueue::VoteIngestQueue(VoteIngestQueueOptions options,
       dead_letter_full_(std::move(dead_letter_full)) {}
 
 Status VoteIngestQueue::Offer(votes::Vote vote) {
-  return OfferImpl(std::move(vote), options_.block_when_full);
+  return OfferImpl(std::move(vote), /*may_block=*/true);
 }
 
 Status VoteIngestQueue::TryOffer(votes::Vote vote) {

@@ -9,8 +9,8 @@
 //    both under the queue mutex, so `Offer returned OK` implies `logged`
 //    and a checkpoint can never observe a logged-but-invisible vote (see
 //    DrainAllAndRun).
-//  * Bounded: at `capacity` queued votes, Offer blocks (backpressure) or
-//    sheds with kResourceExhausted (TryOffer, or block_when_full=false).
+//  * Bounded: at `capacity` queued votes, Offer blocks (backpressure) and
+//    TryOffer sheds with kResourceExhausted.
 //  * Dead-letter backpressure: when the attached dead_letter_full probe
 //    fires (the optimizer's dead-letter buffer is at capacity), new votes
 //    are shed with kResourceExhausted instead of being accepted only to
@@ -18,7 +18,7 @@
 //    stream.shed_votes.
 //
 // Telemetry: stream.queue_depth (gauge), stream.votes_ingested,
-// stream.shed_votes, stream.rejected_votes (queue-full non-blocking
+// stream.shed_votes, stream.rejected_votes (queue-full TryOffer
 // rejections).
 
 #ifndef KGOV_STREAM_INGEST_QUEUE_H_
@@ -39,9 +39,6 @@ namespace kgov::stream {
 struct VoteIngestQueueOptions {
   /// Maximum queued (accepted but not yet drained) votes.
   size_t capacity = 1024;
-  /// When the queue is full: true = Offer blocks until space (bounded
-  /// backpressure), false = Offer sheds with kResourceExhausted.
-  bool block_when_full = true;
 
   /// Returns InvalidArgument naming the first offending field.
   Status Validate() const;
@@ -60,14 +57,14 @@ class VoteIngestQueue {
   VoteIngestQueue& operator=(const VoteIngestQueue&) = delete;
 
   /// Acknowledges one vote: logs it (when a sink is attached), then
-  /// enqueues it. Blocks while the queue is full if block_when_full;
-  /// otherwise sheds. kResourceExhausted = shed (queue or dead-letter
-  /// buffer full), kFailedPrecondition = closed, other errors = the log
-  /// append failed (the vote was NOT acknowledged).
+  /// enqueues it. Blocks while the queue is full (bounded backpressure).
+  /// kResourceExhausted = shed (dead-letter buffer full),
+  /// kFailedPrecondition = closed, other errors = the log append failed
+  /// (the vote was NOT acknowledged).
   Status Offer(votes::Vote vote) KGOV_EXCLUDES(mu_);
 
-  /// Never blocks: sheds with kResourceExhausted when the queue is full
-  /// regardless of block_when_full.
+  /// Offer that never blocks: sheds with kResourceExhausted when the
+  /// queue is full.
   Status TryOffer(votes::Vote vote) KGOV_EXCLUDES(mu_);
 
   /// Drains up to `max` votes without waiting (may return empty).

@@ -3,22 +3,17 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include <string>
 
 namespace kgov::votes {
 
-
 Status JudgmentOptions::Validate() const {
-  KGOV_RETURN_IF_ERROR(symbolic.Validate());
-  if (!(shared_edge_weight > 0.0 && shared_edge_weight < 1.0)) {
-    return Status::InvalidArgument(
-        "JudgmentOptions.shared_edge_weight must be in (0, 1), got " +
-        std::to_string(shared_edge_weight));
-  }
-  return Status::OK();
+  return symbolic.Validate();
 }
 
 namespace {
+
+// The extreme condition's weight for edges on both answers' walks.
+constexpr double kSharedEdgeWeight = 0.5;
 
 std::shared_ptr<const graph::CsrSnapshot> SnapshotOf(
     const graph::WeightedDigraph* graph) {
@@ -64,8 +59,7 @@ bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
   overrides.reserve(best_edges.size() + rival_edges.size());
   for (graph::EdgeId e : best_edges) {
     if (!changeable(e)) continue;
-    overrides[e] = rival_edges.count(e) > 0 ? options_.shared_edge_weight
-                                            : 1.0;
+    overrides[e] = rival_edges.count(e) > 0 ? kSharedEdgeWeight : 1.0;
   }
   for (graph::EdgeId e : rival_edges) {
     if (!changeable(e)) continue;

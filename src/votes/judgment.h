@@ -5,7 +5,8 @@
 // tests an *extreme condition*: collect the edge sets of all (<= L)-length
 // walks to the best answer a* and to the answer ranked immediately above
 // it, then evaluate the two similarities with
-//   - shared edges set to a constant in (0, 1),
+//   - shared edges set to the constant 0.5 (any value in (0, 1) works; the
+//     paper leaves it unspecified),
 //   - edges exclusive to a*'s walks set to 1,
 //   - edges exclusive to the competitor's walks set to 0.
 // If even under this maximally favourable weighting S(vq, a*) cannot exceed
@@ -30,9 +31,6 @@ struct JudgmentOptions {
   /// Which edges the optimizer may change; fixed edges keep their weight in
   /// the extreme condition (null = all edges changeable).
   ppr::SymbolicEipd::VariablePredicate is_variable;
-  /// The constant assigned to shared edges (any value in (0,1) works; the
-  /// paper leaves it unspecified).
-  double shared_edge_weight = 0.5;
 
   /// Checks this struct and the nested SymbolicEipdOptions.
   Status Validate() const;

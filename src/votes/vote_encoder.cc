@@ -49,7 +49,6 @@ Result<EncodedProgram> VoteEncoder::EncodeSingle(const Vote& vote) const {
 
 ppr::SymbolicEipd::VariablePredicate VoteEncoder::EffectivePredicate()
     const {
-  if (!options_.skip_degree_one_sources) return options_.is_variable;
   ppr::SymbolicEipd::VariablePredicate base = options_.is_variable;
   return [base](const graph::WeightedDigraph& g, graph::EdgeId e) {
     if (g.OutDegree(g.edge(e).from) <= 1) return false;
@@ -83,10 +82,7 @@ Result<EncodedProgram> VoteEncoder::EncodeBatch(
     KGOV_DCHECK(best_idx >= 0);
     const math::Signomial& best_similarity = answers[best_idx].similarity;
 
-    std::unordered_set<graph::EdgeId> edges;
     for (size_t i = 0; i < answers.size(); ++i) {
-      edges.insert(answers[i].path_edges.begin(),
-                   answers[i].path_edges.end());
       if (static_cast<int>(i) == best_idx) continue;
       // g = S(vq, a_i) - S(vq, a*) ; require g < 0 (Eq. 11 / Eq. 13).
       math::Signomial g =
@@ -97,7 +93,6 @@ Result<EncodedProgram> VoteEncoder::EncodeBatch(
       pending.push_back(
           PendingConstraint{std::move(g), std::move(label), vote.weight});
     }
-    program.vote_edges.push_back(std::move(edges));
     program.encoded_vote_ids.push_back(vote.id);
   }
 

@@ -1,5 +1,5 @@
-// AdmissionController: bounded window, exact shedding, queue-depth gauge
-// exactness under contention, and SLO-driven degradation hysteresis.
+// AdmissionController: bounded window, exact shedding, and queue-depth
+// gauge exactness under contention.
 
 #include "serve/admission.h"
 
@@ -27,15 +27,6 @@ TEST(AdmissionOptionsTest, ValidateNamesTheOffendingField) {
   };
   const Case cases[] = {
       {[](AdmissionOptions& o) { o.capacity = 0; }, "capacity"},
-      {[](AdmissionOptions& o) { o.slo_seconds = -1.0; }, "slo_seconds"},
-      {[](AdmissionOptions& o) { o.degraded_max_length = 0; },
-       "degraded_max_length"},
-      {[](AdmissionOptions& o) { o.ewma_alpha = 0.0; }, "ewma_alpha"},
-      {[](AdmissionOptions& o) { o.ewma_alpha = 1.5; }, "ewma_alpha"},
-      {[](AdmissionOptions& o) { o.recover_fraction = 0.0; },
-       "recover_fraction"},
-      {[](AdmissionOptions& o) { o.recover_fraction = 1.0; },
-       "recover_fraction"},
   };
   for (const Case& c : cases) {
     AdmissionOptions options;
@@ -62,7 +53,7 @@ TEST(AdmissionControllerTest, ShedsExactlyBeyondCapacityAndRecovers) {
   // A failed admit must not leak a slot.
   EXPECT_EQ(controller.InFlight(), 4u);
 
-  controller.Finish(1e-6);
+  controller.Finish();
   EXPECT_EQ(controller.InFlight(), 3u);
   EXPECT_TRUE(controller.TryAdmit().ok());
 
@@ -95,7 +86,7 @@ TEST(AdmissionControllerTest, QueueDepthGaugeIsExactUnderContention) {
     threads.emplace_back([&]() {
       for (int r = 0; r < kRounds; ++r) {
         EXPECT_TRUE(controller.TryAdmit().ok());
-        controller.Finish(1e-6);
+        controller.Finish();
       }
     });
   }
@@ -105,50 +96,6 @@ TEST(AdmissionControllerTest, QueueDepthGaugeIsExactUnderContention) {
   EXPECT_EQ(depth->Value(), before);
   EXPECT_EQ(controller.GetStats().admitted,
             static_cast<uint64_t>(kThreads) * kRounds);
-}
-
-TEST(AdmissionControllerTest, DegradesOverSloAndRecoversWithHysteresis) {
-  AdmissionOptions options;
-  options.capacity = 16;
-  options.slo_seconds = 0.1;
-  options.ewma_alpha = 1.0;  // EWMA == latest sample: transitions are exact
-  options.recover_fraction = 0.5;
-  AdmissionController controller(options);
-  ASSERT_TRUE(options.Validate().ok());
-
-  auto finish_with = [&](double latency) {
-    ASSERT_TRUE(controller.TryAdmit().ok());
-    controller.Finish(latency);
-  };
-
-  EXPECT_FALSE(controller.degraded());
-  finish_with(0.2);  // above SLO -> degrade
-  EXPECT_TRUE(controller.degraded());
-  EXPECT_EQ(controller.GetStats().degraded_entered, 1u);
-
-  // Hysteresis: between recover (0.05) and SLO (0.1) nothing changes in
-  // either direction.
-  finish_with(0.07);
-  EXPECT_TRUE(controller.degraded());
-  finish_with(0.04);  // below recover threshold -> exit
-  EXPECT_FALSE(controller.degraded());
-  EXPECT_EQ(controller.GetStats().degraded_exited, 1u);
-  finish_with(0.07);  // back in the dead zone: still healthy
-  EXPECT_FALSE(controller.degraded());
-
-  AdmissionController::Stats stats = controller.GetStats();
-  EXPECT_EQ(stats.degraded_entered, 1u);
-  EXPECT_EQ(stats.degraded_exited, 1u);
-}
-
-TEST(AdmissionControllerTest, ZeroSloNeverDegrades) {
-  AdmissionController controller(SmallOptions());  // slo_seconds == 0
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(controller.TryAdmit().ok());
-    controller.Finish(1000.0);
-  }
-  EXPECT_FALSE(controller.degraded());
-  EXPECT_EQ(controller.EwmaLatencySeconds(), 0.0);
 }
 
 }  // namespace

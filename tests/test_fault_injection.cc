@@ -196,18 +196,6 @@ TEST(FaultPipelineTest, NanClusterIsolatedInSplitMerge) {
   EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
 }
 
-TEST(FaultPipelineTest, QuarantineDisabledFailsTheBatch) {
-  WeightedDigraph g = MakeTwoComponentGraph();
-  OptimizerOptions options = TwoClusterOptions();
-  options.quarantine_failed_clusters = false;
-  KgOptimizer optimizer(&g, options);
-  ScopedFault fault(FaultSite::kNanGradient,
-                    {.probability = 1.0, .max_fires = 1});
-  Result<OptimizeReport> report = optimizer.SplitMergeSolve(
-      {MakeComponentVote(0, 3, 4, 1), MakeComponentVote(5, 8, 9, 2)});
-  EXPECT_FALSE(report.ok());
-}
-
 TEST(FaultPipelineTest, TaskDeathQuarantinesItsCluster) {
   WeightedDigraph g = MakeTwoComponentGraph();
   KgOptimizer optimizer(&g, TwoClusterOptions());
@@ -302,24 +290,6 @@ TEST(FaultPipelineTest, CorruptedUpdateRollsBackServingSnapshot) {
   for (graph::EdgeId e = 0; e < online.graph().NumEdges(); ++e) {
     EXPECT_TRUE(std::isfinite(online.graph().Weight(e))) << e;
   }
-}
-
-TEST(FaultPipelineTest, ValidatorDisabledLetsCorruptionThrough) {
-  // Control for the rollback test: with validation off the poisoned weight
-  // reaches the graph, which is exactly what the validator prevents.
-  WeightedDigraph g = MakeTwoComponentGraph();
-  OnlineOptimizerOptions options;
-  options.batch_size = 10;
-  options.strategy = FlushStrategy::kMultiVote;
-  options.optimizer.encoder.symbolic.eipd.max_length = 4;
-  options.optimizer.apply_judgment_filter = false;
-  options.validate_updates = false;
-  OnlineKgOptimizer online(g, options);
-  ASSERT_TRUE(online.AddVote(MakeComponentVote(0, 3, 4, 1)).ok());
-  ScopedFault fault(FaultSite::kGraphCorruption,
-                    {.probability = 1.0, .max_fires = 1});
-  ASSERT_TRUE(online.Flush().ok());
-  EXPECT_TRUE(std::isnan(online.graph().Weight(0)));
 }
 
 }  // namespace

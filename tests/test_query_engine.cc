@@ -632,59 +632,5 @@ TEST(QueryEngineTest, FullAdmissionWindowShedsWithResourceExhausted) {
   ASSERT_TRUE(after.ok()) << after.status();
 }
 
-TEST(QueryEngineTest, DegradedModeServesValidShorterWalksAndNeverCaches) {
-  WeightedDigraph g = MakeFixture();
-  OnlineKgOptimizer online(g, SmallOnlineOptions());
-  QueryEngineOptions options = SmallEngineOptions();
-  options.num_threads = 1;
-  options.admission.slo_seconds = 1e-9;  // any real latency breaches it
-  options.admission.ewma_alpha = 1.0;
-  options.admission.degraded_max_length = 2;
-  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
-  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
-  QueryEngine& engine = **engine_or;
-
-  // The first query is served healthy (no latency sample yet) at full
-  // depth and cached; its Finish pushes the EWMA over the SLO.
-  const ppr::QuerySeed seed_a = ppr::QuerySeed::UniformOver({0});
-  StatusOr<RankedAnswers> first = engine.Submit(seed_a);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->degraded);
-  ASSERT_TRUE(engine.Degraded());
-  EXPECT_GE(engine.AdmissionStats().degraded_entered, 1u);
-
-  // A degraded miss is served at degraded_max_length: still a valid
-  // ranking, bitwise identical to a cold walk of that shorter depth.
-  const ppr::QuerySeed seed_b = ppr::QuerySeed::UniformOver({1});
-  StatusOr<RankedAnswers> degraded = engine.Submit(seed_b);
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_TRUE(degraded->degraded);
-  EXPECT_FALSE(degraded->from_cache);
-  ppr::EipdOptions short_walk = options.eipd;
-  short_walk.max_length = options.admission.degraded_max_length;
-  ppr::EipdEngine cold(online.CurrentEpoch().view(), short_walk);
-  StatusOr<std::vector<ppr::ScoredAnswer>> reference =
-      cold.Rank(seed_b, Candidates(), options.top_k);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ExpectIdenticalAnswers(*reference, degraded->answers);
-
-  // Degraded rankings are never cached: re-asking recomputes (no hit),
-  // because a shallow ranking must not masquerade as the full-depth one.
-  StatusOr<RankedAnswers> again = engine.Submit(seed_b);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_FALSE(again->from_cache);
-  EXPECT_TRUE(again->degraded);
-
-  // Entries cached BEFORE degradation still serve (at full depth).
-  StatusOr<RankedAnswers> cached = engine.Submit(seed_a);
-  ASSERT_TRUE(cached.ok()) << cached.status();
-  EXPECT_TRUE(cached->from_cache);
-  EXPECT_FALSE(cached->degraded);
-  ExpectIdenticalAnswers(first->answers, cached->answers);
-
-  QueryEngine::ServeStats stats = engine.GetServeStats();
-  EXPECT_GE(stats.degraded, 2u);
-}
-
 }  // namespace
 }  // namespace kgov::serve

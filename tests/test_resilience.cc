@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/fault_injection.h"
-#include "common/timer.h"
 #include "graph/graph.h"
 #include "math/sgp_problem.h"
 
@@ -78,20 +77,6 @@ TEST(ResilientSolverTest, ExhaustedStillReturnsFinitePoint) {
   for (double v : outcome.solution.x) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(ResilientSolverTest, StrictModeReturnsUntouchedInitialOnExhaustion) {
-  ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
-  RetryOptions retry;
-  retry.max_attempts = 2;
-  retry.accept_best_effort = false;
-  ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  SgpProblem problem = MakeSwapProblem();
-  ResilientSolveOutcome outcome = solver.Solve(problem);
-  EXPECT_TRUE(outcome.exhausted);
-  EXPECT_EQ(outcome.solution.x, problem.initial());
-  EXPECT_EQ(outcome.solution.satisfied_constraints, 0);
-  EXPECT_FALSE(outcome.solution.status.ok());
-}
-
 TEST(ResilientSolverTest, NonRetryableErrorStopsImmediately) {
   SgpProblem problem;
   problem.AddVariable(0.5, 0.0, 1.0);
@@ -122,19 +107,6 @@ TEST(ResilientSolverTest, RetriesAreDeterministicUnderFixedSeed) {
   ASSERT_EQ(b.attempts.size(), 2u);
   EXPECT_EQ(a.solution.x, b.solution.x);  // bitwise-identical replay
   EXPECT_EQ(a.solution.status.code(), b.solution.status.code());
-}
-
-TEST(ResilientSolverTest, BackoffDelaysRetries) {
-  ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.initial_backoff_seconds = 0.01;
-  retry.backoff_multiplier = 1.0;
-  ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  Timer timer;
-  ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
-  EXPECT_TRUE(outcome.exhausted);
-  EXPECT_GE(timer.ElapsedSeconds(), 0.02);  // two backoff sleeps
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +153,6 @@ TEST(GraphValidatorTest, RejectsBrokenNormalization) {
   Status status = ValidateGraphUpdate(before, after, options);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("normalization"), std::string::npos);
-  options.check_substochastic = false;
-  EXPECT_TRUE(ValidateGraphUpdate(before, after, options).ok());
 }
 
 TEST(GraphValidatorTest, RejectsEdgeDrift) {

@@ -258,8 +258,8 @@ TEST(SchedExplorer, SingleFlightExactlyOnePropagationAcrossEpochSwap) {
   };
   auto factory = [] {
     auto st = std::make_shared<State>();
-    const std::string old_key = serve::EncodeFlightKey("seed", 7, false);
-    const std::string new_key = serve::EncodeFlightKey("seed", 8, false);
+    const std::string old_key = serve::EncodeFlightKey("seed", 7);
+    const std::string new_key = serve::EncodeFlightKey("seed", 8);
 
     auto miss = [st](const std::string& key, std::atomic<int>* propagations) {
       serve::SingleFlightGroup::JoinOutcome outcome = st->group.JoinOrLead(key);
@@ -363,12 +363,11 @@ TEST(SchedExplorer, IngestQueueAckEqualsLoggedUnderShed) {
     auto st = std::make_shared<State>();
     stream::VoteIngestQueueOptions options;
     options.capacity = 1;  // the second concurrent producer sheds
-    options.block_when_full = false;
     st->queue = std::make_unique<stream::VoteIngestQueue>(options, &st->log,
                                                           nullptr);
 
     auto produce = [st](uint32_t id) {
-      Status status = st->queue->Offer(TestVote(id));
+      Status status = st->queue->TryOffer(TestVote(id));
       if (status.ok()) {
         st->acked.fetch_add(1);
       } else if (status.code() == StatusCode::kResourceExhausted) {

@@ -60,15 +60,6 @@ TEST(SgpProblemTest, ValidatePassesOnWellFormed) {
   EXPECT_TRUE(MakeSwapProblem().Validate().ok());
 }
 
-TEST(SgpProblemTest, ExcludeFromProximal) {
-  SgpProblem problem;
-  problem.AddVariable(0.5, 0.0, 1.0);
-  problem.AddVariable(0.5, 0.0, 1.0);
-  problem.ExcludeFromProximal(1);
-  EXPECT_TRUE(problem.proximal_mask()[0]);
-  EXPECT_FALSE(problem.proximal_mask()[1]);
-}
-
 TEST(SgpSolverTest, HardConstraintsEnforceInequality) {
   SgpSolverOptions options;
   options.formulation = SgpFormulation::kHardConstraints;

@@ -119,18 +119,17 @@ TEST(SingleFlightTest, ResolvedKeyStartsAFreshFlight) {
 }
 
 TEST(SingleFlightTest, FlightKeySeparatesEpochsAndDegradedMode) {
-  const std::string key = EncodeFlightKey("seed-bytes", 7, false);
-  EXPECT_NE(key, EncodeFlightKey("seed-bytes", 8, false));
-  EXPECT_NE(key, EncodeFlightKey("seed-bytes", 7, true));
-  EXPECT_NE(key, EncodeFlightKey("seed-byteX", 7, false));
-  EXPECT_EQ(key, EncodeFlightKey("seed-bytes", 7, false));
+  const std::string key = EncodeFlightKey("seed-bytes", 7);
+  EXPECT_NE(key, EncodeFlightKey("seed-bytes", 8));
+  EXPECT_NE(key, EncodeFlightKey("seed-byteX", 7));
+  EXPECT_EQ(key, EncodeFlightKey("seed-bytes", 7));
 
   // Different epochs really are different flights.
   SingleFlightGroup group;
   SingleFlightGroup::JoinOutcome e7 =
-      group.JoinOrLead(EncodeFlightKey("s", 7, false));
+      group.JoinOrLead(EncodeFlightKey("s", 7));
   SingleFlightGroup::JoinOutcome e8 =
-      group.JoinOrLead(EncodeFlightKey("s", 8, false));
+      group.JoinOrLead(EncodeFlightKey("s", 8));
   EXPECT_NE(e7.token, nullptr);
   EXPECT_NE(e8.token, nullptr);
   e7.token->Complete(Status::OK(), {});

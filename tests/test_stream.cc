@@ -111,15 +111,6 @@ TEST(VoteIngestQueueTest, TryOfferShedsWhenQueueFull) {
   EXPECT_EQ(queue.GetStats().rejected_queue_full, 1u);
 }
 
-TEST(VoteIngestQueueTest, NonBlockingOfferShedsWhenFull) {
-  VoteIngestQueueOptions options;
-  options.capacity = 1;
-  options.block_when_full = false;
-  VoteIngestQueue queue(options, nullptr, nullptr);
-  ASSERT_TRUE(queue.Offer(MakeVote(4, 0)).ok());
-  EXPECT_TRUE(queue.Offer(MakeVote(4, 1)).IsResourceExhausted());
-}
-
 TEST(VoteIngestQueueTest, OfferBlocksUntilConsumerDrains) {
   VoteIngestQueueOptions options;
   options.capacity = 1;

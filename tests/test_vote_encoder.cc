@@ -141,7 +141,6 @@ TEST(VoteEncoderTest, BatchCombinesVotes) {
   // Each vote contributes k-1 = 1 constraint.
   EXPECT_EQ(program->problem.constraints().size(), 2u);
   EXPECT_EQ(program->encoded_vote_ids, (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(program->vote_edges.size(), 2u);
 }
 
 TEST(VoteEncoderTest, BatchSkipsMalformedVotes) {
