@@ -62,7 +62,6 @@ int Run() {
   for (const Case& c : cases) {
     core::OptimizerOptions options;
     options.encoder.symbolic.eipd.max_length = 4;
-    options.encoder.symbolic.min_path_mass = 1e-8;
     options.encoder.is_variable = workload->EntityEdgePredicate();
     options.sgp.formulation = c.formulation;
     options.apply_judgment_filter = c.filter;

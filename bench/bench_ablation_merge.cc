@@ -47,7 +47,6 @@ int Run() {
                     cluster::MergeRule::kWeightedAverage}) {
     core::OptimizerOptions options;
     options.encoder.symbolic.eipd.max_length = 4;
-    options.encoder.symbolic.min_path_mass = 1e-8;
     options.encoder.is_variable = workload->EntityEdgePredicate();
     options.merge_rule = rule;
 

@@ -48,7 +48,6 @@ int Run() {
                       math::InnerSolverKind::kLbfgs}) {
       core::OptimizerOptions options;
       options.encoder.symbolic.eipd.max_length = 4;
-      options.encoder.symbolic.min_path_mass = 1e-8;
       options.encoder.is_variable = workload->EntityEdgePredicate();
       options.sgp.inner_solver = kind;
 

@@ -69,7 +69,6 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
 
   core::OptimizerOptions options;
   options.encoder.symbolic.eipd.max_length = 5;
-  options.encoder.symbolic.min_path_mass = 1e-8;
   options.encoder.is_variable = workload->EntityEdgePredicate();
   options.apply_judgment_filter = true;
   // Paper-faithful settings: Algorithm 1 verbatim for single-vote, and the

@@ -111,7 +111,6 @@ int Run() {
     for (PerGraph& pg : prepared) {
       core::OptimizerOptions options;
       options.encoder.symbolic.eipd.max_length = l;
-      options.encoder.symbolic.min_path_mass = 1e-8;
       options.encoder.is_variable = pg.workload.EntityEdgePredicate();
       core::KgOptimizer optimizer(&pg.workload.graph, options);
       Timer timer;

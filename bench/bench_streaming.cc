@@ -129,7 +129,6 @@ core::OnlineOptimizerOptions StreamingOptions(const Workload& w) {
   options.batch_size = 1 << 20;  // the pipeline owns the flush cadence
   options.strategy = core::FlushStrategy::kMultiVote;
   options.optimizer.encoder.symbolic.eipd.max_length = 4;
-  options.optimizer.encoder.symbolic.min_path_mass = 1e-8;
   options.optimizer.encoder.is_variable =
       [ne = w.num_entities](const graph::WeightedDigraph& g,
                             graph::EdgeId e) {

@@ -12,6 +12,7 @@
 // a sum over answers. EIPD is timed in full.
 
 #include <cstdio>
+#include <unordered_set>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"

@@ -95,7 +95,6 @@ inline Result<TaobaoEnvironment> MakeTaobaoEnvironment(double scale,
   out.env = std::move(env).value();
 
   out.optimizer_options.encoder.symbolic.eipd = out.sim_params.qa.eipd;
-  out.optimizer_options.encoder.symbolic.min_path_mass = 1e-8;
   out.optimizer_options.encoder.is_variable =
       out.env.deployed.EntityEdgePredicate();
   out.optimizer_options.sgp.lambda1 = 1.0;

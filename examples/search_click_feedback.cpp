@@ -55,7 +55,6 @@ int main() {
 
   core::OptimizerOptions options;
   options.encoder.symbolic.eipd.max_length = 5;
-  options.encoder.symbolic.min_path_mass = 1e-8;
   options.encoder.is_variable = workload->EntityEdgePredicate();
 
   ppr::EipdOptions eipd = options.encoder.symbolic.eipd;

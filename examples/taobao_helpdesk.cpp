@@ -80,7 +80,6 @@ int main() {
 
   core::OptimizerOptions options;
   options.encoder.symbolic.eipd = sim.qa.eipd;
-  options.encoder.symbolic.min_path_mass = 1e-8;
   options.encoder.is_variable = env->deployed.EntityEdgePredicate();
   core::KgOptimizer optimizer(&env->deployed.graph, options);
   Result<core::OptimizeReport> report = optimizer.MultiVoteSolve(env->votes);

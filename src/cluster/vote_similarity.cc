@@ -2,14 +2,21 @@
 
 namespace kgov::cluster {
 
-double JaccardSimilarity(const std::unordered_set<graph::EdgeId>& a,
-                         const std::unordered_set<graph::EdgeId>& b) {
+double JaccardSimilarity(const EdgeSet& a, const EdgeSet& b) {
   if (a.empty() && b.empty()) return 0.0;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
   size_t intersection = 0;
-  for (graph::EdgeId e : small) {
-    if (large.count(e) > 0) ++intersection;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      ++intersection;
+      ++ia;
+      ++ib;
+    }
   }
   size_t union_size = a.size() + b.size() - intersection;
   return static_cast<double>(intersection) /
@@ -17,7 +24,7 @@ double JaccardSimilarity(const std::unordered_set<graph::EdgeId>& a,
 }
 
 std::vector<std::vector<double>> VoteSimilarityMatrix(
-    const std::vector<std::unordered_set<graph::EdgeId>>& vote_edges) {
+    const std::vector<EdgeSet>& vote_edges) {
   const size_t n = vote_edges.size();
   std::vector<std::vector<double>> sim(n, std::vector<double>(n, 0.0));
   for (size_t i = 0; i < n; ++i) {

@@ -5,21 +5,24 @@
 #ifndef KGOV_CLUSTER_VOTE_SIMILARITY_H_
 #define KGOV_CLUSTER_VOTE_SIMILARITY_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace kgov::cluster {
 
-/// Jaccard similarity |a n b| / |a u b|; 0 when both sets are empty.
-double JaccardSimilarity(const std::unordered_set<graph::EdgeId>& a,
-                         const std::unordered_set<graph::EdgeId>& b);
+/// An edge set as a sorted vector of unique edge ids (what
+/// votes::VoteEdgeSets returns).
+using EdgeSet = std::vector<graph::EdgeId>;
+
+/// Jaccard similarity |a n b| / |a u b| of two sorted edge sets; 0 when
+/// both are empty.
+double JaccardSimilarity(const EdgeSet& a, const EdgeSet& b);
 
 /// Dense symmetric similarity matrix over votes' associated edge sets
 /// (diagonal = 1).
 std::vector<std::vector<double>> VoteSimilarityMatrix(
-    const std::vector<std::unordered_set<graph::EdgeId>>& vote_edges);
+    const std::vector<EdgeSet>& vote_edges);
 
 }  // namespace kgov::cluster
 

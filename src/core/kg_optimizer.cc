@@ -82,15 +82,20 @@ void RecordDeltas(const ppr::EdgeVariableMap& vars,
 // flush. Normalization-per-touched-node is inductively equivalent: the
 // initial graph arrives normalized, and a node's sum only drifts when one
 // of its out-edges is updated - exactly when it is renormalized here.
+// When `snapshot` is non-null (a CSR of `g` kept across rounds), the
+// renormalized nodes are re-read into it.
 void NormalizeTouchedSources(
     const std::unordered_map<graph::EdgeId, double>& changes,
-    graph::WeightedDigraph* g) {
+    graph::WeightedDigraph* g, graph::CsrSnapshot* snapshot = nullptr) {
   std::unordered_set<graph::NodeId> sources;
   sources.reserve(changes.size());
   for (const auto& [edge, delta] : changes) {
     sources.insert(g->edges()[edge].from);
   }
-  for (graph::NodeId node : sources) g->NormalizeOutWeights(node);
+  for (graph::NodeId node : sources) {
+    g->NormalizeOutWeights(node);
+    if (snapshot != nullptr) snapshot->RefreshOutWeights(*g, node);
+  }
 }
 
 }  // namespace
@@ -136,7 +141,7 @@ KgOptimizer::KgOptimizer(const graph::WeightedDigraph* graph,
 
 std::vector<votes::Vote> KgOptimizer::Filter(
     const std::vector<votes::Vote>& votes,
-    const graph::WeightedDigraph& graph) const {
+    graph::GraphView view) const {
   if (!options_.apply_judgment_filter) {
     std::vector<votes::Vote> kept;
     kept.reserve(votes.size());
@@ -146,9 +151,9 @@ std::vector<votes::Vote> KgOptimizer::Filter(
     return kept;
   }
   votes::JudgmentOptions judgment;
-  judgment.symbolic = options_.encoder.symbolic;
+  judgment.eipd = options_.encoder.symbolic.eipd;
   judgment.is_variable = options_.encoder.is_variable;
-  votes::JudgmentFilter filter(&graph, std::move(judgment));
+  votes::JudgmentFilter filter(graph_, view, std::move(judgment));
   return filter.FilterVotes(votes);
 }
 
@@ -164,7 +169,13 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
   sgp.formulation = math::SgpFormulation::kHardConstraints;
   math::SgpSolver solver(sgp);
 
+  // One CSR of the working graph for every vote and refine round: each
+  // round re-reads the nodes it renormalized.
   Timer timer;
+  graph::CsrSnapshot snapshot(current);
+  report.encode_seconds += timer.ElapsedSeconds();
+  const ppr::EipdEngine evaluator(snapshot.View(),
+                                  options_.encoder.symbolic.eipd);
   const int rounds = std::max(1, options_.single_vote_refine_rounds);
   for (const votes::Vote& vote : votes) {
     if (!vote.IsWellFormed() || vote.IsPositive()) continue;
@@ -175,8 +186,8 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
       // Encode against the *current* graph: the greedy algorithm folds
       // each vote's result into the graph before the next (Alg. 1), and
       // refinement rounds see the effect of normalization.
-      votes::VoteEncoder encoder(&current, options_.encoder);
-      Result<votes::EncodedProgram> encoded = encoder.EncodeSingle(vote);
+      Result<votes::EncodedProgram> encoded = votes::EncodeVoteProgram(
+          current, snapshot.View(), options_.encoder, {vote});
       report.encode_seconds += timer.ElapsedSeconds();
       if (!encoded.ok()) {
         KGOV_LOG(DEBUG) << "vote " << vote.id
@@ -196,19 +207,14 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
         report.weight_changes[edge] += delta;
       }
       program.variables.ApplyValues(solution.x, &current);
-      NormalizeTouchedSources(round_changes, &current);
+      NormalizeTouchedSources(round_changes, &current, &snapshot);
       if (!encoded_any) {
         report.constraints_total += solution.total_constraints;
         ++report.votes_encoded;
         encoded_any = true;
       }
 
-      // Refinement check: is the voted best answer ranked first now? The
-      // engine wants a frozen view; one CSR build per refine round is
-      // noise next to the SGP solve that preceded it.
-      graph::CsrSnapshot refine_snapshot(current);
-      ppr::EipdEngine evaluator(refine_snapshot.View(),
-                                options_.encoder.symbolic.eipd);
+      // Refinement check: is the voted best answer ranked first now?
       StatusOr<std::vector<ppr::ScoredAnswer>> reranked_or = evaluator.Rank(
           vote.query, vote.answer_list, vote.answer_list.size());
       std::vector<ppr::ScoredAnswer> reranked =
@@ -234,15 +240,17 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
   report.votes_in = votes.size();
   report.optimized = *graph_;
 
+  // One CSR of the graph for the filter and the program.
   Timer timer;
-  std::vector<votes::Vote> filtered = Filter(votes, *graph_);
+  const graph::CsrSnapshot snapshot(*graph_);
+  std::vector<votes::Vote> filtered = Filter(votes, snapshot.View());
   report.votes_after_filter = filtered.size();
   if (filtered.empty()) {
     return Status::InvalidArgument("no votes survive filtering");
   }
 
-  votes::VoteEncoder encoder(graph_, options_.encoder);
-  Result<votes::EncodedProgram> encoded = encoder.EncodeBatch(filtered);
+  Result<votes::EncodedProgram> encoded = votes::EncodeVoteProgram(
+      *graph_, snapshot.View(), options_.encoder, filtered);
   KGOV_RETURN_IF_ERROR(encoded.status());
   votes::EncodedProgram& program = encoded.value();
   report.votes_encoded = program.encoded_vote_ids.size();
@@ -287,22 +295,22 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   report.votes_in = votes.size();
   report.optimized = *graph_;
 
+  // One frozen CSR of the graph, shared (read-only) by the filter, the
+  // split, every cluster's program and every cluster's verification, which
+  // builds a zero-copy induced sub-view over it.
   Timer timer;
-  std::vector<votes::Vote> filtered = Filter(votes, *graph_);
+  const graph::CsrSnapshot parent_snapshot(*graph_);
+  const graph::GraphView parent_view = parent_snapshot.View();
+  std::vector<votes::Vote> filtered = Filter(votes, parent_view);
   report.votes_after_filter = filtered.size();
   if (filtered.empty()) {
     return Status::InvalidArgument("no votes survive filtering");
   }
 
   // Split: edge sets per vote -> similarity matrix -> affinity propagation.
-  votes::VoteEncoder encoder(graph_, options_.encoder);
-  std::vector<std::unordered_set<graph::EdgeId>> vote_edges;
-  vote_edges.reserve(filtered.size());
-  for (const votes::Vote& vote : filtered) {
-    vote_edges.push_back(encoder.AssociatedEdges(vote));
-  }
-  std::vector<std::vector<double>> similarity =
-      cluster::VoteSimilarityMatrix(vote_edges);
+  std::vector<std::vector<double>> similarity = cluster::VoteSimilarityMatrix(
+      votes::VoteEdgeSets(parent_view, options_.encoder.symbolic.eipd,
+                          filtered));
   Result<cluster::ApResult> clustering =
       cluster::AffinityPropagation(similarity, options_.ap);
   KGOV_RETURN_IF_ERROR(clustering.status());
@@ -316,12 +324,6 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   report.encode_seconds = timer.ElapsedSeconds();
   metrics.split_span->Observe(report.encode_seconds);
   metrics.clusters->Increment(num_clusters);
-
-  // Frozen parent CSR shared (read-only) by all cluster tasks: each
-  // verification builds a zero-copy induced sub-view over it instead of
-  // materializing a per-cluster WeightedDigraph.
-  const graph::CsrSnapshot parent_snapshot(*graph_);
-  const graph::GraphView parent_view = parent_snapshot.View();
 
   // Solve one multi-vote SGP per cluster (clusters are independent by
   // construction, so they may run in parallel). A cluster whose solve
@@ -355,9 +357,8 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     Timer cluster_timer;
     // Injection point for stalled cluster solves (deadline testing).
     MaybeInjectStall(FaultSite::kSlowSolve);
-    votes::VoteEncoder cluster_encoder(graph_, options_.encoder);
-    Result<votes::EncodedProgram> encoded =
-        cluster_encoder.EncodeBatch(groups[c]);
+    Result<votes::EncodedProgram> encoded = votes::EncodeVoteProgram(
+        *graph_, parent_view, options_.encoder, groups[c]);
     if (!encoded.ok()) {
       metrics.cluster_span->Observe(cluster_timer.ElapsedSeconds());
       MutexLock lock(report_mu);

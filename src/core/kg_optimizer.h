@@ -40,7 +40,7 @@
 #include "math/sgp_solver.h"
 #include "votes/judgment.h"
 #include "votes/vote.h"
-#include "votes/vote_encoder.h"
+#include "votes/vote_program.h"
 
 namespace kgov::core {
 
@@ -53,7 +53,7 @@ struct OptimizerOptions {
   /// the formulation set here.
   math::SgpSolverOptions sgp;
   /// Run the judgment filter before multi-vote encoding (SV). The filter
-  /// inherits the encoder's symbolic settings and variable set.
+  /// inherits the encoder's walk settings and variable set.
   bool apply_judgment_filter = true;
   /// Single-vote refinement: the hard-constraint solution sits exactly on
   /// the feasibility boundary, and the subsequent normalization can cancel
@@ -152,8 +152,9 @@ class KgOptimizer {
                                         ThreadPool* pool) const;
 
   /// Applies judgment filtering when enabled; returns surviving votes.
+  /// `view` shows graph_'s current weights.
   std::vector<votes::Vote> Filter(const std::vector<votes::Vote>& votes,
-                                  const graph::WeightedDigraph& graph) const;
+                                  graph::GraphView view) const;
 
   const graph::WeightedDigraph* graph_;
   OptimizerOptions options_;

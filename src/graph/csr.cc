@@ -1,5 +1,7 @@
 #include "graph/csr.h"
 
+#include "common/contracts.h"
+
 namespace kgov::graph {
 
 CsrSnapshot::CsrSnapshot(const WeightedDigraph& graph) {
@@ -23,6 +25,16 @@ double CsrSnapshot::OutWeightSum(NodeId node) const {
     sum += it->weight;
   }
   return sum;
+}
+
+void CsrSnapshot::RefreshOutWeights(const WeightedDigraph& graph,
+                                    NodeId node) {
+  const std::vector<OutEdge>& out = graph.OutEdges(node);
+  KGOV_DCHECK(out.size() == OutDegree(node));
+  Neighbor* slots = neighbors_.data() + offsets_[node];
+  for (size_t i = 0; i < out.size(); ++i) {
+    slots[i].weight = graph.Weight(out[i].edge);
+  }
 }
 
 }  // namespace kgov::graph

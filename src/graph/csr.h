@@ -21,7 +21,9 @@
 
 namespace kgov::graph {
 
-/// Frozen graph storage. Cheap to move, immutable after construction.
+/// Frozen graph storage. Cheap to move, immutable after construction except
+/// through RefreshOutWeights, which only a snapshot's sole owner may call
+/// (views over it must not be in use elsewhere).
 class CsrSnapshot {
  public:
   /// A single out-neighbor entry (same layout the GraphView iterates).
@@ -54,6 +56,10 @@ class CsrSnapshot {
 
   /// Sum of outgoing weights of `node`.
   double OutWeightSum(NodeId node) const;
+
+  /// Re-reads the out-weights of `node` from `graph`, the graph this
+  /// snapshot was built from (same topology, weights since changed).
+  void RefreshOutWeights(const WeightedDigraph& graph, NodeId node);
 
   /// The non-owning read view over this snapshot, including the edge-id
   /// table (view.HasEdgeIds() is true). Valid while the snapshot lives.

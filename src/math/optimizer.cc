@@ -452,15 +452,53 @@ double AugmentedLagrangianSolver::MaxViolation(
   return std::max(worst, 0.0);
 }
 
+namespace {
+
+// One scalar DifferentiableFunction per constraint, as a ConstraintSet.
+class FunctionConstraints final : public ConstraintSet {
+ public:
+  explicit FunctionConstraints(
+      const std::vector<const DifferentiableFunction*>& functions)
+      : functions_(functions) {}
+
+  size_t size() const override { return functions_.size(); }
+
+  void Evaluate(const std::vector<double>& x, std::vector<double>* values,
+                const Cotangent* cotangent,
+                std::vector<double>* grad) const override {
+    values->resize(functions_.size());
+    std::vector<double> g_grad;
+    for (size_t i = 0; i < functions_.size(); ++i) {
+      (*values)[i] = functions_[i]->Evaluate(x, grad ? &g_grad : nullptr);
+      if (grad == nullptr) continue;
+      const double weight = (*cotangent)(i, (*values)[i]);
+      if (weight == 0.0) continue;
+      KGOV_DCHECK(g_grad.size() == x.size());
+      Axpy(weight, g_grad, grad);
+    }
+  }
+
+ private:
+  const std::vector<const DifferentiableFunction*>& functions_;
+};
+
+}  // namespace
+
 SolveResult AugmentedLagrangianSolver::Minimize(
     const DifferentiableFunction& objective,
     const std::vector<const DifferentiableFunction*>& constraints,
+    const std::vector<double>& x0, const BoxBounds& bounds) const {
+  return Minimize(objective, FunctionConstraints(constraints), x0, bounds);
+}
+
+SolveResult AugmentedLagrangianSolver::Minimize(
+    const DifferentiableFunction& objective, const ConstraintSet& constraints,
     const std::vector<double>& x0, const BoxBounds& bounds) const {
   Timer timer;
   std::vector<double> x = x0;
   bounds.Project(&x);
 
-  if (constraints.empty()) {
+  if (constraints.size() == 0) {
     SolveOptions inner_options = options_.inner;
     if (options_.deadline_seconds > 0.0) {
       inner_options.deadline_seconds =
@@ -476,6 +514,7 @@ SolveResult AugmentedLagrangianSolver::Minimize(
   std::vector<double> lambda(constraints.size(), 0.0);
   double mu = options_.initial_penalty;
   double previous_violation = std::numeric_limits<double>::infinity();
+  std::vector<double> g;
 
   SolveResult last_inner;
   int total_inner_iterations = 0;
@@ -491,20 +530,20 @@ SolveResult AugmentedLagrangianSolver::Minimize(
         break;
       }
     }
-    // PHR augmented Lagrangian for inequality constraints.
+    // PHR augmented Lagrangian for inequality constraints: constraint i
+    // adds max(0, lambda_i + mu g_i) * grad g_i to the gradient, so that
+    // clamped shift is its VJP weight.
+    const ConstraintSet::Cotangent shift = [&](size_t i, double gi) {
+      return std::max(0.0, lambda[i] + mu * gi);
+    };
     CallbackFunction auglag([&](const std::vector<double>& point,
                                 std::vector<double>* grad) {
       double value = objective.Evaluate(point, grad);
-      std::vector<double> g_grad;
-      for (size_t i = 0; i < constraints.size(); ++i) {
-        double gi = constraints[i]->Evaluate(point, grad ? &g_grad : nullptr);
-        double shifted = lambda[i] + mu * gi;
+      constraints.Evaluate(point, &g, grad ? &shift : nullptr, grad);
+      for (size_t i = 0; i < g.size(); ++i) {
+        double shifted = lambda[i] + mu * g[i];
         if (shifted > 0.0) {
           value += (shifted * shifted - lambda[i] * lambda[i]) / (2.0 * mu);
-          if (grad) {
-            KGOV_DCHECK(g_grad.size() == point.size());
-            Axpy(shifted, g_grad, grad);
-          }
         } else {
           value -= lambda[i] * lambda[i] / (2.0 * mu);
         }
@@ -535,10 +574,10 @@ SolveResult AugmentedLagrangianSolver::Minimize(
 
     // Multiplier update and violation bookkeeping.
     double violation = 0.0;
-    for (size_t i = 0; i < constraints.size(); ++i) {
-      double gi = constraints[i]->Evaluate(x, nullptr);
-      lambda[i] = std::max(0.0, lambda[i] + mu * gi);
-      violation = std::max(violation, std::max(gi, 0.0));
+    constraints.Evaluate(x, &g, nullptr, nullptr);
+    for (size_t i = 0; i < g.size(); ++i) {
+      lambda[i] = std::max(0.0, lambda[i] + mu * g[i]);
+      violation = std::max(violation, std::max(g[i], 0.0));
     }
 
     if (violation <= options_.feasibility_tolerance) {
@@ -566,7 +605,9 @@ SolveResult AugmentedLagrangianSolver::Minimize(
     result.status = guard;
     return result;
   }
-  double final_violation = MaxViolation(constraints, result.x);
+  constraints.Evaluate(result.x, &g, nullptr, nullptr);
+  double final_violation = 0.0;
+  for (double gi : g) final_violation = std::max(final_violation, gi);
   result.status = Status::Infeasible(
       "augmented Lagrangian could not reach feasibility; max violation " +
       std::to_string(final_violation));

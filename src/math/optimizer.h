@@ -53,6 +53,31 @@ class CallbackFunction : public DifferentiableFunction {
   Fn fn_;
 };
 
+/// A vector of constraint functions g(x) = (g_0(x), ..., g_{m-1}(x)),
+/// evaluated together: one call returns every value and, on request, one
+/// vector-Jacobian product (VJP). Implementations whose constraints share
+/// work (the vote program's per-vote propagations) do it once per call.
+class ConstraintSet {
+ public:
+  /// The VJP weight of constraint i given its value g_i(x). Callers'
+  /// outer functions (sigmoid penalties, augmented-Lagrangian terms) act
+  /// on each constraint separately, so the weight needs only g_i.
+  using Cotangent = std::function<double(size_t i, double value)>;
+
+  virtual ~ConstraintSet() = default;
+
+  /// Number of constraints m.
+  virtual size_t size() const = 0;
+
+  /// Writes g_i(x) into (*values)[i] (resized to size()). When `grad` is
+  /// non-null, also adds sum_i cotangent(i, g_i(x)) * grad g_i(x) to
+  /// *grad, which has x.size() entries; `cotangent` must then be non-null.
+  virtual void Evaluate(const std::vector<double>& x,
+                        std::vector<double>* values,
+                        const Cotangent* cotangent,
+                        std::vector<double>* grad) const = 0;
+};
+
 /// Elementwise box x_l <= x <= x_u. Empty vectors mean unbounded.
 struct BoxBounds {
   std::vector<double> lower;
@@ -175,7 +200,14 @@ class AugmentedLagrangianSolver {
   explicit AugmentedLagrangianSolver(AugLagOptions options = {})
       : options_(options) {}
 
-  /// `constraints` are viewed, not owned; they must outlive the call.
+  /// Minimizes subject to every g_i(x) <= 0 of `constraints`.
+  SolveResult Minimize(const DifferentiableFunction& objective,
+                       const ConstraintSet& constraints,
+                       const std::vector<double>& x0,
+                       const BoxBounds& bounds) const;
+
+  /// The same, one scalar function per constraint. `constraints` are
+  /// viewed, not owned; they must outlive the call.
   SolveResult Minimize(
       const DifferentiableFunction& objective,
       const std::vector<const DifferentiableFunction*>& constraints,

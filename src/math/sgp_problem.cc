@@ -1,8 +1,32 @@
 #include "math/sgp_problem.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace kgov::math {
+
+size_t SignomialConstraints::num_variables() const {
+  int64_t max_var = -1;
+  for (const SgpConstraint& c : constraints_) {
+    max_var = std::max(max_var, c.g.MaxVarId());
+  }
+  return static_cast<size_t>(max_var + 1);
+}
+
+void SignomialConstraints::Evaluate(const std::vector<double>& x,
+                                    std::vector<double>* values,
+                                    const Cotangent* cotangent,
+                                    std::vector<double>* grad) const {
+  values->resize(constraints_.size());
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    const Signomial& g = constraints_[i].g;
+    (*values)[i] = g.Evaluate(x);
+    if (grad == nullptr) continue;
+    const double weight = (*cotangent)(i, (*values)[i]);
+    if (weight != 0.0) g.AccumulateGradient(x, weight, grad);
+  }
+}
 
 VarId SgpProblem::AddVariable(double initial, double lo, double hi) {
   KGOV_CHECK(lo <= initial && initial <= hi)
@@ -18,12 +42,22 @@ VarId SgpProblem::AddVariable(double initial, double lo, double hi) {
 void SgpProblem::AddConstraint(Signomial g, std::string label,
                                double weight) {
   KGOV_CHECK(weight > 0.0) << "constraint weight must be positive";
-  constraints_.push_back(
-      SgpConstraint{std::move(g), std::move(label), weight});
+  KGOV_CHECK(external_ == nullptr)
+      << "AddConstraint after SetConstraints attached a constraint set";
+  signomial_.Add(SgpConstraint{std::move(g), std::move(label), weight});
 }
 
-void SgpProblem::AddSigmoidTerm(Signomial s) {
-  sigmoid_terms_.push_back(std::move(s));
+void SgpProblem::SetConstraints(
+    std::shared_ptr<const SgpConstraints> constraints) {
+  KGOV_CHECK(constraints != nullptr);
+  KGOV_CHECK(signomial_.size() == 0)
+      << "SetConstraints would drop the signomial constraints";
+  external_ = std::move(constraints);
+}
+
+const std::vector<Signomial>& SgpProblem::sigmoid_terms() const {
+  static const std::vector<Signomial> kNone;
+  return kNone;
 }
 
 void SgpProblem::SetInitial(std::vector<double> x0) {
@@ -46,17 +80,16 @@ Status SgpProblem::Validate() const {
                                      std::to_string(i));
     }
   }
-  for (const SgpConstraint& c : constraints_) {
+  for (const SgpConstraint& c : signomial_.constraints()) {
     if (c.g.MaxVarId() >= n) {
       return Status::InvalidArgument("constraint '" + c.label +
                                      "' references undeclared variable");
     }
   }
-  for (const Signomial& s : sigmoid_terms_) {
-    if (s.MaxVarId() >= n) {
-      return Status::InvalidArgument(
-          "sigmoid term references undeclared variable");
-    }
+  if (external_ != nullptr && external_->num_variables() > initial_.size()) {
+    return Status::InvalidArgument(
+        "constraint set reads " + std::to_string(external_->num_variables()) +
+        " variables, problem declares " + std::to_string(initial_.size()));
   }
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -16,26 +15,27 @@ namespace {
 
 // Objective shared by every formulation:
 //   lambda1 * sum_{i < num_proximal} (x_i - anchor_i)^2
-//   + lambda2 * sum_j sigmoid(w * s_j(x))
-// where the s_j differ per formulation (deviation monomials or full
-// constraint signomials).
+//   + lambda2 * sum_i weight_i * sigmoid(w * s_i(x))
+// where the s_i differ per formulation (the problem's constraints, or the
+// deviation variables) and are evaluated as one ConstraintSet: one value
+// vector and one VJP per call.
 class CompositeObjective : public DifferentiableFunction {
  public:
   /// The proximal term covers the first `num_proximal` variables (the
   /// edge weights; deviation variables follow them and have no original
-  /// value to stay close to). `term_weights` scales each sigmoid term
-  /// (empty = all 1).
+  /// value to stay close to). `sigmoid_terms` may be null when lambda2 is
+  /// 0; `weights` scales each sigmoid term.
   CompositeObjective(double lambda1, const std::vector<double>& anchor,
                      size_t num_proximal, double lambda2, double steepness,
-                     const std::vector<const Signomial*>& sigmoid_terms,
-                     std::vector<double> term_weights = {})
+                     const ConstraintSet* sigmoid_terms,
+                     const SgpConstraints* weights)
       : lambda1_(lambda1),
         anchor_(anchor),
         num_proximal_(num_proximal),
         lambda2_(lambda2),
         steepness_(steepness),
         sigmoid_terms_(sigmoid_terms),
-        term_weights_(std::move(term_weights)) {}
+        weights_(weights) {}
 
   double Evaluate(const std::vector<double>& x,
                   std::vector<double>* grad) const override {
@@ -48,18 +48,15 @@ class CompositeObjective : public DifferentiableFunction {
         if (grad) (*grad)[i] += 2.0 * lambda1_ * d;
       }
     }
-    if (lambda2_ != 0.0) {
-      for (size_t i = 0; i < sigmoid_terms_.size(); ++i) {
-        const Signomial* s = sigmoid_terms_[i];
-        double term_weight =
-            term_weights_.empty() ? 1.0 : term_weights_[i];
-        double sv = s->Evaluate(x);
-        value += lambda2_ * term_weight * Sigmoid(sv, steepness_);
-        if (grad) {
-          double outer =
-              lambda2_ * term_weight * SigmoidDerivative(sv, steepness_);
-          if (outer != 0.0) s->AccumulateGradient(x, outer, grad);
-        }
+    if (lambda2_ != 0.0 && sigmoid_terms_ != nullptr) {
+      const ConstraintSet::Cotangent outer = [this](size_t i, double sv) {
+        return lambda2_ * weights_->weight(i) *
+               SigmoidDerivative(sv, steepness_);
+      };
+      sigmoid_terms_->Evaluate(x, &values_, grad ? &outer : nullptr, grad);
+      for (size_t i = 0; i < values_.size(); ++i) {
+        value += lambda2_ * weights_->weight(i) *
+                 Sigmoid(values_[i], steepness_);
       }
     }
     return value;
@@ -71,28 +68,77 @@ class CompositeObjective : public DifferentiableFunction {
   size_t num_proximal_;
   double lambda2_;
   double steepness_;
-  std::vector<const Signomial*> sigmoid_terms_;
-  std::vector<double> term_weights_;
+  const ConstraintSet* sigmoid_terms_;
+  const SgpConstraints* weights_;
+  // Scratch for the sigmoid terms' values; solvers evaluate from one
+  // thread.
+  mutable std::vector<double> values_;
 };
 
-// Constraint wrapper g(x) + margin <= 0 for the augmented Lagrangian.
-class SignomialConstraint : public DifferentiableFunction {
+// g_i(x) + margin - d_i <= 0 for the augmented Lagrangian: the problem's
+// constraints with the strict margin (hard form) or minus the deviation
+// variable d_i = x[deviation_offset + i] (deviation form, Eq. 15).
+class ShiftedConstraints final : public ConstraintSet {
  public:
-  SignomialConstraint(const Signomial& g, double margin)
-      : g_(g), margin_(margin) {}
+  static constexpr size_t kNoDeviations = static_cast<size_t>(-1);
 
-  double Evaluate(const std::vector<double>& x,
-                  std::vector<double>* grad) const override {
-    if (grad) {
-      grad->assign(x.size(), 0.0);
-      g_.AccumulateGradient(x, 1.0, grad);
+  ShiftedConstraints(const ConstraintSet& base, double margin,
+                     size_t deviation_offset)
+      : base_(base), margin_(margin), deviation_offset_(deviation_offset) {}
+
+  size_t size() const override { return base_.size(); }
+
+  void Evaluate(const std::vector<double>& x, std::vector<double>* values,
+                const Cotangent* cotangent,
+                std::vector<double>* grad) const override {
+    const Cotangent shifted = [&](size_t i, double value) {
+      const double weight = (*cotangent)(i, Shift(x, i, value));
+      if (deviation_offset_ != kNoDeviations) {
+        (*grad)[deviation_offset_ + i] -= weight;
+      }
+      return weight;
+    };
+    base_.Evaluate(x, values, grad ? &shifted : nullptr, grad);
+    for (size_t i = 0; i < values->size(); ++i) {
+      (*values)[i] = Shift(x, i, (*values)[i]);
     }
-    return g_.Evaluate(x) + margin_;
   }
 
  private:
-  const Signomial& g_;
+  double Shift(const std::vector<double>& x, size_t i, double value) const {
+    return value + margin_ -
+           (deviation_offset_ != kNoDeviations ? x[deviation_offset_ + i]
+                                               : 0.0);
+  }
+
+  const ConstraintSet& base_;
   double margin_;
+  size_t deviation_offset_;
+};
+
+// The deviation variables themselves, s_i(x) = x[offset + i]: the terms
+// the deviation form's sigmoid penalties act on.
+class DeviationTerms final : public ConstraintSet {
+ public:
+  DeviationTerms(size_t offset, size_t count)
+      : offset_(offset), count_(count) {}
+
+  size_t size() const override { return count_; }
+
+  void Evaluate(const std::vector<double>& x, std::vector<double>* values,
+                const Cotangent* cotangent,
+                std::vector<double>* grad) const override {
+    values->assign(x.begin() + static_cast<std::ptrdiff_t>(offset_),
+                   x.begin() + static_cast<std::ptrdiff_t>(offset_ + count_));
+    if (grad == nullptr) return;
+    for (size_t i = 0; i < count_; ++i) {
+      (*grad)[offset_ + i] += (*cotangent)(i, (*values)[i]);
+    }
+  }
+
+ private:
+  size_t offset_;
+  size_t count_;
 };
 
 SolveResult RunInner(const SgpSolverOptions& options,
@@ -137,11 +183,11 @@ std::vector<double> SteepnessSchedule(double target, int steps) {
 int SgpSolver::CountSatisfied(const SgpProblem& problem,
                               const std::vector<double>& x,
                               double tolerance) {
-  int satisfied = 0;
-  for (const SgpConstraint& c : problem.constraints()) {
-    if (c.g.Evaluate(x) <= tolerance) ++satisfied;
-  }
-  return satisfied;
+  std::vector<double> values;
+  problem.constraint_set().Evaluate(x, &values, nullptr, nullptr);
+  return static_cast<int>(
+      std::count_if(values.begin(), values.end(),
+                    [tolerance](double g) { return g <= tolerance; }));
 }
 
 void SgpSolver::Sanitize(const SgpProblem& problem, SgpSolution* solution) {
@@ -259,8 +305,7 @@ SgpSolution SgpSolver::SolveDispatch(const SgpProblem& problem) const {
   // pathological instance would produce, without the cost of producing one.
   if (FaultFires(FaultSite::kSolveNonConvergence)) {
     solution.x = problem.initial();
-    solution.total_constraints =
-        static_cast<int>(problem.constraints().size());
+    solution.total_constraints = static_cast<int>(problem.num_constraints());
     solution.satisfied_constraints =
         CountSatisfied(problem, solution.x, 1e-9);
     solution.status = Status::NotConverged("injected non-convergence");
@@ -289,16 +334,10 @@ SgpSolution SgpSolver::SolveHard(const SgpProblem& problem) const {
   Timer timer;
   CompositeObjective objective(options_.lambda1, problem.anchor(),
                                problem.num_variables(), 0.0,
-                               options_.sigmoid_steepness, {});
-
-  std::vector<std::unique_ptr<SignomialConstraint>> owned;
-  std::vector<const DifferentiableFunction*> constraints;
-  owned.reserve(problem.constraints().size());
-  for (const SgpConstraint& c : problem.constraints()) {
-    owned.push_back(
-        std::make_unique<SignomialConstraint>(c.g, options_.strict_margin));
-    constraints.push_back(owned.back().get());
-  }
+                               options_.sigmoid_steepness, nullptr, nullptr);
+  const ShiftedConstraints constraints(problem.constraint_set(),
+                                       options_.strict_margin,
+                                       ShiftedConstraints::kNoDeviations);
 
   AugLagOptions auglag = options_.auglag;
   auglag.inner = options_.inner;
@@ -315,8 +354,7 @@ SgpSolution SgpSolver::SolveHard(const SgpProblem& problem) const {
   solution.iterations = result.iterations;
   solution.converged = result.converged;
   solution.status = result.status;
-  solution.total_constraints =
-      static_cast<int>(problem.constraints().size());
+  solution.total_constraints = static_cast<int>(problem.num_constraints());
   solution.satisfied_constraints =
       CountSatisfied(problem, solution.x, options_.strict_margin * 0.5);
   return solution;
@@ -328,7 +366,8 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
   // (paper Eq. 15): g_i(x) - d_i <= 0 becomes a hard constraint, and the
   // objective gains sigmoid(w d_i).
   const size_t n = problem.num_variables();
-  const size_t m = problem.constraints().size();
+  const SgpConstraints& base = problem.constraint_set();
+  const size_t m = base.size();
 
   std::vector<double> initial = problem.initial();
   BoxBounds bounds = problem.bounds();
@@ -337,42 +376,15 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
   // [-1, 1]; the bound only needs to contain them). Started at a point that
   // makes the initial iterate feasible: d_i = g_i(x0) (clamped).
   constexpr double kDevBound = 4.0;
-  std::vector<Signomial> sigmoid_monomials;
-  std::vector<Signomial> shifted_constraints;
-  sigmoid_monomials.reserve(m);
-  shifted_constraints.reserve(m);
+  std::vector<double> g0;
+  base.Evaluate(problem.initial(), &g0, nullptr, nullptr);
   for (size_t i = 0; i < m; ++i) {
-    VarId dev_id = static_cast<VarId>(n + i);
-    double g0 = problem.constraints()[i].g.Evaluate(problem.initial());
-    double d0 = std::clamp(g0, -kDevBound, kDevBound);
-    initial.push_back(d0);
+    initial.push_back(std::clamp(g0[i], -kDevBound, kDevBound));
     bounds.lower.push_back(-kDevBound);
     bounds.upper.push_back(kDevBound);
-
-    Signomial dev_term;
-    dev_term.AddTerm(Monomial(1.0, {{dev_id, 1.0}}));
-    sigmoid_monomials.push_back(std::move(dev_term));
-
-    Signomial shifted = problem.constraints()[i].g;
-    shifted.AddTerm(Monomial(-1.0, {{dev_id, 1.0}}));
-    shifted_constraints.push_back(std::move(shifted));
   }
-
-  std::vector<const Signomial*> sigmoid_ptrs;
-  std::vector<double> term_weights;
-  sigmoid_ptrs.reserve(m);
-  for (const Signomial& s : sigmoid_monomials) sigmoid_ptrs.push_back(&s);
-  for (const SgpConstraint& c : problem.constraints()) {
-    term_weights.push_back(c.weight);
-  }
-
-  std::vector<std::unique_ptr<SignomialConstraint>> owned;
-  std::vector<const DifferentiableFunction*> constraints;
-  owned.reserve(m);
-  for (const Signomial& g : shifted_constraints) {
-    owned.push_back(std::make_unique<SignomialConstraint>(g, 0.0));
-    constraints.push_back(owned.back().get());
-  }
+  const DeviationTerms deviations(n, m);
+  const ShiftedConstraints constraints(base, 0.0, n);
 
   AugLagOptions auglag = options_.auglag;
   auglag.inner = options_.inner;
@@ -396,8 +408,8 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
         RemainingBudget(timer, options_.deadline_seconds);
     AugmentedLagrangianSolver solver(auglag);
     CompositeObjective objective(options_.lambda1, problem.anchor(), n,
-                                 options_.lambda2, steepness, sigmoid_ptrs,
-                                 term_weights);
+                                 options_.lambda2, steepness, &deviations,
+                                 &base);
     result = solver.Minimize(objective, constraints, x, bounds);
     x = result.x;
     total_iterations += result.iterations;
@@ -425,21 +437,9 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
 SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
   Timer timer;
   // Substitute d_i = g_i(x): minimize
-  //   lambda1 * prox + lambda2 * sum_i sigmoid(w g_i(x))
+  //   lambda1 * prox + lambda2 * sum_i weight_i * sigmoid(w g_i(x))
   // over the box. Smooth, unconstrained besides the box.
-  std::vector<const Signomial*> sigmoid_ptrs;
-  std::vector<double> term_weights;
-  sigmoid_ptrs.reserve(problem.constraints().size() +
-                       problem.sigmoid_terms().size());
-  for (const SgpConstraint& c : problem.constraints()) {
-    sigmoid_ptrs.push_back(&c.g);
-    term_weights.push_back(c.weight);
-  }
-  for (const Signomial& s : problem.sigmoid_terms()) {
-    sigmoid_ptrs.push_back(&s);
-    term_weights.push_back(1.0);
-  }
-
+  const SgpConstraints& constraints = problem.constraint_set();
   std::vector<double> x = problem.initial();
   SolveResult result;
   result.x = x;
@@ -464,7 +464,7 @@ SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
     }
     CompositeObjective objective(options_.lambda1, problem.anchor(),
                                  problem.num_variables(), options_.lambda2,
-                                 steepness, sigmoid_ptrs, term_weights);
+                                 steepness, &constraints, &constraints);
     result = RunInner(step_options, objective, x, problem.bounds());
     x = result.x;
     total_iterations += result.iterations;
@@ -481,8 +481,7 @@ SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
   solution.iterations = result.iterations;
   solution.converged = result.converged;
   solution.status = result.status;
-  solution.total_constraints =
-      static_cast<int>(problem.constraints().size());
+  solution.total_constraints = static_cast<int>(problem.num_constraints());
   solution.satisfied_constraints = CountSatisfied(problem, solution.x, 1e-9);
   return solution;
 }

@@ -1,8 +1,21 @@
 #include "ppr/edge_vars.h"
 
+#include <cmath>
+#include <string>
+
 #include "common/logging.h"
 
 namespace kgov::ppr {
+
+Status SymbolicEipdOptions::Validate() const {
+  KGOV_RETURN_IF_ERROR(eipd.Validate());
+  if (!(min_path_mass >= 0.0) || !std::isfinite(min_path_mass)) {
+    return Status::InvalidArgument(
+        "SymbolicEipdOptions.min_path_mass must be finite and >= 0, got " +
+        std::to_string(min_path_mass));
+  }
+  return Status::OK();
+}
 
 math::VarId EdgeVariableMap::GetOrRegister(graph::EdgeId edge) {
   auto [it, inserted] = edge_to_var_.try_emplace(

@@ -2,21 +2,43 @@
 //
 // The paper's ObtainVariableSet (Alg. 1 line 4) introduces one variable
 // x_{i,j} per optimizable edge that appears on some walk relevant to a
-// vote. Variables are registered lazily while collecting symbolic
-// similarities, so the variable space of a program is exactly the set of
-// edges its votes can influence.
+// vote, so the variable space of a program is exactly the set of edges its
+// votes can influence. This header also holds what both vote encoders
+// (votes::VoteProgram and the signomial oracle, ppr::SymbolicEipd) share:
+// the variable predicate and the encoding options.
 
 #ifndef KGOV_PPR_EDGE_VARS_H_
 #define KGOV_PPR_EDGE_VARS_H_
 
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/graph.h"
 #include "math/monomial.h"
+#include "ppr/eipd_engine.h"
 
 namespace kgov::ppr {
+
+/// Decides whether an edge is an optimization variable. Receives the graph
+/// explicitly so predicates hold no graph pointers and stay valid when
+/// graphs (or structs containing them) are copied or moved.
+using EdgePredicate =
+    std::function<bool(const graph::WeightedDigraph&, graph::EdgeId)>;
+
+struct SymbolicEipdOptions {
+  EipdOptions eipd;
+  /// Walks whose probability mass falls below this are pruned from the
+  /// signomial expansion. Only the signomial oracle (ppr::SymbolicEipd,
+  /// votes::VoteEncoder) honours it; the optimizer's adjoint program is
+  /// exact. 0 disables pruning.
+  double min_path_mass = 0.0;
+
+  /// Checks this struct and the nested EipdOptions.
+  Status Validate() const;
+};
 
 class EdgeVariableMap {
  public:

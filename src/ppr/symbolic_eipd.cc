@@ -1,22 +1,8 @@
 #include "ppr/symbolic_eipd.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
-#include <string>
 
 namespace kgov::ppr {
-
-Status SymbolicEipdOptions::Validate() const {
-  KGOV_RETURN_IF_ERROR(eipd.Validate());
-  if (!(min_path_mass >= 0.0) || !std::isfinite(min_path_mass)) {
-    return Status::InvalidArgument(
-        "SymbolicEipdOptions.min_path_mass must be finite and >= 0, got " +
-        std::to_string(min_path_mass));
-  }
-  return Status::OK();
-}
 
 struct SymbolicEipd::DfsState {
   EdgeVariableMap* vars = nullptr;
@@ -33,7 +19,7 @@ struct SymbolicEipd::DfsState {
 };
 
 SymbolicEipd::SymbolicEipd(const graph::WeightedDigraph* graph,
-                           VariablePredicate is_variable,
+                           EdgePredicate is_variable,
                            SymbolicEipdOptions options)
     : graph_(graph),
       is_variable_(std::move(is_variable)),

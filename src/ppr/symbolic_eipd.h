@@ -7,11 +7,15 @@
 // x_e^(times the walk traverses e). Which edges are optimizable is decided
 // by a caller-supplied predicate (the Q&A system marks entity-to-entity
 // edges optimizable and query/answer link edges fixed).
+//
+// The optimizer does not use this expansion: votes::VoteProgram evaluates
+// the same constraints by adjoint propagation (ppr/eipd_adjoint.h). It
+// stays as the slow oracle those paths are tested against, through
+// votes::VoteEncoder.
 
 #ifndef KGOV_PPR_SYMBOLIC_EIPD_H_
 #define KGOV_PPR_SYMBOLIC_EIPD_H_
 
-#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -28,37 +32,19 @@ struct SymbolicAnswer {
   graph::NodeId answer = graph::kInvalidNode;
   /// Phi(vq, answer) over the variables registered in the EdgeVariableMap.
   math::Signomial similarity;
-  /// Every edge (fixed or variable) on some contributing walk; the paper's
-  /// Set(va) used by the judgment filter (SV) and by the vote-similarity
-  /// measure (Eq. 20).
+  /// Every edge (fixed or variable) on some contributing walk: the paper's
+  /// Set(va), which EipdAdjoint::SupportEdges must reproduce exactly.
   std::unordered_set<graph::EdgeId> path_edges;
-};
-
-struct SymbolicEipdOptions {
-  EipdOptions eipd;
-  /// Walks whose probability mass falls below this are pruned from the
-  /// symbolic expansion (keeps the monomial count bounded on dense graphs).
-  /// 0 disables pruning.
-  double min_path_mass = 0.0;
-
-  /// Checks this struct and the nested EipdOptions.
-  Status Validate() const;
 };
 
 /// DFS-based symbolic walk expansion. Thread-compatible (no shared state
 /// across Collect calls besides the borrowed graph).
 class SymbolicEipd {
  public:
-  /// Decides whether an edge is an optimization variable. Receives the
-  /// graph explicitly so predicates hold no graph pointers and stay valid
-  /// when graphs (or structs containing them) are copied or moved.
-  using VariablePredicate =
-      std::function<bool(const graph::WeightedDigraph&, graph::EdgeId)>;
-
   /// `graph` is borrowed. `is_variable(g, e)` decides whether edge e is an
   /// optimization variable; a null predicate marks every edge variable.
   SymbolicEipd(const graph::WeightedDigraph* graph,
-               VariablePredicate is_variable,
+               EdgePredicate is_variable,
                SymbolicEipdOptions options = {});
 
   /// Expands all walks of length <= L from `seed`, emitting per-answer
@@ -73,7 +59,7 @@ class SymbolicEipd {
            double numeric_mass, double fixed_coeff) const;
 
   const graph::WeightedDigraph* graph_;
-  VariablePredicate is_variable_;
+  EdgePredicate is_variable_;
   SymbolicEipdOptions options_;
 };
 

@@ -14,7 +14,7 @@ int KnowledgeGraph::DocumentOf(graph::NodeId node) const {
   return static_cast<int>(idx);
 }
 
-ppr::SymbolicEipd::VariablePredicate KnowledgeGraph::EntityEdgePredicate()
+ppr::EdgePredicate KnowledgeGraph::EntityEdgePredicate()
     const {
   const size_t entities = num_entities;
   return [entities](const graph::WeightedDigraph& g, graph::EdgeId e) {

@@ -17,7 +17,7 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "ppr/symbolic_eipd.h"
+#include "ppr/edge_vars.h"
 #include "qa/corpus.h"
 
 namespace kgov::qa {
@@ -48,7 +48,7 @@ struct KnowledgeGraph {
 
   /// Marks entity->entity edges optimizable, answer links fixed. Holds no
   /// graph pointer, so it stays valid across copies and moves.
-  ppr::SymbolicEipd::VariablePredicate EntityEdgePredicate() const;
+  ppr::EdgePredicate EntityEdgePredicate() const;
 };
 
 /// Builds the augmented knowledge graph from a corpus.

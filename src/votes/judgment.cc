@@ -1,54 +1,55 @@
 #include "votes/judgment.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "votes/vote_program.h"
 
 namespace kgov::votes {
 
-Status JudgmentOptions::Validate() const {
-  return symbolic.Validate();
-}
+Status JudgmentOptions::Validate() const { return eipd.Validate(); }
 
 namespace {
 
 // The extreme condition's weight for edges on both answers' walks.
 constexpr double kSharedEdgeWeight = 0.5;
 
-std::shared_ptr<const graph::CsrSnapshot> SnapshotOf(
-    const graph::WeightedDigraph* graph) {
-  KGOV_CHECK(graph != nullptr);
-  return std::make_shared<graph::CsrSnapshot>(*graph);
+bool Contains(const std::vector<graph::EdgeId>& sorted, graph::EdgeId e) {
+  return std::binary_search(sorted.begin(), sorted.end(), e);
 }
 
 }  // namespace
 
 JudgmentFilter::JudgmentFilter(const graph::WeightedDigraph* graph,
-                               JudgmentOptions options)
+                               graph::GraphView view, JudgmentOptions options)
     : graph_(graph),
       options_(std::move(options)),
-      snapshot_(SnapshotOf(graph)),
-      engine_(snapshot_->View(), options_.symbolic.eipd) {
+      engine_(view, options_.eipd),
+      adjoint_(view, options_.eipd) {
+  KGOV_CHECK(graph_ != nullptr);
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }
 
 bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
-  if (!vote.IsWellFormed()) return false;
+  // A vote naming nodes the graph does not have is not satisfiable, and
+  // could not be encoded either.
+  if (!vote.IsWellFormed() || !FitsView(vote, engine_.view())) return false;
   if (vote.IsPositive()) return true;
 
   int rank = vote.BestAnswerRank();  // 1-based; >= 2 for negative votes
   KGOV_DCHECK(rank >= 2);
-  graph::NodeId best = vote.best_answer;
-  graph::NodeId rival = vote.answer_list[rank - 2];  // ranked one above
+  const graph::NodeId best = vote.best_answer;
+  const graph::NodeId rival = vote.answer_list[rank - 2];  // ranked one above
 
   // Edge sets of contributing walks to each of the two answers.
-  ppr::SymbolicEipd symbolic(graph_, options_.is_variable, options_.symbolic);
-  ppr::EdgeVariableMap scratch;
-  std::vector<ppr::SymbolicAnswer> answers =
-      symbolic.Collect(vote.query, {best, rival}, &scratch);
-  const auto& best_edges = answers[0].path_edges;
-  const auto& rival_edges = answers[1].path_edges;
+  ppr::AdjointWorkspace& ws = ppr::ThreadLocalAdjointWorkspace();
+  adjoint_.Forward(vote.query, nullptr, &ws);
+  const std::vector<graph::EdgeId> best_edges =
+      adjoint_.SupportEdges({&best, 1}, nullptr, &ws);
+  const std::vector<graph::EdgeId> rival_edges =
+      adjoint_.SupportEdges({&rival, 1}, nullptr, &ws);
 
   // Extreme condition: favour a* maximally, the rival minimally. Only
   // optimizable edges are reassigned; fixed edges keep their weights.
@@ -59,16 +60,15 @@ bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
   overrides.reserve(best_edges.size() + rival_edges.size());
   for (graph::EdgeId e : best_edges) {
     if (!changeable(e)) continue;
-    overrides[e] = rival_edges.count(e) > 0 ? kSharedEdgeWeight : 1.0;
+    overrides[e] = Contains(rival_edges, e) ? kSharedEdgeWeight : 1.0;
   }
   for (graph::EdgeId e : rival_edges) {
     if (!changeable(e)) continue;
-    if (best_edges.count(e) == 0) overrides[e] = 0.0;
+    if (!Contains(best_edges, e)) overrides[e] = 0.0;
   }
 
   StatusOr<std::vector<double>> scores = engine_.ScoresWithOverrides(
       vote.query, {best, rival}, overrides);
-  // A query the graph cannot even link is certainly not satisfiable.
   if (!scores.ok()) return false;
   return scores.value()[0] > scores.value()[1];
 }

@@ -10,43 +10,45 @@
 //   - edges exclusive to a*'s walks set to 1,
 //   - edges exclusive to the competitor's walks set to 0.
 // If even under this maximally favourable weighting S(vq, a*) cannot exceed
-// S(vq, a_{rank-1}), the vote is discarded before SGP encoding.
+// S(vq, a_{rank-1}), the vote is discarded before SGP encoding. The two
+// edge sets (the paper's Set(v_a)) are the support of one forward and two
+// backward propagations (ppr::EipdAdjoint::SupportEdges).
 
 #ifndef KGOV_VOTES_JUDGMENT_H_
 #define KGOV_VOTES_JUDGMENT_H_
 
-#include <memory>
 #include <vector>
 
-#include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/graph_view.h"
+#include "ppr/edge_vars.h"
+#include "ppr/eipd_adjoint.h"
 #include "ppr/eipd_engine.h"
-#include "ppr/symbolic_eipd.h"
 #include "votes/vote.h"
 
 namespace kgov::votes {
 
 struct JudgmentOptions {
-  ppr::SymbolicEipdOptions symbolic;
+  ppr::EipdOptions eipd;
   /// Which edges the optimizer may change; fixed edges keep their weight in
   /// the extreme condition (null = all edges changeable).
-  ppr::SymbolicEipd::VariablePredicate is_variable;
+  ppr::EdgePredicate is_variable;
 
-  /// Checks this struct and the nested SymbolicEipdOptions.
+  /// Checks the nested EipdOptions.
   Status Validate() const;
 };
 
 class JudgmentFilter {
  public:
-  /// `graph` is borrowed and must outlive the filter; its weights are
-  /// frozen into a CSR snapshot at construction (the filter evaluates the
-  /// extreme condition on the unified EipdEngine), so construct the filter
-  /// after the batch's graph state is final.
-  JudgmentFilter(const graph::WeightedDigraph* graph,
+  /// `view` shows `graph`'s current weights (a CsrSnapshot the caller
+  /// shares with its other stages). Both are borrowed and must outlive the
+  /// filter; build it after the batch's graph state is final.
+  JudgmentFilter(const graph::WeightedDigraph* graph, graph::GraphView view,
                  JudgmentOptions options);
 
   /// True when the vote can in principle be satisfied (positive votes are
   /// trivially satisfiable; negative votes run the extreme-condition test).
+  /// Votes naming nodes outside the view never are.
   bool IsSatisfiable(const Vote& vote) const;
 
   /// Filters `votes`, keeping satisfiable ones (order preserved).
@@ -55,10 +57,8 @@ class JudgmentFilter {
  private:
   const graph::WeightedDigraph* graph_;
   JudgmentOptions options_;
-  // Frozen view of `graph_` for the numeric extreme-condition evaluation;
-  // declared before engine_ so the view it backs outlives the engine.
-  std::shared_ptr<const graph::CsrSnapshot> snapshot_;
   ppr::EipdEngine engine_;
+  ppr::EipdAdjoint adjoint_;
 };
 
 }  // namespace kgov::votes

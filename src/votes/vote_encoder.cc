@@ -1,31 +1,14 @@
 #include "votes/vote_encoder.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "math/signomial.h"
-#include <cmath>
 
 namespace kgov::votes {
 
-
-Status EncoderOptions::Validate() const {
-  KGOV_RETURN_IF_ERROR(symbolic.Validate());
-  if (!(weight_lower_bound > 0.0) || !std::isfinite(weight_lower_bound)) {
-    return Status::InvalidArgument(
-        "EncoderOptions.weight_lower_bound must be finite and > 0 "
-        "(paper Eq. 2: 0 < xl), got " +
-        std::to_string(weight_lower_bound));
-  }
-  if (!(weight_upper_bound >= weight_lower_bound) ||
-      !std::isfinite(weight_upper_bound)) {
-    return Status::InvalidArgument(
-        "EncoderOptions.weight_upper_bound must be finite and >= "
-        "weight_lower_bound, got " + std::to_string(weight_upper_bound));
-  }
-  return Status::OK();
-}
 
 VoteEncoder::VoteEncoder(const graph::WeightedDigraph* graph,
                          EncoderOptions options)
@@ -35,31 +18,15 @@ VoteEncoder::VoteEncoder(const graph::WeightedDigraph* graph,
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }
 
-Result<EncodedProgram> VoteEncoder::EncodeSingle(const Vote& vote) const {
-  if (!vote.IsWellFormed()) {
-    return Status::InvalidArgument("vote " + std::to_string(vote.id) +
-                                   " is malformed");
-  }
-  if (vote.IsPositive()) {
-    return Status::InvalidArgument(
-        "single-vote encoding only accepts negative votes (SIV-B)");
-  }
-  return EncodeBatch({vote});
-}
-
-ppr::SymbolicEipd::VariablePredicate VoteEncoder::EffectivePredicate()
-    const {
-  ppr::SymbolicEipd::VariablePredicate base = options_.is_variable;
-  return [base](const graph::WeightedDigraph& g, graph::EdgeId e) {
-    if (g.OutDegree(g.edge(e).from) <= 1) return false;
-    return !base || base(g, e);
-  };
-}
-
 Result<EncodedProgram> VoteEncoder::EncodeBatch(
     const std::vector<Vote>& votes) const {
   EncodedProgram program;
-  ppr::SymbolicEipd symbolic(graph_, EffectivePredicate(), options_.symbolic);
+  ppr::SymbolicEipd symbolic(
+      graph_,
+      [this](const graph::WeightedDigraph& g, graph::EdgeId e) {
+        return IsVariableEdge(options_, g, e);
+      },
+      options_.symbolic);
 
   struct PendingConstraint {
     math::Signomial g;
@@ -117,20 +84,6 @@ Result<EncodedProgram> VoteEncoder::EncodeBatch(
                                   constraint.weight);
   }
   return program;
-}
-
-std::unordered_set<graph::EdgeId> VoteEncoder::AssociatedEdges(
-    const Vote& vote) const {
-  ppr::SymbolicEipd symbolic(graph_, EffectivePredicate(), options_.symbolic);
-  ppr::EdgeVariableMap scratch;
-  std::unordered_set<graph::EdgeId> edges;
-  if (!vote.IsWellFormed()) return edges;
-  std::vector<ppr::SymbolicAnswer> answers =
-      symbolic.Collect(vote.query, vote.answer_list, &scratch);
-  for (const ppr::SymbolicAnswer& answer : answers) {
-    edges.insert(answer.path_edges.begin(), answer.path_edges.end());
-  }
-  return edges;
 }
 
 }  // namespace kgov::votes

@@ -11,7 +11,7 @@
 
 namespace kgov::votes {
 
-ppr::SymbolicEipd::VariablePredicate SyntheticWorkload::EntityEdgePredicate()
+ppr::EdgePredicate SyntheticWorkload::EntityEdgePredicate()
     const {
   const size_t entities = num_entity_nodes;
   return [entities](const graph::WeightedDigraph& g, graph::EdgeId e) {

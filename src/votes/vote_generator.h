@@ -15,7 +15,7 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "ppr/eipd_engine.h"
-#include "ppr/symbolic_eipd.h"
+#include "ppr/edge_vars.h"
 #include "votes/vote.h"
 
 namespace kgov::votes {
@@ -57,7 +57,7 @@ struct SyntheticWorkload {
 
   /// Predicate marking entity->entity edges as optimizable and
   /// query/answer link edges as fixed. Holds no graph pointer.
-  ppr::SymbolicEipd::VariablePredicate EntityEdgePredicate() const;
+  ppr::EdgePredicate EntityEdgePredicate() const;
 };
 
 /// Builds a workload over a copy of `base`. Fails when `base` is too small

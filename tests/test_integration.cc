@@ -40,7 +40,6 @@ class EndToEndTest : public ::testing::Test {
     env_ = std::move(env).value();
 
     options_.encoder.symbolic.eipd.max_length = 4;
-    options_.encoder.symbolic.min_path_mass = 1e-7;
     options_.encoder.is_variable = env_.deployed.EntityEdgePredicate();
     qa_options_ = sim.qa;
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/csr.h"
+
 namespace kgov::votes {
 namespace {
 
@@ -29,29 +31,49 @@ Vote MakeVote(std::vector<graph::NodeId> list, graph::NodeId best) {
 
 JudgmentOptions DefaultOptions() {
   JudgmentOptions options;
-  options.symbolic.eipd.max_length = 4;
+  options.eipd.max_length = 4;
   return options;
 }
 
+// A filter over a snapshot of `g`, owning the snapshot it borrows.
+struct SnapshotFilter {
+  SnapshotFilter(const WeightedDigraph& g, JudgmentOptions options)
+      : snapshot(g), filter(&g, snapshot.View(), std::move(options)) {}
+
+  const JudgmentFilter* operator->() const { return &filter; }
+
+  graph::CsrSnapshot snapshot;
+  JudgmentFilter filter;
+};
+
 TEST(JudgmentTest, PositiveVoteAlwaysSatisfiable) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
-  EXPECT_TRUE(filter.IsSatisfiable(MakeVote({3, 4}, 3)));
+  SnapshotFilter filter(g, DefaultOptions());
+  EXPECT_TRUE(filter->IsSatisfiable(MakeVote({3, 4}, 3)));
 }
 
 TEST(JudgmentTest, MalformedVoteRejected) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  SnapshotFilter filter(g, DefaultOptions());
   Vote bad;
-  EXPECT_FALSE(filter.IsSatisfiable(bad));
+  EXPECT_FALSE(filter->IsSatisfiable(bad));
+}
+
+TEST(JudgmentTest, VoteOutsideGraphRejected) {
+  // Positive or negative, a vote naming a node the graph lacks cannot be
+  // encoded, so the filter drops it.
+  WeightedDigraph g = MakeFixture();
+  SnapshotFilter filter(g, DefaultOptions());
+  EXPECT_FALSE(filter->IsSatisfiable(MakeVote({9, 4}, 9)));
+  EXPECT_FALSE(filter->IsSatisfiable(MakeVote({3, 9}, 9)));
 }
 
 TEST(JudgmentTest, SatisfiableNegativeVoteAccepted) {
   // Answer 4 has an exclusive edge (2->4) that the extreme condition can
   // raise to 1 while zeroing 1->3; the vote for 4 is satisfiable.
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
-  EXPECT_TRUE(filter.IsSatisfiable(MakeVote({3, 4}, 4)));
+  SnapshotFilter filter(g, DefaultOptions());
+  EXPECT_TRUE(filter->IsSatisfiable(MakeVote({3, 4}, 4)));
 }
 
 TEST(JudgmentTest, UnreachableBestAnswerRejected) {
@@ -60,9 +82,9 @@ TEST(JudgmentTest, UnreachableBestAnswerRejected) {
   WeightedDigraph g(5);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 3, 1.0).ok());
-  JudgmentFilter filter(&g, DefaultOptions());
+  SnapshotFilter filter(g, DefaultOptions());
   // Vote claims 4 (unreachable) is best over 3: no weighting can help.
-  EXPECT_FALSE(filter.IsSatisfiable(MakeVote({3, 4}, 4)));
+  EXPECT_FALSE(filter->IsSatisfiable(MakeVote({3, 4}, 4)));
 }
 
 TEST(JudgmentTest, SharedOnlyPathsDecidedByStructure) {
@@ -73,8 +95,8 @@ TEST(JudgmentTest, SharedOnlyPathsDecidedByStructure) {
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 0.7).ok());  // rival answer 2
   ASSERT_TRUE(g.AddEdge(1, 3, 0.3).ok());  // best answer 3
-  JudgmentFilter filter(&g, DefaultOptions());
-  EXPECT_TRUE(filter.IsSatisfiable(MakeVote({2, 3}, 3)));
+  SnapshotFilter filter(g, DefaultOptions());
+  EXPECT_TRUE(filter->IsSatisfiable(MakeVote({2, 3}, 3)));
 }
 
 TEST(JudgmentTest, FixedEdgesCannotBeRaised) {
@@ -89,8 +111,8 @@ TEST(JudgmentTest, FixedEdgesCannotBeRaised) {
   options.is_variable = [](const WeightedDigraph&, graph::EdgeId) {
     return false;
   };
-  JudgmentFilter filter(&g, options);
-  EXPECT_FALSE(filter.IsSatisfiable(MakeVote({2, 3}, 3)));
+  SnapshotFilter filter(g, options);
+  EXPECT_FALSE(filter->IsSatisfiable(MakeVote({2, 3}, 3)));
 }
 
 TEST(JudgmentTest, RankAboveComparatorUsed) {
@@ -104,20 +126,20 @@ TEST(JudgmentTest, RankAboveComparatorUsed) {
   ASSERT_TRUE(g.AddEdge(1, 5, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(2, 6, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(3, 7, 1.0).ok());
-  JudgmentFilter filter(&g, DefaultOptions());
-  EXPECT_TRUE(filter.IsSatisfiable(MakeVote({5, 6, 7}, 7)));
+  SnapshotFilter filter(g, DefaultOptions());
+  EXPECT_TRUE(filter->IsSatisfiable(MakeVote({5, 6, 7}, 7)));
 }
 
 TEST(JudgmentTest, FilterVotesKeepsOrder) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  SnapshotFilter filter(g, DefaultOptions());
   Vote v1 = MakeVote({3, 4}, 4);
   v1.id = 1;
   Vote bad;  // malformed -> dropped
   bad.id = 2;
   Vote v3 = MakeVote({3, 4}, 3);
   v3.id = 3;
-  std::vector<Vote> kept = filter.FilterVotes({v1, bad, v3});
+  std::vector<Vote> kept = filter->FilterVotes({v1, bad, v3});
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].id, 1u);
   EXPECT_EQ(kept[1].id, 3u);

@@ -218,7 +218,6 @@ class StrategyIntegrationTest : public ::testing::Test {
     workload_ = std::move(w).value();
 
     options_.encoder.symbolic.eipd.max_length = 4;
-    options_.encoder.symbolic.min_path_mass = 1e-7;
     options_.encoder.is_variable = workload_.EntityEdgePredicate();
   }
 

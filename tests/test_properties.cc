@@ -112,7 +112,6 @@ class RandomWorkloadProperty : public ::testing::TestWithParam<uint64_t> {
     workload_ = std::move(w).value();
 
     options_.encoder.symbolic.eipd.max_length = 4;
-    options_.encoder.symbolic.min_path_mass = 1e-8;
     options_.encoder.is_variable = workload_.EntityEdgePredicate();
   }
 

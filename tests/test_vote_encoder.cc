@@ -54,23 +54,10 @@ EncoderOptions DefaultOptions() {
 TEST(VoteEncoderTest, SingleNegativeVoteProducesKMinusOneConstraints) {
   WeightedDigraph g = MakeFixture();
   VoteEncoder encoder(&g, DefaultOptions());
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   EXPECT_EQ(program->problem.constraints().size(), 1u);  // k=2 answers
   EXPECT_EQ(program->encoded_vote_ids, (std::vector<uint32_t>{0}));
-}
-
-TEST(VoteEncoderTest, SingleRejectsPositiveVote) {
-  WeightedDigraph g = MakeFixture();
-  VoteEncoder encoder(&g, DefaultOptions());
-  EXPECT_FALSE(encoder.EncodeSingle(MakePositiveVote()).ok());
-}
-
-TEST(VoteEncoderTest, SingleRejectsMalformedVote) {
-  WeightedDigraph g = MakeFixture();
-  VoteEncoder encoder(&g, DefaultOptions());
-  Vote bad;
-  EXPECT_FALSE(encoder.EncodeSingle(bad).ok());
 }
 
 TEST(VoteEncoderTest, ConstraintSignomialIsSimilarityDifference) {
@@ -79,7 +66,7 @@ TEST(VoteEncoderTest, ConstraintSignomialIsSimilarityDifference) {
   // currently ranks below the other.
   WeightedDigraph g = MakeFixture();
   VoteEncoder encoder(&g, DefaultOptions());
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   std::vector<double> x0 = program->problem.initial();
   double g_value = program->problem.constraints()[0].g.Evaluate(x0);
@@ -96,7 +83,7 @@ TEST(VoteEncoderTest, ConstraintSignomialIsSimilarityDifference) {
 TEST(VoteEncoderTest, VariablesInitializedFromGraphWeights) {
   WeightedDigraph g = MakeFixture();
   VoteEncoder encoder(&g, DefaultOptions());
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   const auto& vars = program->variables;
   for (size_t v = 0; v < vars.NumVariables(); ++v) {
@@ -111,7 +98,7 @@ TEST(VoteEncoderTest, BoundsComeFromOptions) {
   options.weight_lower_bound = 0.05;
   options.weight_upper_bound = 0.95;
   VoteEncoder encoder(&g, options);
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   for (double lo : program->problem.bounds().lower) {
     EXPECT_DOUBLE_EQ(lo, 0.05);
@@ -127,7 +114,7 @@ TEST(VoteEncoderTest, InitialValueClampedIntoBox) {
   EncoderOptions options = DefaultOptions();
   options.weight_lower_bound = 0.01;
   VoteEncoder encoder(&g, options);
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   EXPECT_TRUE(program->problem.Validate().ok());
 }
@@ -180,24 +167,9 @@ TEST(VoteEncoderTest, FixedEdgePredicateShrinksVariableSpace) {
     return gr.edge(e).from == 0;
   };
   VoteEncoder encoder(&g, options);
-  Result<EncodedProgram> program = encoder.EncodeSingle(MakeNegativeVote());
+  Result<EncodedProgram> program = encoder.EncodeBatch({MakeNegativeVote()});
   ASSERT_TRUE(program.ok());
   EXPECT_EQ(program->variables.NumVariables(), 2u);  // 0->1 and 0->2
-}
-
-TEST(VoteEncoderTest, AssociatedEdgesCoverAllAnswers) {
-  WeightedDigraph g = MakeFixture();
-  VoteEncoder encoder(&g, DefaultOptions());
-  std::unordered_set<graph::EdgeId> edges =
-      encoder.AssociatedEdges(MakeNegativeVote());
-  EXPECT_EQ(edges.size(), 5u);  // all fixture edges lie on walks to {3,4}
-}
-
-TEST(VoteEncoderTest, AssociatedEdgesEmptyForMalformedVote) {
-  WeightedDigraph g = MakeFixture();
-  VoteEncoder encoder(&g, DefaultOptions());
-  Vote bad;
-  EXPECT_TRUE(encoder.AssociatedEdges(bad).empty());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 namespace kgov::cluster {
 namespace {
 
-using EdgeSet = std::unordered_set<graph::EdgeId>;
+// Sets are written sorted, as cluster::EdgeSet requires.
 
 TEST(JaccardTest, IdenticalSetsAreOne) {
   EdgeSet a{1, 2, 3};

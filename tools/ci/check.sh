@@ -5,8 +5,9 @@
 #      with the durability kill-tests rerun standalone so their recovery
 #      artifacts land in a known directory for the CI upload,
 #   2. the ASan/UBSan pass (tools/ci/sanitize.sh),
-#   3. a kgbench correctness smoke (qa_cold and stream_mixed, 3 s each,
-#      gated on the workloads' own output checks, never on timing), then
+#   3. a kgbench correctness smoke (qa_cold, stream_mixed and learn_batch,
+#      3 s each, gated on the workloads' own output checks, never on
+#      timing; learn_batch validates every optimized graph), then
 #      the serving-path perf probe, emitting BENCH_serving.json at the
 #      repo root so the queries/sec trajectory is tracked per commit,
 #      plus the durability bench smoke run gating the WAL's flush-path
@@ -55,12 +56,14 @@ else
 fi
 
 if [[ "${KGOV_SKIP_BENCH:-0}" != "1" ]]; then
-  echo "== [3/3] kgbench correctness smoke (qa_cold, stream_mixed) =="
+  echo "== [3/3] kgbench correctness smoke (qa_cold, stream_mixed, learn_batch) =="
   # kgbench checks its own outputs before it prints a result; on qa_cold
   # that includes every 509th served top-k against a direct
-  # EipdEngine::Rank, bitwise. Gate on that verdict only: a 3 s run on a
-  # shared CI host says nothing about speed, so no timing is gated.
-  for workload in qa_cold stream_mixed; do
+  # EipdEngine::Rank, bitwise, and on learn_batch a weight-only, in-bounds,
+  # still-normalized update for every multi-vote and split-merge graph.
+  # Gate on that verdict only: a 3 s run on a shared CI host says nothing
+  # about speed, so no timing is gated.
+  for workload in qa_cold stream_mixed learn_batch; do
     if ! result="$(python3 "$REPO_ROOT/kgbench/run.py" --workload "$workload" \
         --seed 1 --seconds 3 --trace 0 | tail -n 1)"; then
       echo "FAIL: kgbench $workload exited non-zero" >&2

@@ -54,7 +54,7 @@ else
 fi
 
 if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== sanitize: TSan (serve / thread pool / online optimizer) =="
+  echo "== sanitize: TSan (serve / thread pool / online optimizer / split-merge) =="
   TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_BUILD_DIR" -S "$REPO_ROOT" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -65,10 +65,10 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
       test_query_engine test_thread_pool test_online_optimizer \
       test_resilience test_durability test_stream test_stream_invalidation \
       test_single_flight test_admission test_eipd_multi test_eipd \
-      test_telemetry test_lock_rank test_sched_explorer
+      test_telemetry test_lock_rank test_sched_explorer test_kg_optimizer
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|RankMulti|Gauge|WorkspaceReuse|LockRank|SchedExplorer' \
+      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|RankMulti|Gauge|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
       "$@"
 else
   echo "== sanitize: TSan skipped (KGOV_SKIP_TSAN=1) =="

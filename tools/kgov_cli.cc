@@ -332,7 +332,6 @@ Status CmdOptimize(const Flags& flags) {
   core::OptimizerOptions options;
   options.encoder.symbolic.eipd.max_length =
       static_cast<int>(flags.GetInt("length", 5));
-  options.encoder.symbolic.min_path_mass = 1e-8;
   options.encoder.is_variable = kg.EntityEdgePredicate();
   options.sgp.lambda1 = flags.GetDouble("lambda1", 1.0);
   options.sgp.lambda2 = flags.GetDouble("lambda2", 0.5);
