@@ -264,9 +264,9 @@ double Percentile(std::vector<double>& sorted_in_place, double p) {
   return sorted_in_place[idx];
 }
 
-/// Saturate a tiny admission window (capacity 2, one worker) from four
-/// client threads: while the worker propagates, further Submits must
-/// shed with kResourceExhausted without queuing behind the work. The
+/// Saturate a tiny admission window (capacity 2) from four client
+/// threads: while two of them propagate, further Submits must shed with
+/// kResourceExhausted without queuing behind the work. The
 /// shed-path latency percentiles are the promptness number check.sh
 /// gates on.
 ShedReport RunShedPhase(const Setup& s, const core::OnlineKgOptimizer& online,

@@ -37,8 +37,6 @@ const char* RankName(Rank rank) {
       return "kUnranked";
     case Rank::kLogging:
       return "kLogging";
-    case Rank::kTelemetryReservoir:
-      return "kTelemetryReservoir";
     case Rank::kTelemetryRegistry:
       return "kTelemetryRegistry";
     case Rank::kFaultInjection:

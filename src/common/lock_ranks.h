@@ -45,10 +45,10 @@
 //                         publication) and under the epoch pin (re-pin).
 //   kThreadPool et al.  : infrastructure locks acquired from inside the
 //                         paths above.
-//   kTelemetry*/kLogging: leaf ranks - metric reservoirs and the log sink
-//                         can be reached from almost anywhere (contract
-//                         violations log wherever they fire), so nothing
-//                         may nest under them.
+//   kTelemetry*/kLogging: leaf ranks - the metric registry and the log
+//                         sink can be reached from almost anywhere
+//                         (contract violations log wherever they fire),
+//                         so nothing may nest under them.
 
 #ifndef KGOV_COMMON_LOCK_RANKS_H_
 #define KGOV_COMMON_LOCK_RANKS_H_
@@ -70,12 +70,8 @@ enum class Rank : uint16_t {
   /// and lock-order violations log from arbitrary lock contexts, so no
   /// lock may ever nest under it.
   kLogging = 100,
-  /// telemetry::Histogram::reservoir_mu_ - percentile reservoirs are
-  /// recorded from spans inside solver, serve and stream critical
-  /// sections.
-  kTelemetryReservoir = 150,
   /// telemetry::MetricRegistry::mu_ - first-use metric registration can
-  /// happen under higher locks; Snapshot() nests reservoir locks inside.
+  /// happen under higher locks.
   kTelemetryRegistry = 200,
   /// FaultInjector::mu_ - injection sites sit inside durability, solver
   /// and pool critical sections.

@@ -9,25 +9,11 @@
 
 namespace kgov {
 
-namespace {
-
-// Identity of the worker thread currently running: which pool it belongs
-// to and its index there. Both are needed — an index alone would be
-// ambiguous when tasks of one pool construct another pool.
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  size_t index = ThreadPool::kNotAWorker;
-};
-
-thread_local WorkerIdentity current_worker;
-
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i]() { WorkerLoop(i); });
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
@@ -47,12 +33,7 @@ size_t ThreadPool::StrayExceptionCount() const {
   return stray_exceptions_;
 }
 
-size_t ThreadPool::CurrentWorkerIndex() const {
-  return current_worker.pool == this ? current_worker.index : kNotAWorker;
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  current_worker = WorkerIdentity{this, worker_index};
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

@@ -86,15 +86,8 @@ class ThreadPool {
   /// loop (should stay 0; non-zero indicates a task infrastructure bug).
   size_t StrayExceptionCount() const KGOV_EXCLUDES(mu_);
 
-  /// The calling thread's worker index in [0, size()), or kNotAWorker when
-  /// the caller is not one of THIS pool's workers. Lets tasks address
-  /// per-worker state (e.g. reusable workspaces) without locks: a worker
-  /// index is stable for the thread's lifetime and never shared.
-  static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
-  size_t CurrentWorkerIndex() const;
-
  private:
-  void WorkerLoop(size_t worker_index) KGOV_EXCLUDES(mu_);
+  void WorkerLoop() KGOV_EXCLUDES(mu_);
 
   mutable Mutex mu_{KGOV_LOCK_RANK(kThreadPool)};
   CondVar cv_;

@@ -70,6 +70,11 @@ struct PropagationWorkspace {
   /// Every frontier absorbed into phi since the last Prepare, in order
   /// (may contain duplicates), capped at phi.size() entries.
   std::vector<graph::NodeId> touched;
+  /// touched[0, expanded) holds every node whose out-edges the last
+  /// PropagatePhi pass read: PropagatePhi sets it just before absorbing
+  /// the final level. When it equals phi.size() the log reached its cap
+  /// and may have dropped some of them.
+  size_t expanded = 0;
 
   /// Zeroes what the previous query left behind, or allocates n zeroed
   /// entries when n differs from the current size.
@@ -211,7 +216,8 @@ void AdvanceLane(const Adjacency& adj, PropagationWorkspace* ws) {
 /// Because the lanes interleave at level granularity (every lane absorbs,
 /// then every lane advances), the adjacency rows a level touches are
 /// revisited across lanes while still warm - the locality batched serving
-/// rides on. Lane b's result lands in lanes[b].phi.
+/// rides on. Lane b's result lands in lanes[b].phi, and the nodes whose
+/// out-edges it read in lanes[b].touched[0, expanded).
 template <typename Adjacency>
 void PropagatePhi(const Adjacency& adj,
                   std::span<const QuerySeed* const> seeds,
@@ -220,11 +226,16 @@ void PropagatePhi(const Adjacency& adj,
   const size_t count = seeds.size();
   for (size_t b = 0; b < count; ++b) SeedLane(adj, *seeds[b], &lanes[b]);
   double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
-  for (int len = 1; len <= options.max_length; ++len) {
+  for (int len = 1; len < options.max_length; ++len) {
     for (size_t b = 0; b < count; ++b) AbsorbLane(&lanes[b], decay);
-    if (len == options.max_length) break;
     for (size_t b = 0; b < count; ++b) AdvanceLane(adj, &lanes[b]);
     decay *= 1.0 - c;
+  }
+  // The final level is absorbed, never advanced: every node whose
+  // out-edges this pass read is already in the log.
+  for (size_t b = 0; b < count; ++b) {
+    lanes[b].expanded = lanes[b].touched.size();
+    AbsorbLane(&lanes[b], decay);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <future>
 #include <optional>
@@ -61,6 +60,22 @@ struct ServeMetrics {
 
 }  // namespace
 
+std::vector<uint32_t> DependencySet(const ppr::PropagationWorkspace& lane,
+                                    const stream::GraphPartition& partition) {
+  const bool capped = lane.expanded >= lane.phi.size();
+  std::vector<char> read(partition.num_clusters(), capped ? 1 : 0);
+  if (!capped) {
+    for (size_t i = 0; i < lane.expanded; ++i) {
+      read[partition.ClusterOf(lane.touched[i])] = 1;
+    }
+  }
+  std::vector<uint32_t> clusters;
+  for (uint32_t cluster = 0; cluster < read.size(); ++cluster) {
+    if (read[cluster] != 0) clusters.push_back(cluster);
+  }
+  return clusters;
+}
+
 Status QueryEngineOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(eipd.Validate());
   if (top_k < 1) {
@@ -116,7 +131,6 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       pinned_(source->CurrentEpoch()),
       cache_(options_.cache_capacity, options_.cache_shards),
       admission_(options_.admission),
-      scratch_(options_.num_threads),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
 QueryEngine::~QueryEngine() = default;
@@ -186,81 +200,13 @@ void QueryEngine::MaybeRefreshEpoch() {
   }
 }
 
-std::vector<uint32_t> QueryEngine::DependencyClusters(
-    graph::GraphView view, const ppr::QuerySeed& seed) {
-  // The walk mirrors the nodes whose out-edges PropagatePhi reads; why
-  // that makes hits bitwise exact is in result_cache.h. L = 1 reads no
-  // edge and depends on nothing.
-  DependencyScratch& scratch = ScratchForThisThread().dependency;
-  if (scratch.stamp.size() != view.NumNodes()) {
-    scratch.stamp.assign(view.NumNodes(), 0);
-    scratch.generation = 0;
-  }
-  if (++scratch.generation == 0) {  // stamps wrapped: start over
-    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
-    scratch.generation = 1;
-  }
-  scratch.cluster_bits.assign((partition_->num_clusters() + 63) / 64, 0);
-  scratch.frontier.clear();
-
-  auto visit = [&](graph::NodeId node) {
-    if (scratch.stamp[node] == scratch.generation) return false;
-    scratch.stamp[node] = scratch.generation;
-    const uint32_t cluster = partition_->ClusterOf(node);
-    scratch.cluster_bits[cluster / 64] |= uint64_t{1} << (cluster % 64);
-    return true;
-  };
-  const int hops = options_.eipd.max_length - 2;
-  if (hops >= 0) {
-    for (const auto& [node, weight] : seed.links) {
-      KGOV_DCHECK(view.IsValidNode(node));
-      if (weight <= 0.0) continue;
-      if (visit(node)) scratch.frontier.push_back(node);
-    }
-  }
-  for (int hop = 0; hop < hops && !scratch.frontier.empty(); ++hop) {
-    scratch.next.clear();
-    for (graph::NodeId u : scratch.frontier) {
-      for (const graph::GraphView::Neighbor* it = view.begin(u);
-           it != view.end(u); ++it) {
-        if (it->weight <= 0.0) continue;  // the kernel skips it too
-        if (visit(it->to)) scratch.next.push_back(it->to);
-      }
-    }
-    scratch.frontier.swap(scratch.next);
-  }
-
-  size_t count = 0;
-  for (uint64_t bits : scratch.cluster_bits) count += std::popcount(bits);
-  std::vector<uint32_t> clusters;
-  clusters.reserve(count);
-  for (size_t word = 0; word < scratch.cluster_bits.size(); ++word) {
-    for (uint64_t bits = scratch.cluster_bits[word]; bits != 0;
-         bits &= bits - 1) {
-      clusters.push_back(static_cast<uint32_t>(
-          word * 64 + static_cast<size_t>(std::countr_zero(bits))));
-    }
-  }
-  return clusters;
-}
-
-QueryEngine::WorkerScratch& QueryEngine::ScratchForThisThread() {
-  const size_t index = pool_->CurrentWorkerIndex();
-  if (index == ThreadPool::kNotAWorker) {
-    static thread_local WorkerScratch scratch;
-    return scratch;
-  }
-  return scratch_[index];
-}
-
 std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(options_.single_flight_deadline_seconds));
 }
 
-std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
-    const std::vector<ppr::QuerySeed>& seeds,
-    const std::vector<size_t>& indices) {
+QueryEngine::GroupResult QueryEngine::ServeGroup(
+    std::span<const ppr::QuerySeed> seeds, std::span<const size_t> indices) {
   MaybeRefreshEpoch();
   core::ServingEpoch epoch;
   {
@@ -274,7 +220,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
   const ServeMetrics& metrics = ServeMetrics::Get();
   ppr::EipdEngine engine(epoch.view(), options_.eipd);
 
-  std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> out;
+  GroupResult out;
   out.reserve(indices.size());
 
   auto base_result = [&]() {
@@ -299,15 +245,15 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     metrics.sf_followers->Increment();
     out.emplace_back(index, std::move(result));
   };
-  // A ranking this task propagated: publish it to the cache, then count
-  // the propagation. Callers complete the key's flight only afterwards
-  // (see the leader re-probe below).
+  // A ranking this group propagated on `lane`: publish it to the cache,
+  // then count the propagation. Callers complete the key's flight only
+  // afterwards (see the leader re-probe below).
   auto publish_propagated = [&](const std::string& key,
-                                const ppr::QuerySeed& seed,
+                                const ppr::PropagationWorkspace& lane,
                                 const RankedAnswers& result) {
     if (options_.enable_cache) {
-      if (cache_.Put(key, result.answers,
-                     DependencyClusters(epoch.view(), seed), epoch.epoch)) {
+      if (cache_.Put(key, result.answers, DependencySet(lane, *partition_),
+                     epoch.epoch)) {
         metrics.cache_evictions->Increment();
       }
     }
@@ -315,7 +261,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     if (options_.enable_cache) metrics.cache_misses->Increment();
   };
 
-  // One propagation lane this task leads: the leading query, its flight
+  // One propagation lane this group leads: the leading query, its flight
   // obligation (null when single-flight is off), and any in-batch
   // duplicates coalesced onto it.
   struct Led {
@@ -381,9 +327,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     led.push_back(Led{index, std::move(key), std::move(join.token), {}});
   }
 
-  WorkerScratch& scratch = ScratchForThisThread();
-
-  // Phase 2: ONE propagation pass with a lane per key this task leads,
+  // Phase 2: ONE propagation pass with a lane per key this group leads,
   // then resolve our own flights. This MUST precede any foreign Wait
   // (the deadlock discipline in single_flight.h).
   if (!led.empty()) {
@@ -391,20 +335,21 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     roots.reserve(led.size());
     for (const Led& l : led) roots.push_back(seeds[l.index]);
     if (indices.size() > 1) metrics.batch_groups->Increment();
-    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> lanes =
-        engine.RankMulti(roots, *candidates_, options_.top_k,
-                         &scratch.lanes);
+    // This thread's lanes: the dependency sets are read off them below.
+    std::vector<ppr::PropagationWorkspace>& lanes = ppr::ThreadLocalLanes();
+    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> ranked =
+        engine.RankMulti(roots, *candidates_, options_.top_k, &lanes);
     for (size_t b = 0; b < led.size(); ++b) {
       Led& l = led[b];
-      if (!lanes.ok()) {
-        if (l.token != nullptr) l.token->Complete(lanes.status(), {});
-        fail(l.index, lanes.status());
-        for (size_t dup : l.coalesced) fail(dup, lanes.status());
+      if (!ranked.ok()) {
+        if (l.token != nullptr) l.token->Complete(ranked.status(), {});
+        fail(l.index, ranked.status());
+        for (size_t dup : l.coalesced) fail(dup, ranked.status());
         continue;
       }
       RankedAnswers result = base_result();
-      result.answers = std::move((*lanes)[b]);
-      publish_propagated(l.cache_key, seeds[l.index], result);
+      result.answers = std::move((*ranked)[b]);
+      publish_propagated(l.cache_key, lanes[b], result);
       if (l.token != nullptr) {
         l.token->Complete(Status::OK(), result.answers);
         leaders_.fetch_add(1, std::memory_order_relaxed);
@@ -415,7 +360,7 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     }
   }
 
-  // Phase 3: wait on foreign flights. Every flight this task led is
+  // Phase 3: wait on foreign flights. Every flight this group led is
   // already resolved, so these waits can never participate in a cycle.
   for (Waiting& w : waiting) {
     SingleFlightGroup::WaitResult wait =
@@ -432,19 +377,20 @@ std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
     }
     // Deadline expired: detach and propagate for ourselves (counted as a
     // timeout AND a miss; the flight stays live for other followers). The
-    // pass above is done, so its first lane is free.
+    // pass above is done, so this thread's first lane is free.
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     metrics.sf_timeouts->Increment();
     const ppr::QuerySeed& seed = seeds[w.index];
-    StatusOr<std::vector<ppr::ScoredAnswer>> ranked = engine.Rank(
-        seed, *candidates_, options_.top_k, &scratch.lanes.front());
+    ppr::PropagationWorkspace& lane = ppr::ThreadLocalLanes().front();
+    StatusOr<std::vector<ppr::ScoredAnswer>> ranked =
+        engine.Rank(seed, *candidates_, options_.top_k, &lane);
     if (!ranked.ok()) {
       fail(w.index, ranked.status());
       continue;
     }
     RankedAnswers result = base_result();
     result.answers = std::move(ranked).value();
-    publish_propagated(EncodeCacheKey(seed), seed, result);
+    publish_propagated(EncodeCacheKey(seed), lane, result);
     out.emplace_back(w.index, std::move(result));
   }
   return out;
@@ -489,16 +435,33 @@ std::vector<std::vector<size_t>> QueryEngine::GroupForBatch(
   return groups;
 }
 
+void QueryEngine::FinishGroup(const GroupResult& served,
+                              double elapsed_seconds) {
+  // Observed at completion, so batch gather order cannot inflate it. Each
+  // admitted query releases its admission slot here.
+  const ServeMetrics& metrics = ServeMetrics::Get();
+  for (size_t i = 0; i < served.size(); ++i) {
+    metrics.query_span->Observe(elapsed_seconds);
+    admission_.Finish();
+  }
+}
+
 StatusOr<RankedAnswers> QueryEngine::Submit(const ppr::QuerySeed& seed) {
-  std::vector<StatusOr<RankedAnswers>> results = SubmitBatch({seed});
-  return std::move(results.front());
+  ServeMetrics::Get().queries->Increment();
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  // A shed query never took a slot, so it has no Finish.
+  KGOV_RETURN_IF_ERROR(admission_.TryAdmit());
+  Timer timer;
+  const size_t index = 0;
+  GroupResult served = ServeGroup({&seed, 1}, {&index, 1});
+  FinishGroup(served, timer.ElapsedSeconds());
+  return std::move(served.front().second);
 }
 
 std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
     const std::vector<ppr::QuerySeed>& seeds) {
-  const ServeMetrics& metrics = ServeMetrics::Get();
   const size_t n = seeds.size();
-  metrics.queries->Increment(n);
+  ServeMetrics::Get().queries->Increment(n);
   queries_.fetch_add(n, std::memory_order_relaxed);
 
   std::vector<std::optional<StatusOr<RankedAnswers>>> slots(n);
@@ -517,23 +480,16 @@ std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
     }
   }
 
-  using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
+  // Fan the groups out over the pool; their latency includes queue wait.
   std::vector<std::vector<size_t>> groups = GroupForBatch(seeds, admitted);
   std::vector<std::future<GroupResult>> futures;
   futures.reserve(groups.size());
   for (std::vector<size_t>& group : groups) {
     Timer enqueue_timer;
     futures.push_back(pool_->Submit(
-        [this, &seeds, group = std::move(group), enqueue_timer, &metrics]() {
+        [this, &seeds, group = std::move(group), enqueue_timer]() {
           GroupResult served = ServeGroup(seeds, group);
-          // End-to-end latency: queue wait + propagation (or cache hit),
-          // observed at completion so gather order cannot inflate it.
-          // Each admitted query releases its admission slot here.
-          const double elapsed = enqueue_timer.ElapsedSeconds();
-          for (size_t i = 0; i < served.size(); ++i) {
-            metrics.query_span->Observe(elapsed);
-            admission_.Finish();
-          }
+          FinishGroup(served, enqueue_timer.ElapsedSeconds());
           return served;
         }));
   }

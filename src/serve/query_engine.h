@@ -7,20 +7,23 @@
 //  * It pins a core::ServingEpoch (ref-counted CSR snapshot + epoch
 //    number) and serves every query from that frozen view; an optimizer
 //    flush never blocks or mutates an in-flight query.
-//  * Queries fan out across a ThreadPool in groups, and every group runs
-//    one serving body (ServeGroup); Submit is a group of one. Each worker
-//    owns reusable propagation lanes (ppr::PropagationWorkspace) and
-//    dependency-walk scratch, so steady-state serving performs no
-//    per-query allocation (the store is addressed by
-//    ThreadPool::CurrentWorkerIndex - no locks, no thread_local growth).
+//  * Every query runs one serving body (ServeGroup). Submit runs it on
+//    the calling thread as a group of one, with no pool hand-off;
+//    SubmitBatch fans same-cluster groups out over a ThreadPool (the
+//    pool's only job). A group that propagates runs on its thread's
+//    reusable lanes (ppr::ThreadLocalLanes); a cache hit touches none.
+//    So there is at most one lane set per thread that has propagated,
+//    freed when that thread exits, and steady-state serving allocates
+//    nothing sized by the graph.
 //  * Results are memoized in a delta-aware ShardedResultCache. A cache
 //    hit is bitwise identical to the propagation it replaced. On epoch
 //    swap the engine asks the optimizer for the changed-cluster delta
 //    (stream::EpochDelta history) and drops only entries whose dependency
 //    clusters intersect it - selective invalidation, the read-side half
-//    of the streaming pipeline. When the delta is unavailable, disabled,
-//    or larger than full_flush_threshold of the partition, it falls back
-//    to the old wholesale flush.
+//    of the streaming pipeline. An entry's dependency set is read off its
+//    propagation's own frontier log (DependencySet). When the delta is
+//    unavailable, disabled, or larger than full_flush_threshold of the
+//    partition, it falls back to the old wholesale flush.
 //  * Concurrent misses on the same (seed, epoch) key collapse onto one
 //    single-flight leader propagation; followers receive the leader's
 //    bitwise-identical result (serve/single_flight.h). The flight key
@@ -46,7 +49,9 @@
 // serve.batch.groups (groups of two or more queries that ran a pass),
 // serve.epoch_refreshes, serve.queue_depth (gauge, published atomically
 // via Gauge::Add from the admission window), span.serve.query.seconds
-// (end-to-end latency histogram), stream.invalidation.selective / .full.
+// (latency from admission to the served result; for SubmitBatch it
+// includes pool queue wait, for Submit there is none),
+// stream.invalidation.selective / .full.
 // serve.cache.misses counts PROPAGATIONS the engine ran (leaders,
 // follower-timeout fallbacks, single-flight-off misses) - collapsed
 // followers are counted in serve.singleflight.followers instead, so
@@ -59,6 +64,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -76,12 +82,21 @@
 
 namespace kgov::serve {
 
+/// The partition clusters a ranking computed on `lane` depends on, sorted
+/// unique: the clusters of touched[0, expanded), the nodes whose out-edges
+/// the lane's last PropagatePhi pass read (why that is exact is in
+/// result_cache.h). When that log reached its |V| cap it may have dropped
+/// some, so the ranking depends on every cluster.
+std::vector<uint32_t> DependencySet(const ppr::PropagationWorkspace& lane,
+                                    const stream::GraphPartition& partition);
+
 struct QueryEngineOptions {
   /// Propagation settings used for every query.
   ppr::EipdOptions eipd;
   /// Answers returned per query.
   size_t top_k = 10;
-  /// Serving worker threads.
+  /// Worker threads SubmitBatch fans its groups out over. Submit runs on
+  /// the calling thread and never uses them.
   size_t num_threads = 4;
   /// Memoize per-seed rankings (delta-aware LRU). Disable to force every
   /// query through a fresh propagation (the cache-off baseline).
@@ -169,10 +184,11 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Serves one query: enqueues it on the worker pool and blocks until
-  /// its ranking is ready. InvalidArgument when the seed does not fit the
-  /// pinned epoch's view; ResourceExhausted (immediately, without
-  /// queueing) when the admission window is full.
+  /// Serves one query on the calling thread and returns its ranking. A
+  /// miss propagates on the thread's ppr::ThreadLocalLanes(), overwriting
+  /// what an earlier workspace-less EipdEngine call left there.
+  /// InvalidArgument when the seed does not fit the pinned epoch's view;
+  /// ResourceExhausted (immediately) when the admission window is full.
   StatusOr<RankedAnswers> Submit(const ppr::QuerySeed& seed);
 
   /// Serves a batch: admitted queries are grouped by partition cluster,
@@ -209,21 +225,18 @@ class QueryEngine {
   /// when no usable delta exists) BEFORE the new pin becomes visible.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
 
-  /// The partition clusters `seed`'s full-depth ranking can depend on,
-  /// sorted unique: the clusters of every node within max_length - 2
-  /// positive-weight hops of a positive-weight seed link - exactly the
-  /// nodes whose out-edges the propagation reads.
-  std::vector<uint32_t> DependencyClusters(graph::GraphView view,
-                                           const ppr::QuerySeed& seed);
+  using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
 
-  /// The worker-side body of every query, run once per same-cluster
-  /// group: per-seed cache probes, local + cross-task single-flight
-  /// coalescing, then ONE propagation pass with a lane per key this task
-  /// leads. Returns (index-into-seeds, result) pairs covering exactly
-  /// `indices`.
-  std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> ServeGroup(
-      const std::vector<ppr::QuerySeed>& seeds,
-      const std::vector<size_t>& indices) KGOV_EXCLUDES(epoch_mu_);
+  /// The serving body of every query, run once per same-cluster group:
+  /// per-seed cache probes, local + cross-group single-flight coalescing,
+  /// then ONE propagation pass with a lane per key this group leads.
+  /// Returns (index-into-seeds, result) pairs covering exactly `indices`.
+  GroupResult ServeGroup(std::span<const ppr::QuerySeed> seeds,
+                         std::span<const size_t> indices)
+      KGOV_EXCLUDES(epoch_mu_);
+
+  /// Records a served group's latency and releases its admission slots.
+  void FinishGroup(const GroupResult& served, double elapsed_seconds);
 
   /// Most queries folded into one group, hence lanes in one propagation
   /// pass (bounds per-task latency and workspace footprint).
@@ -236,31 +249,6 @@ class QueryEngine {
       const std::vector<size_t>& admitted) const;
 
   std::chrono::nanoseconds FollowerDeadline() const;
-
-  /// Reusable scratch for DependencyClusters' walk: visited stamps over
-  /// the view's nodes (a node is visited iff its stamp equals
-  /// `generation`), the walk's two frontiers and a bitmap over the
-  /// partition's clusters. Sized once per graph, so a miss allocates
-  /// nothing but the returned set.
-  struct DependencyScratch {
-    std::vector<uint32_t> stamp;
-    uint32_t generation = 0;
-    std::vector<graph::NodeId> frontier;
-    std::vector<graph::NodeId> next;
-    std::vector<uint64_t> cluster_bits;
-  };
-
-  /// One worker's reusable state: the propagation lanes of its groups'
-  /// passes (never empty; the follower-timeout fallback runs on the first
-  /// lane once the pass is done) and its dependency-walk scratch.
-  struct WorkerScratch {
-    std::vector<ppr::PropagationWorkspace> lanes =
-        std::vector<ppr::PropagationWorkspace>(1);
-    DependencyScratch dependency;
-  };
-
-  /// This worker's scratch (a thread-local one for non-pool callers).
-  WorkerScratch& ScratchForThisThread();
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
@@ -277,7 +265,6 @@ class QueryEngine {
   ShardedResultCache cache_;
   SingleFlightGroup flights_;
   AdmissionController admission_;
-  std::vector<WorkerScratch> scratch_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> hits_{0};

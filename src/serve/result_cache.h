@@ -10,11 +10,13 @@
 // streaming pipeline's hit-rate retention rides on. A full=true advance
 // (unknown or too-large delta) degenerates to the old wholesale flush.
 //
-// The dependency set (serve::QueryEngine's DependencyClusters) is the
-// clusters of every node within L-2 positive-weight hops of a
-// positive-weight seed link, L = max_length. It is exact because:
-//  * PropagatePhi seeds level 1 with the positive links and advances L-1
-//    times along positive edges, so every edge it reads leaves such a node;
+// The dependency set (serve::DependencySet) is the clusters of the nodes
+// whose out-edges the entry's propagation read, taken from its own
+// frontier log: touched[0, expanded), the frontiers of levels 1 .. L-1,
+// L = max_length. It is exact because:
+//  * PropagatePhi reads out-edges only when it advances a level, and it
+//    advances exactly those frontiers (every cluster when the log reached
+//    its |V| cap and may have dropped some);
 //  * the optimizer's delta keys every bitwise weight change by its edge's
 //    source cluster (DiffChangedClusters);
 //  * so, level by level, an entry whose set misses every intervening

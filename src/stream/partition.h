@@ -9,9 +9,8 @@
 //    touches (DirtyClusterTracker) and re-solves only those, and diffs
 //    consecutive graphs into a changed-cluster set per epoch;
 //  * the serve side tags each cached ranking with the clusters of the
-//    nodes its propagation reads out-edges from (serve::QueryEngine's
-//    DependencyClusters) and drops only entries that intersect an epoch's
-//    changed set.
+//    nodes its propagation reads out-edges from (serve::DependencySet)
+//    and drops only entries that intersect an epoch's changed set.
 //
 // BFS chunking keeps each cluster topologically local, so a vote's L-ball
 // (and a seed's dependency ball) lands in few clusters and selective

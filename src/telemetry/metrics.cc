@@ -84,16 +84,12 @@ Status HistogramOptions::Validate() const {
 
 Histogram::Histogram(HistogramOptions options)
     : bounds_(std::move(options.bucket_bounds)),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()),
-      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)) {
+      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)),
+      reservoir_(std::make_unique<std::atomic<double>[]>(reservoir_capacity_)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  reservoir_.reserve(std::min<size_t>(reservoir_capacity_, 1024));
+  Reset();
 }
 
 void Histogram::Observe(double value) {
@@ -107,15 +103,10 @@ void Histogram::Observe(double value) {
   AtomicAdd(&sum_, value);
   AtomicMin(&min_, value);
   AtomicMax(&max_, value);
-  {
-    MutexLock lock(reservoir_mu_);
-    if (reservoir_.size() < reservoir_capacity_) {
-      reservoir_.push_back(value);
-    } else {
-      reservoir_[reservoir_next_] = value;
-      reservoir_next_ = (reservoir_next_ + 1) % reservoir_capacity_;
-    }
-  }
+  const uint64_t slot =
+      reservoir_cursor_.fetch_add(1, std::memory_order_relaxed) %
+      reservoir_capacity_;
+  reservoir_[slot].store(value, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
@@ -131,10 +122,13 @@ HistogramSnapshot Histogram::Snapshot() const {
                               : snap.sum / static_cast<double>(snap.count);
   snap.min = snap.count == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
   snap.max = snap.count == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+  const size_t filled = static_cast<size_t>(std::min<uint64_t>(
+      reservoir_cursor_.load(std::memory_order_relaxed), reservoir_capacity_));
   std::vector<double> samples;
-  {
-    MutexLock lock(reservoir_mu_);
-    samples = reservoir_;
+  samples.reserve(filled);
+  for (size_t i = 0; i < filled; ++i) {
+    const double sample = reservoir_[i].load(std::memory_order_relaxed);
+    if (!std::isnan(sample)) samples.push_back(sample);
   }
   if (!samples.empty()) {
     // One sort of one scratch copy serves all three percentiles.
@@ -157,9 +151,11 @@ void Histogram::Reset() {
              std::memory_order_relaxed);
   max_.store(-std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
-  MutexLock lock(reservoir_mu_);
-  reservoir_.clear();
-  reservoir_next_ = 0;
+  for (size_t i = 0; i < reservoir_capacity_; ++i) {
+    reservoir_[i].store(std::numeric_limits<double>::quiet_NaN(),
+                        std::memory_order_relaxed);
+  }
+  reservoir_cursor_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

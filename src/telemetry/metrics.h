@@ -3,9 +3,9 @@
 // histograms, plus RAII ScopedSpan stage timers built on common/timer.h.
 //
 // Design constraints (see docs/observability.md):
-//  * Hot-path cost must be a handful of relaxed atomic ops: counters and
-//    histogram bucket updates are lock-free; only the bounded percentile
-//    reservoir takes a (tiny, per-histogram) mutex.
+//  * Hot-path cost must be a handful of relaxed atomic ops: counters,
+//    histogram buckets and the bounded percentile reservoir are all
+//    lock-free, so concurrent observers never wait on each other.
 //  * Metric objects are never removed once registered, so instrumentation
 //    sites may cache the returned pointer in a function-local static and
 //    skip the registry lookup forever after. Reset() zeroes values but
@@ -107,20 +107,25 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket histogram with a bounded percentile reservoir. Observe()
-/// is one branchless-ish bucket search plus four relaxed atomics and a
-/// short critical section appending to the reservoir ring.
+/// is one bucket search plus relaxed atomics: the bucket, count, sum,
+/// min and max updates, and one cursor fetch_add that claims a reservoir
+/// slot. It takes no lock.
 class Histogram {
  public:
   explicit Histogram(HistogramOptions options);
 
-  void Observe(double value) KGOV_EXCLUDES(reservoir_mu_);
+  void Observe(double value);
 
   /// Count of observations so far (exact).
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
 
-  HistogramSnapshot Snapshot() const KGOV_EXCLUDES(reservoir_mu_);
+  /// Percentiles come from the reservoir slots written so far. Under
+  /// concurrent Observe a claimed slot may still hold its previous
+  /// sample; a slot never written holds NaN and is skipped (so NaN
+  /// observations count but never reach the percentiles).
+  HistogramSnapshot Snapshot() const;
 
-  void Reset() KGOV_EXCLUDES(reservoir_mu_);
+  void Reset();
 
  private:
   std::vector<double> bounds_;
@@ -131,11 +136,11 @@ class Histogram {
   std::atomic<double> min_;
   std::atomic<double> max_;
 
-  mutable Mutex reservoir_mu_{KGOV_LOCK_RANK(kTelemetryReservoir)};
-  /// Ring buffer of recent samples.
-  std::vector<double> reservoir_ KGOV_GUARDED_BY(reservoir_mu_);
-  size_t reservoir_next_ KGOV_GUARDED_BY(reservoir_mu_) = 0;
+  /// Ring of the most recent samples: observation k (counting from the
+  /// last Reset) lands in slot k % reservoir_capacity_.
   size_t reservoir_capacity_;  // immutable after construction
+  std::unique_ptr<std::atomic<double>[]> reservoir_;
+  std::atomic<uint64_t> reservoir_cursor_{0};
 };
 
 /// Process-wide metric registry. GetX() registers on first use and

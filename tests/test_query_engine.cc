@@ -17,6 +17,7 @@
 #include "telemetry/metrics.h"
 
 namespace kgov::serve {
+
 namespace {
 
 using core::OnlineKgOptimizer;
@@ -630,6 +631,99 @@ TEST(QueryEngineTest, FullAdmissionWindowShedsWithResourceExhausted) {
   StatusOr<RankedAnswers> after =
       engine.Submit(ppr::QuerySeed::UniformOver({0}));
   ASSERT_TRUE(after.ok()) << after.status();
+}
+
+// Submit propagates on the calling thread's lanes (ppr::ThreadLocalLanes),
+// so a fresh thread's lanes show whether it, rather than a pool worker,
+// ran the propagation: they are sized to the graph only after a miss.
+bool ThisThreadPropagated(size_t num_nodes) {
+  const std::vector<ppr::PropagationWorkspace>& lanes =
+      ppr::ThreadLocalLanes();
+  return lanes.size() == 1 && lanes.front().phi.size() == num_nodes;
+}
+
+TEST(QueryEngineTest, SubmitServesOnTheCallingThread) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.num_threads = 1;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+  const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
+
+  // A cold miss propagates on the caller's own lanes; its hit follows.
+  std::optional<StatusOr<RankedAnswers>> miss;
+  std::optional<StatusOr<RankedAnswers>> hit;
+  bool fresh_before = false;
+  bool propagated = false;
+  std::thread caller([&]() {
+    fresh_before = !ThisThreadPropagated(g.NumNodes());
+    miss.emplace(engine.Submit(seed));
+    propagated = ThisThreadPropagated(g.NumNodes());
+    hit.emplace(engine.Submit(seed));
+  });
+  caller.join();
+  EXPECT_TRUE(fresh_before);
+  EXPECT_TRUE(propagated) << "the miss did not propagate on its caller";
+  ASSERT_TRUE(miss->ok()) << miss->status();
+  ASSERT_TRUE(hit->ok()) << hit->status();
+  EXPECT_FALSE((*miss)->from_cache);
+  EXPECT_TRUE((*hit)->from_cache);
+  ExpectIdenticalAnswers((*miss)->answers, (*hit)->answers);
+
+  // A hit on a thread that never propagated leaves its lanes unsized.
+  std::optional<StatusOr<RankedAnswers>> other_hit;
+  bool hit_propagated = true;
+  std::thread reader([&]() {
+    other_hit.emplace(engine.Submit(seed));
+    hit_propagated = ThisThreadPropagated(g.NumNodes());
+  });
+  reader.join();
+  ASSERT_TRUE(other_hit->ok()) << other_hit->status();
+  EXPECT_TRUE((*other_hit)->from_cache);
+  EXPECT_FALSE(hit_propagated);
+}
+
+TEST(QueryEngineTest, ConcurrentCallersEachPropagateOnOneLane) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.num_threads = 1;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+
+  // N callers sending distinct seeds past one pool worker: each caller
+  // propagates its own misses on its own single lane, so N callers hold
+  // at most N lane sets however many queries they send.
+  constexpr size_t kCallers = 4;
+  constexpr size_t kPerCaller = 50;
+  const std::vector<ppr::QuerySeed> stream =
+      SeededStream(kCallers * kPerCaller, 0x1A7E5);
+  std::atomic<bool> go{false};
+  std::atomic<size_t> misses{0};
+  std::vector<char> own_lane(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t]() {
+      while (!go.load(std::memory_order_relaxed)) std::this_thread::yield();
+      size_t mine = 0;
+      for (size_t i = t; i < stream.size(); i += kCallers) {
+        StatusOr<RankedAnswers> served = engine.Submit(stream[i]);
+        EXPECT_TRUE(served.ok()) << served.status();
+        if (served.ok() && !served->from_cache && !served->coalesced) ++mine;
+      }
+      misses.fetch_add(mine, std::memory_order_relaxed);
+      own_lane[t] = mine == 0 || ThisThreadPropagated(g.NumNodes());
+    });
+  }
+  go.store(true, std::memory_order_relaxed);
+  for (std::thread& t : callers) t.join();
+  EXPECT_GE(misses.load(), 1u);
+  for (size_t t = 0; t < kCallers; ++t) {
+    EXPECT_TRUE(own_lane[t]) << "caller " << t;
+  }
 }
 
 }  // namespace

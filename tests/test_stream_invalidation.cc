@@ -13,14 +13,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/online_optimizer.h"
+#include "graph/csr.h"
+#include "ppr/eipd_engine.h"
 #include "serve/query_engine.h"
+#include "stream/partition.h"
 #include "stream/pipeline.h"
 
 namespace kgov::serve {
@@ -452,6 +459,169 @@ TEST(StreamInvalidationProperty, ZeroWeightSeedLinkIsNotADependency) {
 
   ChangeOutEdgesOf(online, 8, 9, 10);
   EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
+}
+
+// ------------------------------------------ frontier-log dependency set
+//
+// DependencySet reads a cache entry's dependencies off its propagation's
+// own frontier log. The oracle is the walk the engine ran before: the
+// nodes within max_length - 2 positive-weight hops of a positive-weight
+// seed link, collected breadth-first.
+
+std::set<graph::NodeId> WalkedNodes(graph::GraphView view,
+                                    const ppr::QuerySeed& seed,
+                                    int max_length) {
+  std::set<graph::NodeId> visited;
+  std::vector<graph::NodeId> frontier;
+  if (max_length < 2) return visited;
+  for (const auto& [node, weight] : seed.links) {
+    if (weight > 0.0 && visited.insert(node).second) frontier.push_back(node);
+  }
+  for (int hop = 0; hop < max_length - 2; ++hop) {
+    std::vector<graph::NodeId> next;
+    for (graph::NodeId u : frontier) {
+      for (const auto* it = view.begin(u); it != view.end(u); ++it) {
+        if (it->weight > 0.0 && visited.insert(it->to).second) {
+          next.push_back(it->to);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return visited;
+}
+
+std::vector<uint32_t> WalkedClusters(graph::GraphView view,
+                                     const ppr::QuerySeed& seed,
+                                     int max_length,
+                                     const stream::GraphPartition& partition) {
+  std::set<uint32_t> clusters;
+  for (graph::NodeId v : WalkedNodes(view, seed, max_length)) {
+    clusters.insert(partition.ClusterOf(v));
+  }
+  return {clusters.begin(), clusters.end()};
+}
+
+std::vector<uint32_t> AllClusters(const stream::GraphPartition& partition) {
+  std::vector<uint32_t> all(partition.num_clusters());
+  std::iota(all.begin(), all.end(), 0u);
+  return all;
+}
+
+// Sparse random digraph with self-loops, 2-cycles and zero-weight edges.
+WeightedDigraph SparseRandomGraph(Rng& rng, size_t n) {
+  WeightedDigraph g(n);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const size_t degree = rng.NextIndex(3);
+    for (size_t k = 0; k < degree; ++k) {
+      const graph::NodeId v = static_cast<graph::NodeId>(rng.NextIndex(n));
+      const double w = rng.NextIndex(5) == 0 ? 0.0 : rng.Uniform(0.05, 1.0);
+      (void)g.AddEdge(u, v, w);  // duplicates are rejected; fine
+    }
+    if (rng.NextIndex(6) == 0) (void)g.AddEdge(u, u, rng.Uniform(0.05, 1.0));
+    if (rng.NextIndex(6) == 0) {
+      const graph::NodeId v = static_cast<graph::NodeId>(rng.NextIndex(n));
+      (void)g.AddEdge(u, v, 0.5);
+      (void)g.AddEdge(v, u, 0.5);
+    }
+  }
+  return g;
+}
+
+// One to three links, some of them zero-weight.
+ppr::QuerySeed RandomLinks(Rng& rng, size_t n) {
+  ppr::QuerySeed seed;
+  const size_t links = 1 + rng.NextIndex(3);
+  for (size_t k = 0; k < links; ++k) {
+    const double w = rng.NextIndex(4) == 0 ? 0.0 : rng.Uniform(0.1, 1.0);
+    seed.links.emplace_back(static_cast<graph::NodeId>(rng.NextIndex(n)), w);
+  }
+  return seed;
+}
+
+TEST(DependencySetTest, FrontierLogMatchesWalkedBallOnRandomGraphs) {
+  Rng rng(0xDE95E7);
+  size_t compared = 0;
+  size_t capped = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 30 + rng.NextIndex(60);
+    const WeightedDigraph g = SparseRandomGraph(rng, n);
+    const graph::CsrSnapshot csr(g);
+    // One cluster per node makes cluster equality node-set equality; the
+    // coarse partition exercises the node -> cluster mapping.
+    for (size_t target : {n, size_t{7}}) {
+      Result<stream::GraphPartition> partition =
+          stream::GraphPartition::Build(g, target);
+      ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+      for (int max_length = 1; max_length <= 5; ++max_length) {
+        ppr::EipdOptions options;
+        options.max_length = max_length;
+        // Multi-lane groups: each lane's log must stand alone.
+        const size_t count = 1 + rng.NextIndex(4);
+        std::vector<ppr::QuerySeed> seeds;
+        std::vector<const ppr::QuerySeed*> roots;
+        for (size_t b = 0; b < count; ++b) seeds.push_back(RandomLinks(rng, n));
+        for (const ppr::QuerySeed& seed : seeds) roots.push_back(&seed);
+        std::vector<ppr::PropagationWorkspace> lanes(count);
+        ppr::internal::PropagatePhi(ppr::internal::ViewAdjacency{csr.View()},
+                                    roots, options, lanes.data());
+        for (size_t b = 0; b < count; ++b) {
+          const ppr::PropagationWorkspace& lane = lanes[b];
+          const std::vector<uint32_t> got = DependencySet(lane, *partition);
+          if (lane.expanded >= n) {
+            ++capped;
+            EXPECT_EQ(got, AllClusters(*partition));
+            continue;
+          }
+          ++compared;
+          const std::set<graph::NodeId> logged(
+              lane.touched.begin(),
+              lane.touched.begin() + static_cast<ptrdiff_t>(lane.expanded));
+          EXPECT_EQ(logged, WalkedNodes(csr.View(), seeds[b], max_length))
+              << "trial " << trial << " L=" << max_length << " lane " << b;
+          EXPECT_EQ(got, WalkedClusters(csr.View(), seeds[b], max_length,
+                                        *partition))
+              << "trial " << trial << " L=" << max_length << " lane " << b;
+        }
+      }
+    }
+  }
+  // The random suite must exercise the exact path, not only the cap.
+  EXPECT_GT(compared, 500u);
+  EXPECT_LT(capped, compared / 4);
+}
+
+TEST(DependencySetTest, CappedLogDependsOnEveryCluster) {
+  // A complete digraph on 6 nodes: the level frontiers are 1, 6 and 6
+  // nodes, so at L = 4 the log holds 13 > 6 entries before the last level
+  // and stops at its cap of |V|.
+  constexpr size_t kNodes = 6;
+  WeightedDigraph g(kNodes);
+  for (graph::NodeId u = 0; u < kNodes; ++u) {
+    for (graph::NodeId v = 0; v < kNodes; ++v) {
+      ASSERT_TRUE(g.AddEdge(u, v, 1.0 / kNodes).ok());
+    }
+  }
+  const graph::CsrSnapshot csr(g);
+  Result<stream::GraphPartition> partition =
+      stream::GraphPartition::Build(g, kNodes);
+  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+  ppr::EipdOptions options;
+  options.max_length = 4;
+  ppr::EipdEngine engine(csr.View(), options);
+  ppr::PropagationWorkspace lane;
+  ASSERT_TRUE(engine.Propagate(ppr::QuerySeed::UniformOver({0}), &lane).ok());
+  ASSERT_EQ(lane.expanded, kNodes);
+  EXPECT_EQ(DependencySet(lane, *partition), AllClusters(*partition));
+
+  // At L = 2 only the seed node's out-edges were read.
+  options.max_length = 2;
+  ppr::EipdEngine shallow(csr.View(), options);
+  ASSERT_TRUE(
+      shallow.Propagate(ppr::QuerySeed::UniformOver({0}), &lane).ok());
+  ASSERT_EQ(lane.expanded, 1u);
+  EXPECT_EQ(DependencySet(lane, *partition),
+            std::vector<uint32_t>{partition->ClusterOf(0)});
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -263,6 +265,49 @@ TEST(ConcurrencyTest, CountersAndHistogramsAreExactUnderContention) {
   uint64_t bucket_total = 0;
   for (uint64_t b : snap.bucket_counts) bucket_total += b;
   EXPECT_EQ(bucket_total, snap.count);
+}
+
+// Observe takes no lock: concurrent observers claim reservoir slots with
+// an atomic cursor while a reader snapshots. Counts stay exact and the
+// percentiles only ever see observed values (TSan runs this too).
+TEST(HistogramTest, ObserveRacingSnapshotKeepsCountExactAndSamplesReal) {
+  HistogramOptions options;
+  options.bucket_bounds = {1.0};
+  options.reservoir_capacity = 64;  // small, so the ring wraps constantly
+  Histogram histogram(options);
+  constexpr double kValue = 0.5;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> observers;
+  for (int t = 0; t < kThreads; ++t) {
+    observers.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) histogram.Observe(kValue);
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last_count = 0;
+  int snapshots = 0;
+  while (running.load() > 0 || snapshots == 0) {
+    HistogramSnapshot snap = histogram.Snapshot();
+    ++snapshots;
+    EXPECT_GE(snap.count, last_count);
+    last_count = snap.count;
+    // An empty reservoir reads 0; anything else must be the one value
+    // ever observed.
+    for (double p : {snap.p50, snap.p95, snap.p99}) {
+      EXPECT_TRUE(p == 0.0 || p == kValue) << p;
+    }
+  }
+  for (std::thread& t : observers) t.join();
+  const uint64_t total = static_cast<uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(histogram.Count(), total);
+  HistogramSnapshot snap = histogram.Snapshot();
+  EXPECT_EQ(snap.count, total);
+  EXPECT_EQ(snap.bucket_counts.front(), total);
+  EXPECT_DOUBLE_EQ(snap.sum, kValue * static_cast<double>(total));
+  EXPECT_DOUBLE_EQ(snap.p50, kValue);
+  EXPECT_DOUBLE_EQ(snap.p99, kValue);
 }
 
 TEST(ConcurrencyTest, RegistrationRacesResolveToOneMetric) {
