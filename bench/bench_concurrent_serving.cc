@@ -17,7 +17,14 @@
 // The cache rows are measured in steady state (a warm-up round fills the
 // cache), so cache-on vs cache-off is the honest hit-path speedup.
 //
-// Three serving-path phases follow the sweep:
+// The sweep's rows go through SubmitBatch, so its cache-on rows time the
+// pool fan-out as much as the hit. The hit-path sweep times the hit
+// itself: 1, 2 and 4 caller threads each call Submit in a closed loop on
+// a warmed cache (every call a hit) for at least a minimum duration per
+// point; each point is the median of three repetitions, for both the
+// per-call p50 and the qps.
+//
+// Three serving-path phases follow the sweeps:
 //
 //  * single_flight - a flash crowd (K threads, one cold key at a time)
 //    against the coalescing engine; the propagation count must equal the
@@ -36,6 +43,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,6 +53,7 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "core/online_optimizer.h"
+#include "math/stats.h"
 #include "qa/kg_builder.h"
 #include "serve/query_engine.h"
 #include "telemetry/metrics.h"
@@ -126,6 +135,116 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
                    : static_cast<double>(stats.hits) /
                          static_cast<double>(lookups);
   return point;
+}
+
+struct HitPathPoint {
+  size_t callers = 0;
+  /// Per repetition: completed Submits per second, and the p50 latency of
+  /// one Submit in microseconds.
+  std::vector<double> qps_reps;
+  std::vector<double> p50_us_reps;
+  double qps = 0.0;     // median of qps_reps
+  double p50_us = 0.0;  // median of p50_us_reps
+  /// Hits over queries across every repetition (1.0: nothing propagated).
+  double hit_ratio = 0.0;
+};
+
+constexpr int kHitPathReps = 3;
+
+/// `callers` threads each call Submit on `engine` in a closed loop for
+/// `min_seconds`, cycling through the (cached) seeds from their own
+/// offset. Returns the repetition's qps and p50 (us).
+std::pair<double, double> RunHitPathRep(serve::QueryEngine& engine,
+                                        const std::vector<ppr::QuerySeed>& seeds,
+                                        size_t callers, double min_seconds) {
+  // Per-caller latency ring, allocated before the clock starts; it keeps
+  // the latest kRing calls.
+  constexpr size_t kRing = 1 << 16;
+  std::vector<std::vector<float>> latency_us(callers,
+                                             std::vector<float>(kRing));
+  std::vector<uint64_t> completed(callers, 0);
+  std::atomic<size_t> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(callers);
+  for (size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c]() {
+      ready.fetch_add(1, std::memory_order_relaxed);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      Timer window;
+      uint64_t n = 0;
+      size_t i = c * seeds.size() / callers;
+      while (window.ElapsedSeconds() < min_seconds) {
+        const auto begin = std::chrono::steady_clock::now();
+        StatusOr<serve::RankedAnswers> r = engine.Submit(seeds[i]);
+        const auto end = std::chrono::steady_clock::now();
+        KGOV_CHECK(r.ok());
+        latency_us[c][n % kRing] = static_cast<float>(
+            std::chrono::duration<double, std::micro>(end - begin).count());
+        ++n;
+        if (++i == seeds.size()) i = 0;
+      }
+      completed[c] = n;
+    });
+  }
+  while (ready.load(std::memory_order_relaxed) < callers) {
+    std::this_thread::yield();
+  }
+  Timer wall;
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  const double seconds = wall.ElapsedSeconds();
+  uint64_t total = 0;
+  std::vector<double> kept;
+  for (size_t c = 0; c < callers; ++c) {
+    total += completed[c];
+    const size_t held = static_cast<size_t>(
+        std::min<uint64_t>(completed[c], kRing));
+    kept.insert(kept.end(), latency_us[c].begin(),
+                latency_us[c].begin() + static_cast<ptrdiff_t>(held));
+  }
+  return {static_cast<double>(total) / seconds, math::Median(std::move(kept))};
+}
+
+/// The hit-path point for `callers` threads: a fresh engine, warmed by
+/// one SubmitBatch of every seed, then kHitPathReps timed repetitions.
+HitPathPoint RunHitPath(const Setup& s, const core::OnlineKgOptimizer& online,
+                        size_t callers, double min_seconds) {
+  serve::QueryEngineOptions options;
+  options.eipd.max_length = 5;
+  options.top_k = 20;
+  options.num_threads = 2;  // only the warm-up batch uses the pool
+  auto engine_or =
+      serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
+  KGOV_CHECK(engine_or.ok());
+  serve::QueryEngine& engine = **engine_or;
+  for (const auto& r : engine.SubmitBatch(s.seeds)) KGOV_CHECK(r.ok());
+
+  HitPathPoint point;
+  point.callers = callers;
+  const serve::QueryEngine::ServeStats before = engine.GetServeStats();
+  for (int rep = 0; rep < kHitPathReps; ++rep) {
+    const auto [qps, p50_us] =
+        RunHitPathRep(engine, s.seeds, callers, min_seconds);
+    point.qps_reps.push_back(qps);
+    point.p50_us_reps.push_back(p50_us);
+  }
+  const serve::QueryEngine::ServeStats after = engine.GetServeStats();
+  point.qps = math::Median(point.qps_reps);
+  point.p50_us = math::Median(point.p50_us_reps);
+  point.hit_ratio = static_cast<double>(after.hits - before.hits) /
+                    static_cast<double>(after.queries - before.queries);
+  return point;
+}
+
+std::string JsonArray(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%.3f", i == 0 ? "" : ", ", values[i]);
+    out += buf;
+  }
+  return out + "]";
 }
 
 serve::QueryEngineOptions PhaseOptions() {
@@ -401,6 +520,22 @@ void RunAndReport(bool smoke, const char* json_path,
   std::printf("cache-hit speedup (1 thread, steady state): %.2fx\n",
               cache_speedup);
 
+  const double hit_path_seconds = smoke ? 0.05 : 1.0;
+  std::vector<HitPathPoint> hit_path;
+  for (size_t callers : thread_counts) {
+    hit_path.push_back(RunHitPath(s, online, callers, hit_path_seconds));
+  }
+  std::printf("hit path: Submit on a warmed cache, median of %d reps of "
+              ">= %.2f s each\n",
+              kHitPathReps, hit_path_seconds);
+  bench::TablePrinter hit_table({"callers", "q/s", "p50 us", "hit ratio"},
+                                {7, 12, 8, 9});
+  hit_table.PrintHeader();
+  for (const HitPathPoint& p : hit_path) {
+    hit_table.PrintRow({std::to_string(p.callers), bench::Num(p.qps, 1),
+                        bench::Num(p.p50_us, 3), bench::Num(p.hit_ratio, 4)});
+  }
+
   SingleFlightReport sf = RunSingleFlightPhase(s, online);
   std::printf(
       "single-flight: %zu threads x %zu cold keys -> %llu propagations "
@@ -472,6 +607,22 @@ void RunAndReport(bool smoke, const char* json_path,
                  "  ],\n"
                  "  \"scaling\": null,\n");
   }
+  std::fprintf(out,
+               "  \"hit_path\": {\"reps\": %d, \"min_seconds\": %.3f, "
+               "\"points\": [\n",
+               kHitPathReps, hit_path_seconds);
+  for (size_t i = 0; i < hit_path.size(); ++i) {
+    const HitPathPoint& p = hit_path[i];
+    std::fprintf(out,
+                 "    {\"callers\": %zu, \"qps\": %.1f, \"p50_us\": %.3f, "
+                 "\"hit_ratio\": %.4f, \"qps_reps\": %s, "
+                 "\"p50_us_reps\": %s}%s\n",
+                 p.callers, p.qps, p.p50_us, p.hit_ratio,
+                 JsonArray(p.qps_reps).c_str(),
+                 JsonArray(p.p50_us_reps).c_str(),
+                 i + 1 < hit_path.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]},\n");
   std::fprintf(out,
                "  \"cache_hit_speedup\": %.3f,\n"
                "  \"single_flight\": {\"flash_threads\": %zu, "

@@ -1,6 +1,7 @@
 #include "core/kg_optimizer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -457,7 +458,16 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     report.votes_satisfied += satisfied;
   };
 
-  Status parallel_status = ParallelFor(pool, num_clusters, solve_cluster);
+  // Largest clusters first (by vote count; ties by index): the biggest
+  // solve sets the makespan, so it must not start last. Deltas are stored
+  // and merged by cluster index, so the order cannot change the output.
+  std::vector<size_t> order(num_clusters);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return groups[a].size() > groups[b].size();
+  });
+  Status parallel_status = ParallelFor(
+      pool, num_clusters, [&](size_t i) { solve_cluster(order[i]); });
   report.solve_seconds = timer.ElapsedSeconds();
   metrics.solve_span->Observe(report.solve_seconds);
   // A task that died (threw) before recording any outcome still isolates

@@ -44,14 +44,14 @@ Status AdmissionController::TryAdmit() {
       in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (occupied > options_.capacity) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    shed_.Increment();
     metrics.shed->Increment();
     return Status::ResourceExhausted(
         "serving admission window full (" +
         std::to_string(options_.capacity) +
         " queries in flight); query shed");
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  admitted_.Increment();
   metrics.queue_depth->Add(1.0);
   return Status::OK();
 }
@@ -63,8 +63,8 @@ void AdmissionController::Finish() {
 
 AdmissionController::Stats AdmissionController::GetStats() const {
   Stats stats;
-  stats.admitted = admitted_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
+  stats.admitted = admitted_.Value();
+  stats.shed = shed_.Value();
   return stats;
 }
 

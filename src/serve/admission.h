@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "telemetry/metrics.h"
 
 namespace kgov::serve {
 
@@ -74,8 +75,8 @@ class AdmissionController {
   AdmissionOptions options_;
 
   std::atomic<size_t> in_flight_{0};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> shed_{0};
+  telemetry::Counter admitted_;
+  telemetry::Counter shed_;
 };
 
 }  // namespace kgov::serve

@@ -58,6 +58,16 @@ struct ServeMetrics {
   }
 };
 
+// Engine ids start at 1, so an unused ThreadPinSlot (id 0) matches none.
+std::atomic<uint64_t> next_engine_id{1};
+
+// The epoch this thread serves from, and the engine it was pinned from.
+struct ThreadPinSlot {
+  uint64_t engine_id = 0;
+  core::ServingEpoch epoch;
+};
+thread_local ThreadPinSlot this_thread_pin;
+
 }  // namespace
 
 std::vector<uint32_t> DependencySet(const ppr::PropagationWorkspace& lane,
@@ -128,37 +138,31 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       candidates_(candidates),
       options_(std::move(options)),
       partition_(source->partition()),
+      id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
       pinned_(source->CurrentEpoch()),
+      pinned_epoch_(pinned_.epoch),
       cache_(options_.cache_capacity, options_.cache_shards),
       admission_(options_.admission),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
 QueryEngine::~QueryEngine() = default;
 
-uint64_t QueryEngine::PinnedEpochNumber() const {
-  ReaderMutexLock lock(epoch_mu_);
-  return pinned_.epoch;
-}
-
 QueryEngine::ServeStats QueryEngine::GetServeStats() const {
   ServeStats stats;
-  stats.queries = queries_.load(std::memory_order_relaxed);
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.leaders = leaders_.load(std::memory_order_relaxed);
-  stats.followers = followers_.load(std::memory_order_relaxed);
-  stats.timeouts = timeouts_.load(std::memory_order_relaxed);
+  stats.queries = queries_.Value();
+  stats.hits = hits_.Value();
+  stats.misses = misses_.Value();
+  stats.leaders = leaders_.Value();
+  stats.followers = followers_.Value();
+  stats.timeouts = timeouts_.Value();
   stats.shed = admission_.GetStats().shed;
-  stats.errors = errors_.load(std::memory_order_relaxed);
+  stats.errors = errors_.Value();
   return stats;
 }
 
 void QueryEngine::MaybeRefreshEpoch() {
   const uint64_t latest = source_->CurrentEpochNumber();
-  {
-    ReaderMutexLock lock(epoch_mu_);
-    if (pinned_.epoch >= latest) return;
-  }
+  if (pinned_epoch_.load(std::memory_order_acquire) >= latest) return;
   // Pin the fresh epoch outside the exclusive section (CurrentEpoch takes
   // the optimizer's own lock), then swap under ours.
   core::ServingEpoch fresh = source_->CurrentEpoch();
@@ -187,6 +191,9 @@ void QueryEngine::MaybeRefreshEpoch() {
       dropped = cache_.AdvanceEpoch(fresh.epoch, changed, full);
     }
     pinned_ = std::move(fresh);
+    // Published last: a thread that reads this number has the advanced
+    // cache and the new pin visible (see result_cache.h).
+    pinned_epoch_.store(pinned_.epoch, std::memory_order_release);
   }
   const ServeMetrics& metrics = ServeMetrics::Get();
   metrics.epoch_refreshes->Increment();
@@ -200,6 +207,22 @@ void QueryEngine::MaybeRefreshEpoch() {
   }
 }
 
+const core::ServingEpoch& QueryEngine::ThreadPin() {
+  ThreadPinSlot& pin = this_thread_pin;
+  if (pin.engine_id != id_ ||
+      pin.epoch.epoch != pinned_epoch_.load(std::memory_order_acquire)) {
+    core::ServingEpoch fresh;
+    {
+      ReaderMutexLock lock(epoch_mu_);
+      fresh = pinned_;
+    }
+    // The superseded epoch is released here, outside the lock.
+    pin.epoch = std::move(fresh);
+    pin.engine_id = id_;
+  }
+  return pin.epoch;
+}
+
 std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(options_.single_flight_deadline_seconds));
@@ -208,11 +231,7 @@ std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
 QueryEngine::GroupResult QueryEngine::ServeGroup(
     std::span<const ppr::QuerySeed> seeds, std::span<const size_t> indices) {
   MaybeRefreshEpoch();
-  core::ServingEpoch epoch;
-  {
-    ReaderMutexLock lock(epoch_mu_);
-    epoch = pinned_;
-  }
+  const core::ServingEpoch& epoch = ThreadPin();
   // Debug builds re-check the pinned epoch's structural contract on every
   // group (compiled out under NDEBUG; see serve/validate.h).
   KGOV_DCHECK_OK(ValidateEpochPin(epoch));
@@ -229,19 +248,19 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
     return r;
   };
   auto fail = [&](size_t index, Status status) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_.Increment();
     metrics.errors->Increment();
     out.emplace_back(index, std::move(status));
   };
   auto serve_hit = [&](size_t index, RankedAnswers result) {
     result.from_cache = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.Increment();
     metrics.cache_hits->Increment();
     out.emplace_back(index, std::move(result));
   };
   auto serve_coalesced = [&](size_t index, RankedAnswers result) {
     result.coalesced = true;
-    followers_.fetch_add(1, std::memory_order_relaxed);
+    followers_.Increment();
     metrics.sf_followers->Increment();
     out.emplace_back(index, std::move(result));
   };
@@ -257,7 +276,7 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
         metrics.cache_evictions->Increment();
       }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.Increment();
     if (options_.enable_cache) metrics.cache_misses->Increment();
   };
 
@@ -352,7 +371,7 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
       publish_propagated(l.cache_key, lanes[b], result);
       if (l.token != nullptr) {
         l.token->Complete(Status::OK(), result.answers);
-        leaders_.fetch_add(1, std::memory_order_relaxed);
+        leaders_.Increment();
         metrics.sf_leaders->Increment();
       }
       for (size_t dup : l.coalesced) serve_coalesced(dup, result);
@@ -378,7 +397,7 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
     // Deadline expired: detach and propagate for ourselves (counted as a
     // timeout AND a miss; the flight stays live for other followers). The
     // pass above is done, so this thread's first lane is free.
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    timeouts_.Increment();
     metrics.sf_timeouts->Increment();
     const ppr::QuerySeed& seed = seeds[w.index];
     ppr::PropagationWorkspace& lane = ppr::ThreadLocalLanes().front();
@@ -448,7 +467,7 @@ void QueryEngine::FinishGroup(const GroupResult& served,
 
 StatusOr<RankedAnswers> QueryEngine::Submit(const ppr::QuerySeed& seed) {
   ServeMetrics::Get().queries->Increment();
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.Increment();
   // A shed query never took a slot, so it has no Finish.
   KGOV_RETURN_IF_ERROR(admission_.TryAdmit());
   Timer timer;
@@ -462,7 +481,7 @@ std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
     const std::vector<ppr::QuerySeed>& seeds) {
   const size_t n = seeds.size();
   ServeMetrics::Get().queries->Increment(n);
-  queries_.fetch_add(n, std::memory_order_relaxed);
+  queries_.Increment(n);
 
   std::vector<std::optional<StatusOr<RankedAnswers>>> slots(n);
 

@@ -39,9 +39,25 @@
 //    beyond capacity, Submit sheds immediately with kResourceExhausted
 //    (never parks the caller).
 //  * Before each query the engine probes
-//    OnlineKgOptimizer::CurrentEpochNumber() (one acquire load) and
-//    re-pins when the optimizer has published a newer epoch, so fresh
-//    results appear promptly without polling threads.
+//    OnlineKgOptimizer::CurrentEpochNumber() (one acquire load) against
+//    its own atomic copy of the pinned epoch number, and re-pins when the
+//    optimizer has published a newer epoch, so fresh results appear
+//    promptly without polling threads.
+//  * Each serving thread keeps its own pin: one ServingEpoch in a
+//    thread_local slot, keyed by the engine's process-unique id (never
+//    its address, which a later engine may reuse). A query reuses the
+//    slot while its epoch equals the engine's pinned epoch number, so in
+//    steady state it takes no lock and changes no reference count; only
+//    after a re-pin (or when the thread last served another engine) does
+//    it copy the engine's pin under the reader lock. Retention bound: at
+//    most one ServingEpoch per thread that has served a query, from
+//    whichever engine it served last. A superseded epoch stays alive
+//    until that thread's next query or its exit, so an idle thread can
+//    hold one old snapshot (and a destroyed engine's last epoch) alive.
+//  * Outcome counters are telemetry::Counter cells, like the registry's
+//    serve.* mirrors: a cache hit writes only its own thread's cache
+//    lines, apart from the admission window with its queue-depth gauge,
+//    the cache shard lock, and the span histogram's reservoir ring.
 //
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.singleflight.leaders /
@@ -79,6 +95,7 @@
 #include "serve/result_cache.h"
 #include "serve/single_flight.h"
 #include "stream/partition.h"
+#include "telemetry/metrics.h"
 
 namespace kgov::serve {
 
@@ -198,8 +215,11 @@ class QueryEngine {
       const std::vector<ppr::QuerySeed>& seeds);
 
   /// The epoch queries are currently served from (pinned; may trail the
-  /// optimizer's latest by at most one in-flight refresh).
-  uint64_t PinnedEpochNumber() const KGOV_EXCLUDES(epoch_mu_);
+  /// optimizer's latest by at most one in-flight refresh). One acquire
+  /// load; takes no lock.
+  uint64_t PinnedEpochNumber() const {
+    return pinned_epoch_.load(std::memory_order_acquire);
+  }
 
   /// Cache counters since construction.
   ShardedResultCache::Stats CacheStats() const { return cache_.GetStats(); }
@@ -224,6 +244,11 @@ class QueryEngine {
   /// advancing the cache with the changed-cluster delta (or a full flush
   /// when no usable delta exists) BEFORE the new pin becomes visible.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
+
+  /// This thread's pin of the engine's current epoch (see the header
+  /// comment). The reference stays valid until this thread's next call;
+  /// ServeGroup never runs nested on one thread.
+  const core::ServingEpoch& ThreadPin() KGOV_EXCLUDES(epoch_mu_);
 
   using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
 
@@ -256,23 +281,30 @@ class QueryEngine {
   /// The optimizer's fixed streaming partition (shared; never null).
   std::shared_ptr<const stream::GraphPartition> partition_;
 
-  /// Pinned epoch; a shared (reader-writer) mutex so concurrent queries
+  /// Process-unique, never reused: keys the per-thread pins.
+  const uint64_t id_;
+
+  /// Pinned epoch; a shared (reader-writer) mutex so re-pinning threads
   /// copy it without serializing on each other, while a refresh takes it
   /// exclusively.
   mutable SharedMutex epoch_mu_{KGOV_LOCK_RANK(kQueryEpochPin)};
   core::ServingEpoch pinned_ KGOV_GUARDED_BY(epoch_mu_);
+  /// pinned_.epoch, stored (release) under the writer lock after the
+  /// cache has advanced and pinned_ has been swapped; the lock-free fast
+  /// paths read it (acquire).
+  std::atomic<uint64_t> pinned_epoch_;
 
   ShardedResultCache cache_;
   SingleFlightGroup flights_;
   AdmissionController admission_;
 
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> leaders_{0};
-  std::atomic<uint64_t> followers_{0};
-  std::atomic<uint64_t> timeouts_{0};
-  std::atomic<uint64_t> errors_{0};
+  telemetry::Counter queries_;
+  telemetry::Counter hits_;
+  telemetry::Counter misses_;
+  telemetry::Counter leaders_;
+  telemetry::Counter followers_;
+  telemetry::Counter timeouts_;
+  telemetry::Counter errors_;
 
   /// Declared last: destroyed first, so workers drain before the state
   /// they touch goes away.

@@ -57,11 +57,11 @@ bool ShardedResultCache::Get(const std::string& key, uint64_t reader_epoch,
       // contains the reader's epoch (readers pin at most current).
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       *out = it->second->second.value;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      hits_.Increment();
       return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_.Increment();
   return false;
 }
 
@@ -93,7 +93,7 @@ bool ShardedResultCache::Put(const std::string& key,
     // it) or will sweep this shard after we insert (it waits on shard.mu).
     MutexLock epoch_lock(epoch_mu_);
     if (!ValidAtCurrent(deps, computed_epoch)) {
-      rejected_puts_.fetch_add(1, std::memory_order_relaxed);
+      rejected_puts_.Increment();
       return false;
     }
   }
@@ -108,7 +108,7 @@ bool ShardedResultCache::Put(const std::string& key,
   if (shard.lru.size() >= per_shard_capacity_) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_.Increment();
     evicted = true;
   }
   shard.lru.emplace_front(
@@ -131,10 +131,10 @@ size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch,
   // reverse nesting here would deadlock). Every entry inserted after the
   // record above validated against it, so the sweep misses nothing.
   if (full) {
-    full_sweeps_.fetch_add(1, std::memory_order_relaxed);
+    full_sweeps_.Increment();
     return InvalidateAll();
   }
-  selective_sweeps_.fetch_add(1, std::memory_order_relaxed);
+  selective_sweeps_.Increment();
   size_t dropped = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
@@ -148,7 +148,7 @@ size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch,
       }
     }
   }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
+  invalidations_.Increment(dropped);
   return dropped;
 }
 
@@ -160,20 +160,19 @@ size_t ShardedResultCache::InvalidateAll() {
     shard.index.clear();
     shard.lru.clear();
   }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
+  invalidations_.Increment(dropped);
   return dropped;
 }
 
 ShardedResultCache::Stats ShardedResultCache::GetStats() const {
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
-  stats.selective_sweeps =
-      selective_sweeps_.load(std::memory_order_relaxed);
-  stats.full_sweeps = full_sweeps_.load(std::memory_order_relaxed);
-  stats.rejected_puts = rejected_puts_.load(std::memory_order_relaxed);
+  stats.hits = hits_.Value();
+  stats.misses = misses_.Value();
+  stats.evictions = evictions_.Value();
+  stats.invalidations = invalidations_.Value();
+  stats.selective_sweeps = selective_sweeps_.Value();
+  stats.full_sweeps = full_sweeps_.Value();
+  stats.rejected_puts = rejected_puts_.Value();
   return stats;
 }
 

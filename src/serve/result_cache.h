@@ -42,11 +42,21 @@
 // epoch-state mutex is never held while a shard is locked by AdvanceEpoch
 // (Put nests it inside the shard lock), so the two lock orders cannot
 // deadlock.
+//
+// Readers learn their epoch from serve::QueryEngine, never from this
+// cache. The engine calls AdvanceEpoch(E) under its exclusive epoch lock,
+// then swaps its pinned epoch, then release-stores E into its atomic
+// pinned-epoch number, all before unlocking. A reader reaches E only
+// through that number (an acquire load that reads E, or the reader lock
+// under which it copies the pin), so AdvanceEpoch(E), its sweep's shard
+// unlocks included, happens before the reader's Get takes a shard lock:
+// the reader cannot find an entry the delta into E dropped. A reader
+// still serving an older pin E' gets only entries computed on E' or
+// earlier, which by the first validity rule are bitwise-valid at E'.
 
 #ifndef KGOV_SERVE_RESULT_CACHE_H_
 #define KGOV_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -59,6 +69,7 @@
 #include "common/thread_annotations.h"
 #include "ppr/query_seed.h"
 #include "ppr/ranking.h"
+#include "telemetry/metrics.h"
 
 namespace kgov::serve {
 
@@ -120,7 +131,7 @@ class ShardedResultCache {
   /// release; entry validity never depended on it). Returns the count.
   size_t InvalidateAll();
 
-  /// Monotonic counters since construction (relaxed reads).
+  /// Monotonic counters since construction (exact once writers stop).
   Stats GetStats() const;
 
   /// Entries currently resident, summed over shards.
@@ -170,13 +181,14 @@ class ShardedResultCache {
   /// Oldest first, capped at kHistoryCapacity.
   std::deque<EpochChange> history_ KGOV_GUARDED_BY(epoch_mu_);
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> selective_sweeps_{0};
-  std::atomic<uint64_t> full_sweeps_{0};
-  std::atomic<uint64_t> rejected_puts_{0};
+  // Striped (telemetry::Counter): a hit writes only its thread's cell.
+  telemetry::Counter hits_;
+  telemetry::Counter misses_;
+  telemetry::Counter evictions_;
+  telemetry::Counter invalidations_;
+  telemetry::Counter selective_sweeps_;
+  telemetry::Counter full_sweeps_;
+  telemetry::Counter rejected_puts_;
 };
 
 }  // namespace kgov::serve

@@ -82,46 +82,88 @@ Status HistogramOptions::Validate() const {
   return Status::OK();
 }
 
+namespace internal {
+
+size_t NextStripe() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
+}  // namespace internal
+
 Histogram::Histogram(HistogramOptions options)
     : bounds_(std::move(options.bucket_bounds)),
       reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)),
       reservoir_(std::make_unique<std::atomic<double>[]>(reservoir_capacity_)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
+  bucket_lines_ = bounds_.size() / BucketLine::kCounts + 1;
+  buckets_ = std::make_unique<BucketLine[]>(kStripes * bucket_lines_);
   Reset();
+}
+
+uint64_t Histogram::ClaimSlot(Stripe& stripe) {
+  const uint64_t claim = stripe.claim.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t used = claim & 0xffffffffu;
+  if (used < kReservoirBlock) {
+    return (claim >> 32) * kReservoirBlock + used;
+  }
+  // Block used up: claim the next one off the shared cursor and take its
+  // first slot. A thread sharing this stripe that raced past the end
+  // claims a block of its own; the loser's store abandons the rest of the
+  // other block (those slots keep their previous samples).
+  const uint64_t base =
+      reservoir_cursor_.fetch_add(kReservoirBlock, std::memory_order_relaxed);
+  stripe.claim.store(((base / kReservoirBlock) << 32) | 1,
+                     std::memory_order_relaxed);
+  return base;
 }
 
 void Histogram::Observe(double value) {
   // Bounds are inclusive upper edges ("le"): the first bound >= value is
   // the bucket; values above every bound land in the trailing overflow.
-  size_t bucket = static_cast<size_t>(
+  const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, value);
-  AtomicMin(&min_, value);
-  AtomicMax(&max_, value);
-  const uint64_t slot =
-      reservoir_cursor_.fetch_add(1, std::memory_order_relaxed) %
-      reservoir_capacity_;
+  const size_t index = ThisThreadStripe();
+  Stripe& stripe = stripes_[index];
+  Bucket(index, bucket).fetch_add(1, std::memory_order_relaxed);
+  stripe.count.fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(&stripe.sum, value);
+  AtomicMin(&stripe.min, value);
+  AtomicMax(&stripe.max, value);
+  const uint64_t slot = ClaimSlot(stripe) % reservoir_capacity_;
   reservoir_[slot].store(value, std::memory_order_relaxed);
+}
+
+uint64_t Histogram::Count() const {
+  uint64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.bucket_bounds = bounds_;
-  snap.bucket_counts.resize(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    snap.bucket_counts[i] = buckets_[i].load(std::memory_order_relaxed);
+  snap.bucket_counts.assign(bounds_.size() + 1, 0);
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < kStripes; ++s) {
+    for (size_t i = 0; i <= bounds_.size(); ++i) {
+      snap.bucket_counts[i] += Bucket(s, i).load(std::memory_order_relaxed);
+    }
+    const Stripe& stripe = stripes_[s];
+    snap.count += stripe.count.load(std::memory_order_relaxed);
+    snap.sum += stripe.sum.load(std::memory_order_relaxed);
+    min = std::min(min, stripe.min.load(std::memory_order_relaxed));
+    max = std::max(max, stripe.max.load(std::memory_order_relaxed));
   }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
   snap.mean = snap.count == 0 ? 0.0
                               : snap.sum / static_cast<double>(snap.count);
-  snap.min = snap.count == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-  snap.max = snap.count == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+  snap.min = snap.count == 0 ? 0.0 : min;
+  snap.max = snap.count == 0 ? 0.0 : max;
   const size_t filled = static_cast<size_t>(std::min<uint64_t>(
       reservoir_cursor_.load(std::memory_order_relaxed), reservoir_capacity_));
   std::vector<double> samples;
@@ -142,15 +184,19 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
+  for (size_t s = 0; s < kStripes; ++s) {
+    for (size_t i = 0; i <= bounds_.size(); ++i) {
+      Bucket(s, i).store(0, std::memory_order_relaxed);
+    }
+    Stripe& stripe = stripes_[s];
+    stripe.count.store(0, std::memory_order_relaxed);
+    stripe.sum.store(0.0, std::memory_order_relaxed);
+    stripe.min.store(std::numeric_limits<double>::infinity(),
+                     std::memory_order_relaxed);
+    stripe.max.store(-std::numeric_limits<double>::infinity(),
+                     std::memory_order_relaxed);
+    stripe.claim.store(kReservoirBlock, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
   for (size_t i = 0; i < reservoir_capacity_; ++i) {
     reservoir_[i].store(std::numeric_limits<double>::quiet_NaN(),
                         std::memory_order_relaxed);

@@ -3,9 +3,12 @@
 // histograms, plus RAII ScopedSpan stage timers built on common/timer.h.
 //
 // Design constraints (see docs/observability.md):
-//  * Hot-path cost must be a handful of relaxed atomic ops: counters,
-//    histogram buckets and the bounded percentile reservoir are all
-//    lock-free, so concurrent observers never wait on each other.
+//  * Hot-path cost must be a handful of relaxed atomic ops on cache lines
+//    the writing thread owns. Counters and histograms are striped: each
+//    holds kStripes cache-line-aligned cells, a thread writes only the
+//    cell of its stripe (ThisThreadStripe), and readers sum the cells. So
+//    two serving threads recording the same metric never contend on one
+//    line; nothing takes a lock.
 //  * Metric objects are never removed once registered, so instrumentation
 //    sites may cache the returned pointer in a function-local static and
 //    skip the registry lookup forever after. Reset() zeroes values but
@@ -20,7 +23,9 @@
 #ifndef KGOV_TELEMETRY_METRICS_H_
 #define KGOV_TELEMETRY_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -33,20 +38,54 @@
 
 namespace kgov::telemetry {
 
-/// Monotonically increasing event count. Lock-free; exact under any
-/// number of concurrent writers.
+/// Cells per striped metric (Counter, Histogram). A compile-time
+/// constant: threads beyond it share cells, which stays exact (every cell
+/// write is an atomic read-modify-write) and only costs contention.
+inline constexpr size_t kStripes = 16;
+/// Alignment that keeps two cells off one cache line.
+inline constexpr size_t kCacheLineBytes = 64;
+
+namespace internal {
+/// Hands out stripe indices round-robin, one per calling thread.
+size_t NextStripe();
+}  // namespace internal
+
+/// The stripe this thread writes, in [0, kStripes): assigned on the
+/// thread's first striped write and fixed for its lifetime.
+inline size_t ThisThreadStripe() {
+  thread_local const size_t stripe = internal::NextStripe();
+  return stripe;
+}
+
+/// Monotonically increasing event count. Increment is one relaxed
+/// fetch_add on the calling thread's own cell; Value() sums the cells.
+/// Exact under any number of concurrent writers once they have stopped;
+/// a Value() racing with them reads some count between the increments
+/// completed before it started and those completed when it returns.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[ThisThreadStripe()].value.fetch_add(delta,
+                                               std::memory_order_relaxed);
   }
 
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  uint64_t Value() const {
+    uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(kCacheLineBytes) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Cell, kStripes> cells_;
 };
 
 /// Last-write-wins instantaneous value (queue depths, epoch numbers).
@@ -107,17 +146,20 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket histogram with a bounded percentile reservoir. Observe()
-/// is one bucket search plus relaxed atomics: the bucket, count, sum,
-/// min and max updates, and one cursor fetch_add that claims a reservoir
-/// slot. It takes no lock.
+/// is one bucket search plus relaxed atomics on the calling thread's
+/// stripe: its bucket, count, sum, min and max, and a slot claimed from
+/// the stripe's reservoir block. It takes no lock. The reservoir is one
+/// ring shared by all stripes; a stripe claims kReservoirBlock slots at a
+/// time with one shared fetch_add, so a single thread fills the ring in
+/// the same slot order as an unstriped histogram would.
 class Histogram {
  public:
   explicit Histogram(HistogramOptions options);
 
   void Observe(double value);
 
-  /// Count of observations so far (exact).
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  /// Count of observations so far (exact once writers have stopped).
+  uint64_t Count() const;
 
   /// Percentiles come from the reservoir slots written so far. Under
   /// concurrent Observe a claimed slot may still hold its previous
@@ -128,16 +170,44 @@ class Histogram {
   void Reset();
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  // +/-inf sentinels; Snapshot() reports 0 for an empty histogram.
-  std::atomic<double> min_;
-  std::atomic<double> max_;
+  /// Reservoir slots a stripe claims per shared cursor update.
+  static constexpr uint64_t kReservoirBlock = 64;
 
-  /// Ring of the most recent samples: observation k (counting from the
-  /// last Reset) lands in slot k % reservoir_capacity_.
+  /// One stripe's totals, on a cache line of its own.
+  struct alignas(kCacheLineBytes) Stripe {
+    std::atomic<uint64_t> count{0};
+    std::atomic<double> sum{0.0};
+    // +/-inf sentinels; Snapshot() reports 0 for an empty histogram.
+    std::atomic<double> min{0.0};
+    std::atomic<double> max{0.0};
+    /// The reservoir block this stripe fills, packed as
+    /// (block number << 32) | slots of it used. A used count of
+    /// kReservoirBlock or more means the stripe must claim a new block.
+    std::atomic<uint64_t> claim{0};
+  };
+  /// One cache line of bucket counts.
+  struct alignas(kCacheLineBytes) BucketLine {
+    static constexpr size_t kCounts = kCacheLineBytes / sizeof(uint64_t);
+    std::atomic<uint64_t> counts[kCounts];
+  };
+
+  std::atomic<uint64_t>& Bucket(size_t stripe, size_t bucket) const {
+    return buckets_[stripe * bucket_lines_ + bucket / BucketLine::kCounts]
+        .counts[bucket % BucketLine::kCounts];
+  }
+
+  /// The reservoir slot for `stripe`'s next sample.
+  uint64_t ClaimSlot(Stripe& stripe);
+
+  std::vector<double> bounds_;
+  /// BucketLines per stripe, covering bounds_.size() + 1 buckets.
+  size_t bucket_lines_;
+  std::unique_ptr<BucketLine[]> buckets_;  // kStripes * bucket_lines_
+  std::array<Stripe, kStripes> stripes_;
+
+  /// Ring of recent samples: a stripe's block covers slots [b, b + block)
+  /// for the b its claim took off reservoir_cursor_, each taken modulo
+  /// reservoir_capacity_.
   size_t reservoir_capacity_;  // immutable after construction
   std::unique_ptr<std::atomic<double>[]> reservoir_;
   std::atomic<uint64_t> reservoir_cursor_{0};

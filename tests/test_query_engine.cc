@@ -508,6 +508,209 @@ TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {
   EXPECT_GT(stats.leaders, 0u);
 }
 
+// Submit and SubmitBatch from four callers, mixing hits, misses,
+// followers, shed queries (each batch is larger than the window) and
+// invalid seeds. Each caller tallies the outcome it was handed; once the
+// callers stop, the engine's counters equal the tallies exactly.
+TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.admission.capacity = 4;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+
+  struct Tally {
+    uint64_t queries = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t followers = 0;
+    uint64_t shed = 0;
+    uint64_t errors = 0;
+
+    void Add(const StatusOr<RankedAnswers>& r) {
+      ++queries;
+      if (!r.ok()) {
+        ++(r.status().code() == StatusCode::kResourceExhausted ? shed
+                                                               : errors);
+      } else if (r->from_cache) {
+        ++hits;
+      } else if (r->coalesced) {
+        ++followers;
+      } else {
+        ++misses;
+      }
+    }
+  };
+  constexpr size_t kCallers = 4;
+  constexpr int kReps = 20;
+  constexpr size_t kBatch = 12;  // > capacity: every batch sheds
+  ppr::QuerySeed invalid;
+  invalid.links.emplace_back(999, 1.0);
+  std::vector<Tally> tallies(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t]() {
+      // Callers share streams pairwise, so their misses also coalesce.
+      const std::vector<ppr::QuerySeed> stream =
+          SeededStream(24, 0x5ED + static_cast<uint64_t>(t % 2));
+      const std::vector<ppr::QuerySeed> batch(
+          stream.begin(), stream.begin() + static_cast<ptrdiff_t>(kBatch));
+      Tally& tally = tallies[t];
+      for (int rep = 0; rep < kReps; ++rep) {
+        for (const ppr::QuerySeed& seed : stream) {
+          tally.Add(engine.Submit(seed));
+        }
+        tally.Add(engine.Submit(invalid));
+        for (const StatusOr<RankedAnswers>& r : engine.SubmitBatch(batch)) {
+          tally.Add(r);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  Tally total;
+  for (const Tally& t : tallies) {
+    total.queries += t.queries;
+    total.hits += t.hits;
+    total.misses += t.misses;
+    total.followers += t.followers;
+    total.shed += t.shed;
+    total.errors += t.errors;
+  }
+  const QueryEngine::ServeStats stats = engine.GetServeStats();
+  EXPECT_EQ(stats.queries, total.queries);
+  EXPECT_EQ(stats.hits, total.hits);
+  EXPECT_EQ(stats.misses, total.misses);
+  EXPECT_EQ(stats.followers, total.followers);
+  EXPECT_EQ(stats.shed, total.shed);
+  EXPECT_EQ(stats.errors, total.errors);
+  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
+                stats.errors,
+            stats.queries);
+  EXPECT_EQ(stats.leaders + stats.timeouts, stats.misses);
+  EXPECT_GE(stats.shed, kCallers * kReps * (kBatch - options.admission.capacity));
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_EQ(engine.AdmissionStats().admitted + stats.shed, stats.queries);
+}
+
+// Each serving thread keeps its own pin of the engine's epoch. After a
+// flush, every one of them must re-pin on its next Submit: it serves the
+// new epoch, bit for bit what a cold propagation on that epoch ranks.
+TEST(QueryEngineTest, EveryThreadsNextSubmitAfterAFlushServesTheNewEpoch) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  auto engine_or =
+      QueryEngine::Create(&online, &Candidates(), SmallEngineOptions());
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+
+  constexpr int kThreads = 4;
+  constexpr int kFlushes = 3;
+  const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
+  // served[t][phase]: what thread t's first Submit after `phase` flushes
+  // returned.
+  std::vector<std::vector<std::optional<StatusOr<RankedAnswers>>>> served(
+      kThreads, std::vector<std::optional<StatusOr<RankedAnswers>>>(
+                    kFlushes + 1));
+  std::atomic<int> phase{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int p = 0; p <= kFlushes; ++p) {
+        while (phase.load(std::memory_order_acquire) < p) {
+          std::this_thread::yield();
+        }
+        served[t][p].emplace(engine.Submit(seed));
+        // A second query on the same pin: a hit on the same epoch.
+        StatusOr<RankedAnswers> again = engine.Submit(seed);
+        EXPECT_TRUE(again.ok() && again->epoch == static_cast<uint64_t>(p));
+        done.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  std::vector<core::ServingEpoch> epochs;
+  for (int p = 0; p <= kFlushes; ++p) {
+    epochs.push_back(online.CurrentEpoch());
+    phase.store(p, std::memory_order_release);
+    while (done.load(std::memory_order_acquire) < (p + 1) * kThreads) {
+      std::this_thread::yield();
+    }
+    if (p == kFlushes) break;
+    ASSERT_TRUE(online.AddVote(MakeVote(p % 2 == 0 ? 4 : 3,
+                                        static_cast<uint32_t>(p)))
+                    .ok());
+    ASSERT_TRUE(online.Flush().ok());
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int p = 0; p <= kFlushes; ++p) {
+    ASSERT_EQ(epochs[p].epoch, static_cast<uint64_t>(p));
+    ppr::EipdEngine cold(epochs[p].view(), SmallEngineOptions().eipd);
+    StatusOr<std::vector<ppr::ScoredAnswer>> reference =
+        cold.Rank(seed, Candidates(), SmallEngineOptions().top_k);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    for (int t = 0; t < kThreads; ++t) {
+      const StatusOr<RankedAnswers>& r = *served[t][p];
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->epoch, static_cast<uint64_t>(p))
+          << "thread " << t << " after " << p << " flushes";
+      ExpectIdenticalAnswers(*reference, r->answers);
+    }
+  }
+}
+
+// A thread's pin is keyed by a process-unique engine id. Engines created
+// and destroyed one after the other on one thread, often at the same
+// address and all on epoch 0, must each serve their own graph.
+TEST(QueryEngineTest, SequentialEnginesNeverShareAThreadPin) {
+  WeightedDigraph g = MakeFixture();
+  WeightedDigraph h(5);
+  ASSERT_TRUE(h.AddEdge(0, 1, 0.1).ok());
+  ASSERT_TRUE(h.AddEdge(0, 2, 0.9).ok());
+  ASSERT_TRUE(h.AddEdge(1, 3, 1.0).ok());
+  ASSERT_TRUE(h.AddEdge(2, 4, 1.0).ok());
+  OnlineKgOptimizer first(g, SmallOnlineOptions());
+  OnlineKgOptimizer second(h, SmallOnlineOptions());
+  const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
+  auto cold = [&](const OnlineKgOptimizer& source) {
+    ppr::EipdEngine engine(source.CurrentEpoch().view(),
+                           SmallEngineOptions().eipd);
+    return engine.Rank(seed, Candidates(), SmallEngineOptions().top_k);
+  };
+  StatusOr<std::vector<ppr::ScoredAnswer>> first_ref = cold(first);
+  StatusOr<std::vector<ppr::ScoredAnswer>> second_ref = cold(second);
+  ASSERT_TRUE(first_ref.ok() && second_ref.ok());
+  // The two graphs rank the candidates in opposite orders.
+  ASSERT_NE(first_ref->front().node, second_ref->front().node);
+
+  const void* last_address = nullptr;
+  int reused_addresses = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const OnlineKgOptimizer* source : {&first, &second}) {
+      auto engine_or =
+          QueryEngine::Create(source, &Candidates(), SmallEngineOptions());
+      ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+      QueryEngine& engine = **engine_or;
+      if (&engine == last_address) ++reused_addresses;
+      last_address = &engine;
+      const std::vector<ppr::ScoredAnswer>& want =
+          source == &first ? *first_ref : *second_ref;
+      for (int query = 0; query < 2; ++query) {  // a miss, then a hit
+        StatusOr<RankedAnswers> r = engine.Submit(seed);
+        ASSERT_TRUE(r.ok()) << r.status();
+        EXPECT_EQ(r->epoch, 0u);
+        ExpectIdenticalAnswers(want, r->answers);
+      }
+    }
+  }
+  RecordProperty("reused_addresses", reused_addresses);
+}
+
 TEST(QueryEngineTest, EpochSwapRacedAgainstCoalescedMissesNeverMixesPins) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());

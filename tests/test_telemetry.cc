@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "math/sgp_problem.h"
 #include "math/sgp_solver.h"
 #include "math/signomial.h"
+#include "math/stats.h"
 
 namespace kgov::telemetry {
 namespace {
@@ -28,6 +34,51 @@ TEST(CounterTest, IncrementAndReset) {
   EXPECT_EQ(c.Value(), 42u);
   c.Reset();
   EXPECT_EQ(c.Value(), 0u);
+}
+
+// More writers than stripes, so some cells are shared, while a reader
+// sums the cells and snapshots a histogram fed by the same writers. Every
+// read lies between what had completed and what was attempted, reads
+// never go backwards, and the totals are exact once the writers stop.
+TEST(CounterTest, StripedCellsSumExactlyWhileReadersRace) {
+  Counter counter;
+  Histogram histogram(HistogramOptions{{1.0}});
+  constexpr size_t kThreads = kStripes + 3;
+  constexpr uint64_t kPerThread = 20000;
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  std::atomic<size_t> running{kThreads};
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        counter.Increment();
+        histogram.Observe(0.5);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last_value = 0;
+  uint64_t last_count = 0;
+  int reads = 0;
+  while (running.load() > 0 || reads == 0) {
+    const uint64_t value = counter.Value();
+    const HistogramSnapshot snap = histogram.Snapshot();
+    ++reads;
+    EXPECT_GE(value, last_value);
+    EXPECT_LE(value, kTotal);
+    EXPECT_GE(snap.count, last_count);
+    EXPECT_LE(snap.count, kTotal);
+    last_value = value;
+    last_count = snap.count;
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(counter.Value(), kTotal);
+  const HistogramSnapshot snap = histogram.Snapshot();
+  EXPECT_EQ(snap.count, kTotal);
+  EXPECT_EQ(snap.bucket_counts.front(), kTotal);
+  EXPECT_EQ(histogram.Count(), kTotal);
+  counter.Reset();
+  EXPECT_EQ(counter.Value(), 0u);
 }
 
 TEST(GaugeTest, LastWriteWins) {
@@ -131,6 +182,110 @@ TEST(HistogramTest, ReservoirWrapsKeepingRecentSamples) {
   HistogramSnapshot snap = h.Snapshot();
   EXPECT_EQ(snap.count, 108u);  // exact even though the reservoir wrapped
   EXPECT_DOUBLE_EQ(snap.p50, 5.0);
+}
+
+// The histogram as it was before striping: one set of totals and one
+// reservoir cursor advanced per sample. Kept as the reference the striped
+// class must reproduce exactly on one thread.
+class UnstripedHistogram {
+ public:
+  UnstripedHistogram(std::vector<double> bounds, size_t capacity)
+      : bounds_(std::move(bounds)),
+        counts_(bounds_.size() + 1, 0),
+        reservoir_(capacity, std::numeric_limits<double>::quiet_NaN()) {
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+    counts_.assign(bounds_.size() + 1, 0);
+  }
+
+  void Observe(double value) {
+    ++counts_[static_cast<size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+        bounds_.begin())];
+    ++count_;
+    sum_ += value;
+    if (value < min_) min_ = value;
+    if (value > max_) max_ = value;
+    reservoir_[cursor_++ % reservoir_.size()] = value;
+  }
+
+  HistogramSnapshot Snapshot() const {
+    HistogramSnapshot snap;
+    snap.bucket_bounds = bounds_;
+    snap.bucket_counts = counts_;
+    snap.count = count_;
+    snap.sum = sum_;
+    snap.mean = count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    snap.min = count_ == 0 ? 0.0 : min_;
+    snap.max = count_ == 0 ? 0.0 : max_;
+    std::vector<double> samples;
+    const size_t filled = std::min<size_t>(cursor_, reservoir_.size());
+    for (size_t i = 0; i < filled; ++i) {
+      if (!std::isnan(reservoir_[i])) samples.push_back(reservoir_[i]);
+    }
+    if (!samples.empty()) {
+      std::vector<double> ps = math::Percentiles(samples, {50.0, 95.0, 99.0});
+      snap.p50 = ps[0];
+      snap.p95 = ps[1];
+      snap.p99 = ps[2];
+    }
+    return snap;
+  }
+
+ private:
+  std::vector<double> bounds_;
+  std::vector<uint64_t> counts_;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::vector<double> reservoir_;
+  uint64_t cursor_ = 0;
+};
+
+void ExpectBitwiseEqual(double a, double b, const char* field) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+      << field << ": " << a << " vs " << b;
+}
+
+// One thread's Observe sequence gives a snapshot identical, bit for bit,
+// to the unstriped histogram's, before and after the reservoir wraps (a
+// capacity that is not a multiple of the claim block, so blocks straddle
+// the wrap).
+TEST(HistogramTest, SingleThreadSnapshotMatchesUnstripedHistogram) {
+  const std::vector<double> bounds = {4.0, 0.5, 1.0, 2.0, 1.0};
+  constexpr size_t kCapacity = 100;
+  HistogramOptions options;
+  options.bucket_bounds = bounds;
+  options.reservoir_capacity = kCapacity;
+  Histogram striped(options);
+  UnstripedHistogram reference(bounds, kCapacity);
+  std::mt19937_64 rng(0x5715);
+  std::uniform_real_distribution<double> value(-1.0, 6.0);
+  const std::vector<size_t> checkpoints = {1, 63, 64, 65, 100, 101, 640, 1001};
+  size_t observed = 0;
+  for (size_t checkpoint : checkpoints) {
+    for (; observed < checkpoint; ++observed) {
+      // Every 7th sample sits exactly on a bucket edge.
+      const double v = observed % 7 == 0 ? bounds[observed % bounds.size()]
+                                         : value(rng);
+      striped.Observe(v);
+      reference.Observe(v);
+    }
+    const HistogramSnapshot got = striped.Snapshot();
+    const HistogramSnapshot want = reference.Snapshot();
+    SCOPED_TRACE("after " + std::to_string(observed) + " observations");
+    EXPECT_EQ(got.count, want.count);
+    ExpectBitwiseEqual(got.sum, want.sum, "sum");
+    ExpectBitwiseEqual(got.min, want.min, "min");
+    ExpectBitwiseEqual(got.max, want.max, "max");
+    ExpectBitwiseEqual(got.mean, want.mean, "mean");
+    ExpectBitwiseEqual(got.p50, want.p50, "p50");
+    ExpectBitwiseEqual(got.p95, want.p95, "p95");
+    ExpectBitwiseEqual(got.p99, want.p99, "p99");
+    EXPECT_EQ(got.bucket_bounds, want.bucket_bounds);
+    EXPECT_EQ(got.bucket_counts, want.bucket_counts);
+  }
 }
 
 TEST(HistogramTest, ResetRestartsMinMaxTracking) {

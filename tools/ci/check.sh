@@ -127,7 +127,9 @@ EOF
 
   # The sweep must show the cache-hit speedup and ideal thread scaling,
   # and leave a snapshot with the serve.* metrics populated
-  # (docs/serving.md). On top of the sweep, three serving-path gates:
+  # (docs/serving.md). The hit-path sweep must have every caller count,
+  # its repetitions, and only hits. On top of the sweeps, three
+  # serving-path gates:
   #   * single-flight: a flash crowd of identical cold misses must
   #     collapse to EXACTLY one propagation per cold key (counter-verified
   #     from the engine's own outcome accounting, not timing);
@@ -180,6 +182,29 @@ if batching.get("avg_roots_per_pass", 0.0) <= 1.0:
     sys.exit("FAIL: multi-root passes averaged <= 1 root - batching "
              "folded nothing")
 
+# The hit-path sweep: Submit on a warmed cache from 1, 2 and 4 callers,
+# each point the median of >= 3 timed repetitions, every call a hit.
+hit_path = bench.get("hit_path")
+if not hit_path:
+    sys.exit("FAIL: bench json lacks 'hit_path'")
+if hit_path.get("reps", 0) < 3 or hit_path.get("min_seconds", 0) <= 0:
+    sys.exit("FAIL: hit-path sweep needs >= 3 repetitions of a minimum "
+             "duration per point")
+hit_points = {p.get("callers"): p for p in hit_path.get("points", [])}
+for callers in (1, 2, 4):
+    point = hit_points.get(callers)
+    if point is None:
+        sys.exit(f"FAIL: hit-path sweep lacks the {callers}-caller point")
+    if (len(point.get("qps_reps", [])) != hit_path["reps"]
+            or len(point.get("p50_us_reps", [])) != hit_path["reps"]):
+        sys.exit(f"FAIL: hit-path {callers}-caller point lacks its "
+                 "repetitions")
+    if point.get("qps", 0) <= 0 or point.get("p50_us", 0) <= 0:
+        sys.exit(f"FAIL: hit-path {callers}-caller point has no qps or p50")
+    if point.get("hit_ratio", 0) != 1.0:
+        sys.exit("FAIL: hit-path {}-caller point served a miss (hit ratio "
+                 "{})".format(callers, point.get("hit_ratio")))
+
 shed = bench.get("shedding")
 if not shed:
     sys.exit("FAIL: bench json lacks 'shedding'")
@@ -215,6 +240,8 @@ print("concurrent serving OK:",
       ("{:.2f}x ideal scaling,".format(scaling["ideal_1_to_4"])
        if scaling is not None else "scaling n/a (1 core),"),
       "{}:{} flash dedup,".format(sf["queries"], sf["propagations"]),
+      "hit path {:.0f}/{:.0f}/{:.0f} q/s at 1/2/4 callers,".format(
+          *(hit_points[c]["qps"] for c in (1, 2, 4))),
       "{} multi-root passes,".format(batching["multi_passes"]),
       "shed p99 {:.2g}s,".format(shed["shed_p99_seconds"]),
       hist["count"], "queries served")

@@ -68,7 +68,7 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
       test_telemetry test_lock_rank test_sched_explorer test_kg_optimizer
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|RankMulti|Gauge|Histogram|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
+      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|RankMulti|Counter|Gauge|Histogram|ConcurrencyTest|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
       "$@"
 else
   echo "== sanitize: TSan skipped (KGOV_SKIP_TSAN=1) =="
