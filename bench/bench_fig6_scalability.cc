@@ -80,7 +80,7 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
   // core without changing the relative shapes.
   options.sgp.continuation_steps = 3;
   options.sgp.inner.max_iterations = 250;
-  options.sgp.auglag.max_outer_iterations = 12;
+  options.sgp.max_outer_iterations = 12;
 
   core::KgOptimizer optimizer(&workload->graph, options);
 

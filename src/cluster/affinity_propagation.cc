@@ -10,23 +10,17 @@
 
 namespace kgov::cluster {
 
+namespace {
+
+// Message damping factor, iteration cap, and the number of consecutive
+// iterations with an unchanged exemplar set that counts as converged.
+constexpr double kDamping = 0.8;
+constexpr int kMaxIterations = 400;
+constexpr int kConvergenceWindow = 30;
+
+}  // namespace
 
 Status ApOptions::Validate() const {
-  if (!(damping >= 0.5 && damping < 1.0)) {
-    return Status::InvalidArgument(
-        "ApOptions.damping must be in [0.5, 1), got " +
-        std::to_string(damping));
-  }
-  if (max_iterations < 1) {
-    return Status::InvalidArgument(
-        "ApOptions.max_iterations must be >= 1, got " +
-        std::to_string(max_iterations));
-  }
-  if (convergence_window < 1) {
-    return Status::InvalidArgument(
-        "ApOptions.convergence_window must be >= 1, got " +
-        std::to_string(convergence_window));
-  }
   // NaN selects the median-preference default; infinity is never valid.
   if (std::isinf(preference)) {
     return Status::InvalidArgument(
@@ -48,9 +42,6 @@ Result<ApResult> AffinityPropagation(
     if (row.size() != n) {
       return Status::InvalidArgument("similarity matrix is not square");
     }
-  }
-  if (options.damping < 0.0 || options.damping >= 1.0) {
-    return Status::InvalidArgument("damping must lie in [0, 1)");
   }
   if (n == 1) {
     ApResult single;
@@ -101,13 +92,13 @@ Result<ApResult> AffinityPropagation(
   std::vector<std::vector<double>> r(n, std::vector<double>(n, 0.0));
   std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
 
-  const double lambda = options.damping;
+  const double lambda = kDamping;
   std::vector<char> exemplar_flags(n, 0);
   int stable_rounds = 0;
   int iter = 0;
   bool converged = false;
 
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     // Responsibilities: r(i,k) <- s(i,k) - max_{k' != k} (a(i,k')+s(i,k')).
     for (size_t i = 0; i < n; ++i) {
       // Track best and second-best of a+s over k'.
@@ -160,7 +151,7 @@ Result<ApResult> AffinityPropagation(
       }
     }
     if (any && flags == exemplar_flags) {
-      if (++stable_rounds >= options.convergence_window) {
+      if (++stable_rounds >= kConvergenceWindow) {
         converged = true;
         ++iter;
         break;

@@ -13,18 +13,15 @@
 
 namespace kgov::cluster {
 
+/// Message passing runs with damping 0.8 for at most 400 iterations and
+/// stops once the exemplar set is unchanged for 30 in a row.
 struct ApOptions {
-  /// Message damping factor in [0.5, 1).
-  double damping = 0.8;
-  int max_iterations = 400;
-  /// Stop when exemplars are unchanged for this many iterations.
-  int convergence_window = 30;
   /// Diagonal self-similarity (exemplar preference). NaN = use the median
   /// of the off-diagonal similarities (the paper's choice, SVII-D).
   double preference = std::nan("");
 
-  /// Checks every field range (NaN preference is the documented default,
-  /// infinity is rejected). AffinityPropagation fails fast with the result.
+  /// Rejects an infinite preference (NaN is the documented default).
+  /// AffinityPropagation fails fast with the result.
   Status Validate() const;
 };
 

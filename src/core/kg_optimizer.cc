@@ -117,14 +117,6 @@ Status OptimizerOptions::Validate() const {
     return Status::InvalidArgument(
         "OptimizerOptions.single_vote_refine_rounds must be >= 1");
   }
-  if (ap.damping < 0.5 || ap.damping >= 1.0) {
-    return Status::InvalidArgument(
-        "OptimizerOptions.ap.damping must be in [0.5, 1)");
-  }
-  if (ap.max_iterations < 1) {
-    return Status::InvalidArgument(
-        "OptimizerOptions.ap.max_iterations must be >= 1");
-  }
   if (retry.max_attempts < 1) {
     return Status::InvalidArgument(
         "OptimizerOptions.retry.max_attempts must be >= 1");

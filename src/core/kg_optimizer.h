@@ -48,9 +48,9 @@ struct OptimizerOptions {
   /// Vote -> SGP encoding settings (path length L, variable predicate,
   /// weight bounds).
   votes::EncoderOptions encoder;
-  /// SGP solver settings (formulation, lambda1/lambda2, sigmoid w, inner
-  /// solver). SingleVoteSolve always uses hard constraints regardless of
-  /// the formulation set here.
+  /// SGP solver settings (formulation, lambda1/lambda2, continuation
+  /// steps, iteration budgets, tolerances and deadlines). SingleVoteSolve
+  /// always uses hard constraints regardless of the formulation set here.
   math::SgpSolverOptions sgp;
   /// Run the judgment filter before multi-vote encoding (SV). The filter
   /// inherits the encoder's walk settings and variable set.

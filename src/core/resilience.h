@@ -3,9 +3,10 @@
 //  * ResilientSgpSolver - wraps SgpSolver with a retry/fallback policy:
 //    failed solves (NotConverged / NumericalError / DeadlineExceeded /
 //    Infeasible) are retried at once from jittered restart points, walking
-//    the formulation fallback chain ReducedSigmoid -> DeviationVariables
-//    -> HardConstraints. Every attempt is recorded; the best finite point
-//    seen is returned even when every attempt failed.
+//    the formulation fallback chain: the base formulation, then
+//    ReducedSigmoid and HardConstraints (whichever is not the base). Every
+//    attempt is recorded; the best finite point seen is returned even when
+//    every attempt failed.
 //
 //  * ValidateGraphUpdate - invariant checks run on an optimized graph
 //    before it replaces the serving graph: finite weights, weights in

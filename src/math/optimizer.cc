@@ -14,7 +14,6 @@
 
 namespace kgov::math {
 
-
 Status SolveOptions::Validate() const {
   if (max_iterations < 1) {
     return Status::InvalidArgument(
@@ -31,26 +30,6 @@ Status SolveOptions::Validate() const {
         "SolveOptions.value_tolerance must be finite and >= 0, got " +
         std::to_string(value_tolerance));
   }
-  if (!(armijo_c > 0.0 && armijo_c < 1.0)) {
-    return Status::InvalidArgument(
-        "SolveOptions.armijo_c must be in (0, 1), got " +
-        std::to_string(armijo_c));
-  }
-  if (!(backtrack_rho > 0.0 && backtrack_rho < 1.0)) {
-    return Status::InvalidArgument(
-        "SolveOptions.backtrack_rho must be in (0, 1), got " +
-        std::to_string(backtrack_rho));
-  }
-  if (nonmonotone_window < 1) {
-    return Status::InvalidArgument(
-        "SolveOptions.nonmonotone_window must be >= 1, got " +
-        std::to_string(nonmonotone_window));
-  }
-  if (lbfgs_memory < 1) {
-    return Status::InvalidArgument(
-        "SolveOptions.lbfgs_memory must be >= 1, got " +
-        std::to_string(lbfgs_memory));
-  }
   return Status::OK();
 }
 
@@ -61,36 +40,28 @@ Status AugLagOptions::Validate() const {
         "AugLagOptions.max_outer_iterations must be >= 1, got " +
         std::to_string(max_outer_iterations));
   }
-  if (!(initial_penalty > 0.0) || !std::isfinite(initial_penalty)) {
-    return Status::InvalidArgument(
-        "AugLagOptions.initial_penalty must be finite and > 0, got " +
-        std::to_string(initial_penalty));
-  }
-  if (!(penalty_growth > 1.0) || !std::isfinite(penalty_growth)) {
-    return Status::InvalidArgument(
-        "AugLagOptions.penalty_growth must be finite and > 1, got " +
-        std::to_string(penalty_growth));
-  }
-  if (!(required_progress > 0.0 && required_progress <= 1.0)) {
-    return Status::InvalidArgument(
-        "AugLagOptions.required_progress must be in (0, 1], got " +
-        std::to_string(required_progress));
-  }
-  if (!(feasibility_tolerance > 0.0) ||
-      !std::isfinite(feasibility_tolerance)) {
-    return Status::InvalidArgument(
-        "AugLagOptions.feasibility_tolerance must be finite and > 0, got " +
-        std::to_string(feasibility_tolerance));
-  }
-  if (!(max_penalty >= initial_penalty)) {
-    return Status::InvalidArgument(
-        "AugLagOptions.max_penalty must be >= initial_penalty, got " +
-        std::to_string(max_penalty));
-  }
   return Status::OK();
 }
 
 namespace {
+
+// Projected-BB line search: Armijo sufficient-decrease parameter, the
+// backtracking shrink factor, and the nonmonotone reference window
+// (Grippo-Lampariello-Lucidi; 1 would be monotone).
+constexpr double kArmijoC = 1e-4;
+constexpr double kBacktrackRho = 0.5;
+constexpr size_t kNonmonotoneWindow = 8;
+
+// Augmented-Lagrangian penalty schedule: mu starts at kInitialPenalty and
+// grows by kPenaltyGrowth (capped at kMaxPenalty) after every outer
+// iteration whose max violation did not shrink below kRequiredProgress
+// times the previous one. Feasible when the max violation is at most
+// kFeasibilityTolerance.
+constexpr double kInitialPenalty = 10.0;
+constexpr double kPenaltyGrowth = 4.0;
+constexpr double kRequiredProgress = 0.5;
+constexpr double kFeasibilityTolerance = 1e-8;
+constexpr double kMaxPenalty = 1e10;
 
 bool AllFinite(const std::vector<double>& v) {
   for (double x : v) {
@@ -242,12 +213,12 @@ SolveResult ProjectedBbSolver::Minimize(const DifferentiableFunction& f,
       double directional = Dot(grad, delta);
       f_candidate = f.Evaluate(candidate, nullptr);
       if (std::isfinite(f_candidate) &&
-          f_candidate <= reference + options_.armijo_c * directional) {
+          f_candidate <= reference + kArmijoC * directional) {
         accepted = true;
         break;
       }
       if (NormInf(delta) < 1e-16) break;  // step fully absorbed by the box
-      t *= options_.backtrack_rho;
+      t *= kBacktrackRho;
     }
     if (!accepted) {
       // Could not make progress along the projected arc.
@@ -274,8 +245,7 @@ SolveResult ProjectedBbSolver::Minimize(const DifferentiableFunction& f,
     have_history = true;
 
     recent_values.push_back(fx);
-    while (recent_values.size() >
-           static_cast<size_t>(std::max(1, options_.nonmonotone_window))) {
+    while (recent_values.size() > kNonmonotoneWindow) {
       recent_values.pop_front();
     }
 
@@ -298,146 +268,6 @@ SolveResult ProjectedBbSolver::Minimize(const DifferentiableFunction& f,
         result.converged
             ? Status::OK()
             : Status::NotConverged("projected BB hit iteration cap");
-  }
-  return result;
-}
-
-SolveResult LbfgsSolver::Minimize(const DifferentiableFunction& f,
-                                  const std::vector<double>& x0,
-                                  const BoxBounds& bounds) const {
-  SolveResult result;
-  Timer timer;
-  const size_t n = x0.size();
-  std::vector<double> x = x0;
-  bounds.Project(&x);
-
-  std::vector<double> grad;
-  double fx = f.Evaluate(x, &grad);
-  MaybePoisonGradient(&grad);
-  if (!std::isfinite(fx) || !AllFinite(grad)) {
-    result.x = std::move(x);
-    result.objective = fx;
-    result.status = Status::NumericalError(
-        "non-finite objective or gradient at the initial point");
-    return result;
-  }
-
-  std::deque<std::vector<double>> s_history;
-  std::deque<std::vector<double>> y_history;
-  std::deque<double> rho_history;
-  Status guard;  // set on deadline expiry or non-finite detection
-
-  int iter = 0;
-  for (; iter < options_.max_iterations; ++iter) {
-    if (DeadlineExpired(timer, options_.deadline_seconds)) {
-      guard = Status::DeadlineExceeded("L-BFGS wall budget expired");
-      break;
-    }
-    std::vector<double> pg = ProjectedGradient(x, grad, bounds);
-    if (NormInf(pg) <= options_.gradient_tolerance) {
-      result.converged = true;
-      break;
-    }
-
-    // Two-loop recursion to get direction = -H*grad.
-    std::vector<double> q = grad;
-    std::vector<double> alpha(s_history.size());
-    for (size_t i = s_history.size(); i-- > 0;) {
-      alpha[i] = rho_history[i] * Dot(s_history[i], q);
-      Axpy(-alpha[i], y_history[i], &q);
-    }
-    double gamma = 1.0;
-    if (!s_history.empty()) {
-      const auto& s = s_history.back();
-      const auto& y = y_history.back();
-      double yy = Dot(y, y);
-      if (yy > 1e-16) gamma = Dot(s, y) / yy;
-    }
-    ScaleInPlace(&q, gamma);
-    for (size_t i = 0; i < s_history.size(); ++i) {
-      double beta = rho_history[i] * Dot(y_history[i], q);
-      Axpy(alpha[i] - beta, s_history[i], &q);
-    }
-    std::vector<double> direction(n);
-    for (size_t i = 0; i < n; ++i) direction[i] = -q[i];
-
-    // Safeguard: ensure a descent direction.
-    if (Dot(direction, grad) >= 0.0) {
-      for (size_t i = 0; i < n; ++i) direction[i] = -grad[i];
-    }
-
-    // Armijo backtracking along the projected arc.
-    double t = 1.0;
-    std::vector<double> candidate;
-    double f_candidate = 0.0;
-    bool accepted = false;
-    for (int bt = 0; bt < 60; ++bt) {
-      candidate = ProjectedStep(x, direction, t, bounds);
-      std::vector<double> delta = Subtract(candidate, x);
-      double directional = Dot(grad, delta);
-      f_candidate = f.Evaluate(candidate, nullptr);
-      if (std::isfinite(f_candidate) &&
-          f_candidate <= fx + options_.armijo_c * directional) {
-        accepted = true;
-        break;
-      }
-      if (NormInf(delta) < 1e-16) break;
-      t *= options_.backtrack_rho;
-    }
-    if (!accepted) {
-      result.converged = NormInf(pg) <= 1e2 * options_.gradient_tolerance;
-      break;
-    }
-
-    std::vector<double> new_grad;
-    double f_new = f.Evaluate(candidate, &new_grad);
-    MaybePoisonGradient(&new_grad);
-    if (!std::isfinite(f_new) || !AllFinite(new_grad)) {
-      // Keep the last finite iterate (x, grad, fx).
-      guard = Status::NumericalError(
-          "non-finite objective or gradient at iteration " +
-          std::to_string(iter));
-      break;
-    }
-
-    std::vector<double> s = Subtract(candidate, x);
-    std::vector<double> y = Subtract(new_grad, grad);
-    double sy = Dot(s, y);
-    if (sy > 1e-12) {  // curvature condition; skip update otherwise
-      s_history.push_back(std::move(s));
-      y_history.push_back(std::move(y));
-      rho_history.push_back(1.0 / sy);
-      while (s_history.size() >
-             static_cast<size_t>(std::max(1, options_.lbfgs_memory))) {
-        s_history.pop_front();
-        y_history.pop_front();
-        rho_history.pop_front();
-      }
-    }
-
-    double f_prev = fx;
-    x = std::move(candidate);
-    grad = std::move(new_grad);
-    fx = f_new;
-
-    if (std::fabs(fx - f_prev) <=
-        options_.value_tolerance * (1.0 + std::fabs(fx))) {
-      result.converged = true;
-      ++iter;
-      break;
-    }
-  }
-
-  result.x = std::move(x);
-  result.objective = fx;
-  result.iterations = iter;
-  if (!guard.ok()) {
-    result.converged = false;
-    result.status = guard;
-  } else {
-    result.status = result.converged
-                        ? Status::OK()
-                        : Status::NotConverged("L-BFGS hit iteration cap");
   }
   return result;
 }
@@ -512,7 +342,7 @@ SolveResult AugmentedLagrangianSolver::Minimize(
   }
 
   std::vector<double> lambda(constraints.size(), 0.0);
-  double mu = options_.initial_penalty;
+  double mu = kInitialPenalty;
   double previous_violation = std::numeric_limits<double>::infinity();
   std::vector<double> g;
 
@@ -558,13 +388,7 @@ SolveResult AugmentedLagrangianSolver::Minimize(
               ? std::min(inner_options.deadline_seconds, remaining)
               : remaining;
     }
-    if (options_.inner_solver == InnerSolverKind::kLbfgs) {
-      LbfgsSolver inner(inner_options);
-      last_inner = inner.Minimize(auglag, x, bounds);
-    } else {
-      ProjectedBbSolver inner(inner_options);
-      last_inner = inner.Minimize(auglag, x, bounds);
-    }
+    last_inner = ProjectedBbSolver(inner_options).Minimize(auglag, x, bounds);
     x = last_inner.x;
     total_inner_iterations += last_inner.iterations;
     if (last_inner.status.IsNumericalError()) {
@@ -580,7 +404,7 @@ SolveResult AugmentedLagrangianSolver::Minimize(
       violation = std::max(violation, std::max(g[i], 0.0));
     }
 
-    if (violation <= options_.feasibility_tolerance) {
+    if (violation <= kFeasibilityTolerance) {
       SolveResult result;
       result.x = std::move(x);
       result.objective = objective.Evaluate(result.x, nullptr);
@@ -590,8 +414,8 @@ SolveResult AugmentedLagrangianSolver::Minimize(
       return result;
     }
 
-    if (violation > options_.required_progress * previous_violation) {
-      mu = std::min(mu * options_.penalty_growth, options_.max_penalty);
+    if (violation > kRequiredProgress * previous_violation) {
+      mu = std::min(mu * kPenaltyGrowth, kMaxPenalty);
     }
     previous_violation = violation;
   }

@@ -8,12 +8,13 @@
 //
 //  * ProjectedBbSolver  - projected gradient descent with Barzilai-Borwein
 //                         steps and a nonmonotone Armijo line search; the
-//                         workhorse inner solver.
-//  * LbfgsSolver        - limited-memory BFGS with gradient projection onto
-//                         the box; used as an alternative inner solver
-//                         (ablation bench compares the two).
+//                         one inner solver.
 //  * AugmentedLagrangianSolver - handles hard inequality constraints
-//                         g_i(x) <= 0 (single-vote formulation, Eq. 11).
+//                         g_i(x) <= 0 (single-vote formulation, Eq. 11)
+//                         around ProjectedBbSolver.
+//
+// The line-search and penalty-schedule constants are fixed in optimizer.cc;
+// callers set only budgets and tolerances.
 
 #ifndef KGOV_MATH_OPTIMIZER_H_
 #define KGOV_MATH_OPTIMIZER_H_
@@ -98,7 +99,7 @@ struct BoxBounds {
   bool Contains(const std::vector<double>& x, double tol = 1e-12) const;
 };
 
-/// Shared knobs for the iterative solvers.
+/// Budgets and tolerances of one projected-BB solve.
 struct SolveOptions {
   int max_iterations = 500;
   /// Wall-clock budget for one Minimize call, in seconds; <= 0 disables the
@@ -109,14 +110,6 @@ struct SolveOptions {
   double gradient_tolerance = 1e-7;
   /// Also converged when |f_k - f_{k-1}| <= value_tolerance*(1+|f_k|).
   double value_tolerance = 1e-12;
-  /// Armijo sufficient-decrease parameter.
-  double armijo_c = 1e-4;
-  /// Backtracking shrink factor.
-  double backtrack_rho = 0.5;
-  /// History window for the nonmonotone line search (1 = monotone).
-  int nonmonotone_window = 8;
-  /// L-BFGS memory.
-  int lbfgs_memory = 8;
 
   /// Checks every field range; returns InvalidArgument naming the first
   /// offending field. Solvers fail fast with the result.
@@ -149,43 +142,13 @@ class ProjectedBbSolver {
   SolveOptions options_;
 };
 
-/// Limited-memory BFGS with projection onto the box after each step.
-class LbfgsSolver {
- public:
-  explicit LbfgsSolver(SolveOptions options = {}) : options_(options) {}
-
-  SolveResult Minimize(const DifferentiableFunction& f,
-                       const std::vector<double>& x0,
-                       const BoxBounds& bounds) const;
-
- private:
-  SolveOptions options_;
-};
-
-/// Which inner solver the augmented-Lagrangian loop (and the multi-vote
-/// optimizer) should use.
-enum class InnerSolverKind {
-  kProjectedBb,
-  kLbfgs,
-};
-
 /// Options specific to the augmented-Lagrangian outer loop.
 struct AugLagOptions {
   SolveOptions inner;
-  InnerSolverKind inner_solver = InnerSolverKind::kProjectedBb;
   int max_outer_iterations = 30;
   /// Wall-clock budget across all outer iterations; <= 0 disables. The
   /// remaining budget is threaded into each inner solve.
   double deadline_seconds = 0.0;
-  /// Initial quadratic penalty.
-  double initial_penalty = 10.0;
-  /// Penalty growth factor when constraint violation stalls.
-  double penalty_growth = 4.0;
-  /// Violation must shrink by this ratio per outer iteration to avoid growth.
-  double required_progress = 0.5;
-  /// Feasibility declared when max violation <= this.
-  double feasibility_tolerance = 1e-8;
-  double max_penalty = 1e10;
 
   /// Checks this struct and the nested SolveOptions.
   Status Validate() const;

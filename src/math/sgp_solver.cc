@@ -13,6 +13,9 @@ namespace kgov::math {
 
 namespace {
 
+// Margin that makes the hard form's inequalities strict: g_i(x) <= -margin.
+constexpr double kStrictMargin = 1e-6;
+
 // Objective shared by every formulation:
 //   lambda1 * sum_{i < num_proximal} (x_i - anchor_i)^2
 //   + lambda2 * sum_i weight_i * sigmoid(w * s_i(x))
@@ -141,15 +144,6 @@ class DeviationTerms final : public ConstraintSet {
   size_t count_;
 };
 
-SolveResult RunInner(const SgpSolverOptions& options,
-                     const DifferentiableFunction& f,
-                     const std::vector<double>& x0, const BoxBounds& bounds) {
-  if (options.inner_solver == InnerSolverKind::kLbfgs) {
-    return LbfgsSolver(options.inner).Minimize(f, x0, bounds);
-  }
-  return ProjectedBbSolver(options.inner).Minimize(f, x0, bounds);
-}
-
 // Remaining wall budget for a solve that started `timer` ago; 0 disables,
 // and an expired budget returns a tiny positive value so downstream
 // deadline checks still trigger (rather than being interpreted as "off").
@@ -251,21 +245,21 @@ Status SgpSolverOptions::Validate() const {
     return Status::InvalidArgument(
         "SgpSolverOptions.lambda2 must be finite and >= 0");
   }
-  if (!std::isfinite(sigmoid_steepness) || sigmoid_steepness <= 0.0) {
-    return Status::InvalidArgument(
-        "SgpSolverOptions.sigmoid_steepness must be finite and > 0");
-  }
   if (continuation_steps < 1) {
     return Status::InvalidArgument(
         "SgpSolverOptions.continuation_steps must be >= 1");
   }
-  if (!std::isfinite(strict_margin) || strict_margin < 0.0) {
-    return Status::InvalidArgument(
-        "SgpSolverOptions.strict_margin must be finite and >= 0");
-  }
   if (!std::isfinite(deadline_seconds)) {
     return Status::InvalidArgument(
         "SgpSolverOptions.deadline_seconds must be finite");
+  }
+  if (max_outer_iterations < 1) {
+    return Status::InvalidArgument(
+        "SgpSolverOptions.max_outer_iterations must be >= 1");
+  }
+  if (inner.max_iterations < 1) {
+    return Status::InvalidArgument(
+        "SgpSolverOptions.inner.max_iterations must be >= 1");
   }
   return Status::OK();
 }
@@ -334,14 +328,14 @@ SgpSolution SgpSolver::SolveHard(const SgpProblem& problem) const {
   Timer timer;
   CompositeObjective objective(options_.lambda1, problem.anchor(),
                                problem.num_variables(), 0.0,
-                               options_.sigmoid_steepness, nullptr, nullptr);
+                               kPaperSigmoidSteepness, nullptr, nullptr);
   const ShiftedConstraints constraints(problem.constraint_set(),
-                                       options_.strict_margin,
+                                       kStrictMargin,
                                        ShiftedConstraints::kNoDeviations);
 
-  AugLagOptions auglag = options_.auglag;
+  AugLagOptions auglag;
   auglag.inner = options_.inner;
-  auglag.inner_solver = options_.inner_solver;
+  auglag.max_outer_iterations = options_.max_outer_iterations;
   auglag.deadline_seconds = RemainingBudget(timer, options_.deadline_seconds);
   AugmentedLagrangianSolver solver(auglag);
   SolveResult result =
@@ -356,7 +350,7 @@ SgpSolution SgpSolver::SolveHard(const SgpProblem& problem) const {
   solution.status = result.status;
   solution.total_constraints = static_cast<int>(problem.num_constraints());
   solution.satisfied_constraints =
-      CountSatisfied(problem, solution.x, options_.strict_margin * 0.5);
+      CountSatisfied(problem, solution.x, kStrictMargin * 0.5);
   return solution;
 }
 
@@ -386,15 +380,15 @@ SgpSolution SgpSolver::SolveDeviation(const SgpProblem& problem) const {
   const DeviationTerms deviations(n, m);
   const ShiftedConstraints constraints(base, 0.0, n);
 
-  AugLagOptions auglag = options_.auglag;
+  AugLagOptions auglag;
   auglag.inner = options_.inner;
-  auglag.inner_solver = options_.inner_solver;
+  auglag.max_outer_iterations = options_.max_outer_iterations;
 
   std::vector<double> x = initial;
   SolveResult result;
   result.x = x;
   int total_iterations = 0;
-  for (double steepness : SteepnessSchedule(options_.sigmoid_steepness,
+  for (double steepness : SteepnessSchedule(kPaperSigmoidSteepness,
                                             options_.continuation_steps)) {
     MaybeInjectStall(FaultSite::kSlowSolve);
     if (options_.deadline_seconds > 0.0 &&
@@ -444,7 +438,7 @@ SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
   SolveResult result;
   result.x = x;
   int total_iterations = 0;
-  for (double steepness : SteepnessSchedule(options_.sigmoid_steepness,
+  for (double steepness : SteepnessSchedule(kPaperSigmoidSteepness,
                                             options_.continuation_steps)) {
     MaybeInjectStall(FaultSite::kSlowSolve);
     if (options_.deadline_seconds > 0.0 &&
@@ -454,18 +448,17 @@ SgpSolution SgpSolver::SolveReduced(const SgpProblem& problem) const {
           Status::DeadlineExceeded("SGP solve wall budget expired");
       break;
     }
-    SgpSolverOptions step_options = options_;
+    SolveOptions inner = options_.inner;
     double remaining = RemainingBudget(timer, options_.deadline_seconds);
     if (remaining > 0.0) {
-      step_options.inner.deadline_seconds =
-          step_options.inner.deadline_seconds > 0.0
-              ? std::min(step_options.inner.deadline_seconds, remaining)
-              : remaining;
+      inner.deadline_seconds = inner.deadline_seconds > 0.0
+                                   ? std::min(inner.deadline_seconds, remaining)
+                                   : remaining;
     }
     CompositeObjective objective(options_.lambda1, problem.anchor(),
                                  problem.num_variables(), options_.lambda2,
                                  steepness, &constraints, &constraints);
-    result = RunInner(step_options, objective, x, problem.bounds());
+    result = ProjectedBbSolver(inner).Minimize(objective, x, problem.bounds());
     x = result.x;
     total_iterations += result.iterations;
     if (result.status.IsNumericalError() ||

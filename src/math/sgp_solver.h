@@ -17,6 +17,10 @@
 //                          min lambda1*prox + lambda2*sum sigmoid(w g_i(x)).
 //                          This is the default (faster, same optima); the
 //                          ablation bench compares all three.
+//
+// Every formulation runs the one inner solver, ProjectedBbSolver: directly
+// (reduced form) or inside the augmented Lagrangian (the other two). Hard
+// constraints are made strict with a fixed margin, g_i(x) <= -1e-6.
 
 #ifndef KGOV_MATH_SGP_SOLVER_H_
 #define KGOV_MATH_SGP_SOLVER_H_
@@ -40,23 +44,22 @@ struct SgpSolverOptions {
   double lambda1 = 0.5;
   /// Preference weight on vote satisfaction (paper lambda2, Eq. 19).
   double lambda2 = 0.5;
-  /// Sigmoid steepness w (paper uses 300).
-  double sigmoid_steepness = kPaperSigmoidSteepness;
-  /// With w = 300 the sigmoid saturates (zero gradient) far from the
-  /// boundary; continuation solves a sequence of problems with increasing
-  /// steepness ending at `sigmoid_steepness`, each warm-started from the
-  /// previous solution. 1 disables continuation.
+  /// With the paper's steepness w = 300 (kPaperSigmoidSteepness) the
+  /// sigmoid saturates (zero gradient) far from the boundary; continuation
+  /// solves a sequence of problems with increasing steepness ending at
+  /// w = 300, each warm-started from the previous solution. 1 disables
+  /// continuation.
   int continuation_steps = 6;
-  /// Margin enforcing strict inequalities: g(x) <= -margin.
-  double strict_margin = 1e-6;
   /// Wall-clock budget for one Solve call, spanning every continuation
   /// step and augmented-Lagrangian outer iteration; <= 0 disables it. On
   /// expiry Solve returns the best iterate reached so far with
   /// StatusCode::kDeadlineExceeded.
   double deadline_seconds = 0.0;
-  InnerSolverKind inner_solver = InnerSolverKind::kProjectedBb;
+  /// Augmented-Lagrangian outer iterations per solve (hard form) or per
+  /// continuation step (deviation form); the reduced form has none.
+  int max_outer_iterations = 30;
+  /// Budgets and tolerances of every projected-BB inner solve.
   SolveOptions inner;
-  AugLagOptions auglag;
 
   /// Checks every field range; returns InvalidArgument naming the first
   /// offending field. SgpSolver captures the result at construction and

@@ -30,12 +30,6 @@ TEST(ApTest, NonSquareRejected) {
   EXPECT_FALSE(AffinityPropagation(bad).ok());
 }
 
-TEST(ApTest, BadDampingRejected) {
-  ApOptions options;
-  options.damping = 1.0;
-  EXPECT_FALSE(AffinityPropagation(TwoBlockMatrix(), options).ok());
-}
-
 TEST(ApTest, SingleItemTrivialCluster) {
   Result<ApResult> r = AffinityPropagation({{1.0}});
   ASSERT_TRUE(r.ok());

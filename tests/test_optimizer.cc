@@ -114,35 +114,6 @@ TEST(ProjectedBbTest, StartsOutsideBoxGetsProjected) {
   EXPECT_NEAR(r.x[1], 0.0, 1e-5);
 }
 
-TEST(LbfgsTest, SolvesQuadratic) {
-  Quadratic f;
-  LbfgsSolver solver;
-  SolveResult r = solver.Minimize(f, {10.0, -10.0}, BoxBounds::Unbounded());
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-5);
-  EXPECT_NEAR(r.x[1], -2.0, 1e-5);
-}
-
-TEST(LbfgsTest, SolvesRosenbrockFasterThanGradientDescent) {
-  Rosenbrock f;
-  SolveOptions options;
-  options.max_iterations = 2000;
-  LbfgsSolver solver(options);
-  SolveResult r = solver.Minimize(f, {-1.2, 1.0}, BoxBounds::Unbounded());
-  EXPECT_NEAR(r.x[0], 1.0, 1e-4);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-4);
-}
-
-TEST(LbfgsTest, RespectsBox) {
-  Quadratic f;
-  LbfgsSolver solver;
-  BoxBounds box = BoxBounds::Uniform(2, -1.0, 0.0);
-  SolveResult r = solver.Minimize(f, {-0.5, -0.5}, box);
-  EXPECT_TRUE(box.Contains(r.x));
-  EXPECT_NEAR(r.x[0], 0.0, 1e-5);   // clamped toward 1
-  EXPECT_NEAR(r.x[1], -1.0, 1e-5);  // clamped toward -2
-}
-
 TEST(AugLagTest, NoConstraintsReducesToUnconstrained) {
   Quadratic f;
   AugmentedLagrangianSolver solver;
@@ -280,20 +251,6 @@ TEST(DeadlineTest, ProjectedBbHonorsDeadline) {
   EXPECT_TRUE(std::isfinite(r.x[0]) && std::isfinite(r.x[1]));
 }
 
-TEST(DeadlineTest, LbfgsHonorsDeadline) {
-  SlowRosenbrock f(5e-4);
-  SolveOptions options;
-  options.max_iterations = 1000000;
-  options.gradient_tolerance = 0.0;
-  options.value_tolerance = 0.0;
-  options.deadline_seconds = 0.05;
-  Timer timer;
-  SolveResult r =
-      LbfgsSolver(options).Minimize(f, {-1.2, 1.0}, BoxBounds::Unbounded());
-  EXPECT_TRUE(r.status.IsDeadlineExceeded()) << r.status.ToString();
-  EXPECT_LT(timer.ElapsedSeconds(), 2.0 * options.deadline_seconds);
-}
-
 TEST(DeadlineTest, AugLagHonorsDeadlineAcrossOuterIterations) {
   // Slow enough that the deadline expires well before the infeasibility
   // detector has seen enough stagnant outer iterations to give up.
@@ -342,18 +299,11 @@ TEST(NumericalGuardTest, MidSolveNanGradientKeepsLastFiniteIterate) {
     }
     return value;
   });
-  for (int solver = 0; solver < 2; ++solver) {
-    *counter = 0;
-    SolveResult r =
-        solver == 0 ? ProjectedBbSolver().Minimize(f, {-1.2, 1.0},
-                                                   BoxBounds::Unbounded())
-                    : LbfgsSolver().Minimize(f, {-1.2, 1.0},
-                                             BoxBounds::Unbounded());
-    EXPECT_TRUE(r.status.IsNumericalError()) << solver << ": "
-                                             << r.status.ToString();
-    ASSERT_EQ(r.x.size(), 2u);
-    EXPECT_TRUE(std::isfinite(r.x[0]) && std::isfinite(r.x[1])) << solver;
-  }
+  SolveResult r =
+      ProjectedBbSolver().Minimize(f, {-1.2, 1.0}, BoxBounds::Unbounded());
+  EXPECT_TRUE(r.status.IsNumericalError()) << r.status.ToString();
+  ASSERT_EQ(r.x.size(), 2u);
+  EXPECT_TRUE(std::isfinite(r.x[0]) && std::isfinite(r.x[1]));
 }
 
 }  // namespace

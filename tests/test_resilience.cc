@@ -41,7 +41,9 @@ TEST(ResilientSolverTest, FirstAttemptSuccessDoesNotRetry) {
 
 TEST(ResilientSolverTest, FallbackChainWalksFormulations) {
   // The first two solve attempts are forced to fail; the third succeeds on
-  // the real problem, two formulations down the fallback chain.
+  // the real problem. The chain is the base (reduced) form, then the hard
+  // form, whose entry the attempt past the chain's end reuses; the
+  // deviation form is never tried.
   ScopedFault fault(FaultSite::kSolveNonConvergence,
                     {.probability = 1.0, .max_fires = 2});
   RetryOptions retry;
@@ -54,13 +56,28 @@ TEST(ResilientSolverTest, FallbackChainWalksFormulations) {
   EXPECT_EQ(outcome.attempts[0].formulation,
             SgpFormulation::kReducedSigmoid);
   EXPECT_EQ(outcome.attempts[1].formulation,
-            SgpFormulation::kDeviationVariables);
+            SgpFormulation::kHardConstraints);
   EXPECT_EQ(outcome.attempts[2].formulation,
             SgpFormulation::kHardConstraints);
   EXPECT_TRUE(outcome.attempts[0].status.IsNotConverged());
   EXPECT_TRUE(outcome.attempts[1].status.IsNotConverged());
   EXPECT_TRUE(outcome.attempts[2].status.ok());
   EXPECT_EQ(outcome.solution.satisfied_constraints, 1);
+}
+
+TEST(ResilientSolverTest, HardBaseFallsBackToReduced) {
+  ScopedFault fault(FaultSite::kSolveNonConvergence,
+                    {.probability = 1.0, .max_fires = 1});
+  math::SgpSolverOptions base;
+  base.formulation = SgpFormulation::kHardConstraints;
+  ResilientSgpSolver solver(base, RetryOptions{});
+  ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
+  ASSERT_EQ(outcome.attempts.size(), 2u);
+  EXPECT_EQ(outcome.attempts[0].formulation,
+            SgpFormulation::kHardConstraints);
+  EXPECT_EQ(outcome.attempts[1].formulation,
+            SgpFormulation::kReducedSigmoid);
+  EXPECT_TRUE(outcome.attempts[1].status.ok());
 }
 
 TEST(ResilientSolverTest, ExhaustedStillReturnsFinitePoint) {

@@ -184,12 +184,44 @@ TEST(SgpSolverTest, SolutionStaysInsideBox) {
   }
 }
 
-TEST(SgpSolverTest, LbfgsInnerSolverWorksToo) {
+// Each value SgpSolverOptions keeps must reach the solve it configures.
+TEST(SgpSolverTest, MaxOuterIterationsBoundsTheHardForm) {
+  SgpSolverOptions options;
+  options.formulation = SgpFormulation::kHardConstraints;
+  SgpSolution full = SgpSolver(options).Solve(MakeSwapProblem());
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+
+  // One outer iteration at the initial penalty cannot reach the 1e-8
+  // feasibility tolerance, so the solve stops early and says so.
+  options.max_outer_iterations = 1;
+  SgpSolution capped = SgpSolver(options).Solve(MakeSwapProblem());
+  EXPECT_TRUE(capped.status.IsInfeasible()) << capped.status.ToString();
+  EXPECT_FALSE(capped.converged);
+  EXPECT_LT(capped.iterations, full.iterations);
+}
+
+TEST(SgpSolverTest, InnerMaxIterationsBoundsTheReducedForm) {
   SgpSolverOptions options;
   options.formulation = SgpFormulation::kReducedSigmoid;
-  options.inner_solver = InnerSolverKind::kLbfgs;
-  SgpSolution solution = SgpSolver(options).Solve(MakeSwapProblem());
-  EXPECT_GE(solution.x[0], solution.x[1] - 1e-6);
+  SgpSolution full = SgpSolver(options).Solve(MakeSwapProblem());
+
+  // One inner solve per continuation step, each capped.
+  options.inner.max_iterations = 2;
+  SgpSolution capped = SgpSolver(options).Solve(MakeSwapProblem());
+  EXPECT_LE(capped.iterations, 2 * options.continuation_steps);
+  EXPECT_GT(full.iterations, capped.iterations);
+  EXPECT_TRUE(capped.status.IsNotConverged()) << capped.status.ToString();
+}
+
+TEST(SgpSolverTest, ValidateRejectsNonPositiveIterationCaps) {
+  SgpSolverOptions options;
+  options.max_outer_iterations = 0;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  options.max_outer_iterations = 1;
+  options.inner.max_iterations = 0;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  options.inner.max_iterations = 1;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(SgpSolverTest, SetInitialMovesStartKeepsAnchor) {
@@ -242,8 +274,7 @@ TEST(SgpSolverTest, DeadlineExceededReturnsPromptlyAllFormulations) {
     options.inner.max_iterations = 10000000;
     options.inner.gradient_tolerance = 0.0;
     options.inner.value_tolerance = 0.0;
-    options.auglag.inner = options.inner;
-    options.auglag.max_outer_iterations = 10000;
+    options.max_outer_iterations = 10000;
 
     Timer timer;
     SgpSolution solution = SgpSolver(options).Solve(problem);

@@ -119,7 +119,7 @@ EOF
 
   echo "== [3/3] concurrent-serving bench (smoke) =="
   CONCURRENT_JSON="$BUILD_DIR/BENCH_concurrent_smoke.json"
-  CONCURRENT_TELEMETRY="$REPO_ROOT/BENCH_concurrent_telemetry.json"
+  CONCURRENT_TELEMETRY="$BUILD_DIR/BENCH_concurrent_telemetry_smoke.json"
   rm -f "$CONCURRENT_JSON" "$CONCURRENT_TELEMETRY"
   "$BUILD_DIR/bench/bench_concurrent_serving" --smoke \
       --json "$CONCURRENT_JSON" \
