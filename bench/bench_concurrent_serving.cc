@@ -1,28 +1,20 @@
 // Concurrent serving throughput: serve::QueryEngine over an
 // OnlineKgOptimizer's pinned epoch, swept across worker-thread counts
-// {1, 2, 4} with the epoch-keyed result cache off and on.
-//
-// Two throughput numbers per configuration:
-//
-//  * measured_qps - wall-clock queries/sec on this host. On a single-core
-//    CI runner the thread sweep cannot show real scaling (every worker
-//    shares one core), so the measured column mostly tracks scheduling
-//    overhead there.
-//  * ideal_qps - the single-thread busy time for the same cache setting
-//    partitioned evenly across T workers (makespan = busy_total / T), the
-//    same idealization OptimizeReport::cluster_seconds uses for the
-//    split-merge solver. host_cores is recorded in the JSON so readers
-//    can tell which column is meaningful on a given machine.
+// {1, 2, 4} with the epoch-keyed result cache off and on. Each row is
+// wall-clock queries/sec on this host (measured_qps); host_cores is
+// recorded in the JSON, because on a single-core runner the thread sweep
+// cannot show real scaling (every worker shares one core).
 //
 // The cache rows are measured in steady state (a warm-up round fills the
 // cache), so cache-on vs cache-off is the honest hit-path speedup.
 //
-// The sweep's rows go through SubmitBatch, so its cache-on rows time the
-// pool fan-out as much as the hit. The hit-path sweep times the hit
-// itself: 1, 2 and 4 caller threads each call Submit in a closed loop on
-// a warmed cache (every call a hit) for at least a minimum duration per
-// point; each point is the median of three repetitions, for both the
-// per-call p50 and the qps.
+// The sweep's rows go through SubmitBatch. A hit is served by the probe
+// on the calling thread, before admission, so the cache-on rows use no
+// pool worker and do not depend on the thread count. The hit-path sweep
+// times the hit from several callers: 1, 2 and 4 caller threads each call
+// Submit in a closed loop on a warmed cache (every call a hit) for at
+// least a minimum duration per point; each point is the median of three
+// repetitions, for both the per-call p50 and the qps.
 //
 // Three serving-path phases follow the sweeps:
 //
@@ -90,7 +82,6 @@ struct SweepPoint {
   bool cache = false;
   double wall_seconds = 0.0;
   double measured_qps = 0.0;
-  double ideal_qps = 0.0;
   double hit_rate = 0.0;
 };
 
@@ -464,26 +455,17 @@ void RunAndReport(bool smoke, const char* json_path,
   const std::vector<size_t> thread_counts = {1, 2, 4};
   std::vector<SweepPoint> sweep;
   for (bool cache : {false, true}) {
-    double t1_wall = 0.0;
     for (size_t threads : thread_counts) {
-      SweepPoint point = RunConfig(s, online, threads, cache, rounds);
-      if (threads == 1) t1_wall = point.wall_seconds;
-      // Ideal work partition: the single-thread busy total for this cache
-      // setting spread evenly over T workers.
-      point.ideal_qps = static_cast<double>(rounds * s.seeds.size()) /
-                        (t1_wall / static_cast<double>(threads));
-      sweep.push_back(point);
+      sweep.push_back(RunConfig(s, online, threads, cache, rounds));
     }
   }
 
-  bench::TablePrinter table(
-      {"threads", "cache", "measured q/s", "ideal q/s", "hit rate"},
-      {7, 5, 12, 12, 8});
+  bench::TablePrinter table({"threads", "cache", "measured q/s", "hit rate"},
+                            {7, 5, 12, 8});
   table.PrintHeader();
   for (const SweepPoint& p : sweep) {
     table.PrintRow({std::to_string(p.threads), p.cache ? "on" : "off",
                     bench::Num(p.measured_qps, 1),
-                    bench::Num(p.ideal_qps, 1),
                     bench::Num(p.hit_rate, 3)});
   }
 
@@ -501,15 +483,13 @@ void RunAndReport(bool smoke, const char* json_path,
   // scheduler noise. Rather than publish a number readers might gate on,
   // emit "scaling": null and say so loudly.
   const bool scaling_meaningful = host_cores > 1;
-  double scaling_ideal = 0.0;
   double scaling_measured = 0.0;
   if (scaling_meaningful) {
-    scaling_ideal = find(4, false).ideal_qps / find(1, false).measured_qps;
     scaling_measured =
         find(4, false).measured_qps / find(1, false).measured_qps;
-    std::printf("1->4 thread scaling: %.2fx ideal, %.2fx measured "
+    std::printf("1->4 thread scaling (cache off): %.2fx measured "
                 "(host has %u cores)\n",
-                scaling_ideal, scaling_measured, host_cores);
+                scaling_measured, host_cores);
   } else {
     std::printf(
         "WARNING: host has 1 core - the thread sweep cannot measure real\n"
@@ -520,7 +500,9 @@ void RunAndReport(bool smoke, const char* json_path,
   std::printf("cache-hit speedup (1 thread, steady state): %.2fx\n",
               cache_speedup);
 
-  const double hit_path_seconds = smoke ? 0.05 : 1.0;
+  // Three smoke reps still measure >= 1 s per point, which the lock-rank
+  // overhead gate in tools/ci/check.sh reads.
+  const double hit_path_seconds = smoke ? 0.35 : 1.0;
   std::vector<HitPathPoint> hit_path;
   for (size_t callers : thread_counts) {
     hit_path.push_back(RunHitPath(s, online, callers, hit_path_seconds));
@@ -590,18 +572,15 @@ void RunAndReport(bool smoke, const char* json_path,
     const SweepPoint& p = sweep[i];
     std::fprintf(out,
                  "    {\"threads\": %zu, \"cache\": %s, "
-                 "\"measured_qps\": %.2f, \"ideal_qps\": %.2f, "
-                 "\"hit_rate\": %.4f}%s\n",
+                 "\"measured_qps\": %.2f, \"hit_rate\": %.4f}%s\n",
                  p.threads, p.cache ? "true" : "false", p.measured_qps,
-                 p.ideal_qps, p.hit_rate,
-                 i + 1 < sweep.size() ? "," : "");
+                 p.hit_rate, i + 1 < sweep.size() ? "," : "");
   }
   if (scaling_meaningful) {
     std::fprintf(out,
                  "  ],\n"
-                 "  \"scaling\": {\"ideal_1_to_4\": %.3f, "
-                 "\"measured_1_to_4\": %.3f},\n",
-                 scaling_ideal, scaling_measured);
+                 "  \"scaling\": {\"measured_1_to_4\": %.3f},\n",
+                 scaling_measured);
   } else {
     std::fprintf(out,
                  "  ],\n"

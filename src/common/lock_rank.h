@@ -35,8 +35,8 @@
 namespace kgov::lockinstr {
 
 /// Type-erased operations on a native lock handle, so one hook layer can
-/// drive std::mutex (exclusive), std::shared_mutex (exclusive) and
-/// std::shared_mutex (shared) without templates leaking into lock_rank.cc.
+/// drive std::mutex (exclusive) and SharedMutex's reader-writer lock
+/// (exclusive and shared) without templates leaking into lock_rank.cc.
 struct NativeLockOps {
   void* handle = nullptr;
   void (*lock)(void*) = nullptr;

@@ -27,8 +27,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
+
+#include <pthread.h>
 
 #if defined(KGOV_LOCK_DEBUG)
 #include "common/lock_rank.h"
@@ -174,8 +175,47 @@ class KGOV_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex with the capability annotation: one writer or many
-/// readers. Lock through WriterMutexLock / ReaderMutexLock. Takes an
+namespace internal {
+
+/// A pthread reader-writer lock that prefers writers: once a writer waits,
+/// new readers wait behind it, so a stream of overlapping readers (cache
+/// hits on one shard) cannot starve a writer (a Put, an epoch sweep).
+/// std::shared_mutex leaves the preference to the platform, and glibc's
+/// default prefers readers. A thread must not take the reader side twice
+/// (the lock-rank table already forbids it): a writer waiting between the
+/// two would deadlock it.
+class WriterPreferringRwLock {
+ public:
+  WriterPreferringRwLock() {
+    pthread_rwlockattr_t attr;
+    pthread_rwlockattr_init(&attr);
+#if defined(__GLIBC__)
+    pthread_rwlockattr_setkind_np(
+        &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP);
+#endif
+    pthread_rwlock_init(&rw_, &attr);
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~WriterPreferringRwLock() { pthread_rwlock_destroy(&rw_); }
+  WriterPreferringRwLock(const WriterPreferringRwLock&) = delete;
+  WriterPreferringRwLock& operator=(const WriterPreferringRwLock&) = delete;
+
+  void lock() { pthread_rwlock_wrlock(&rw_); }
+  bool try_lock() { return pthread_rwlock_trywrlock(&rw_) == 0; }
+  void unlock() { pthread_rwlock_unlock(&rw_); }
+  void lock_shared() { pthread_rwlock_rdlock(&rw_); }
+  bool try_lock_shared() { return pthread_rwlock_tryrdlock(&rw_) == 0; }
+  void unlock_shared() { pthread_rwlock_unlock(&rw_); }
+
+ private:
+  pthread_rwlock_t rw_;
+};
+
+}  // namespace internal
+
+/// A writer-preferring reader-writer lock (internal::
+/// WriterPreferringRwLock) with the capability annotation: one writer or
+/// many readers. Lock through WriterMutexLock / ReaderMutexLock. Takes an
 /// optional rank exactly like Mutex; reader acquisitions participate in
 /// the ordering too (reader-writer lock cycles deadlock just as hard).
 class KGOV_CAPABILITY("shared_mutex") SharedMutex {
@@ -228,24 +268,20 @@ class KGOV_CAPABILITY("shared_mutex") SharedMutex {
 
  private:
 #if defined(KGOV_LOCK_DEBUG)
+  using Native = internal::WriterPreferringRwLock;
   lockinstr::NativeLockOps ExclusiveOps() {
-    return {&mu_, [](void* h) { static_cast<std::shared_mutex*>(h)->lock(); },
-            [](void* h) { return static_cast<std::shared_mutex*>(h)->try_lock(); },
-            [](void* h) { static_cast<std::shared_mutex*>(h)->unlock(); }};
+    return {&mu_, [](void* h) { static_cast<Native*>(h)->lock(); },
+            [](void* h) { return static_cast<Native*>(h)->try_lock(); },
+            [](void* h) { static_cast<Native*>(h)->unlock(); }};
   }
   lockinstr::NativeLockOps SharedOps() {
-    return {&mu_,
-            [](void* h) { static_cast<std::shared_mutex*>(h)->lock_shared(); },
-            [](void* h) {
-              return static_cast<std::shared_mutex*>(h)->try_lock_shared();
-            },
-            [](void* h) {
-              static_cast<std::shared_mutex*>(h)->unlock_shared();
-            }};
+    return {&mu_, [](void* h) { static_cast<Native*>(h)->lock_shared(); },
+            [](void* h) { return static_cast<Native*>(h)->try_lock_shared(); },
+            [](void* h) { static_cast<Native*>(h)->unlock_shared(); }};
   }
   lockrank::Rank rank_ = lockrank::Rank::kUnranked;
 #endif
-  std::shared_mutex mu_;
+  internal::WriterPreferringRwLock mu_;
 };
 
 /// std::condition_variable wrapper whose notifies are visible to the

@@ -20,9 +20,11 @@ Status SolveOptions::Validate() const {
         "SolveOptions.max_iterations must be >= 1, got " +
         std::to_string(max_iterations));
   }
-  if (!(gradient_tolerance > 0.0) || !std::isfinite(gradient_tolerance)) {
+  // 0 is legal: it turns the gradient test off, so only the iteration
+  // cap, the value test or the deadline ends a solve.
+  if (!(gradient_tolerance >= 0.0) || !std::isfinite(gradient_tolerance)) {
     return Status::InvalidArgument(
-        "SolveOptions.gradient_tolerance must be finite and > 0, got " +
+        "SolveOptions.gradient_tolerance must be finite and >= 0, got " +
         std::to_string(gradient_tolerance));
   }
   if (!(value_tolerance >= 0.0) || !std::isfinite(value_tolerance)) {
@@ -148,6 +150,11 @@ SolveResult ProjectedBbSolver::Minimize(const DifferentiableFunction& f,
   Timer timer;
   std::vector<double> x = x0;
   bounds.Project(&x);
+  if (!options_status_.ok()) {
+    result.x = std::move(x);
+    result.status = options_status_;
+    return result;
+  }
 
   std::vector<double> grad;
   double fx = f.Evaluate(x, &grad);
@@ -327,6 +334,12 @@ SolveResult AugmentedLagrangianSolver::Minimize(
   Timer timer;
   std::vector<double> x = x0;
   bounds.Project(&x);
+  if (!options_status_.ok()) {
+    SolveResult result;
+    result.x = std::move(x);
+    result.status = options_status_;
+    return result;
+  }
 
   if (constraints.size() == 0) {
     SolveOptions inner_options = options_.inner;

@@ -112,7 +112,8 @@ struct SolveOptions {
   double value_tolerance = 1e-12;
 
   /// Checks every field range; returns InvalidArgument naming the first
-  /// offending field. Solvers fail fast with the result.
+  /// offending field. Solvers validate at construction and fail fast with
+  /// the result: Minimize returns it with the projected start point.
   Status Validate() const;
 };
 
@@ -131,15 +132,18 @@ struct SolveResult {
 /// Projected Barzilai-Borwein gradient descent.
 class ProjectedBbSolver {
  public:
-  explicit ProjectedBbSolver(SolveOptions options = {}) : options_(options) {}
+  explicit ProjectedBbSolver(SolveOptions options = {})
+      : options_(options), options_status_(options_.Validate()) {}
 
   /// Minimizes `f` over the box starting from `x0` (projected first).
+  /// Invalid options return InvalidArgument without evaluating `f`.
   SolveResult Minimize(const DifferentiableFunction& f,
                        const std::vector<double>& x0,
                        const BoxBounds& bounds) const;
 
  private:
   SolveOptions options_;
+  Status options_status_;
 };
 
 /// Options specific to the augmented-Lagrangian outer loop.
@@ -150,7 +154,8 @@ struct AugLagOptions {
   /// remaining budget is threaded into each inner solve.
   double deadline_seconds = 0.0;
 
-  /// Checks this struct and the nested SolveOptions.
+  /// Checks this struct and the nested SolveOptions. The solver fails
+  /// fast with the result, like ProjectedBbSolver.
   Status Validate() const;
 };
 
@@ -161,9 +166,10 @@ struct AugLagOptions {
 class AugmentedLagrangianSolver {
  public:
   explicit AugmentedLagrangianSolver(AugLagOptions options = {})
-      : options_(options) {}
+      : options_(options), options_status_(options_.Validate()) {}
 
-  /// Minimizes subject to every g_i(x) <= 0 of `constraints`.
+  /// Minimizes subject to every g_i(x) <= 0 of `constraints`. Invalid
+  /// options return InvalidArgument without evaluating anything.
   SolveResult Minimize(const DifferentiableFunction& objective,
                        const ConstraintSet& constraints,
                        const std::vector<double>& x0,
@@ -183,6 +189,7 @@ class AugmentedLagrangianSolver {
 
  private:
   AugLagOptions options_;
+  Status options_status_;
 };
 
 /// Finite-difference gradient check helper (central differences); returns

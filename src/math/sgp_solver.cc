@@ -257,11 +257,7 @@ Status SgpSolverOptions::Validate() const {
     return Status::InvalidArgument(
         "SgpSolverOptions.max_outer_iterations must be >= 1");
   }
-  if (inner.max_iterations < 1) {
-    return Status::InvalidArgument(
-        "SgpSolverOptions.inner.max_iterations must be >= 1");
-  }
-  return Status::OK();
+  return inner.Validate();
 }
 
 SgpSolution SgpSolver::Solve(const SgpProblem& problem) const {

@@ -8,19 +8,12 @@ namespace kgov::serve {
 
 namespace {
 
-struct AdmissionMetrics {
-  telemetry::Counter* shed;
-  telemetry::Gauge* queue_depth;
-
-  static const AdmissionMetrics& Get() {
-    static const AdmissionMetrics m = [] {
-      telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Global();
-      return AdmissionMetrics{reg.GetCounter("serve.admission.shed"),
-                              reg.GetGauge("serve.queue_depth")};
-    }();
-    return m;
-  }
-};
+// serve.admission.shed, resolved once.
+telemetry::Counter* ShedCounter() {
+  static telemetry::Counter* const shed =
+      telemetry::MetricRegistry::Global().GetCounter("serve.admission.shed");
+  return shed;
+}
 
 }  // namespace
 
@@ -36,7 +29,6 @@ AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {}
 
 Status AdmissionController::TryAdmit() {
-  const AdmissionMetrics& metrics = AdmissionMetrics::Get();
   // Optimistic reserve: take the slot, give it back if that overshot the
   // window. Exact under concurrency (two racing admits on the last slot
   // cannot both win; the loser sees > capacity and backs out).
@@ -45,26 +37,25 @@ Status AdmissionController::TryAdmit() {
   if (occupied > options_.capacity) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     shed_.Increment();
-    metrics.shed->Increment();
+    ShedCounter()->Increment();
     return Status::ResourceExhausted(
         "serving admission window full (" +
         std::to_string(options_.capacity) +
         " queries in flight); query shed");
   }
   admitted_.Increment();
-  metrics.queue_depth->Add(1.0);
   return Status::OK();
 }
 
 void AdmissionController::Finish() {
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  AdmissionMetrics::Get().queue_depth->Add(-1.0);
 }
 
 AdmissionController::Stats AdmissionController::GetStats() const {
   Stats stats;
   stats.admitted = admitted_.Value();
   stats.shed = shed_.Value();
+  stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -1,20 +1,23 @@
 // Admission control + load shedding for the serving read path.
 //
-// Without a bound in front of the thread-pool fan-out, a traffic spike
-// queues without limit: every query is eventually served, but tail
-// latency grows with the backlog. AdmissionController makes overload a
-// first-class outcome with a bounded admission window: `capacity`
-// queries admitted and not yet finished (queued plus executing). TryAdmit
-// is non-blocking: when the window is full the query is SHED immediately
-// with kResourceExhausted (counted in serve.admission.shed), never
-// parked. Callers that must not drop can retry; the engine itself stays
+// Without a bound on the propagations in flight, a traffic spike queues
+// without limit: every query is eventually served, but tail latency grows
+// with the backlog. AdmissionController makes overload a first-class
+// outcome with a bounded admission window: `capacity` queries admitted and
+// not yet finished (queued plus executing). TryAdmit is non-blocking: when
+// the window is full the query is SHED immediately with
+// kResourceExhausted (counted in serve.admission.shed), never parked.
+// Callers that must not drop can retry; the engine itself stays
 // responsive.
 //
-// The in-flight count is also the source of truth for the
-// serve.queue_depth gauge, published with the atomic Gauge::Add - the
-// old Set(fetch_add(...)+-1) pattern let interleaved threads publish
-// stale depths (two threads could both observe their own +-1 out of
-// order); a CAS-loop Add cannot.
+// It is a MISS window: QueryEngine probes the result cache before it
+// admits, so a cache hit takes no slot and is never shed. Only the
+// queries that go on to propagate (or to wait on another query's
+// propagation) are bounded, which is the work the window exists to bound.
+//
+// The in-flight count is the window's own word, read through
+// GetStats().in_flight; no gauge mirrors it, so an admit writes one
+// shared word and its own counter cell.
 
 #ifndef KGOV_SERVE_ADMISSION_H_
 #define KGOV_SERVE_ADMISSION_H_
@@ -40,12 +43,14 @@ struct AdmissionOptions {
 
 /// Bounded admission window. Thread-safe and lock-free; one instance per
 /// QueryEngine. Every admitted query must be matched by exactly one
-/// Finish() (the engine pairs them RAII-style in its task body).
+/// Finish() (the engine pairs them in FinishGroup).
 class AdmissionController {
  public:
   struct Stats {
     uint64_t admitted = 0;
     uint64_t shed = 0;
+    /// Queries admitted and not yet finished, at the moment of the read.
+    uint64_t in_flight = 0;
   };
 
   /// `options` must already validate OK (the engine validates at
@@ -61,11 +66,6 @@ class AdmissionController {
 
   /// Releases the slot taken by TryAdmit.
   void Finish();
-
-  /// Queries admitted and not yet finished.
-  size_t InFlight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
 
   Stats GetStats() const;
 

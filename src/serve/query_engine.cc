@@ -17,9 +17,7 @@ namespace kgov::serve {
 
 namespace {
 
-// Serving-subsystem telemetry; pointers resolved once. The queue-depth
-// gauge lives in the AdmissionController (published with the atomic
-// Gauge::Add), not here.
+// Serving-subsystem telemetry; pointers resolved once.
 struct ServeMetrics {
   telemetry::Counter* queries;
   telemetry::Counter* cache_hits;
@@ -150,7 +148,7 @@ QueryEngine::~QueryEngine() = default;
 QueryEngine::ServeStats QueryEngine::GetServeStats() const {
   ServeStats stats;
   stats.queries = queries_.Value();
-  stats.hits = hits_.Value();
+  stats.hits = cache_.GetStats().hits;
   stats.misses = misses_.Value();
   stats.leaders = leaders_.Value();
   stats.followers = followers_.Value();
@@ -252,12 +250,6 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
     metrics.errors->Increment();
     out.emplace_back(index, std::move(status));
   };
-  auto serve_hit = [&](size_t index, RankedAnswers result) {
-    result.from_cache = true;
-    hits_.Increment();
-    metrics.cache_hits->Increment();
-    out.emplace_back(index, std::move(result));
-  };
   auto serve_coalesced = [&](size_t index, RankedAnswers result) {
     result.coalesced = true;
     followers_.Increment();
@@ -297,17 +289,11 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
   std::vector<Waiting> waiting;
   std::unordered_map<std::string, size_t> local;  // flight key -> led slot
 
-  // Phase 1 (never blocks): cache probes, validation, flight
-  // registration. Foreign flights are only recorded, not waited on.
+  // Phase 1 (never blocks): validation, flight registration. The caller
+  // already probed the cache (Probe) before admitting these queries.
+  // Foreign flights are only recorded, not waited on.
   for (size_t index : indices) {
     const ppr::QuerySeed& seed = seeds[index];
-    RankedAnswers result = base_result();
-    std::string key = EncodeCacheKey(seed);
-    if (options_.enable_cache &&
-        cache_.Get(key, epoch.epoch, &result.answers)) {
-      serve_hit(index, std::move(result));
-      continue;
-    }
     // Validate before taking flight leadership: an invalid seed is an
     // ERROR outcome, not a miss, and no valid query shares its flight key.
     Status valid = engine.ValidateSeed(seed);
@@ -315,6 +301,8 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
       fail(index, std::move(valid));
       continue;
     }
+    std::string key;
+    EncodeCacheKey(seed, &key);
     if (!options_.enable_single_flight) {
       led.push_back(Led{index, std::move(key), nullptr, {}});
       continue;
@@ -336,10 +324,13 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
     // wins leadership just after the old flight retired may find the
     // value already published - serving it keeps "exactly one
     // propagation per cold key" exact instead of best-effort.
+    RankedAnswers result = base_result();
     if (options_.enable_cache &&
         cache_.Get(key, epoch.epoch, &result.answers)) {
       join.token->Complete(Status::OK(), result.answers);
-      serve_hit(index, std::move(result));
+      result.from_cache = true;
+      metrics.cache_hits->Increment();
+      out.emplace_back(index, std::move(result));
       continue;
     }
     local.emplace(std::move(flight_key), led.size());
@@ -409,7 +400,9 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
     }
     RankedAnswers result = base_result();
     result.answers = std::move(ranked).value();
-    publish_propagated(EncodeCacheKey(seed), lane, result);
+    std::string key;
+    EncodeCacheKey(seed, &key);
+    publish_propagated(key, lane, result);
     out.emplace_back(w.index, std::move(result));
   }
   return out;
@@ -465,12 +458,42 @@ void QueryEngine::FinishGroup(const GroupResult& served,
   }
 }
 
+bool QueryEngine::Probe(const ppr::QuerySeed& seed, const Timer& timer,
+                        RankedAnswers* out) {
+  if (!options_.enable_cache) return false;
+  MaybeRefreshEpoch();
+  // The pinned epoch NUMBER is all a hit needs: it reads no graph, so it
+  // takes no thread pin. Reaching the number through this acquire load is
+  // what orders the cache advance before the Get (result_cache.h).
+  const uint64_t epoch = pinned_epoch_.load(std::memory_order_acquire);
+  // It does release a pin the engine has moved past (or another engine's),
+  // so a thread that keeps hitting holds no superseded snapshot alive.
+  ThreadPinSlot& pin = this_thread_pin;
+  if (pin.engine_id != 0 &&
+      (pin.engine_id != id_ || pin.epoch.epoch != epoch)) {
+    pin = ThreadPinSlot{};
+  }
+  // Encoded into this thread's reused buffer: only a Put copies a key.
+  thread_local std::string key;
+  EncodeCacheKey(seed, &key);
+  if (!cache_.Get(key, epoch, &out->answers)) return false;
+  out->epoch = epoch;
+  out->from_cache = true;
+  const ServeMetrics& metrics = ServeMetrics::Get();
+  metrics.cache_hits->Increment();
+  metrics.query_span->Observe(timer.ElapsedSeconds());
+  return true;
+}
+
 StatusOr<RankedAnswers> QueryEngine::Submit(const ppr::QuerySeed& seed) {
   ServeMetrics::Get().queries->Increment();
   queries_.Increment();
-  // A shed query never took a slot, so it has no Finish.
-  KGOV_RETURN_IF_ERROR(admission_.TryAdmit());
   Timer timer;
+  RankedAnswers hit;
+  if (Probe(seed, timer, &hit)) return hit;
+  // Only a miss takes a slot. A shed query never took one, so it has no
+  // Finish.
+  KGOV_RETURN_IF_ERROR(admission_.TryAdmit());
   const size_t index = 0;
   GroupResult served = ServeGroup({&seed, 1}, {&index, 1});
   FinishGroup(served, timer.ElapsedSeconds());
@@ -485,12 +508,19 @@ std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
 
   std::vector<std::optional<StatusOr<RankedAnswers>>> slots(n);
 
-  // Admission: one window slot per query. A shed query is answered
-  // immediately with kResourceExhausted and never enqueued (the
-  // controller counts it; its slot was never taken, so no Finish).
+  // Probe, then admission: a hit is answered here and takes no slot; a
+  // miss takes one window slot. A shed query is answered immediately with
+  // kResourceExhausted and never enqueued (the controller counts it; its
+  // slot was never taken, so no Finish).
   std::vector<size_t> admitted;
   admitted.reserve(n);
   for (size_t i = 0; i < n; ++i) {
+    Timer timer;
+    RankedAnswers hit;
+    if (Probe(seeds[i], timer, &hit)) {
+      slots[i].emplace(std::move(hit));
+      continue;
+    }
     Status admit = admission_.TryAdmit();
     if (admit.ok()) {
       admitted.push_back(i);

@@ -7,7 +7,12 @@
 //  * It pins a core::ServingEpoch (ref-counted CSR snapshot + epoch
 //    number) and serves every query from that frozen view; an optimizer
 //    flush never blocks or mutates an in-flight query.
-//  * Every query runs one serving body (ServeGroup). Submit runs it on
+//  * Both entry points first probe the result cache on the calling
+//    thread (Probe): the pinned epoch number, the key encoded into a
+//    reused thread-local buffer, one Get. A hit returns right there -
+//    no admission slot, no thread pin, no group, no pool task, and one
+//    allocation (its copy of the answers).
+//  * Every miss runs one serving body (ServeGroup). Submit runs it on
 //    the calling thread as a group of one, with no pool hand-off;
 //    SubmitBatch fans same-cluster groups out over a ThreadPool (the
 //    pool's only job). A group that propagates runs on its thread's
@@ -35,39 +40,42 @@
 //    (ppr::EipdEngine::RankMulti), amortizing the level-synchronous
 //    frontier walk across roots while keeping each lane's result bitwise
 //    identical to a single-root propagation.
-//  * An AdmissionController bounds the admitted-and-unfinished window:
-//    beyond capacity, Submit sheds immediately with kResourceExhausted
-//    (never parks the caller).
+//  * An AdmissionController bounds the admitted-and-unfinished MISSES:
+//    beyond capacity, a miss sheds immediately with kResourceExhausted
+//    (never parks the caller). A hit is never admitted, so never shed.
 //  * Before each query the engine probes
 //    OnlineKgOptimizer::CurrentEpochNumber() (one acquire load) against
 //    its own atomic copy of the pinned epoch number, and re-pins when the
 //    optimizer has published a newer epoch, so fresh results appear
 //    promptly without polling threads.
-//  * Each serving thread keeps its own pin: one ServingEpoch in a
-//    thread_local slot, keyed by the engine's process-unique id (never
-//    its address, which a later engine may reuse). A query reuses the
-//    slot while its epoch equals the engine's pinned epoch number, so in
-//    steady state it takes no lock and changes no reference count; only
-//    after a re-pin (or when the thread last served another engine) does
-//    it copy the engine's pin under the reader lock. Retention bound: at
-//    most one ServingEpoch per thread that has served a query, from
-//    whichever engine it served last. A superseded epoch stays alive
+//  * Each thread that serves a miss keeps its own pin: one ServingEpoch
+//    in a thread_local slot, keyed by the engine's process-unique id
+//    (never its address, which a later engine may reuse). A group reuses
+//    the slot while its epoch equals the engine's pinned epoch number, so
+//    in steady state it takes no lock and changes no reference count;
+//    only after a re-pin (or when the thread last served another engine)
+//    does it copy the engine's pin under the reader lock. A hit reads no
+//    graph and takes no pin, but it releases a superseded one. Retention
+//    bound: at most one ServingEpoch per thread that has served a miss,
+//    from whichever engine it served last. A superseded epoch stays alive
 //    until that thread's next query or its exit, so an idle thread can
 //    hold one old snapshot (and a destroyed engine's last epoch) alive.
 //  * Outcome counters are telemetry::Counter cells, like the registry's
-//    serve.* mirrors: a cache hit writes only its own thread's cache
-//    lines, apart from the admission window with its queue-depth gauge,
-//    the cache shard lock, and the span histogram's reservoir ring.
+//    serve.* mirrors; the engine's hit count is the cache's own. A cache
+//    hit writes only its own thread's cache lines, apart from the cache
+//    shard's reader-lock word, the entry's referenced bit (only when the
+//    CLOCK hand cleared it since the last hit) and the span histogram's
+//    shared reservoir cursor (one fetch_add per 64 samples per stripe).
 //
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.singleflight.leaders /
 // .followers / .timeouts, serve.admission.shed, serve.errors,
 // serve.batch.groups (groups of two or more queries that ran a pass),
-// serve.epoch_refreshes, serve.queue_depth (gauge, published atomically
-// via Gauge::Add from the admission window), span.serve.query.seconds
-// (latency from admission to the served result; for SubmitBatch it
-// includes pool queue wait, for Submit there is none),
-// stream.invalidation.selective / .full.
+// serve.epoch_refreshes, span.serve.query.seconds (latency from the
+// probe to the served result; a SubmitBatch miss is timed from its
+// group's enqueue, so it includes pool queue wait, for Submit there is
+// none), stream.invalidation.selective /
+// .full. Misses in flight are read from AdmissionStats().in_flight.
 // serve.cache.misses counts PROPAGATIONS the engine ran (leaders,
 // follower-timeout fallbacks, single-flight-off misses) - collapsed
 // followers are counted in serve.singleflight.followers instead, so
@@ -87,6 +95,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/online_optimizer.h"
 #include "ppr/eipd_engine.h"
 #include "ppr/query_seed.h"
@@ -115,12 +124,13 @@ struct QueryEngineOptions {
   /// Worker threads SubmitBatch fans its groups out over. Submit runs on
   /// the calling thread and never uses them.
   size_t num_threads = 4;
-  /// Memoize per-seed rankings (delta-aware LRU). Disable to force every
+  /// Memoize per-seed rankings (delta-aware CLOCK). Disable to force every
   /// query through a fresh propagation (the cache-off baseline).
   bool enable_cache = true;
   /// Total cached seed rankings across all shards.
   size_t cache_capacity = 4096;
-  /// Cache shard count (locks per shard; more shards = less contention).
+  /// Cache shard count (one reader-writer lock each; more shards = less
+  /// contention).
   size_t cache_shards = 8;
   /// Invalidate selectively on epoch swap using the optimizer's published
   /// changed-cluster deltas. Disable to flush the whole cache on every
@@ -170,7 +180,8 @@ class QueryEngine {
   /// (single-flight disabled).
   struct ServeStats {
     uint64_t queries = 0;
-    /// Served from the result cache (first probe or leader re-probe).
+    /// Served from the result cache (the probe before admission, or a
+    /// leader's re-probe). Read from the cache's own hit counter.
     uint64_t hits = 0;
     /// Ran their own propagation.
     uint64_t misses = 0;
@@ -202,15 +213,18 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Serves one query on the calling thread and returns its ranking. A
-  /// miss propagates on the thread's ppr::ThreadLocalLanes(), overwriting
-  /// what an earlier workspace-less EipdEngine call left there.
-  /// InvalidArgument when the seed does not fit the pinned epoch's view;
-  /// ResourceExhausted (immediately) when the admission window is full.
+  /// hit returns from the probe; a miss is admitted, then propagates on
+  /// the thread's ppr::ThreadLocalLanes(), overwriting what an earlier
+  /// workspace-less EipdEngine call left there. InvalidArgument when the
+  /// seed does not fit the pinned epoch's view; ResourceExhausted
+  /// (immediately) when the query misses and the admission window is
+  /// full.
   StatusOr<RankedAnswers> Submit(const ppr::QuerySeed& seed);
 
-  /// Serves a batch: admitted queries are grouped by partition cluster,
-  /// enqueued up front (saturating the pool), then gathered in order.
-  /// results[i] corresponds to seeds[i].
+  /// Serves a batch: every query is probed on the calling thread, the
+  /// misses are admitted, grouped by partition cluster, enqueued up front
+  /// (saturating the pool), then gathered in order. results[i]
+  /// corresponds to seeds[i].
   std::vector<StatusOr<RankedAnswers>> SubmitBatch(
       const std::vector<ppr::QuerySeed>& seeds);
 
@@ -250,12 +264,20 @@ class QueryEngine {
   /// ServeGroup never runs nested on one thread.
   const core::ServingEpoch& ThreadPin() KGOV_EXCLUDES(epoch_mu_);
 
+  /// The probe step of Submit and SubmitBatch, on the calling thread:
+  /// true, with `*out` served and the span observed from `timer`, when
+  /// the cache holds `seed` at the pinned epoch. A hit takes no admission
+  /// slot and no thread pin.
+  bool Probe(const ppr::QuerySeed& seed, const Timer& timer,
+             RankedAnswers* out) KGOV_EXCLUDES(epoch_mu_);
+
   using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
 
-  /// The serving body of every query, run once per same-cluster group:
-  /// per-seed cache probes, local + cross-group single-flight coalescing,
-  /// then ONE propagation pass with a lane per key this group leads.
-  /// Returns (index-into-seeds, result) pairs covering exactly `indices`.
+  /// The serving body of every admitted miss, run once per same-cluster
+  /// group: validation, local + cross-group single-flight coalescing
+  /// (with the leader's cache re-probe), then ONE propagation pass with a
+  /// lane per key this group leads. Returns (index-into-seeds, result)
+  /// pairs covering exactly `indices`.
   GroupResult ServeGroup(std::span<const ppr::QuerySeed> seeds,
                          std::span<const size_t> indices)
       KGOV_EXCLUDES(epoch_mu_);
@@ -299,7 +321,6 @@ class QueryEngine {
   AdmissionController admission_;
 
   telemetry::Counter queries_;
-  telemetry::Counter hits_;
   telemetry::Counter misses_;
   telemetry::Counter leaders_;
   telemetry::Counter followers_;

@@ -1,8 +1,9 @@
 #include "serve/result_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <functional>
+#include <utility>
 
 #include "stream/epoch_delta.h"
 
@@ -23,15 +24,14 @@ void AppendBytes(std::string* key, const T& value) {
 
 }  // namespace
 
-std::string EncodeCacheKey(const ppr::QuerySeed& seed) {
-  std::string key;
-  key.reserve(seed.links.size() *
-              (sizeof(graph::NodeId) + sizeof(double)));
+void EncodeCacheKey(const ppr::QuerySeed& seed, std::string* key) {
+  key->clear();
+  key->reserve(seed.links.size() *
+               (sizeof(graph::NodeId) + sizeof(double)));
   for (const auto& [node, weight] : seed.links) {
-    AppendBytes(&key, node);
-    AppendBytes(&key, weight);
+    AppendBytes(key, node);
+    AppendBytes(key, weight);
   }
-  return key;
 }
 
 ShardedResultCache::ShardedResultCache(size_t capacity, size_t num_shards)
@@ -39,26 +39,30 @@ ShardedResultCache::ShardedResultCache(size_t capacity, size_t num_shards)
           std::max<size_t>(1, capacity / std::max<size_t>(1, num_shards))),
       shards_(std::max<size_t>(1, num_shards)) {}
 
-ShardedResultCache::Shard& ShardedResultCache::ShardFor(
-    const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-bool ShardedResultCache::Get(const std::string& key, uint64_t reader_epoch,
+bool ShardedResultCache::Get(std::string_view key, uint64_t reader_epoch,
                              std::vector<ppr::ScoredAnswer>* out) {
-  Shard& shard = ShardFor(key);
+  const HashedKey hashed{key, KeyHash{}(key)};
+  Shard& shard = ShardFor(hashed);
   {
-    MutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() &&
-        it->second->second.computed_epoch <= reader_epoch) {
-      // The entry survived every sweep up to the cache's current epoch,
-      // so its dependencies are untouched on [computed, current] - which
-      // contains the reader's epoch (readers pin at most current).
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = it->second->second.value;
-      hits_.Increment();
-      return true;
+    ReaderMutexLock lock(shard.mu);
+    const auto& index = shard.index;
+    auto it = index.find(hashed);
+    if (it != index.end()) {
+      const Slot& slot = std::as_const(shard.slots)[it->second];
+      if (slot.entry.computed_epoch <= reader_epoch) {
+        // The entry survived every sweep up to the cache's current epoch,
+        // so its dependencies are untouched on [computed, current] -
+        // which contains the reader's epoch (readers pin at most
+        // current). Store the bit only when it is clear, so repeated hits
+        // on a hot entry write nothing shared.
+        std::atomic_ref<uint8_t> referenced(slot.referenced);
+        if (referenced.load(std::memory_order_relaxed) == 0) {
+          referenced.store(1, std::memory_order_relaxed);
+        }
+        *out = slot.entry.value;
+        hits_.Increment();
+        return true;
+      }
     }
   }
   misses_.Increment();
@@ -81,12 +85,40 @@ bool ShardedResultCache::ValidAtCurrent(const std::vector<uint32_t>& deps,
   return true;
 }
 
-bool ShardedResultCache::Put(const std::string& key,
+uint32_t ShardedResultCache::TakeSlot(Shard& shard, bool* evicted) {
+  *evicted = false;
+  if (!shard.free.empty()) {
+    const uint32_t at = shard.free.back();
+    shard.free.pop_back();
+    return at;
+  }
+  if (shard.slots.size() < per_shard_capacity_) {
+    shard.slots.emplace_back();
+    return static_cast<uint32_t>(shard.slots.size() - 1);
+  }
+  // Every slot is resident (no free ones), so the hand finds a victim
+  // within two turns: it gives each referenced slot a second chance.
+  while (true) {
+    const uint32_t at = static_cast<uint32_t>(shard.hand);
+    shard.hand = (shard.hand + 1) % shard.slots.size();
+    Slot& slot = shard.slots[at];
+    if (slot.referenced != 0) {
+      slot.referenced = 0;
+      continue;
+    }
+    shard.index.erase(shard.index.find(*slot.key));
+    *evicted = true;
+    return at;
+  }
+}
+
+bool ShardedResultCache::Put(std::string_view key,
                              std::vector<ppr::ScoredAnswer> value,
                              std::vector<uint32_t> deps,
                              uint64_t computed_epoch) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
+  const HashedKey hashed{key, KeyHash{}(key)};
+  Shard& shard = ShardFor(hashed);
+  WriterMutexLock lock(shard.mu);
   {
     // Stale-insert guard, under the shard lock so a concurrent
     // AdvanceEpoch either already recorded its delta (we validate against
@@ -97,23 +129,22 @@ bool ShardedResultCache::Put(const std::string& key,
       return false;
     }
   }
-  auto it = shard.index.find(key);
+  Entry entry{std::move(value), std::move(deps), computed_epoch};
+  auto it = shard.index.find(hashed);
   if (it != shard.index.end()) {
-    it->second->second =
-        Entry{std::move(value), std::move(deps), computed_epoch};
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    Slot& slot = shard.slots[it->second];
+    slot.entry = std::move(entry);
+    slot.referenced = 1;
     return false;
   }
   bool evicted = false;
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    evictions_.Increment();
-    evicted = true;
-  }
-  shard.lru.emplace_front(
-      key, Entry{std::move(value), std::move(deps), computed_epoch});
-  shard.index.emplace(key, shard.lru.begin());
+  const uint32_t at = TakeSlot(shard, &evicted);
+  if (evicted) evictions_.Increment();
+  Slot& slot = shard.slots[at];
+  // The one copy of the key bytes a miss makes.
+  slot.key = &shard.index.emplace(std::string(key), at).first->first;
+  slot.entry = std::move(entry);
+  slot.referenced = 0;
   return evicted;
 }
 
@@ -137,11 +168,13 @@ size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch,
   selective_sweeps_.Increment();
   size_t dropped = 0;
   for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (stream::ClustersIntersect(it->second.deps, changed)) {
-        shard.index.erase(it->first);
-        it = shard.lru.erase(it);
+    WriterMutexLock lock(shard.mu);
+    for (auto it = shard.index.begin(); it != shard.index.end();) {
+      Slot& slot = shard.slots[it->second];
+      if (stream::ClustersIntersect(slot.entry.deps, changed)) {
+        slot = Slot{};
+        shard.free.push_back(it->second);
+        it = shard.index.erase(it);
         ++dropped;
       } else {
         ++it;
@@ -155,10 +188,12 @@ size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch,
 size_t ShardedResultCache::InvalidateAll() {
   size_t dropped = 0;
   for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    dropped += shard.lru.size();
+    WriterMutexLock lock(shard.mu);
+    dropped += shard.index.size();
     shard.index.clear();
-    shard.lru.clear();
+    shard.slots.clear();
+    shard.free.clear();
+    shard.hand = 0;
   }
   invalidations_.Increment(dropped);
   return dropped;
@@ -179,8 +214,8 @@ ShardedResultCache::Stats ShardedResultCache::GetStats() const {
 size_t ShardedResultCache::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.lru.size();
+    ReaderMutexLock lock(shard.mu);
+    total += shard.index.size();
   }
   return total;
 }

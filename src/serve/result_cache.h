@@ -1,4 +1,4 @@
-// Delta-aware sharded LRU cache of per-seed ranking results.
+// Delta-aware sharded CLOCK cache of per-seed ranking results.
 //
 // The serving hot path answers many repeats of the same query seed between
 // graph updates; a hit skips a miss's propagation, top-k selection and
@@ -37,22 +37,29 @@
 //    every stale insert either validates against the new record or is
 //    removed by the sweep - it cannot slip between them.
 //
-// Sharded to keep lock hold times off the serving tail: each shard owns an
-// independent mutex + LRU list, and a key touches exactly one shard. The
-// epoch-state mutex is never held while a shard is locked by AdvanceEpoch
-// (Put nests it inside the shard lock), so the two lock orders cannot
-// deadlock.
+// Sharded, and CLOCK within a shard, so a hit shares as little as it can:
+// each shard owns a reader-writer lock, a slot array and a key -> slot
+// index, and a key touches exactly one shard. A hit (Get) takes the
+// shard's READER lock, so hits on one shard run side by side, and marks
+// its slot referenced with a relaxed store (none when the bit is already
+// set); it moves nothing. Put, eviction and the AdvanceEpoch sweep take
+// the WRITER lock. Eviction is second chance: the hand clears referenced
+// slots and evicts the first unreferenced one, so an entry hit since the
+// hand last passed survives one more pass. The epoch-state mutex is never
+// held while a shard is locked by AdvanceEpoch (Put nests it inside the
+// shard's writer lock), so the two lock orders cannot deadlock.
 //
 // Readers learn their epoch from serve::QueryEngine, never from this
 // cache. The engine calls AdvanceEpoch(E) under its exclusive epoch lock,
 // then swaps its pinned epoch, then release-stores E into its atomic
 // pinned-epoch number, all before unlocking. A reader reaches E only
 // through that number (an acquire load that reads E, or the reader lock
-// under which it copies the pin), so AdvanceEpoch(E), its sweep's shard
-// unlocks included, happens before the reader's Get takes a shard lock:
-// the reader cannot find an entry the delta into E dropped. A reader
-// still serving an older pin E' gets only entries computed on E' or
-// earlier, which by the first validity rule are bitwise-valid at E'.
+// under which it copies the pin), so AdvanceEpoch(E), its sweep's writer
+// unlocks included, happens before the reader's Get takes a shard's
+// reader lock: the reader cannot find an entry the delta into E dropped.
+// A reader still serving an older pin E' gets only entries computed on
+// E' or earlier, which by the first validity rule are bitwise-valid at
+// E'.
 
 #ifndef KGOV_SERVE_RESULT_CACHE_H_
 #define KGOV_SERVE_RESULT_CACHE_H_
@@ -60,8 +67,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <list>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -73,13 +81,14 @@
 
 namespace kgov::serve {
 
-/// Exact binary cache key: the seed's links, byte for byte. Two seeds
-/// collide iff they are bitwise identical, so a cache hit returns exactly
-/// what a fresh propagation of that seed would return (the
-/// bitwise-identity guarantee the serving tests pin down). Epochs are NOT
-/// part of the key: entry validity across epochs is governed by the
-/// dependency metadata above.
-std::string EncodeCacheKey(const ppr::QuerySeed& seed);
+/// Writes the exact binary cache key into `*key`: the seed's links, byte
+/// for byte. Two seeds collide iff they are bitwise identical, so a cache
+/// hit returns exactly what a fresh propagation of that seed would return
+/// (the bitwise-identity guarantee the serving tests pin down). Epochs are
+/// NOT part of the key: entry validity across epochs is governed by the
+/// dependency metadata above. `*key` is overwritten, so a caller can reuse
+/// one buffer and allocate nothing once it has grown.
+void EncodeCacheKey(const ppr::QuerySeed& seed, std::string* key);
 
 class ShardedResultCache {
  public:
@@ -103,19 +112,20 @@ class ShardedResultCache {
   ShardedResultCache(const ShardedResultCache&) = delete;
   ShardedResultCache& operator=(const ShardedResultCache&) = delete;
 
-  /// On hit copies the cached ranking into `*out`, refreshes the entry's
-  /// LRU position, and returns true. Only entries computed on the
-  /// reader's epoch or earlier qualify (see validity rules above).
-  bool Get(const std::string& key, uint64_t reader_epoch,
+  /// On hit copies the cached ranking into `*out`, marks the entry
+  /// referenced, and returns true. Only entries computed on the reader's
+  /// epoch or earlier qualify (see validity rules above).
+  bool Get(std::string_view key, uint64_t reader_epoch,
            std::vector<ppr::ScoredAnswer>* out);
 
-  /// Inserts (or refreshes) `key` with its dependency clusters (sorted
-  /// unique; see stream::CanonicalizeClusterSet) and the epoch the value
-  /// was computed on. Returns true when an entry was evicted to make room
+  /// Inserts (or refreshes, marking it referenced) `key` with its
+  /// dependency clusters (sorted unique; see
+  /// stream::CanonicalizeClusterSet) and the epoch the value was computed
+  /// on. Returns true when an entry was evicted to make room
   /// (lets the owner feed an eviction counter). A stale insert the
   /// epoch-change history cannot prove safe is dropped instead
   /// (Stats.rejected_puts).
-  bool Put(const std::string& key, std::vector<ppr::ScoredAnswer> value,
+  bool Put(std::string_view key, std::vector<ppr::ScoredAnswer> value,
            std::vector<uint32_t> deps, uint64_t computed_epoch);
 
   /// Advances the cache to `epoch`, recording that exactly the clusters
@@ -154,16 +164,65 @@ class ShardedResultCache {
     bool full = false;
   };
 
-  struct Shard {
-    mutable Mutex mu{KGOV_LOCK_RANK(kServeCacheShard)};
-    /// Front = most recently used. The list owns keys and entries; the
-    /// index maps a key to its list position.
-    std::list<std::pair<std::string, Entry>> lru KGOV_GUARDED_BY(mu);
-    std::unordered_map<std::string,
-                       decltype(lru)::iterator> index KGOV_GUARDED_BY(mu);
+  /// One CLOCK slot. `referenced` is set by hits under the shard's
+  /// reader lock, through std::atomic_ref (racing hits store the same
+  /// value), and read and cleared by the hand under the writer lock.
+  struct Slot {
+    /// The index node's key (node-based map: the address is stable), or
+    /// null for a slot a sweep freed.
+    const std::string* key = nullptr;
+    Entry entry;
+    mutable uint8_t referenced = 0;
   };
 
-  Shard& ShardFor(const std::string& key);
+  /// A key with its hash, computed once per call: the hash picks the
+  /// shard and, through the transparent KeyHash, the index bucket.
+  struct HashedKey {
+    std::string_view bytes;
+    size_t hash;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+    size_t operator()(const HashedKey& key) const { return key.hash; }
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const {
+      return a == b;
+    }
+    bool operator()(const HashedKey& a, std::string_view b) const {
+      return a.bytes == b;
+    }
+    bool operator()(std::string_view a, const HashedKey& b) const {
+      return a == b.bytes;
+    }
+  };
+
+  /// Aligned so one shard's lock word never shares a cache line with
+  /// another shard's.
+  struct alignas(telemetry::kCacheLineBytes) Shard {
+    mutable SharedMutex mu{KGOV_LOCK_RANK(kServeCacheShard)};
+    /// At most per_shard_capacity_ slots, grown on demand.
+    std::vector<Slot> slots KGOV_GUARDED_BY(mu);
+    /// Slots a sweep freed; Put reuses them before the hand evicts.
+    std::vector<uint32_t> free KGOV_GUARDED_BY(mu);
+    std::unordered_map<std::string, uint32_t, KeyHash, KeyEqual> index
+        KGOV_GUARDED_BY(mu);
+    /// The next slot eviction inspects.
+    size_t hand KGOV_GUARDED_BY(mu) = 0;
+  };
+
+  Shard& ShardFor(const HashedKey& key) {
+    return shards_[key.hash % shards_.size()];
+  }
+
+  /// The slot a new entry takes: a freed one, a new one while the shard
+  /// is below capacity, else the CLOCK victim (its entry unlinked, and
+  /// `*evicted` set).
+  uint32_t TakeSlot(Shard& shard, bool* evicted) KGOV_REQUIRES(shard.mu);
 
   /// True when the history proves a value computed on `computed_epoch`
   /// with dependencies `deps` is still bitwise-valid at current_epoch_.

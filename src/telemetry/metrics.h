@@ -88,22 +88,14 @@ class Counter {
   std::array<Cell, kStripes> cells_;
 };
 
-/// Last-write-wins instantaneous value (queue depths, epoch numbers).
-/// Concurrent up/down tracking (in-flight counts) must go through Add():
-/// the read-modify-write is a CAS loop, so interleaved +1/-1 from many
-/// threads can never publish a stale depth the way Set(load()+1) can.
+/// Last-write-wins instantaneous value (queue depths, ratios). A writer
+/// publishes a value it owns; there is no read-modify-write. A count
+/// that many threads move up and down (an in-flight count) is not a
+/// gauge: keep it in its own atomic word, or as two monotonic Counters
+/// whose difference is read at report time.
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-
-  /// Atomically adds `delta` (exact under any number of concurrent
-  /// writers; use for queue depths instead of Set-of-a-read).
-  void Add(double delta) {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
 
   double Value() const { return value_.load(std::memory_order_relaxed); }
 

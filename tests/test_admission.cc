@@ -1,5 +1,5 @@
-// AdmissionController: bounded window, exact shedding, and queue-depth
-// gauge exactness under contention.
+// AdmissionController: bounded window, exact shedding, and an exact
+// in-flight count under contention.
 
 #include "serve/admission.h"
 
@@ -8,8 +8,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "telemetry/metrics.h"
 
 namespace kgov::serve {
 namespace {
@@ -45,16 +43,16 @@ TEST(AdmissionControllerTest, ShedsExactlyBeyondCapacityAndRecovers) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(controller.TryAdmit().ok()) << i;
   }
-  EXPECT_EQ(controller.InFlight(), 4u);
+  EXPECT_EQ(controller.GetStats().in_flight, 4u);
 
   Status shed = controller.TryAdmit();
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   // A failed admit must not leak a slot.
-  EXPECT_EQ(controller.InFlight(), 4u);
+  EXPECT_EQ(controller.GetStats().in_flight, 4u);
 
   controller.Finish();
-  EXPECT_EQ(controller.InFlight(), 3u);
+  EXPECT_EQ(controller.GetStats().in_flight, 3u);
   EXPECT_TRUE(controller.TryAdmit().ok());
 
   AdmissionController::Stats stats = controller.GetStats();
@@ -62,20 +60,12 @@ TEST(AdmissionControllerTest, ShedsExactlyBeyondCapacityAndRecovers) {
   EXPECT_EQ(stats.shed, 1u);
 }
 
-// The old serve.queue_depth pattern published Set(fetch_add(...)+-1):
-// two threads could interleave their atomic bumps and gauge stores so
-// the LAST store carried a STALE depth, skewing the gauge until the next
-// query. The admission window publishes with the CAS-loop Gauge::Add,
-// which this hammer pins down: after balanced admit/finish traffic from
-// many threads the gauge must read exactly its starting value - with the
-// racy pattern this test fails within a handful of runs.
-TEST(AdmissionControllerTest, QueueDepthGaugeIsExactUnderContention) {
-  telemetry::Gauge* depth =
-      telemetry::MetricRegistry::Global().GetGauge("serve.queue_depth");
-  const double before = depth->Value();
-
+// In-flight is the window's own word, read through GetStats(): after
+// balanced admit/finish traffic from many threads it must read exactly 0,
+// and every admit must be counted.
+TEST(AdmissionControllerTest, InFlightIsExactUnderContention) {
   AdmissionOptions options;
-  options.capacity = 1u << 30;  // never shed: every Add(+1) gets an Add(-1)
+  options.capacity = 1u << 30;  // never shed: every admit gets a Finish
   AdmissionController controller(options);
 
   constexpr int kThreads = 8;
@@ -92,10 +82,10 @@ TEST(AdmissionControllerTest, QueueDepthGaugeIsExactUnderContention) {
   }
   for (std::thread& t : threads) t.join();
 
-  EXPECT_EQ(controller.InFlight(), 0u);
-  EXPECT_EQ(depth->Value(), before);
-  EXPECT_EQ(controller.GetStats().admitted,
-            static_cast<uint64_t>(kThreads) * kRounds);
+  const AdmissionController::Stats stats = controller.GetStats();
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 }  // namespace

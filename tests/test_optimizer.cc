@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "common/timer.h"
@@ -304,6 +305,74 @@ TEST(NumericalGuardTest, MidSolveNanGradientKeepsLastFiniteIterate) {
   EXPECT_TRUE(r.status.IsNumericalError()) << r.status.ToString();
   ASSERT_EQ(r.x.size(), 2u);
   EXPECT_TRUE(std::isfinite(r.x[0]) && std::isfinite(r.x[1]));
+}
+
+// Both solvers validate their options at construction and fail fast:
+// Minimize returns InvalidArgument naming the field, at the projected
+// start point, without evaluating anything.
+TEST(OptionsValidationTest, InvalidOptionReturnsInvalidArgument) {
+  auto evaluations = std::make_shared<int>(0);
+  CallbackFunction f([evaluations](const std::vector<double>& x,
+                                   std::vector<double>* grad) {
+    ++*evaluations;
+    return Quadratic().Evaluate(x, grad);
+  });
+  CallbackFunction g([evaluations](const std::vector<double>& x,
+                                   std::vector<double>* grad) {
+    ++*evaluations;
+    if (grad) grad->assign(x.size(), 0.0);
+    return -1.0;
+  });
+  const BoxBounds box = BoxBounds::Uniform(2, -1.0, 1.0);
+  const std::vector<double> start = {5.0, 5.0};
+  const std::vector<double> projected = {1.0, 1.0};
+  auto expect_invalid = [&](const SolveResult& r, const char* field) {
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    EXPECT_NE(r.status.message().find(field), std::string::npos)
+        << r.status.message();
+    EXPECT_EQ(r.x, projected);
+    EXPECT_FALSE(r.converged);
+  };
+
+  struct Case {
+    void (*mutate)(SolveOptions&);
+    const char* field;
+  };
+  const Case cases[] = {
+      {[](SolveOptions& o) { o.max_iterations = 0; }, "max_iterations"},
+      {[](SolveOptions& o) { o.gradient_tolerance = -1e-9; },
+       "gradient_tolerance"},
+      {[](SolveOptions& o) {
+         o.gradient_tolerance = std::numeric_limits<double>::quiet_NaN();
+       },
+       "gradient_tolerance"},
+      {[](SolveOptions& o) {
+         o.value_tolerance = std::numeric_limits<double>::infinity();
+       },
+       "value_tolerance"},
+  };
+  for (const Case& c : cases) {
+    SolveOptions options;
+    c.mutate(options);
+    expect_invalid(ProjectedBbSolver(options).Minimize(f, start, box),
+                   c.field);
+    AugLagOptions auglag;
+    auglag.inner = options;
+    expect_invalid(
+        AugmentedLagrangianSolver(auglag).Minimize(f, {&g}, start, box),
+        c.field);
+  }
+  AugLagOptions outer;
+  outer.max_outer_iterations = 0;
+  expect_invalid(AugmentedLagrangianSolver(outer).Minimize(f, {}, start, box),
+                 "max_outer_iterations");
+  EXPECT_EQ(*evaluations, 0);
+
+  // A zero gradient tolerance only turns the gradient test off.
+  SolveOptions zero;
+  zero.gradient_tolerance = 0.0;
+  EXPECT_TRUE(zero.Validate().ok());
+  EXPECT_TRUE(ProjectedBbSolver(zero).Minimize(f, start, box).status.ok());
 }
 
 }  // namespace

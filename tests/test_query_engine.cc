@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <random>
 #include <thread>
@@ -545,7 +546,8 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
   };
   constexpr size_t kCallers = 4;
   constexpr int kReps = 20;
-  constexpr size_t kBatch = 12;  // > capacity: every batch sheds
+  // > capacity, and cold: every batch misses the cache, so it sheds.
+  constexpr size_t kBatch = 12;
   ppr::QuerySeed invalid;
   invalid.links.emplace_back(999, 1.0);
   std::vector<Tally> tallies(kCallers);
@@ -555,14 +557,23 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
       // Callers share streams pairwise, so their misses also coalesce.
       const std::vector<ppr::QuerySeed> stream =
           SeededStream(24, 0x5ED + static_cast<uint64_t>(t % 2));
-      const std::vector<ppr::QuerySeed> batch(
-          stream.begin(), stream.begin() + static_cast<ptrdiff_t>(kBatch));
       Tally& tally = tallies[t];
       for (int rep = 0; rep < kReps; ++rep) {
         for (const ppr::QuerySeed& seed : stream) {
           tally.Add(engine.Submit(seed));
         }
         tally.Add(engine.Submit(invalid));
+        // Two links with fresh weights per caller and rep (Normalize
+        // keeps their ratio): no batch seed is cached.
+        std::mt19937_64 rng(0xBA7C + 100 * t + static_cast<size_t>(rep));
+        std::uniform_real_distribution<double> weight(0.1, 1.0);
+        std::vector<ppr::QuerySeed> batch(kBatch);
+        for (size_t i = 0; i < kBatch; ++i) {
+          batch[i].links = {{static_cast<graph::NodeId>(i % 3), weight(rng)},
+                            {static_cast<graph::NodeId>((i + 1) % 3),
+                             weight(rng)}};
+          batch[i].Normalize();
+        }
         for (const StatusOr<RankedAnswers>& r : engine.SubmitBatch(batch)) {
           tally.Add(r);
         }
@@ -594,7 +605,13 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
   EXPECT_GE(stats.shed, kCallers * kReps * (kBatch - options.admission.capacity));
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
-  EXPECT_EQ(engine.AdmissionStats().admitted + stats.shed, stats.queries);
+  // A hit served by the probe takes no slot; only a leader's re-probe hit
+  // was admitted. So admitted + shed falls short of queries by at most
+  // the hits.
+  const uint64_t admitted = engine.AdmissionStats().admitted;
+  EXPECT_LE(admitted + stats.shed, stats.queries);
+  EXPECT_GE(admitted + stats.shed + stats.hits, stats.queries);
+  EXPECT_EQ(engine.AdmissionStats().in_flight, 0u);
 }
 
 // Each serving thread keeps its own pin of the engine's epoch. After a
@@ -834,6 +851,76 @@ TEST(QueryEngineTest, FullAdmissionWindowShedsWithResourceExhausted) {
   StatusOr<RankedAnswers> after =
       engine.Submit(ppr::QuerySeed::UniformOver({0}));
   ASSERT_TRUE(after.ok()) << after.status();
+}
+
+// A hit is served by the probe before admission, so it takes no slot and
+// is never shed, however full the window is.
+TEST(QueryEngineTest, HitsAreNeverShed) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.admission.capacity = 2;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+
+  const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
+  StatusOr<RankedAnswers> warm = engine.Submit(seed);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_FALSE(warm->from_cache);
+
+  const std::vector<ppr::QuerySeed> batch(32, seed);
+  size_t hits = 0;
+  size_t shed = 0;
+  for (const StatusOr<RankedAnswers>& r : engine.SubmitBatch(batch)) {
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      ++shed;
+      continue;
+    }
+    EXPECT_TRUE(r->from_cache);
+    ExpectIdenticalAnswers(warm->answers, r->answers);
+    hits += r->from_cache ? 1 : 0;
+  }
+  EXPECT_EQ(hits, 32u);
+  EXPECT_EQ(shed, 0u);
+
+  const QueryEngine::ServeStats stats = engine.GetServeStats();
+  EXPECT_EQ(stats.hits, 32u);
+  EXPECT_EQ(stats.shed, 0u);
+  // Only the warming miss was admitted.
+  EXPECT_EQ(engine.AdmissionStats().admitted, 1u);
+  EXPECT_EQ(engine.AdmissionStats().in_flight, 0u);
+}
+
+// A hit takes no pin, but it releases a superseded one, so a thread that
+// only hits after a flush keeps no old snapshot alive.
+TEST(QueryEngineTest, AHitReleasesASupersededPin) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  auto engine_or =
+      QueryEngine::Create(&online, &Candidates(), SmallEngineOptions());
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+  const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
+
+  // A miss pins epoch 0 on this thread.
+  const std::weak_ptr<const graph::CsrSnapshot> old =
+      online.CurrentEpoch().snapshot;
+  ASSERT_TRUE(engine.Submit(seed).ok());
+  ASSERT_TRUE(online.AddVote(MakeVote(4, 1)).ok());
+  ASSERT_TRUE(online.Flush().ok());
+  // Another thread moves the engine to epoch 1 and caches the seed there.
+  std::thread other([&]() { EXPECT_TRUE(engine.Submit(seed).ok()); });
+  other.join();
+  const long held = old.use_count();
+  ASSERT_GE(held, 1);
+
+  StatusOr<RankedAnswers> hit = engine.Submit(seed);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->from_cache);
+  EXPECT_EQ(hit->epoch, 1u);
+  EXPECT_EQ(old.use_count(), held - 1);
 }
 
 // Submit propagates on the calling thread's lanes (ppr::ThreadLocalLanes),

@@ -91,45 +91,6 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_EQ(g.Value(), 0.0);
 }
 
-TEST(GaugeTest, AddAccumulatesRelativeDeltas) {
-  Gauge g;
-  g.Add(2.0);
-  g.Add(0.5);
-  g.Add(-1.0);
-  EXPECT_EQ(g.Value(), 1.5);
-  g.Set(10.0);  // Set still overwrites whatever Add accumulated
-  g.Add(-10.0);
-  EXPECT_EQ(g.Value(), 0.0);
-}
-
-// The serve.queue_depth regression: depth was published as
-// Set(counter.fetch_add(...)+-1), so two threads could interleave their
-// atomic bumps with their gauge stores and leave a STALE depth as the
-// last write. The CAS-loop Add cannot lose or misorder a delta: balanced
-// +1/-1 traffic from many threads must land the gauge exactly where it
-// started, every run.
-TEST(GaugeTest, AddIsExactUnderContention) {
-  Gauge g;
-  g.Set(7.0);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  {
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      futures.push_back(pool.Submit([&g] {
-        for (int i = 0; i < kPerThread; ++i) {
-          g.Add(1.0);
-          g.Add(-1.0);
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
-  EXPECT_EQ(g.Value(), 7.0);
-}
-
 TEST(HistogramTest, EmptySnapshotIsAllZeros) {
   Histogram h(HistogramOptions{{1.0, 2.0}});
   HistogramSnapshot snap = h.Snapshot();
