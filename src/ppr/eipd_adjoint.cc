@@ -22,8 +22,12 @@ AdjointWorkspace& ThreadLocalAdjointWorkspace() {
 }
 
 EipdAdjoint::EipdAdjoint(graph::GraphView view, EipdOptions options,
-                         const int32_t* var_of_edge)
-    : view_(view), options_(options), var_of_edge_(var_of_edge) {
+                         const int32_t* var_of_edge,
+                         std::span<const graph::NodeId> targets)
+    : view_(view),
+      options_(options),
+      var_of_edge_(var_of_edge),
+      targets_(targets.begin(), targets.end()) {
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
   KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0)
@@ -34,12 +38,44 @@ EipdAdjoint::EipdAdjoint(graph::GraphView view, EipdOptions options,
     decay_.push_back(decay);
     decay *= 1.0 - c;
   }
+  if (targets_.empty()) return;
+  std::sort(targets_.begin(), targets_.end());
+  targets_.erase(std::unique(targets_.begin(), targets_.end()),
+                 targets_.end());
+  const size_t n = view_.NumNodes();
+  std::vector<char> is_target(n, 0);
+  for (graph::NodeId t : targets_) {
+    KGOV_CHECK(view_.IsValidNode(t)) << "target " << t << " is not a node";
+    is_target[t] = 1;
+  }
+  last_hop_.begin.assign(1, 0);
+  last_hop_.begin.reserve(n + 1);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const graph::GraphView::Neighbor* b = view_.begin(u);
+    for (size_t k = 0, e = view_.OutDegree(u); k < e; ++k) {
+      if (is_target[b[k].to]) {
+        last_hop_.offsets.push_back(static_cast<uint32_t>(k));
+      }
+    }
+    last_hop_.begin.push_back(last_hop_.offsets.size());
+  }
+}
+
+internal::VariableAdjacency EipdAdjoint::HopInto(int len,
+                                                 const double* x) const {
+  const bool last = len == options_.max_length && !targets_.empty();
+  return {view_, var_of_edge_, x, last ? &last_hop_ : nullptr};
+}
+
+bool EipdAdjoint::IsTarget(graph::NodeId node) const {
+  return targets_.empty() ||
+         std::binary_search(targets_.begin(), targets_.end(), node);
 }
 
 void EipdAdjoint::Forward(const QuerySeed& seed, const double* x,
                           AdjointWorkspace* ws) const {
-  const internal::VariableAdjacency adj{view_, var_of_edge_, x};
-  internal::SeedLane(adj, seed, &ws->lane);
+  internal::SeedLane(internal::VariableAdjacency{view_, var_of_edge_, x},
+                     seed, &ws->lane);
   ws->level_begin.assign(1, 0);
   ws->level_nodes.clear();
   ws->level_mass.clear();
@@ -51,13 +87,13 @@ void EipdAdjoint::Forward(const QuerySeed& seed, const double* x,
     ws->level_begin.push_back(ws->level_nodes.size());
     internal::AbsorbLane(&ws->lane, decay_[len - 1]);
     if (len == options_.max_length) break;
-    internal::AdvanceLane(adj, &ws->lane);
+    internal::AdvanceLane(HopInto(len + 1, x), &ws->lane);
   }
 }
 
 template <typename OnEdge>
-void EipdAdjoint::Pull(const internal::VariableAdjacency& adj,
-                       AdjointWorkspace* ws, OnEdge&& on_edge) const {
+void EipdAdjoint::Pull(const double* x, AdjointWorkspace* ws,
+                       OnEdge&& on_edge) const {
   const size_t n = view_.NumNodes();
   Fit(&ws->adjoint, n);
   Fit(&ws->adjoint_next, n);
@@ -67,12 +103,15 @@ void EipdAdjoint::Pull(const internal::VariableAdjacency& adj,
   // level l+1's frontier and is zero elsewhere; adjoint is all zero.
   for (size_t l = levels; l-- > 0;) {
     std::vector<double>& next = ws->adjoint_next;
+    // Level l + 1 holds walks of length l + 2.
+    const internal::VariableAdjacency hop =
+        HopInto(static_cast<int>(l) + 2, x);
     for (size_t i = begin[l]; i < begin[l + 1]; ++i) {
       const graph::NodeId u = ws->level_nodes[i];
       double r = decay_[l] * ws->lambda[u];
       if (l + 1 < levels) {
         const double mass = ws->level_mass[i];
-        adj.ForEachOutEdge(u, [&](graph::NodeId to, double w,
+        hop.ForEachOutEdge(u, [&](graph::NodeId to, double w,
                                   graph::EdgeId edge, int32_t var) {
           if (w <= 0.0) return;  // AdvanceLane skips these edges too
           const double r_to = next[to];
@@ -98,8 +137,11 @@ void EipdAdjoint::AccumulateGradient(
     std::span<const std::pair<graph::NodeId, double>> lambda,
     const double* x, AdjointWorkspace* ws, double* grad) const {
   Fit(&ws->lambda, view_.NumNodes());
-  for (const auto& [node, weight] : lambda) ws->lambda[node] += weight;
-  Pull(internal::VariableAdjacency{view_, var_of_edge_, x}, ws,
+  for (const auto& [node, weight] : lambda) {
+    KGOV_DCHECK(IsTarget(node));
+    ws->lambda[node] += weight;
+  }
+  Pull(x, ws,
        [grad](graph::EdgeId, int32_t var, double mass, double r) {
          if (var >= 0) grad[var] += mass * r;
        });
@@ -110,9 +152,12 @@ std::vector<graph::EdgeId> EipdAdjoint::SupportEdges(
     std::span<const graph::NodeId> targets, const double* x,
     AdjointWorkspace* ws) const {
   Fit(&ws->lambda, view_.NumNodes());
-  for (graph::NodeId t : targets) ws->lambda[t] = 1.0;
+  for (graph::NodeId t : targets) {
+    KGOV_DCHECK(IsTarget(t));
+    ws->lambda[t] = 1.0;
+  }
   std::vector<graph::EdgeId> edges;
-  Pull(internal::VariableAdjacency{view_, var_of_edge_, x}, ws,
+  Pull(x, ws,
        [&edges](graph::EdgeId edge, int32_t, double, double r) {
          if (r > 0.0) edges.push_back(edge);
        });

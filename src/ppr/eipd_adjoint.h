@@ -25,6 +25,15 @@
 // edge (u,v) lies on a walk of length <= L from the seed to a target iff
 // mass_l(u) > 0 and r_{l+1}(v) > 0 for some l; that is the support
 // (SupportEdges), the paper's Set(v_a) and E(t).
+//
+// Targets. A caller that reads Phi only at some nodes (a vote's answers)
+// names them at construction. r_L is zero off the targets, so on the hop
+// into level L every edge whose head is not a target adds w * 0: the
+// forward hop into level L and the backward's first pull walk only the
+// CSR slots into the targets (indexed once, in CSR order), and every
+// target's Phi, the gradient and the support stay bitwise what they are
+// without the set. The cost: after Forward, lane.phi is exact only on the
+// targets.
 
 #ifndef KGOV_PPR_EIPD_ADJOINT_H_
 #define KGOV_PPR_EIPD_ADJOINT_H_
@@ -45,7 +54,8 @@ namespace kgov::ppr {
 /// zero except `lane` (which resets itself in O(touched), see
 /// PropagationWorkspace), so a reset costs O(touched), not O(|V|).
 struct AdjointWorkspace {
-  /// The forward lane; after Forward, lane.phi[v] = Phi(seed, v).
+  /// The forward lane; after Forward, lane.phi[v] = Phi(seed, v) for every
+  /// target v of the adjoint (every node, when it has no target set).
   PropagationWorkspace lane;
   /// Level l (0-based, walk length l + 1) of the last Forward occupies
   /// [level_begin[l], level_begin[l + 1]) of level_nodes / level_mass.
@@ -65,29 +75,49 @@ AdjointWorkspace& ThreadLocalAdjointWorkspace();
 
 namespace internal {
 
+/// Each node's CSR slots whose head lies in a target set, in CSR order:
+/// node u's are offsets[begin[u], begin[u + 1]), each an index into u's
+/// out-range.
+struct TargetSlots {
+  std::vector<size_t> begin;
+  std::vector<uint32_t> offsets;
+};
+
 /// A GraphView whose variable edges weigh what a trial point says: edge e
 /// with var_of_edge[e] >= 0 weighs x[var_of_edge[e]], every other edge
 /// keeps the view's weight. A null `var_of_edge` or `x` leaves every
 /// weight as the view has it. The index is dense by EdgeId, so the view
-/// must carry edge ids.
+/// must carry edge ids. With `only` set, a node's out-edges are just the
+/// slots `only` lists for it.
 struct VariableAdjacency {
   graph::GraphView view;
   const int32_t* var_of_edge;
   const double* x;
+  const TargetSlots* only = nullptr;
 
   size_t NumNodes() const { return view.NumNodes(); }
   bool IsValidNode(graph::NodeId v) const { return view.IsValidNode(v); }
+  size_t OutDegree(graph::NodeId u) const {
+    return only == nullptr ? view.OutDegree(u)
+                           : only->begin[u + 1] - only->begin[u];
+  }
 
   /// fn(to, weight, edge id, variable or -1) for every out-edge of u.
   template <typename Fn>
   void ForEachOutEdge(graph::NodeId u, Fn&& fn) const {
     const graph::GraphView::Neighbor* b = view.begin(u);
-    const graph::GraphView::Neighbor* e = view.end(u);
     const graph::EdgeId* ids = view.edge_ids(u);
-    for (const graph::GraphView::Neighbor* it = b; it != e; ++it) {
-      const graph::EdgeId id = ids[it - b];
+    auto visit = [&](size_t k) {
+      const graph::EdgeId id = ids[k];
       const int32_t var = var_of_edge == nullptr ? -1 : var_of_edge[id];
-      fn(it->to, var >= 0 && x != nullptr ? x[var] : it->weight, id, var);
+      fn(b[k].to, var >= 0 && x != nullptr ? x[var] : b[k].weight, id, var);
+    };
+    if (only == nullptr) {
+      for (size_t k = 0, e = view.OutDegree(u); k < e; ++k) visit(k);
+    } else {
+      for (size_t i = only->begin[u]; i < only->begin[u + 1]; ++i) {
+        visit(only->offsets[i]);
+      }
     }
   }
 
@@ -107,13 +137,22 @@ struct VariableAdjacency {
 class EipdAdjoint {
  public:
   /// `var_of_edge` (null: no variables) maps each EdgeId of the view to a
-  /// variable index, or -1 for an edge that keeps its weight.
+  /// variable index, or -1 for an edge that keeps its weight. `targets`
+  /// (empty: every node) are the nodes whose Phi the caller reads; each
+  /// lambda node and support target must be one of them. The constructor
+  /// indexes, once, the CSR slots whose head is a target, and the forward
+  /// hop into level L and the backward's first pull walk only those: the
+  /// other level-L terms are w * 0 additions, so every target's Phi, the
+  /// gradient and the support are bitwise what an untargeted adjoint gives.
   EipdAdjoint(graph::GraphView view, EipdOptions options,
-              const int32_t* var_of_edge = nullptr);
+              const int32_t* var_of_edge = nullptr,
+              std::span<const graph::NodeId> targets = {});
 
   /// Runs `seed` at trial point `x` (null: the view's weights) and records
-  /// every level in `ws`; afterwards ws->lane.phi[v] = Phi(seed, v). The
-  /// seed must name valid nodes (EipdEngine::ValidateSeed).
+  /// every level in `ws`; afterwards ws->lane.phi[v] = Phi(seed, v) for
+  /// every target v (for every node when the adjoint has no target set;
+  /// with one, other nodes miss their level-L mass). The seed must name
+  /// valid nodes (EipdEngine::ValidateSeed).
   void Forward(const QuerySeed& seed, const double* x,
                AdjointWorkspace* ws) const;
 
@@ -136,12 +175,21 @@ class EipdAdjoint {
   /// on_edge(edge, variable, mass_l(u), r_{l+1}(v)) for every traversed
   /// edge (u,v) of every level l < L.
   template <typename OnEdge>
-  void Pull(const internal::VariableAdjacency& adj, AdjointWorkspace* ws,
-            OnEdge&& on_edge) const;
+  void Pull(const double* x, AdjointWorkspace* ws, OnEdge&& on_edge) const;
+
+  /// The adjacency at trial point x for the hop into level `len` (1-based
+  /// walk length): the target slots for len == L when targeted.
+  internal::VariableAdjacency HopInto(int len, const double* x) const;
+
+  /// True when `node` is a target (always, without a target set).
+  bool IsTarget(graph::NodeId node) const;
 
   graph::GraphView view_;
   EipdOptions options_;
   const int32_t* var_of_edge_;
+  /// Sorted and unique; empty means every node.
+  std::vector<graph::NodeId> targets_;
+  internal::TargetSlots last_hop_;
   /// c(1-c)^l for l = 1..L, computed as PropagatePhi does.
   std::vector<double> decay_;
 };

@@ -119,6 +119,7 @@ struct ViewAdjacency {
 
   size_t NumNodes() const { return view.NumNodes(); }
   bool IsValidNode(graph::NodeId v) const { return view.IsValidNode(v); }
+  size_t OutDegree(graph::NodeId u) const { return view.OutDegree(u); }
 
   template <typename Fn>
   void ForEachOut(graph::NodeId u, Fn&& fn) const {
@@ -139,6 +140,7 @@ struct OverrideAdjacency {
 
   size_t NumNodes() const { return view.NumNodes(); }
   bool IsValidNode(graph::NodeId v) const { return view.IsValidNode(v); }
+  size_t OutDegree(graph::NodeId u) const { return view.OutDegree(u); }
 
   template <typename Fn>
   void ForEachOut(graph::NodeId u, Fn&& fn) const {
@@ -182,27 +184,36 @@ inline void AbsorbLane(PropagationWorkspace* ws, double decay) {
   ws->LogFrontier();
 }
 
-/// Pushes the lane's mass one level along the out-edges.
+/// Pushes the lane's mass one level along the out-edges. Every pushed
+/// head is written to the next frontier, whose cursor advances only when
+/// the head's `next` entry was still zero, so the append takes no branch.
+/// The buffer grows by each source's out-degree (Adjacency::OutDegree
+/// bounds the heads ForEachOut visits) before its edges are read.
 template <typename Adjacency>
 void AdvanceLane(const Adjacency& adj, PropagationWorkspace* ws) {
   std::vector<double>& next = ws->next;
-  ws->next_frontier.clear();
+  std::vector<graph::NodeId>& out = ws->next_frontier;
+  size_t count = 0;
   for (graph::NodeId u : ws->frontier) {
+    const size_t need = count + adj.OutDegree(u);
+    if (need > out.size()) out.resize(std::max(need, 2 * out.size()));
+    graph::NodeId* slots = out.data();
     const double m = ws->mass[u];
     adj.ForEachOut(u, [&](graph::NodeId to, double w) {
       if (w <= 0.0) return;
-      if (next[to] == 0.0) ws->next_frontier.push_back(to);
+      slots[count] = to;
+      count += next[to] == 0.0;
       next[to] += m * w;
     });
     ws->mass[u] = 0.0;
   }
-  // `next` entries touched twice keep their accumulated value;
-  // next_frontier may contain duplicates only if next[v] was exactly 0
-  // after a prior add, which cannot happen with positive weights. Every
-  // nonzero mass entry sat on the frontier and was zeroed above, so after
-  // the swap `next` is all zero again.
+  out.resize(count);
+  // A head enters the frontier when its `next` entry is zero before the
+  // add, so it appears twice only when m * w underflowed to zero on an
+  // earlier edge into it. Every nonzero mass entry sat on the frontier
+  // and was zeroed above, so after the swap `next` is all zero again.
   ws->mass.swap(ws->next);
-  ws->frontier.swap(ws->next_frontier);
+  ws->frontier.swap(out);
 }
 
 /// THE propagation driver: level-synchronous mass propagation (a

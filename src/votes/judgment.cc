@@ -25,14 +25,18 @@ JudgmentFilter::JudgmentFilter(const graph::WeightedDigraph* graph,
                                graph::GraphView view, JudgmentOptions options)
     : graph_(graph),
       options_(std::move(options)),
-      engine_(view, options_.eipd),
-      adjoint_(view, options_.eipd) {
+      engine_(view, options_.eipd) {
   KGOV_CHECK(graph_ != nullptr);
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }
 
 bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
+  return !FilterVotes({vote}).empty();
+}
+
+bool JudgmentFilter::Judge(const Vote& vote,
+                           const ppr::EipdAdjoint& adjoint) const {
   // A vote naming nodes the graph does not have is not satisfiable, and
   // could not be encoded either.
   if (!vote.IsWellFormed() || !FitsView(vote, engine_.view())) return false;
@@ -45,11 +49,11 @@ bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
 
   // Edge sets of contributing walks to each of the two answers.
   ppr::AdjointWorkspace& ws = ppr::ThreadLocalAdjointWorkspace();
-  adjoint_.Forward(vote.query, nullptr, &ws);
+  adjoint.Forward(vote.query, nullptr, &ws);
   const std::vector<graph::EdgeId> best_edges =
-      adjoint_.SupportEdges({&best, 1}, nullptr, &ws);
+      adjoint.SupportEdges({&best, 1}, nullptr, &ws);
   const std::vector<graph::EdgeId> rival_edges =
-      adjoint_.SupportEdges({&rival, 1}, nullptr, &ws);
+      adjoint.SupportEdges({&rival, 1}, nullptr, &ws);
 
   // Extreme condition: favour a* maximally, the rival minimally. Only
   // optimizable edges are reassigned; fixed edges keep their weights.
@@ -75,10 +79,13 @@ bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
 
 std::vector<Vote> JudgmentFilter::FilterVotes(
     const std::vector<Vote>& votes) const {
+  // One adjoint, targeting every answer of the batch, serves every vote.
+  const ppr::EipdAdjoint adjoint(engine_.view(), options_.eipd, nullptr,
+                                 FittingAnswers(votes, engine_.view()));
   std::vector<Vote> kept;
   kept.reserve(votes.size());
   for (const Vote& vote : votes) {
-    if (IsSatisfiable(vote)) {
+    if (Judge(vote, adjoint)) {
       kept.push_back(vote);
     } else {
       KGOV_LOG(DEBUG) << "judgment filter discarded vote " << vote.id;

@@ -12,7 +12,8 @@
 // If even under this maximally favourable weighting S(vq, a*) cannot exceed
 // S(vq, a_{rank-1}), the vote is discarded before SGP encoding. The two
 // edge sets (the paper's Set(v_a)) are the support of one forward and two
-// backward propagations (ppr::EipdAdjoint::SupportEdges).
+// backward propagations (ppr::EipdAdjoint::SupportEdges), whose last hop
+// walks only the edges into the votes' answers.
 
 #ifndef KGOV_VOTES_JUDGMENT_H_
 #define KGOV_VOTES_JUDGMENT_H_
@@ -55,10 +56,13 @@ class JudgmentFilter {
   std::vector<Vote> FilterVotes(const std::vector<Vote>& votes) const;
 
  private:
+  /// IsSatisfiable, walking the edge sets with `adjoint`, whose targets
+  /// must include the vote's answers.
+  bool Judge(const Vote& vote, const ppr::EipdAdjoint& adjoint) const;
+
   const graph::WeightedDigraph* graph_;
   JudgmentOptions options_;
   ppr::EipdEngine engine_;
-  ppr::EipdAdjoint adjoint_;
 };
 
 }  // namespace kgov::votes

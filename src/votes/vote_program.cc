@@ -20,6 +20,17 @@ bool FitsView(const Vote& vote, const graph::GraphView& view) {
                      [&view](graph::NodeId a) { return view.IsValidNode(a); });
 }
 
+std::vector<graph::NodeId> FittingAnswers(const std::vector<Vote>& votes,
+                                          const graph::GraphView& view) {
+  std::vector<graph::NodeId> answers;
+  for (const Vote& vote : votes) {
+    if (!vote.IsWellFormed() || !FitsView(vote, view)) continue;
+    answers.insert(answers.end(), vote.answer_list.begin(),
+                   vote.answer_list.end());
+  }
+  return answers;
+}
+
 Status EncoderOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(symbolic.Validate());
   if (!(weight_lower_bound > 0.0) || !std::isfinite(weight_lower_bound)) {
@@ -37,6 +48,21 @@ Status EncoderOptions::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+// Every answer the terms list (with repeats): the nodes whose Phi a
+// VoteProgram reads, and so its adjoint's target set.
+std::vector<graph::NodeId> AnswersOf(
+    const std::vector<VoteProgram::Term>& terms) {
+  std::vector<graph::NodeId> answers;
+  for (const VoteProgram::Term& term : terms) {
+    answers.insert(answers.end(), term.answers.begin(), term.answers.end());
+  }
+  return answers;
+}
+
+}  // namespace
+
 bool IsVariableEdge(const EncoderOptions& options,
                     const graph::WeightedDigraph& graph, graph::EdgeId e) {
   if (graph.OutDegree(graph.edge(e).from) <= 1) return false;
@@ -50,7 +76,7 @@ VoteProgram::VoteProgram(graph::GraphView view, const ppr::EipdOptions& eipd,
     : terms_(std::move(terms)),
       var_of_edge_(std::move(var_of_edge)),
       num_variables_(num_variables),
-      adjoint_(view, eipd, var_of_edge_.data()) {
+      adjoint_(view, eipd, var_of_edge_.data(), AnswersOf(terms_)) {
   KGOV_CHECK(var_of_edge_.size() == view.NumEdges());
   for (const Term& term : terms_) {
     weights_.insert(weights_.end(), term.answers.size() - 1, term.weight);
@@ -105,11 +131,7 @@ Result<EncodedProgram> EncodeVoteProgram(const graph::WeightedDigraph& graph,
         "vote program needs a view of the graph with an edge-id table");
   }
   EncodedProgram program;
-  const ppr::EipdAdjoint support(view, options.symbolic.eipd);
-  ppr::AdjointWorkspace& ws = ppr::ThreadLocalAdjointWorkspace();
-
   std::vector<VoteProgram::Term> terms;
-  std::vector<graph::EdgeId> variables;
   for (const Vote& vote : votes) {
     if (!vote.IsWellFormed()) {
       KGOV_LOG(DEBUG) << "skipping malformed vote " << vote.id;
@@ -119,11 +141,6 @@ Result<EncodedProgram> EncodeVoteProgram(const graph::WeightedDigraph& graph,
       return Status::InvalidArgument("vote " + std::to_string(vote.id) +
                                      " names a node outside the graph or a "
                                      "bad seed weight");
-    }
-    support.Forward(vote.query, nullptr, &ws);
-    for (graph::EdgeId e : support.SupportEdges(vote.answer_list, nullptr,
-                                                &ws)) {
-      if (IsVariableEdge(options, graph, e)) variables.push_back(e);
     }
     // The reference answer: the user's pick for negative votes, the
     // confirmed top answer for positive votes (they coincide there).
@@ -137,6 +154,16 @@ Result<EncodedProgram> EncodeVoteProgram(const graph::WeightedDigraph& graph,
   }
   if (program.encoded_vote_ids.empty()) {
     return Status::InvalidArgument("no well-formed votes to encode");
+  }
+  const ppr::EipdAdjoint support(view, options.symbolic.eipd, nullptr,
+                                 AnswersOf(terms));
+  ppr::AdjointWorkspace& ws = ppr::ThreadLocalAdjointWorkspace();
+  std::vector<graph::EdgeId> variables;
+  for (const VoteProgram::Term& term : terms) {
+    support.Forward(term.seed, nullptr, &ws);
+    for (graph::EdgeId e : support.SupportEdges(term.answers, nullptr, &ws)) {
+      if (IsVariableEdge(options, graph, e)) variables.push_back(e);
+    }
   }
 
   // Declare variables in edge-id order, initialized from the current
@@ -164,7 +191,8 @@ Result<EncodedProgram> EncodeVoteProgram(const graph::WeightedDigraph& graph,
 std::vector<std::vector<graph::EdgeId>> VoteEdgeSets(
     graph::GraphView view, const ppr::EipdOptions& eipd,
     const std::vector<Vote>& votes) {
-  const ppr::EipdAdjoint support(view, eipd);
+  const ppr::EipdAdjoint support(view, eipd, nullptr,
+                                 FittingAnswers(votes, view));
   ppr::AdjointWorkspace& ws = ppr::ThreadLocalAdjointWorkspace();
   std::vector<std::vector<graph::EdgeId>> sets(votes.size());
   for (size_t i = 0; i < votes.size(); ++i) {

@@ -8,9 +8,12 @@
 // expanding walks: one evaluation runs, per vote, one forward propagation
 // at the trial weights (all of the vote's Phi values) and, when a gradient
 // is wanted, one backward propagation seeded with the constraints' VJP
-// weights (ppr/eipd_adjoint.h). The variable set is the support of those
-// passes at the current weights: the optimizable edges on some walk of
-// length <= L from a vote's query to one of its answers.
+// weights (ppr/eipd_adjoint.h). The program reads Phi only at its votes'
+// answers, so its adjoint targets their union: the hop into level L, in
+// both passes, walks only the edges into an answer, and the Phi at any
+// other node of the forward lane is not exact. The variable set is the
+// support of those passes at the current weights: the optimizable edges
+// on some walk of length <= L from a vote's query to one of its answers.
 //
 // votes::VoteEncoder builds the same constraints as explicit signomials;
 // it is the oracle this program is tested against.
@@ -58,6 +61,11 @@ bool IsVariableEdge(const EncoderOptions& options,
 /// True when every node `vote` names lies in `view` and its seed weights
 /// are finite and non-negative: what propagating the vote requires.
 bool FitsView(const Vote& vote, const graph::GraphView& view);
+
+/// Every answer listed by a well-formed vote that fits `view`, with
+/// repeats: the target set of an adjoint that walks those votes.
+std::vector<graph::NodeId> FittingAnswers(const std::vector<Vote>& votes,
+                                          const graph::GraphView& view);
 
 /// An encoded program plus the edge<->variable mapping needed to write the
 /// solution back into the graph.

@@ -232,6 +232,146 @@ TEST(EipdTest, SnapshotServesWhileGraphEvolves) {
   EXPECT_LT(engine_after.Scores(seed, {1}).value()[0], score_before);
 }
 
+bool BitwiseEqualVectors(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// --- The branchless frontier append against a push_back reference. ---
+//
+// AdvanceLane writes every pushed head and advances its cursor only when
+// the head's `next` entry was zero. This is the append it replaced, kept
+// here as the reference: it must give the same frontier, in the same
+// order, at every level, including the duplicate a head gets when m * w
+// underflows to zero on an edge into it.
+template <typename Adjacency>
+void PushBackAdvance(const Adjacency& adj, PropagationWorkspace* ws) {
+  std::vector<double>& next = ws->next;
+  ws->next_frontier.clear();
+  for (graph::NodeId u : ws->frontier) {
+    const double m = ws->mass[u];
+    adj.ForEachOut(u, [&](graph::NodeId to, double w) {
+      if (w <= 0.0) return;
+      if (next[to] == 0.0) ws->next_frontier.push_back(to);
+      next[to] += m * w;
+    });
+    ws->mass[u] = 0.0;
+  }
+  ws->mass.swap(ws->next);
+  ws->frontier.swap(ws->next_frontier);
+}
+
+// PropagatePhi's level loop with `advance` in place of AdvanceLane; the
+// frontier after each advance is appended to `levels`.
+template <typename Advance>
+void DriveLane(const internal::ViewAdjacency& adj, const QuerySeed& seed,
+               const EipdOptions& options, Advance advance,
+               PropagationWorkspace* ws,
+               std::vector<std::vector<graph::NodeId>>* levels) {
+  const double c = options.restart;
+  internal::SeedLane(adj, seed, ws);
+  double decay = c * (1.0 - c);
+  for (int len = 1; len < options.max_length; ++len) {
+    internal::AbsorbLane(ws, decay);
+    advance(adj, ws);
+    levels->push_back(ws->frontier);
+    decay *= 1.0 - c;
+  }
+  ws->expanded = ws->touched.size();
+  internal::AbsorbLane(ws, decay);
+}
+
+// Runs `seed` through the kernel and through the reference; returns true
+// when some frontier held a node twice.
+bool ExpectAdvanceMatchesPushBack(const WeightedDigraph& g,
+                                  const QuerySeed& seed, int max_length) {
+  CsrSnapshot snap(g);
+  const internal::ViewAdjacency adj{snap.View()};
+  EipdOptions options;
+  options.max_length = max_length;
+  PropagationWorkspace kernel, reference;
+  std::vector<std::vector<graph::NodeId>> kernel_levels, reference_levels;
+  DriveLane(adj, seed, options,
+            [](const internal::ViewAdjacency& a, PropagationWorkspace* ws) {
+              internal::AdvanceLane(a, ws);
+            },
+            &kernel, &kernel_levels);
+  DriveLane(adj, seed, options,
+            [](const internal::ViewAdjacency& a, PropagationWorkspace* ws) {
+              PushBackAdvance(a, ws);
+            },
+            &reference, &reference_levels);
+  EXPECT_EQ(kernel_levels, reference_levels);
+
+  // The driver itself, on a workspace that served another query first.
+  PropagationWorkspace lane;
+  const QuerySeed warmup = SeedAt(0);
+  const QuerySeed* warmup_seeds[] = {&warmup};
+  internal::PropagatePhi(adj, warmup_seeds, options, &lane);
+  const QuerySeed* seeds[] = {&seed};
+  internal::PropagatePhi(adj, seeds, options, &lane);
+  for (const PropagationWorkspace* ws : {&kernel, &lane}) {
+    EXPECT_EQ(ws->expanded, reference.expanded);
+    EXPECT_TRUE(std::equal(
+        ws->touched.begin(),
+        ws->touched.begin() + static_cast<std::ptrdiff_t>(ws->expanded),
+        reference.touched.begin(),
+        reference.touched.begin() +
+            static_cast<std::ptrdiff_t>(reference.expanded)));
+    EXPECT_TRUE(BitwiseEqualVectors(ws->phi, reference.phi));
+  }
+  bool duplicate = false;
+  for (std::vector<graph::NodeId> level : reference_levels) {
+    std::sort(level.begin(), level.end());
+    duplicate |= std::adjacent_find(level.begin(), level.end()) != level.end();
+  }
+  return duplicate;
+}
+
+TEST(EipdTest, BranchlessAppendMatchesPushBackOnRandomGraphs) {
+  for (uint64_t trial = 0; trial < 30; ++trial) {
+    Rng rng(700 + trial);
+    const size_t n = 8 + rng.NextIndex(40);
+    WeightedDigraph g(n);
+    for (graph::NodeId u = 0; u < n; ++u) {
+      // Self-loops, 2-cycles and zero weights all occur.
+      for (size_t k = 0, d = rng.NextIndex(5); k < d; ++k) {
+        const graph::NodeId v = static_cast<graph::NodeId>(rng.NextIndex(n));
+        const double w = rng.NextIndex(6) == 0 ? 0.0 : rng.Uniform(0.01, 1.0);
+        (void)g.AddEdge(u, v, w);
+      }
+    }
+    QuerySeed seed;
+    for (size_t k = 0, links = 1 + rng.NextIndex(4); k < links; ++k) {
+      seed.links.emplace_back(static_cast<graph::NodeId>(rng.NextIndex(n)),
+                              rng.Uniform(0.1, 1.0));
+    }
+    for (int length = 1; length <= 6; ++length) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " L " +
+                   std::to_string(length));
+      ExpectAdvanceMatchesPushBack(g, seed, length);
+    }
+  }
+}
+
+// Subnormal weights: two paths of mass 1e-200 each meet node 3 through
+// edges of weight 1e-200, so both adds underflow to zero and node 3 is
+// appended twice; its duplicate then pushes node 4 twice as well.
+TEST(EipdTest, BranchlessAppendKeepsUnderflowDuplicates) {
+  WeightedDigraph g(5);
+  ASSERT_TRUE(g.AddEdge(0, 1, 1e-200).ok());
+  ASSERT_TRUE(g.AddEdge(0, 2, 1e-200).ok());
+  ASSERT_TRUE(g.AddEdge(1, 3, 1e-200).ok());
+  ASSERT_TRUE(g.AddEdge(2, 3, 1e-200).ok());
+  ASSERT_TRUE(g.AddEdge(3, 4, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(3, 0, 0.5).ok());
+  for (int length = 3; length <= 5; ++length) {
+    SCOPED_TRACE("L " + std::to_string(length));
+    EXPECT_TRUE(ExpectAdvanceMatchesPushBack(g, SeedAt(0), length));
+  }
+}
+
 TEST(EipdTest, KernelCounterCountsEveryPropagation) {
   // serving.eipd.kernel.sparse counts single-root propagations; its name
   // predates the one kernel, and kgbench reads it.
@@ -378,12 +518,6 @@ enum class SeedShape {
 };
 
 class WorkspaceReuse : public ::testing::TestWithParam<SeedShape> {};
-
-bool BitwiseEqualVectors(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
 
 QuerySeed MakeSeed(const WeightedDigraph& g, graph::NodeId v,
                    SeedShape shape) {

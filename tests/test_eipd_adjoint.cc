@@ -331,6 +331,72 @@ TEST(EipdAdjointTest, ReusedWorkspaceMatchesFreshOne) {
   }
 }
 
+// An adjoint told which nodes the caller reads walks only the edges into
+// them on its last hop. Every quantity it serves for those nodes must be
+// bitwise what the untargeted adjoint gives: Phi at each target, the
+// gradient of a lambda over targets, and the support of any target
+// subset. The graphs have zero-weight edges, self-loops and 2-cycles;
+// the targets include nodes with out-edges and a node no walk reaches.
+TEST(EipdAdjointTest, TargetedAdjointIsBitwiseUntargeted) {
+  for (uint64_t trial = 0; trial < 40; ++trial) {
+    Rng rng(4100 + trial);
+    const size_t n = 10 + rng.NextIndex(20);
+    WeightedDigraph g = RandomGraph(rng, n);
+    const NodeId unreachable = g.AddNode();  // no in-edges, never seeded
+    ASSERT_TRUE(g.AddEdge(unreachable, 0, 0.5).ok());
+    QuerySeed seed = RandomSeed(rng, n);
+    std::vector<NodeId> targets = RandomAnswers(rng, n, 1 + rng.NextIndex(4));
+    targets.push_back(unreachable);
+
+    std::vector<int32_t> var_of_edge(g.NumEdges(), -1);
+    std::vector<double> x;
+    for (EdgeId e = 0; e < g.NumEdges(); e += 2) {
+      var_of_edge[e] = static_cast<int32_t>(x.size());
+      x.push_back(rng.Uniform(1e-4, 1.0));
+    }
+    std::vector<std::pair<NodeId, double>> lambda;
+    for (NodeId t : targets) lambda.emplace_back(t, rng.Uniform(-2.0, 2.0));
+
+    graph::CsrSnapshot snapshot(g);
+    EipdOptions eipd;
+    eipd.max_length = 1 + static_cast<int>(trial % 5);
+    const EipdAdjoint full(snapshot.View(), eipd, var_of_edge.data());
+    const EipdAdjoint targeted(snapshot.View(), eipd, var_of_edge.data(),
+                               targets);
+    for (const double* point : {static_cast<const double*>(nullptr),
+                                static_cast<const double*>(x.data())}) {
+      AdjointWorkspace ws_full, ws_targeted;
+      full.Forward(seed, point, &ws_full);
+      targeted.Forward(seed, point, &ws_targeted);
+      for (NodeId t : targets) {
+        EXPECT_EQ(std::memcmp(&ws_full.lane.phi[t], &ws_targeted.lane.phi[t],
+                              sizeof(double)),
+                  0)
+            << "trial " << trial << " target " << t;
+      }
+
+      std::vector<double> grad_full(x.size(), 0.0);
+      std::vector<double> grad_targeted(x.size(), 0.0);
+      full.AccumulateGradient(lambda, point, &ws_full, grad_full.data());
+      targeted.AccumulateGradient(lambda, point, &ws_targeted,
+                                  grad_targeted.data());
+      EXPECT_EQ(std::memcmp(grad_full.data(), grad_targeted.data(),
+                            x.size() * sizeof(double)),
+                0)
+          << "trial " << trial;
+
+      EXPECT_EQ(full.SupportEdges(targets, point, &ws_full),
+                targeted.SupportEdges(targets, point, &ws_targeted))
+          << "trial " << trial;
+      for (const NodeId& t : targets) {
+        EXPECT_EQ(full.SupportEdges({&t, 1}, point, &ws_full),
+                  targeted.SupportEdges({&t, 1}, point, &ws_targeted))
+            << "trial " << trial << " target " << t;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kgov::ppr
 

@@ -8,6 +8,8 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/online_optimizer.h"
 #include "ppr/eipd_engine.h"
 #include "ppr/query_seed.h"
+#include "serve/result_cache.h"
 #include "telemetry/metrics.h"
 
 namespace kgov::serve {
@@ -65,20 +68,25 @@ const std::vector<graph::NodeId>& Candidates() {
   return c;
 }
 
-/// Deterministic query stream: seeds over source nodes {0, 1, 2} with
-/// pseudo-random (but seeded, hence replayable) link weights.
+/// Deterministic query stream: two-link seeds over source nodes {0, 1, 2}
+/// with pseudo-random (but seeded, hence replayable) link weights. Seed i
+/// weighs its second link against its first at a ratio drawn from
+/// [(i + 0.1) / count, (i + 1) / count), so no two seeds of a stream
+/// share a ratio and, after Normalize, none share a cache key. Repeats
+/// come only from replaying a stream or from a second stream with the
+/// same rng_seed.
 std::vector<ppr::QuerySeed> SeededStream(size_t count, uint64_t rng_seed) {
   std::mt19937_64 rng(rng_seed);
-  std::uniform_real_distribution<double> weight(0.1, 1.0);
+  std::uniform_real_distribution<double> fraction(0.1, 1.0);
   std::vector<ppr::QuerySeed> seeds;
   seeds.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     ppr::QuerySeed seed;
     const graph::NodeId first = static_cast<graph::NodeId>(rng() % 3);
-    seed.links.emplace_back(first, weight(rng));
-    if (rng() % 2 == 0) {
-      seed.links.emplace_back((first + 1) % 3, weight(rng));
-    }
+    const double ratio =
+        (static_cast<double>(i) + fraction(rng)) / static_cast<double>(count);
+    seed.links.emplace_back(first, 1.0);
+    seed.links.emplace_back((first + 1) % 3, ratio);
     seed.Normalize();
     seeds.push_back(std::move(seed));
   }
@@ -204,8 +212,7 @@ TEST(QueryEngineTest, CacheOnAndOffIdenticalAcrossEpochSwaps) {
       EXPECT_EQ(pass1[i]->epoch, expect_epoch);
       EXPECT_EQ(pass2[i]->epoch, expect_epoch);
       EXPECT_FALSE(fresh[i]->from_cache);
-      // The replay is served from the cache (duplicate seeds may make
-      // some pass1 entries hits too, which is fine).
+      // The replay is served from the cache.
       EXPECT_TRUE(pass2[i]->from_cache);
       ExpectIdenticalAnswers(fresh[i]->answers, pass1[i]->answers);
       ExpectIdenticalAnswers(fresh[i]->answers, pass2[i]->answers);
@@ -476,8 +483,8 @@ TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {
   clients.reserve(kClients);
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t]() {
-      // Overlapping streams: duplicates within and across threads force
-      // hits, leaders, and followers to all occur.
+      // Overlapping streams: each thread replays its stream, and threads
+      // share streams pairwise, so hits, leaders and followers all occur.
       const std::vector<ppr::QuerySeed> stream =
           SeededStream(kBatch, 0xFEED + static_cast<uint64_t>(t % 2));
       for (int rep = 0; rep < kReps; ++rep) {
@@ -991,6 +998,13 @@ TEST(QueryEngineTest, ConcurrentCallersEachPropagateOnOneLane) {
   constexpr size_t kPerCaller = 50;
   const std::vector<ppr::QuerySeed> stream =
       SeededStream(kCallers * kPerCaller, 0x1A7E5);
+  std::set<std::string> keys;
+  std::string key;
+  for (const ppr::QuerySeed& seed : stream) {
+    EncodeCacheKey(seed, &key);
+    keys.insert(key);
+  }
+  ASSERT_EQ(keys.size(), stream.size()) << "the stream repeats a cache key";
   std::atomic<bool> go{false};
   std::atomic<size_t> misses{0};
   std::vector<char> own_lane(kCallers, 0);
