@@ -1,20 +1,19 @@
 // Concurrent serving throughput: serve::QueryEngine over an
 // OnlineKgOptimizer's pinned epoch, swept across worker-thread counts
-// {1, 2, 4} with the epoch-keyed result cache off and on. Each row is
-// wall-clock queries/sec on this host (measured_qps); host_cores is
-// recorded in the JSON, because on a single-core runner the thread sweep
-// cannot show real scaling (every worker shares one core).
+// {1, 2, 4} with the result cache off, so every query propagates on the
+// pool. Each row is wall-clock queries/sec of SubmitBatch on this host
+// (measured_qps); host_cores is recorded in the JSON, because on a
+// single-core runner the thread sweep cannot show real scaling (every
+// worker shares one core).
 //
-// The cache rows are measured in steady state (a warm-up round fills the
-// cache), so cache-on vs cache-off is the honest hit-path speedup.
-//
-// The sweep's rows go through SubmitBatch. A hit is served by the probe
-// on the calling thread, before admission, so the cache-on rows use no
-// pool worker and do not depend on the thread count. The hit-path sweep
-// times the hit from several callers: 1, 2 and 4 caller threads each call
-// Submit in a closed loop on a warmed cache (every call a hit) for at
-// least a minimum duration per point; each point is the median of three
-// repetitions, for both the per-call p50 and the qps.
+// The hit-path sweep times the cache hit. A hit is served by the probe on
+// the calling thread, before admission, so it uses no pool worker and
+// depends on the number of callers, not on the pool's threads: 1, 2 and 4
+// caller threads each call Submit in a closed loop on a warmed cache
+// (every call a hit) for at least a minimum duration per point; each
+// point is the median of three repetitions, for both the per-call p50 and
+// the qps. The cache-hit speedup is the 1-caller hit-path qps over the
+// 1-thread cache-off row.
 //
 // Three serving-path phases follow the sweeps:
 //
@@ -79,22 +78,20 @@ Setup MakeSetup(size_t num_questions) {
 
 struct SweepPoint {
   size_t threads = 0;
-  bool cache = false;
   double wall_seconds = 0.0;
   double measured_qps = 0.0;
-  double hit_rate = 0.0;
 };
 
-/// One configuration: build an engine, warm up one round (untimed; fills
-/// the cache when enabled), then serve `rounds` full replays of the
-/// stream and report wall-clock throughput.
+/// One configuration: build a cache-off engine, warm up one round
+/// (untimed), then serve `rounds` full replays of the stream and report
+/// wall-clock throughput.
 SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
-                     size_t threads, bool cache, int rounds) {
+                     size_t threads, int rounds) {
   serve::QueryEngineOptions options;
   options.eipd.max_length = 5;
   options.top_k = 20;
   options.num_threads = threads;
-  options.enable_cache = cache;
+  options.enable_cache = false;
   // Miss collapse is measured by its own phase below, not folded into
   // these rows. SubmitBatch groups same-cluster queries into multi-root
   // passes here as everywhere.
@@ -110,21 +107,14 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
     for (const auto& r : results) KGOV_CHECK(r.ok());
   };
 
-  serve_round();  // warm-up (and cache fill when enabled)
+  serve_round();  // warm-up
   Timer timer;
   for (int r = 0; r < rounds; ++r) serve_round();
   SweepPoint point;
   point.threads = threads;
-  point.cache = cache;
   point.wall_seconds = timer.ElapsedSeconds();
   point.measured_qps = static_cast<double>(rounds * s.seeds.size()) /
                        point.wall_seconds;
-  serve::ShardedResultCache::Stats stats = engine.CacheStats();
-  const uint64_t lookups = stats.hits + stats.misses;
-  point.hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(stats.hits) /
-                         static_cast<double>(lookups);
   return point;
 }
 
@@ -434,7 +424,8 @@ ShedReport RunShedPhase(const Setup& s, const core::OnlineKgOptimizer& online,
 void RunAndReport(bool smoke, const char* json_path,
                   const char* telemetry_path) {
   bench::Banner(
-      "Concurrent serving: threads x cache sweep (serve::QueryEngine)",
+      "Concurrent serving: thread sweep + cache hit path "
+      "(serve::QueryEngine)",
       "kgov serving subsystem (docs/serving.md)");
 
   const size_t num_questions = smoke ? 16 : 64;
@@ -454,30 +445,17 @@ void RunAndReport(bool smoke, const char* json_path,
 
   const std::vector<size_t> thread_counts = {1, 2, 4};
   std::vector<SweepPoint> sweep;
-  for (bool cache : {false, true}) {
-    for (size_t threads : thread_counts) {
-      sweep.push_back(RunConfig(s, online, threads, cache, rounds));
-    }
+  for (size_t threads : thread_counts) {
+    sweep.push_back(RunConfig(s, online, threads, rounds));
   }
 
-  bench::TablePrinter table({"threads", "cache", "measured q/s", "hit rate"},
-                            {7, 5, 12, 8});
+  std::printf("thread sweep: SubmitBatch, cache off\n");
+  bench::TablePrinter table({"threads", "measured q/s"}, {7, 12});
   table.PrintHeader();
   for (const SweepPoint& p : sweep) {
-    table.PrintRow({std::to_string(p.threads), p.cache ? "on" : "off",
-                    bench::Num(p.measured_qps, 1),
-                    bench::Num(p.hit_rate, 3)});
+    table.PrintRow({std::to_string(p.threads), bench::Num(p.measured_qps, 1)});
   }
 
-  auto find = [&](size_t threads, bool cache) -> const SweepPoint& {
-    for (const SweepPoint& p : sweep) {
-      if (p.threads == threads && p.cache == cache) return p;
-    }
-    KGOV_CHECK(false);
-    return sweep.front();
-  };
-  const double cache_speedup =
-      find(1, true).measured_qps / find(1, false).measured_qps;
   // A single-core host cannot produce a meaningful thread-scaling verdict:
   // every worker time-slices one core, so the "scaling" ratio only measures
   // scheduler noise. Rather than publish a number readers might gate on,
@@ -485,8 +463,7 @@ void RunAndReport(bool smoke, const char* json_path,
   const bool scaling_meaningful = host_cores > 1;
   double scaling_measured = 0.0;
   if (scaling_meaningful) {
-    scaling_measured =
-        find(4, false).measured_qps / find(1, false).measured_qps;
+    scaling_measured = sweep.back().measured_qps / sweep.front().measured_qps;
     std::printf("1->4 thread scaling (cache off): %.2fx measured "
                 "(host has %u cores)\n",
                 scaling_measured, host_cores);
@@ -497,9 +474,6 @@ void RunAndReport(bool smoke, const char* json_path,
         "WARNING: \"scaling\": null; run on a multi-core host for a\n"
         "WARNING: meaningful scaling verdict.\n");
   }
-  std::printf("cache-hit speedup (1 thread, steady state): %.2fx\n",
-              cache_speedup);
-
   // Three smoke reps still measure >= 1 s per point, which the lock-rank
   // overhead gate in tools/ci/check.sh reads.
   const double hit_path_seconds = smoke ? 0.35 : 1.0;
@@ -517,6 +491,12 @@ void RunAndReport(bool smoke, const char* json_path,
     hit_table.PrintRow({std::to_string(p.callers), bench::Num(p.qps, 1),
                         bench::Num(p.p50_us, 3), bench::Num(p.hit_ratio, 4)});
   }
+  // One caller's hits against one pool worker's propagations.
+  const double cache_speedup =
+      hit_path.front().qps / sweep.front().measured_qps;
+  std::printf("cache-hit speedup (1-caller hit path over 1-thread "
+              "cache-off row): %.2fx\n",
+              cache_speedup);
 
   SingleFlightReport sf = RunSingleFlightPhase(s, online);
   std::printf(
@@ -571,10 +551,9 @@ void RunAndReport(bool smoke, const char* json_path,
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
     std::fprintf(out,
-                 "    {\"threads\": %zu, \"cache\": %s, "
-                 "\"measured_qps\": %.2f, \"hit_rate\": %.4f}%s\n",
-                 p.threads, p.cache ? "true" : "false", p.measured_qps,
-                 p.hit_rate, i + 1 < sweep.size() ? "," : "");
+                 "    {\"threads\": %zu, \"cache\": false, "
+                 "\"measured_qps\": %.2f}%s\n",
+                 p.threads, p.measured_qps, i + 1 < sweep.size() ? "," : "");
   }
   if (scaling_meaningful) {
     std::fprintf(out,

@@ -22,8 +22,8 @@
 // All strategies leave the input graph untouched and return the optimized
 // copy G* plus a report of what happened. Every applied solution is
 // re-normalized per touched source node (Alg. 1 line 16). Which edges a
-// solve may change is encoder.is_variable alone; the streaming write path
-// narrows it to the dirty partition clusters (OnlineKgOptimizer).
+// solve may change is encoder.is_variable alone, restricted to the edges
+// on the votes' walks.
 
 #ifndef KGOV_CORE_KG_OPTIMIZER_H_
 #define KGOV_CORE_KG_OPTIMIZER_H_

@@ -242,15 +242,7 @@ size_t OnlineKgOptimizer::RequeueOrDeadLetter(
   return dead;
 }
 
-Result<FlushReport> OnlineKgOptimizer::Flush() { return FlushImpl(nullptr); }
-
-Result<FlushReport> OnlineKgOptimizer::FlushScoped(
-    const std::vector<uint32_t>& dirty_clusters) {
-  return FlushImpl(&dirty_clusters);
-}
-
-Result<FlushReport> OnlineKgOptimizer::FlushImpl(
-    const std::vector<uint32_t>* scope) {
+Result<FlushReport> OnlineKgOptimizer::Flush() {
   KGOV_RETURN_IF_ERROR(options_status_);
   FlushReport report;
   if (buffer_.empty()) return report;
@@ -265,28 +257,11 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
   for (const PendingVote& pending : batch) votes.push_back(pending.vote);
 
   Timer timer;
-  Result<OptimizeReport> result = [&]() -> Result<OptimizeReport> {
-    OptimizerOptions optimizer_options = options_.optimizer;
-    if (scope != nullptr) {
-      // Restrict the solve to edges whose source node lies in a dirty
-      // cluster, ANDed into the configured encoder.is_variable (the
-      // judgment filter inherits the narrowed set).
-      auto dirty = std::make_shared<std::vector<uint32_t>>(*scope);
-      stream::CanonicalizeClusterSet(dirty.get());
-      optimizer_options.encoder.is_variable =
-          [outer = std::move(optimizer_options.encoder.is_variable),
-           part = partition_, dirty](const graph::WeightedDigraph& g,
-                                     graph::EdgeId e) {
-            return (!outer || outer(g, e)) &&
-                   std::binary_search(dirty->begin(), dirty->end(),
-                                      part->ClusterOf(g.edges()[e].from));
-          };
-    }
-    KgOptimizer optimizer(&graph_, std::move(optimizer_options));
-    return options_.strategy == FlushStrategy::kMultiVote
-               ? optimizer.MultiVoteSolve(votes)
-               : optimizer.SplitMergeSolve(votes);
-  }();
+  KgOptimizer optimizer(&graph_, options_.optimizer);
+  Result<OptimizeReport> result =
+      options_.strategy == FlushStrategy::kMultiVote
+          ? optimizer.MultiVoteSolve(votes)
+          : optimizer.SplitMergeSolve(votes);
   if (!result.ok()) {
     // The batch is unusable this round, but the votes are NOT dropped:
     // they are re-queued (bounded by max_vote_attempts) so a later flush -
@@ -343,22 +318,19 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
   std::vector<uint32_t> changed =
       DiffChangedClusters(graph_, opt.optimized, *partition_);
   // Publication guard: a batch that applied nothing (everything rejected
-  // or quarantined), or a scoped micro-batch whose solve reproduced every
-  // weight bit-for-bit, publishes no epoch - cycling caches for an
-  // unchanged graph would only burn hit rate. Unscoped flushes with
-  // applied votes always publish (the delta may legitimately be empty).
-  const bool publish =
-      applied > 0 && (scope == nullptr || !changed.empty());
+  // or quarantined), or whose solve reproduced every weight bit-for-bit,
+  // publishes no epoch - cycling caches for an unchanged graph would only
+  // burn hit rate.
+  const bool publish = applied > 0 && !changed.empty();
   if (publish) {
     report.changed_clusters = changed;
     graph_ = std::move(opt.optimized);
-    auto delta = std::make_shared<stream::EpochDelta>();
-    delta->changed_clusters = std::move(changed);
     // Build the new snapshot fully before taking the epoch lock: readers
     // only ever wait on the pointer swap, never on the optimize or the CSR
     // construction.
     PublishEpoch(std::make_shared<graph::CsrSnapshot>(graph_),
-                 std::move(delta));
+                 std::make_shared<const stream::EpochDelta>(
+                     stream::EpochDelta{std::move(changed)}));
   } else {
     metrics.epoch_skips->Increment();
   }
@@ -404,15 +376,14 @@ bool OnlineKgOptimizer::CollectChangedClusters(
   std::vector<uint32_t> merged = *out;
   {
     MutexLock lock(serving_mu_);
-    // Every epoch in (from, to] must have a retained selective record; a
-    // trimmed, missing, or full record makes the union unknowable and the
-    // caller must fall back to treating everything as changed.
+    // Every epoch in (from, to] must have a retained record; a trimmed
+    // record makes the union unknowable and the caller must fall back to
+    // treating everything as changed.
     uint64_t next = from_epoch + 1;
     for (const DeltaRecord& record : delta_history_) {
       if (record.epoch <= from_epoch) continue;
       if (record.epoch > to_epoch) break;
       if (record.epoch != next) return false;
-      if (record.delta == nullptr || record.delta->full) return false;
       merged.insert(merged.end(), record.delta->changed_clusters.begin(),
                     record.delta->changed_clusters.end());
       ++next;

@@ -20,8 +20,8 @@
 //    the serving graph and snapshot are left untouched and the batch is
 //    re-queued.
 //
-// Serving is epoch-based: each successful flush publishes a new
-// ServingEpoch (ref-counted CsrSnapshot + monotonically increasing epoch
+// Serving is epoch-based: each flush that changes the graph publishes a
+// new ServingEpoch (ref-counted CsrSnapshot + monotonically increasing epoch
 // number). The writer builds the snapshot entirely outside the epoch lock
 // and holds it only for the pointer swap, so readers never block on an
 // optimize; a reader that pinned an epoch keeps serving from it until it
@@ -54,7 +54,7 @@ namespace kgov::core {
 /// epochs underneath.
 struct ServingEpoch {
   std::shared_ptr<const graph::CsrSnapshot> snapshot;
-  /// 0 for the initial graph; +1 per successful flush.
+  /// 0 for the initial graph; +1 per published flush.
   uint64_t epoch = 0;
   /// What changed relative to the previous epoch (null for the initial or
   /// a restored epoch: treat as a full change). See stream::EpochDelta.
@@ -74,7 +74,7 @@ enum class FlushStrategy {
 
 struct OnlineOptimizerOptions {
   OptimizerOptions optimizer;
-  /// Votes buffered before an automatic flush.
+  /// Votes buffered before an automatic flush (AddVote only).
   size_t batch_size = 25;
   FlushStrategy strategy = FlushStrategy::kSplitMerge;
   /// Flush attempts a vote may fail (batch error, rollback, or cluster
@@ -87,9 +87,9 @@ struct OnlineOptimizerOptions {
   /// weight bounds are widened to cover the encoder's configured bounds
   /// automatically.
   GraphValidatorOptions validator;
-  /// Target cluster count of the streaming partition (stream.md): the
-  /// granularity of dirty tracking, scoped re-solves, and selective cache
-  /// invalidation. Built once from the initial graph (topology is fixed).
+  /// Target cluster count of the streaming partition (streaming.md): the
+  /// granularity of epoch deltas and selective cache invalidation. Built
+  /// once from the initial graph (topology is fixed).
   size_t partition_clusters = 64;
   /// Published epoch deltas retained for CollectChangedClusters (a serve
   /// engine that fell further behind gets a conservative full answer).
@@ -129,9 +129,9 @@ struct FlushReport {
   double solve_seconds = 0.0;
   /// SGP solve attempts, counting retries.
   size_t solve_attempts = 0;
-  /// Whether this flush published a new serving epoch. A successful
-  /// scoped (micro-batch) flush whose bitwise graph diff is empty keeps
-  /// the current epoch instead of forcing a pointless cache cycle.
+  /// Whether this flush published a new serving epoch. A successful flush
+  /// that applied no vote, or whose bitwise graph diff is empty, keeps the
+  /// current epoch instead of forcing a pointless cache cycle.
   bool epoch_published = false;
   /// Partition clusters whose edge weights changed (sorted unique);
   /// empty when epoch_published is false.
@@ -209,21 +209,18 @@ class OnlineKgOptimizer {
   /// Buffers one vote that has ALREADY been durably logged (the streaming
   /// ingest queue appends to the WAL before draining). Unlike AddVote this
   /// never writes the vote log and never auto-flushes: the caller controls
-  /// the micro-batch cadence with FlushScoped/Flush.
+  /// the micro-batch cadence with Flush.
   Status IngestLogged(votes::Vote vote);
 
-  /// Forces a flush of the current buffer (no-op on an empty buffer).
+  /// Folds the current buffer into the graph with one solve over every
+  /// buffered vote (no-op on an empty buffer). The solve's variables are
+  /// the configured encoder.is_variable edges on the votes' walks, so only
+  /// those edges and the out-weights of their sources can move. Publishes
+  /// a new epoch only when the flush applied a vote and the resulting
+  /// graph differs bitwise from the current one; its delta is the set of
+  /// partition clusters holding a changed edge's source.
+  /// FlushReport.epoch_published / .changed_clusters say what happened.
   Result<FlushReport> Flush();
-
-  /// Flushes the current buffer re-solving only `dirty_clusters` (sorted
-  /// unique partition cluster ids; see partition()): edges whose source
-  /// node lies outside the dirty set are held constant during encoding and
-  /// solving. Publishes a new epoch only when the resulting graph differs
-  /// bitwise from the current one; FlushReport.epoch_published /
-  /// .changed_clusters say what happened. The changed set is always a
-  /// subset of `dirty_clusters` (constants cannot move, and out-weight
-  /// normalization is per source node).
-  Result<FlushReport> FlushScoped(const std::vector<uint32_t>& dirty_clusters);
 
   /// The fixed streaming partition built from the initial graph (topology
   /// never changes; only weights do). Never null. Thread-safe.
@@ -231,14 +228,11 @@ class OnlineKgOptimizer {
     return partition_;
   }
 
-  /// The options this optimizer was constructed with.
-  const OnlineOptimizerOptions& options() const { return options_; }
-
   /// Accumulates into `out` the clusters that changed across epochs
   /// (from_epoch, to_epoch] from the retained delta history. Returns true
-  /// when the history covers the whole range with selective deltas; false
-  /// (out left canonical but incomplete) when any record is missing or
-  /// marked full - callers must then treat everything as changed.
+  /// when the history covers the whole range; false (out left canonical
+  /// but incomplete) when any record is missing - callers must then treat
+  /// everything as changed.
   /// from_epoch == to_epoch trivially succeeds with no additions.
   /// Thread-safe.
   bool CollectChangedClusters(uint64_t from_epoch, uint64_t to_epoch,
@@ -289,18 +283,13 @@ class OnlineKgOptimizer {
     std::shared_ptr<const stream::EpochDelta> delta;
   };
 
-  /// Shared body of Flush (scope == nullptr: every edge variable, always
-  /// publish on success) and FlushScoped (solve restricted to *scope,
-  /// publish only on a bitwise graph change).
-  Result<FlushReport> FlushImpl(const std::vector<uint32_t>* scope);
-
   /// Re-queues `failed` votes with one more attempt on their counters;
   /// votes out of attempts move to the dead-letter buffer. Returns how
   /// many were dead-lettered.
   size_t RequeueOrDeadLetter(std::vector<PendingVote> failed);
 
   /// Publishes `snapshot` as the next epoch (outside work done, swap only)
-  /// and records `delta` (null = full change) in the delta history.
+  /// and records `delta` in the delta history.
   void PublishEpoch(std::shared_ptr<const graph::CsrSnapshot> snapshot,
                     std::shared_ptr<const stream::EpochDelta> delta)
       KGOV_EXCLUDES(serving_mu_);
@@ -311,7 +300,7 @@ class OnlineKgOptimizer {
   // serve the unoptimized graph).
   Status options_status_;
   graph::WeightedDigraph graph_;
-  // Fixed node-to-cluster map shared with trackers and serve engines;
+  // Fixed node-to-cluster map shared with serve engines;
   // built once at construction (never null, immutable afterwards).
   std::shared_ptr<const stream::GraphPartition> partition_;
   mutable Mutex serving_mu_{KGOV_LOCK_RANK(kEpochPublish)};

@@ -178,20 +178,10 @@ std::vector<Question> GenerateQuestions(const Corpus& corpus,
   std::vector<Question> questions;
   questions.reserve(num_questions);
 
-  // Reconstruct the vocabulary layout (common block + topic blocks) the
-  // corpus was generated with; needed for paraphrased mentions.
+  // The corpus's common block (entity ids below num_common) carries no
+  // topic; questions mention only the entities after it.
   const size_t num_common = static_cast<size_t>(
       params.common_entity_fraction * static_cast<double>(corpus.num_entities));
-  const size_t per_topic =
-      params.num_topics > 0
-          ? (corpus.num_entities - num_common) / params.num_topics
-          : 0;
-  auto topic_range = [&](size_t t) {
-    size_t begin = num_common + t * per_topic;
-    size_t end = (t + 1 == params.num_topics) ? corpus.num_entities
-                                              : begin + per_topic;
-    return std::pair<size_t, size_t>{begin, end};
-  };
 
   // Zipf-style popularity over documents (document index = popularity
   // rank); skew 0 degenerates to the uniform distribution.

@@ -171,7 +171,7 @@ void QueryEngine::MaybeRefreshEpoch() {
     if (fresh.epoch <= pinned_.epoch) return;  // raced with another refresh
     if (options_.enable_cache) {
       // Selective invalidation: union the published deltas spanning
-      // (pinned, fresh]. Unknowable (history gap, full delta, feature
+      // (pinned, fresh]. Unknowable (history gap, restored epoch, feature
       // off) or near-global changes fall back to a wholesale flush.
       std::vector<uint32_t> changed;
       if (options_.selective_invalidation &&

@@ -5,8 +5,8 @@
 // weights differ bitwise from the previous epoch. The serve side uses the
 // set for selective cache invalidation: a cached ranking whose dependency
 // ball misses every changed cluster is still bitwise-valid on the new
-// epoch. A delta with `full == true` (or a missing delta) means "anything
-// may have changed" and forces the conservative wholesale flush.
+// epoch. A missing delta (the initial or a restored epoch) means
+// "anything may have changed" and forces the conservative wholesale flush.
 
 #ifndef KGOV_STREAM_EPOCH_DELTA_H_
 #define KGOV_STREAM_EPOCH_DELTA_H_
@@ -20,10 +20,6 @@ namespace kgov::stream {
 struct EpochDelta {
   /// Clusters whose edge weights changed, sorted ascending, unique.
   std::vector<uint32_t> changed_clusters;
-  /// True when the change is unbounded (initial epoch, restored epoch, or
-  /// an unscoped batch flush): consumers must treat every cluster as
-  /// changed.
-  bool full = false;
 };
 
 /// True when the two sorted ascending ranges share an element.

@@ -5,16 +5,15 @@
 // partition built once from the initial graph stays valid across every
 // epoch. Both sides of the streaming pipeline key off it:
 //
-//  * the write side maps each accepted vote to the clusters its L-ball
-//    touches (DirtyClusterTracker) and re-solves only those, and diffs
-//    consecutive graphs into a changed-cluster set per epoch;
+//  * the write side diffs consecutive graphs into a changed-cluster set
+//    per epoch (the clusters of every bitwise-changed edge's source);
 //  * the serve side tags each cached ranking with the clusters of the
 //    nodes its propagation reads out-edges from (serve::DependencySet)
 //    and drops only entries that intersect an epoch's changed set.
 //
-// BFS chunking keeps each cluster topologically local, so a vote's L-ball
-// (and a seed's dependency ball) lands in few clusters and selective
-// invalidation has something to save.
+// BFS chunking keeps each cluster topologically local, so the edges a
+// vote moves (and a seed's dependency ball) land in few clusters and
+// selective invalidation has something to save.
 
 #ifndef KGOV_STREAM_PARTITION_H_
 #define KGOV_STREAM_PARTITION_H_

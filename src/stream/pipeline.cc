@@ -16,7 +16,6 @@ struct StreamPipelineMetrics {
   telemetry::Counter* epochs_skipped;
   telemetry::Counter* flush_failures;
   telemetry::Counter* checkpoints;
-  telemetry::Gauge* dirty_cluster_ratio;
 
   static const StreamPipelineMetrics& Get() {
     static const StreamPipelineMetrics m = [] {
@@ -26,8 +25,7 @@ struct StreamPipelineMetrics {
           reg.GetCounter("stream.epochs_published"),
           reg.GetCounter("stream.epochs_skipped"),
           reg.GetCounter("stream.flush_failures"),
-          reg.GetCounter("stream.checkpoints"),
-          reg.GetGauge("stream.dirty_cluster_ratio")};
+          reg.GetCounter("stream.checkpoints")};
     }();
     return m;
   }
@@ -70,9 +68,6 @@ StreamPipeline::StreamPipeline(core::OnlineKgOptimizer* optimizer,
                           ? nullptr
                           : std::make_unique<SerializedVoteLog>(
                                 durability->wal())),
-      tracker_(optimizer->partition(),
-               optimizer->options().optimizer.encoder.symbolic.eipd
-                   .max_length),
       queue_(options_.queue, serialized_log_.get(),
              [optimizer]() { return optimizer->DeadLetterFull(); }) {
   if (serialized_log_ != nullptr) {
@@ -161,8 +156,8 @@ void StreamPipeline::ConsumerLoop() {
     }
     Status processed = ProcessBatch(std::move(drained.value()));
     if (!processed.ok()) {
-      // Votes stay pending in the optimizer (bounded-attempt re-queue);
-      // the dirty set is kept so the retry re-solves the same scope.
+      // Votes stay pending in the optimizer (bounded-attempt re-queue)
+      // and are retried with the next micro-batch.
       KGOV_LOG(WARNING) << "stream micro-batch failed (votes re-queued): "
                         << processed.ToString();
     }
@@ -171,25 +166,17 @@ void StreamPipeline::ConsumerLoop() {
 
 Status StreamPipeline::ProcessBatch(std::vector<votes::Vote> batch) {
   const StreamPipelineMetrics& metrics = StreamPipelineMetrics::Get();
-  // Pin the current epoch for the ball walks. Topology is fixed, so any
-  // epoch's view yields the same neighborhoods.
-  const core::ServingEpoch epoch = optimizer_->CurrentEpoch();
   for (votes::Vote& vote : batch) {
-    tracker_.MarkVote(vote, epoch.view());
     KGOV_RETURN_IF_ERROR(optimizer_->IngestLogged(std::move(vote)));
     votes_processed_.fetch_add(1, std::memory_order_relaxed);
   }
   micro_batches_.fetch_add(1, std::memory_order_relaxed);
   metrics.micro_batches->Increment();
-  metrics.dirty_cluster_ratio->Set(tracker_.DirtyRatio());
 
-  Result<core::FlushReport> flushed =
-      optimizer_->FlushScoped(tracker_.DirtySet());
+  Result<core::FlushReport> flushed = optimizer_->Flush();
   if (!flushed.ok()) {
     flush_failures_.fetch_add(1, std::memory_order_relaxed);
     metrics.flush_failures->Increment();
-    // Keep the dirty set: the re-queued votes' clusters must stay in
-    // scope for the retry.
     return flushed.status();
   }
   if (flushed.value().epoch_published) {
@@ -199,13 +186,6 @@ Status StreamPipeline::ProcessBatch(std::vector<votes::Vote> batch) {
     publications_skipped_.fetch_add(1, std::memory_order_relaxed);
     metrics.epochs_skipped->Increment();
   }
-  // The applied votes' clusters are clean now; re-mark only what the
-  // flush re-queued (quarantined votes awaiting another attempt).
-  tracker_.Clear();
-  for (const votes::Vote& pending : optimizer_->PendingVoteList()) {
-    tracker_.MarkVote(pending, epoch.view());
-  }
-  metrics.dirty_cluster_ratio->Set(tracker_.DirtyRatio());
   return MaybeCheckpoint();
 }
 
@@ -224,9 +204,7 @@ Status StreamPipeline::MaybeCheckpoint() {
   // being captured as pending state.
   Status checkpointed = queue_.DrainAllAndRun(
       [this](std::vector<votes::Vote> drained) -> Status {
-        const core::ServingEpoch epoch = optimizer_->CurrentEpoch();
         for (votes::Vote& vote : drained) {
-          tracker_.MarkVote(vote, epoch.view());
           KGOV_RETURN_IF_ERROR(optimizer_->IngestLogged(std::move(vote)));
           votes_processed_.fetch_add(1, std::memory_order_relaxed);
         }

@@ -2,16 +2,15 @@
 //
 //   producers --Offer--> VoteIngestQueue --micro-batch--> consumer thread
 //        |                   |                               |
-//        |                   +-- WAL append (ack)            +-- DirtyClusterTracker
-//        |                                                   +-- OnlineKgOptimizer::FlushScoped
+//        |                   +-- WAL append (ack)            +-- OnlineKgOptimizer::Flush
 //        |                                                   +-- DurabilityManager::Checkpoint
 //
 // The pipeline replaces the batch-shaped AddVote loop: votes are
 // acknowledged (durably logged) at Offer time, drained in micro-batches by
-// one consumer thread, mapped to the partition clusters they can affect,
-// and folded in with an incremental re-solve restricted to those dirty
-// clusters. Each successful micro-batch that actually changes the graph
-// publishes a ServingEpoch carrying the changed-cluster delta, which
+// one consumer thread, and folded in with the optimizer's one flush path,
+// whose solve moves only edges on the buffered votes' walks. Each
+// successful micro-batch that actually changes the graph publishes a
+// ServingEpoch carrying the changed-cluster delta, which
 // serve::QueryEngine uses for selective cache invalidation.
 //
 // Ordering guarantees (docs/streaming.md):
@@ -25,9 +24,8 @@
 //    records) are serialized through SerializedVoteLog.
 //
 // Telemetry: stream.micro_batches, stream.epochs_published,
-// stream.epochs_skipped, stream.flush_failures, stream.checkpoints,
-// stream.dirty_cluster_ratio (gauge), plus the ingest counters in
-// ingest_queue.h.
+// stream.epochs_skipped, stream.flush_failures, stream.checkpoints, plus
+// the ingest counters in ingest_queue.h.
 
 #ifndef KGOV_STREAM_PIPELINE_H_
 #define KGOV_STREAM_PIPELINE_H_
@@ -41,7 +39,6 @@
 #include "common/status.h"
 #include "core/online_optimizer.h"
 #include "durability/manager.h"
-#include "stream/dirty_tracker.h"
 #include "stream/ingest_queue.h"
 #include "stream/serialized_vote_log.h"
 #include "votes/vote.h"
@@ -125,8 +122,8 @@ class StreamPipeline {
                  StreamPipelineOptions options,
                  durability::DurabilityManager* durability);
 
-  /// Folds one drained micro-batch into the optimizer: mark dirty
-  /// clusters, ingest, scoped flush, checkpoint cadence.
+  /// Folds one drained micro-batch into the optimizer: ingest, flush,
+  /// checkpoint cadence.
   Status ProcessBatch(std::vector<votes::Vote> batch);
 
   /// Runs the checkpoint interleave when the cadence is due.
@@ -138,7 +135,6 @@ class StreamPipeline {
   StreamPipelineOptions options_;
   durability::DurabilityManager* durability_;
   std::unique_ptr<SerializedVoteLog> serialized_log_;
-  DirtyClusterTracker tracker_;
   VoteIngestQueue queue_;
 
   std::thread consumer_;

@@ -235,7 +235,8 @@ core::ServingEpoch MakeEpoch(uint64_t number) {
   graph::WeightedDigraph g(3);
   EXPECT_TRUE(g.AddEdge(0, 1, 0.5).ok());
   EXPECT_TRUE(g.AddEdge(1, 2, 0.5).ok());
-  return core::ServingEpoch{std::make_shared<graph::CsrSnapshot>(g), number};
+  return core::ServingEpoch{std::make_shared<graph::CsrSnapshot>(g), number,
+                           /*delta=*/nullptr};
 }
 
 TEST(ValidateEpochPinTest, AcceptsHealthyEpoch) {

@@ -1,8 +1,10 @@
-// Golden digest of the learning path: every optimizer entry point run on a
-// small seeded workload, its optimized weights folded into one CRC-32C.
-// Refactors of the vote program, the solvers, split-and-merge or the
-// scoped streaming flush must leave every weight bitwise identical; a
-// change that moves any of them (even in the last ulp) changes the digest.
+// Golden digests of the learning path: every optimizer entry point run on
+// a small seeded workload, its optimized weights folded into one CRC-32C,
+// and the same workload streamed through the pipeline one vote per
+// micro-batch. Refactors of the vote program, the solvers, split-and-merge,
+// the online flush or the stream pipeline must leave every weight bitwise
+// identical; a change that moves any of them (even in the last ulp)
+// changes a digest.
 // Beside it, the same workload is solved through both constraint
 // implementations (adjoint vote program, signomial oracle), which must
 // land on the same point.
@@ -21,6 +23,8 @@
 #include "core/online_optimizer.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
+#include "stream/partition.h"
+#include "stream/pipeline.h"
 #include "votes/judgment.h"
 #include "votes/vote_encoder.h"
 #include "votes/vote_generator.h"
@@ -179,12 +183,24 @@ TEST(LearningGoldenTest, OptimizerDigestIsPinned) {
   ASSERT_GT(split->num_clusters, 1u);
   crc = FoldReport(*split, crc);
 
-  // One scoped flush per strategy, re-solving every other partition
-  // cluster so that the scope holds part of the variable edges constant.
+  // One online flush per strategy with only the edges whose source lies in
+  // an even partition cluster variable, so that part of the workload's
+  // variable edges are held constant.
+  Result<stream::GraphPartition> built =
+      stream::GraphPartition::Build(workload.graph, 8);
+  ASSERT_TRUE(built.ok()) << built.status();
+  auto partition =
+      std::make_shared<const stream::GraphPartition>(std::move(built).value());
   for (FlushStrategy strategy :
        {FlushStrategy::kMultiVote, FlushStrategy::kSplitMerge}) {
     OnlineOptimizerOptions online_options;
     online_options.optimizer = options;
+    online_options.optimizer.encoder.is_variable =
+        [entity = options.encoder.is_variable, partition](
+            const WeightedDigraph& g, graph::EdgeId e) {
+          return entity(g, e) &&
+                 partition->ClusterOf(g.edges()[e].from) % 2 == 0;
+        };
     online_options.batch_size = 1000;
     online_options.strategy = strategy;
     online_options.partition_clusters = 8;
@@ -192,17 +208,49 @@ TEST(LearningGoldenTest, OptimizerDigestIsPinned) {
     for (const votes::Vote& vote : workload.votes) {
       ASSERT_TRUE(online.IngestLogged(vote).ok());
     }
-    std::vector<uint32_t> dirty;
-    for (uint32_t c = 0; c < online.partition()->num_clusters(); c += 2) {
-      dirty.push_back(c);
-    }
-    Result<FlushReport> flush = online.FlushScoped(dirty);
+    Result<FlushReport> flush = online.Flush();
     ASSERT_TRUE(flush.ok()) << flush.status();
     ASSERT_TRUE(flush->epoch_published);
     crc = FoldCount(flush->constraints_satisfied,
                     FoldWeights(online.graph(), crc));
   }
   EXPECT_EQ(crc, 0xb1fc11cdu) << std::hex << "digest 0x" << crc;
+}
+
+// The golden workload streamed through the pipeline one vote per
+// micro-batch, once per strategy: which micro-batches fail (a batch whose
+// votes the judgment filter all rejects fails and is re-queued), the
+// final weights and the counters a restart resumes from (applied,
+// pending, dead-lettered, epoch number) are pinned, so any change to what
+// a micro-batch solves or publishes moves the digest.
+TEST(LearningGoldenTest, StreamedDigestIsPinned) {
+  const votes::SyntheticWorkload workload = GoldenWorkload();
+
+  uint32_t crc = 0;
+  for (FlushStrategy strategy :
+       {FlushStrategy::kMultiVote, FlushStrategy::kSplitMerge}) {
+    OnlineOptimizerOptions online_options;
+    online_options.optimizer = GoldenOptions(workload);
+    online_options.batch_size = 1000;
+    online_options.strategy = strategy;
+    online_options.partition_clusters = 8;
+    OnlineKgOptimizer online(workload.graph, online_options);
+    StatusOr<std::unique_ptr<stream::StreamPipeline>> pipeline =
+        stream::StreamPipeline::Create(&online, {}, nullptr);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    for (const votes::Vote& vote : workload.votes) {
+      ASSERT_TRUE((*pipeline)->Offer(vote).ok());
+      crc = FoldCount((*pipeline)->DrainOnce(1).ok(), crc);
+    }
+    EXPECT_GT(online.CurrentEpochNumber(), 1u);
+    crc = FoldWeights(online.graph(), crc);
+    const uint64_t counters[] = {online.TotalVotesApplied(),
+                                 online.PendingVotes(),
+                                 online.DeadLetters().size(),
+                                 online.CurrentEpochNumber()};
+    crc = Crc32c(counters, sizeof(counters), crc);
+  }
+  EXPECT_EQ(crc, 0x3a4710f5u) << std::hex << "digest 0x" << crc;
 }
 
 }  // namespace

@@ -400,7 +400,10 @@ TEST(OnlineOptimizerTest, RestoredStateResumesEpochPendingAndDeadLetters) {
   WeightedDigraph g = MakeFixture();
   RestoredState restored;
   restored.epoch = 41;
-  restored.pending = {MakeVote(4, 10), MakeVote(3, 11)};
+  // Both pending votes ask for answer 4, so their flush moves weights and
+  // publishes (a flush that leaves every weight bitwise unchanged keeps
+  // the current epoch).
+  restored.pending = {MakeVote(4, 10), MakeVote(4, 11)};
   restored.dead_letters = {MakeVote(4, 12)};
   FakeVoteLog log;
   {

@@ -1,18 +1,19 @@
 // Unit tests for the streaming write path: VoteIngestQueue semantics
 // (bounded backpressure, WAL-before-enqueue, dead-letter shed, close),
-// GraphPartition, DirtyClusterTracker, SerializedVoteLog, and the
-// StreamPipeline end to end (micro-batch flushes, epoch publication and
-// the publication-skip guard).
+// GraphPartition, SerializedVoteLog, and the StreamPipeline end to end
+// (micro-batch flushes, epoch publication, the publication-skip guard and
+// the first micro-batch after a restart).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/online_optimizer.h"
-#include "stream/dirty_tracker.h"
+#include "graph/subgraph.h"
 #include "stream/epoch_delta.h"
 #include "stream/ingest_queue.h"
 #include "stream/partition.h"
@@ -275,44 +276,6 @@ TEST(EpochDeltaTest, ClustersIntersectOnSortedSets) {
   EXPECT_EQ(set, (std::vector<uint32_t>{1, 3, 5}));
 }
 
-// --------------------------------------------------------- dirty tracker
-
-TEST(DirtyClusterTrackerTest, MarkVoteMarksOnlyTheVotesBall) {
-  // A two-component graph: a vote in one component must not dirty the
-  // other component's clusters.
-  WeightedDigraph g(6);
-  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2, 1.0).ok());
-  ASSERT_TRUE(g.AddEdge(3, 4, 1.0).ok());
-  ASSERT_TRUE(g.AddEdge(4, 5, 1.0).ok());
-  Result<GraphPartition> built = GraphPartition::Build(g, 6);
-  ASSERT_TRUE(built.ok());
-  auto partition =
-      std::make_shared<const GraphPartition>(std::move(built.value()));
-  graph::CsrSnapshot snapshot(g);
-
-  DirtyClusterTracker tracker(partition, 2);
-  EXPECT_EQ(tracker.DirtyCount(), 0u);
-  votes::Vote vote;
-  vote.id = 1;
-  vote.query.links.emplace_back(0, 1.0);
-  vote.answer_list = {2};
-  vote.best_answer = 2;
-  tracker.MarkVote(vote, snapshot.View());
-
-  std::vector<uint32_t> dirty = tracker.DirtySet();
-  EXPECT_FALSE(dirty.empty());
-  // Clusters of the other component stay clean.
-  for (graph::NodeId other : {3u, 4u, 5u}) {
-    EXPECT_FALSE(std::binary_search(dirty.begin(), dirty.end(),
-                                    partition->ClusterOf(other)));
-  }
-  EXPECT_GT(tracker.DirtyRatio(), 0.0);
-  tracker.Clear();
-  EXPECT_EQ(tracker.DirtyCount(), 0u);
-  EXPECT_TRUE(tracker.DirtySet().empty());
-}
-
 // ---------------------------------------------------- serialized log
 
 TEST(SerializedVoteLogTest, ForwardsBothChannelsToTheBaseSink) {
@@ -348,18 +311,17 @@ TEST(StreamPipelineTest, DrainOncePublishesEpochWithSelectiveDelta) {
   EXPECT_EQ(stats.epochs_published, 1u);
   EXPECT_EQ(stats.flush_failures, 0u);
 
-  // The published epoch carries a real selective delta: non-null, not
-  // full, and non-empty (the flush changed the graph).
+  // The published epoch carries a real selective delta: non-null and
+  // non-empty (the flush changed the graph).
   core::ServingEpoch epoch = online.CurrentEpoch();
   ASSERT_NE(epoch.delta, nullptr);
-  EXPECT_FALSE(epoch.delta->full);
   EXPECT_FALSE(epoch.delta->changed_clusters.empty());
 }
 
 TEST(StreamPipelineTest, ChangedClustersStayWithinTheDirtySet) {
-  // The scoped-flush contract: what the epoch reports changed is a subset
-  // of what the tracker marked dirty (changed <= dirty is what makes
-  // selective invalidation sound).
+  // A micro-batch moves only edges on its votes' walks and renormalizes
+  // only their sources, so what the epoch reports changed lies inside the
+  // clusters of the vote's L-ball around its seed links and answers.
   WeightedDigraph g = MakeFixture();
   core::OnlineOptimizerOptions options = SmallOptions(100);
   options.partition_clusters = 5;
@@ -372,19 +334,23 @@ TEST(StreamPipelineTest, ChangedClustersStayWithinTheDirtySet) {
   StreamPipeline& pipeline = **pipeline_or;
 
   votes::Vote vote = MakeVote(4, 1);
-  // What the tracker would mark for this vote.
-  DirtyClusterTracker expect_tracker(
-      partition, online.options().optimizer.encoder.symbolic.eipd.max_length);
-  expect_tracker.MarkVote(vote, online.CurrentEpoch().view());
-  std::vector<uint32_t> dirty = expect_tracker.DirtySet();
+  std::vector<graph::NodeId> roots = vote.answer_list;
+  for (const auto& [node, weight] : vote.query.links) roots.push_back(node);
+  std::vector<uint32_t> ball;
+  for (graph::NodeId node : graph::CollectOutNeighborhood(
+           online.CurrentEpoch().view(), roots,
+           options.optimizer.encoder.symbolic.eipd.max_length)) {
+    ball.push_back(partition->ClusterOf(node));
+  }
+  CanonicalizeClusterSet(&ball);
 
   ASSERT_TRUE(pipeline.Offer(vote).ok());
   ASSERT_TRUE(pipeline.DrainOnce(16).ok());
   core::ServingEpoch epoch = online.CurrentEpoch();
   ASSERT_NE(epoch.delta, nullptr);
   for (uint32_t changed : epoch.delta->changed_clusters) {
-    EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), changed))
-        << "changed cluster " << changed << " was never marked dirty";
+    EXPECT_TRUE(std::binary_search(ball.begin(), ball.end(), changed))
+        << "changed cluster " << changed << " is outside the vote's ball";
   }
 }
 
@@ -498,6 +464,58 @@ TEST(StreamPipelineTest, DeadLetterBackpressureReachesProducers) {
   EXPECT_EQ(pipeline.queue().GetStats().shed_dead_letter_full, 1u);
 }
 
+TEST(StreamPipelineTest, RestoredPendingVoteIsSolvedLikeALiveOne) {
+  // Two disjoint copies of the fixture. A restart restores a negative vote
+  // on the first; the first micro-batch after it drains a fresh vote on
+  // the second. That micro-batch must fold in both votes exactly as a live
+  // flush of the same two votes does, not hold the restored vote's edges
+  // constant while counting it as applied.
+  WeightedDigraph g(10);
+  for (graph::NodeId base : {0u, 5u}) {
+    ASSERT_TRUE(g.AddEdge(base + 0, base + 1, 0.6).ok());
+    ASSERT_TRUE(g.AddEdge(base + 0, base + 2, 0.4).ok());
+    ASSERT_TRUE(g.AddEdge(base + 1, base + 3, 1.0).ok());
+    ASSERT_TRUE(g.AddEdge(base + 2, base + 4, 1.0).ok());
+  }
+  const votes::Vote restored = MakeVote(4, 1);
+  votes::Vote fresh;
+  fresh.id = 2;
+  fresh.query.links.emplace_back(5, 1.0);
+  fresh.answer_list = {8, 9};
+  fresh.best_answer = 9;
+
+  for (bool judgment : {false, true}) {
+    SCOPED_TRACE(judgment ? "judgment filter on" : "judgment filter off");
+    core::OnlineOptimizerOptions options = SmallOptions(100);
+    options.optimizer.apply_judgment_filter = judgment;
+
+    core::RestoredState state;
+    state.pending = {restored};
+    core::OnlineKgOptimizer restarted(g, options, state);
+    StatusOr<std::unique_ptr<StreamPipeline>> pipeline_or =
+        StreamPipeline::Create(&restarted, {}, nullptr);
+    ASSERT_TRUE(pipeline_or.ok());
+    ASSERT_TRUE((*pipeline_or)->Offer(fresh).ok());
+    StatusOr<size_t> drained = (*pipeline_or)->DrainOnce(1);
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+    ASSERT_EQ(drained.value(), 1u);
+
+    core::OnlineKgOptimizer live(g, options);
+    ASSERT_TRUE(live.IngestLogged(restored).ok());
+    ASSERT_TRUE(live.IngestLogged(fresh).ok());
+    ASSERT_TRUE(live.Flush().ok());
+
+    EXPECT_EQ(restarted.TotalVotesApplied(), live.TotalVotesApplied());
+    ASSERT_EQ(restarted.graph().NumEdges(), live.graph().NumEdges());
+    for (size_t e = 0; e < live.graph().NumEdges(); ++e) {
+      const double got = restarted.graph().edges()[e].weight;
+      const double want = live.graph().edges()[e].weight;
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "edge " << e << ": " << got << " vs live " << want;
+    }
+  }
+}
+
 // ------------------------------------------- optimizer delta plumbing
 
 TEST(OnlineOptimizerStreamTest, CollectChangedClustersUnionsContiguousDeltas) {
@@ -549,9 +567,9 @@ TEST(OnlineOptimizerStreamTest, CollectChangedClustersRefusesTrimmedHistory) {
 }
 
 TEST(OnlineOptimizerStreamTest, BatchFlushAlsoPublishesSelectiveDelta) {
-  // The batch-shaped write path rides the same delta plumbing: an
-  // unscoped Flush publishes the bitwise changed set, so batch deployers
-  // get selective cache invalidation too.
+  // The batch-shaped write path is the same flush: AddVote + Flush
+  // publishes the bitwise changed set, so batch deployers get selective
+  // cache invalidation too.
   WeightedDigraph g = MakeFixture();
   core::OnlineKgOptimizer online(g, SmallOptions(100));
   ASSERT_TRUE(online.AddVote(MakeVote(4, 1)).ok());
@@ -561,7 +579,6 @@ TEST(OnlineOptimizerStreamTest, BatchFlushAlsoPublishesSelectiveDelta) {
   EXPECT_FALSE(report->changed_clusters.empty());
   core::ServingEpoch epoch = online.CurrentEpoch();
   ASSERT_NE(epoch.delta, nullptr);
-  EXPECT_FALSE(epoch.delta->full);
   EXPECT_EQ(epoch.delta->changed_clusters, report->changed_clusters);
 }
 

@@ -309,8 +309,8 @@ TEST(StreamInvalidationProperty, SelectiveRetainsStrictlyMoreThanFullFlush) {
 //   8 -> 9 (0.6), 8 -> 10 (0.4)      (reached only by a zero-weight link)
 //
 // Every node is its own partition cluster, and each epoch below comes
-// from one vote flushed scoped to one node's cluster, so exactly that
-// node's out-edge weights change.
+// from one vote flushed with only one node's out-edges variable, so
+// exactly that node's out-edge weights change.
 
 constexpr size_t kChainNodes = 12;
 
@@ -329,17 +329,31 @@ WeightedDigraph MakeChain() {
   return g;
 }
 
-OnlineOptimizerOptions ChainOnlineOptions() {
+/// The chain optimizer's encoder.is_variable admits an edge iff its source
+/// lies in the partition cluster `*scope` names; ChangeOutEdgesOf points
+/// it at the node whose out-edges it changes.
+OnlineOptimizerOptions ChainOnlineOptions(
+    std::shared_ptr<const uint32_t> scope) {
   OnlineOptimizerOptions options = StreamingOnlineOptions();
   options.partition_clusters = kChainNodes;  // one cluster per node
+  Result<stream::GraphPartition> built =
+      stream::GraphPartition::Build(MakeChain(), kChainNodes);
+  EXPECT_TRUE(built.ok()) << built.status();
+  auto partition =
+      std::make_shared<const stream::GraphPartition>(std::move(built).value());
+  options.optimizer.encoder.is_variable =
+      [partition, scope](const WeightedDigraph& g, graph::EdgeId e) {
+        return partition->ClusterOf(g.edges()[e].from) == *scope;
+      };
   return options;
 }
 
 /// Flushes one vote at `node` (answers: the two given out-neighbours,
-/// the currently weaker one voted best) scoped to `node`'s cluster, and
-/// requires that exactly that cluster changed.
-void ChangeOutEdgesOf(OnlineKgOptimizer& online, graph::NodeId node,
-                      graph::NodeId stronger, graph::NodeId weaker) {
+/// the currently weaker one voted best) with only `node`'s cluster
+/// variable, and requires that exactly that cluster changed.
+void ChangeOutEdgesOf(OnlineKgOptimizer& online, uint32_t& scope,
+                      graph::NodeId node, graph::NodeId stronger,
+                      graph::NodeId weaker) {
   votes::Vote vote;
   vote.id = node;
   vote.query.links.emplace_back(node, 1.0);
@@ -347,7 +361,8 @@ void ChangeOutEdgesOf(OnlineKgOptimizer& online, graph::NodeId node,
   vote.best_answer = weaker;
   ASSERT_TRUE(online.IngestLogged(std::move(vote)).ok());
   const uint32_t cluster = online.partition()->ClusterOf(node);
-  Result<core::FlushReport> report = online.FlushScoped({cluster});
+  scope = cluster;
+  Result<core::FlushReport> report = online.Flush();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_TRUE(report->epoch_published);
   ASSERT_EQ(report->changed_clusters, std::vector<uint32_t>{cluster});
@@ -404,28 +419,30 @@ bool ServedFromCacheAndExact(ChainEngines& engines,
 TEST(StreamInvalidationProperty, ChangeBeyondReadDepthKeepsEntry) {
   // Node 3 is L - 1 = 3 hops from the seed: the walk reaches it at the
   // last level and never reads its out-edges.
-  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  auto scope = std::make_shared<uint32_t>(0);
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions(scope));
   ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
   ASSERT_NE(engines.cached, nullptr);
   ASSERT_NE(engines.cold, nullptr);
   const ppr::QuerySeed seed = ChainSeed();
   EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
 
-  ChangeOutEdgesOf(online, 3, 6, 7);
+  ChangeOutEdgesOf(online, *scope, 3, 6, 7);
   EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
   EXPECT_EQ(engines.cached->CacheStats().invalidations, 0u);
 }
 
 TEST(StreamInvalidationProperty, ChangeWithinReadDepthInvalidatesEntry) {
   // Node 2 is L - 2 = 2 hops out: the last level reads its out-edges.
-  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  auto scope = std::make_shared<uint32_t>(0);
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions(scope));
   ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
   ASSERT_NE(engines.cached, nullptr);
   ASSERT_NE(engines.cold, nullptr);
   const ppr::QuerySeed seed = ChainSeed();
   EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
 
-  ChangeOutEdgesOf(online, 2, 4, 5);
+  ChangeOutEdgesOf(online, *scope, 2, 4, 5);
   EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
   EXPECT_EQ(engines.cached->CacheStats().invalidations, 1u);
 }
@@ -433,23 +450,25 @@ TEST(StreamInvalidationProperty, ChangeWithinReadDepthInvalidatesEntry) {
 TEST(StreamInvalidationProperty, SingleLevelWalkDependsOnNoEdge) {
   // At max_length = 1 the score is the seed mass alone: no edge is read,
   // so even a change to the seed node's own out-edges keeps the entry.
-  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  auto scope = std::make_shared<uint32_t>(0);
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions(scope));
   ChainEngines engines = MakeChainEngines(online, /*max_length=*/1);
   ASSERT_NE(engines.cached, nullptr);
   ASSERT_NE(engines.cold, nullptr);
   const ppr::QuerySeed seed = ChainSeed();
   EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
 
-  ChangeOutEdgesOf(online, 0, 1, 11);
+  ChangeOutEdgesOf(online, *scope, 0, 1, 11);
   EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
-  ChangeOutEdgesOf(online, 2, 4, 5);
+  ChangeOutEdgesOf(online, *scope, 2, 4, 5);
   EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
 }
 
 TEST(StreamInvalidationProperty, ZeroWeightSeedLinkIsNotADependency) {
   // The kernel never seeds a zero-weight link, so node 8's out-edges are
   // never read and a change to them keeps the entry.
-  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions());
+  auto scope = std::make_shared<uint32_t>(0);
+  OnlineKgOptimizer online(MakeChain(), ChainOnlineOptions(scope));
   ChainEngines engines = MakeChainEngines(online, /*max_length=*/4);
   ASSERT_NE(engines.cached, nullptr);
   ASSERT_NE(engines.cold, nullptr);
@@ -457,7 +476,7 @@ TEST(StreamInvalidationProperty, ZeroWeightSeedLinkIsNotADependency) {
   seed.links.emplace_back(8, 0.0);
   EXPECT_FALSE(ServedFromCacheAndExact(engines, online, seed));
 
-  ChangeOutEdgesOf(online, 8, 9, 10);
+  ChangeOutEdgesOf(online, *scope, 8, 9, 10);
   EXPECT_TRUE(ServedFromCacheAndExact(engines, online, seed));
 }
 
