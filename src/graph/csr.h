@@ -5,7 +5,7 @@
 // serving system that answers many queries between optimization rounds can
 // freeze the current weights into a CSR snapshot: contiguous
 // (target, weight) pairs per node, cache-friendly and pointer-free, plus a
-// parallel edge-id table so EdgeId-keyed weight overrides keep working.
+// parallel edge-id table so EdgeId-keyed variable indices keep working.
 // Read-side consumers access a snapshot through its View() (graph::GraphView,
 // see graph/graph_view.h); the view borrows the snapshot's arrays and is
 // valid only while the snapshot is alive.

@@ -5,11 +5,11 @@
 // Omega scoring, the Q&A baselines — operates on a GraphView:
 // contiguous (target, weight) neighbor ranges plus an optional edge-id
 // table mapping each CSR slot back to the originating WeightedDigraph edge,
-// so weight overrides keyed by EdgeId (judgment filter, per-cluster
-// solution checks) work unchanged on views and sub-views.
+// so an index keyed by EdgeId (ppr::EipdAdjoint's variables) reads trial
+// weights straight off a view.
 //
 // Lifetime rules: a GraphView borrows its arrays from backing storage
-// (graph::CsrSnapshot, graph::InducedSubview) and is valid only while that
+// (graph::CsrSnapshot) and is valid only while that
 // storage is alive and unmodified. Views are trivially copyable — pass
 // them by value. For epoch-based serving, hold the storage via
 // shared_ptr (see core::OnlineKgOptimizer::serving()) and copy views
@@ -79,13 +79,12 @@ class GraphView {
     return offsets_[node + 1] - offsets_[node];
   }
 
-  /// True when the view carries the edge-id table (needed by weight
-  /// overrides and solution write-back checks).
+  /// True when the view carries the edge-id table (needed by the
+  /// adjoint's EdgeId-keyed variables and support sets).
   bool HasEdgeIds() const { return edge_ids_ != nullptr; }
 
   /// Edge ids parallel to [begin(node), end(node)); null when the view
-  /// carries no edge-id table. For a sub-view these are the *parent*
-  /// graph's edge ids (the remap that keeps overrides working).
+  /// carries no edge-id table.
   const EdgeId* edge_ids(NodeId node) const {
     return edge_ids_ == nullptr ? nullptr : edge_ids_ + offsets_[node];
   }

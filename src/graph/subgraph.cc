@@ -1,8 +1,7 @@
 #include "graph/subgraph.h"
 
+#include <algorithm>
 #include <deque>
-
-#include "common/logging.h"
 
 namespace kgov::graph {
 
@@ -39,53 +38,9 @@ std::vector<NodeId> SelectBfsRegion(const WeightedDigraph& graph,
   return region;
 }
 
-Result<NodeSetIndex> NodeSetIndex::Make(const std::vector<NodeId>& nodes,
-                                        size_t num_nodes) {
-  NodeSetIndex index;
-  index.local_of_.assign(num_nodes, kInvalidNode);
-  index.to_original_.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] >= num_nodes) {
-      return Status::InvalidArgument("subgraph node out of range");
-    }
-    if (index.local_of_[nodes[i]] != kInvalidNode) {
-      return Status::InvalidArgument("duplicate node in subgraph set");
-    }
-    index.local_of_[nodes[i]] = static_cast<NodeId>(i);
-    index.to_original_.push_back(nodes[i]);
-  }
-  return index;
-}
-
-Result<InducedSubgraph> ExtractInducedSubgraph(
-    const WeightedDigraph& graph, const std::vector<NodeId>& nodes) {
-  Result<NodeSetIndex> index = NodeSetIndex::Make(nodes, graph.NumNodes());
-  if (!index.ok()) return index.status();
-
-  InducedSubgraph out;
-  out.graph = WeightedDigraph(nodes.size());
-  out.to_original = nodes;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    for (const OutEdge& edge : graph.OutEdges(nodes[i])) {
-      NodeId local = index.value().LocalOf(edge.to);
-      if (local == kInvalidNode) continue;
-      Result<EdgeId> added = out.graph.AddEdge(
-          static_cast<NodeId>(i), local, graph.Weight(edge.edge));
-      KGOV_CHECK(added.ok());
-    }
-    // Preserve labels where present.
-    const std::string& label = graph.NodeLabel(nodes[i]);
-    if (!label.empty()) {
-      out.graph.SetNodeLabel(static_cast<NodeId>(i), label);
-    }
-  }
-  return out;
-}
-
 size_t CountInternalEdges(const WeightedDigraph& graph,
                           const std::vector<NodeId>& nodes) {
-  // Tolerates out-of-range and duplicate entries (set semantics), so build
-  // the membership mask directly rather than through NodeSetIndex::Make.
+  // Tolerates out-of-range and duplicate entries (set semantics).
   std::vector<char> inside(graph.NumNodes(), 0);
   for (NodeId v : nodes) {
     if (graph.IsValidNode(v)) inside[v] = 1;
@@ -95,32 +50,6 @@ size_t CountInternalEdges(const WeightedDigraph& graph,
     if (inside[e.from] && inside[e.to]) ++count;
   }
   return count;
-}
-
-Result<InducedSubview> InducedSubview::Make(GraphView parent,
-                                            const std::vector<NodeId>& nodes) {
-  Result<NodeSetIndex> index = NodeSetIndex::Make(nodes, parent.NumNodes());
-  if (!index.ok()) return index.status();
-
-  InducedSubview out;
-  out.index_ = std::move(index.value());
-  const size_t n = out.index_.size();
-  out.offsets_.resize(n + 1, 0);
-  for (NodeId local = 0; local < n; ++local) {
-    out.offsets_[local] = out.neighbors_.size();
-    const NodeId original = out.index_.ToOriginal(local);
-    const GraphView::Neighbor* b = parent.begin(original);
-    const GraphView::Neighbor* e = parent.end(original);
-    const EdgeId* ids = parent.edge_ids(original);
-    for (const GraphView::Neighbor* it = b; it != e; ++it) {
-      NodeId local_to = out.index_.LocalOf(it->to);
-      if (local_to == kInvalidNode) continue;
-      out.neighbors_.push_back(GraphView::Neighbor{local_to, it->weight});
-      if (ids != nullptr) out.edge_ids_.push_back(ids[it - b]);
-    }
-  }
-  out.offsets_[n] = out.neighbors_.size();
-  return out;
 }
 
 std::vector<NodeId> CollectOutNeighborhood(GraphView view,

@@ -1,8 +1,6 @@
-// Subgraph utilities: BFS region selection, induced-subgraph extraction,
-// and zero-copy induced sub-views. The synthetic vote workloads (paper
-// SVII-A) link queries and answers into an Nnodes-node region of a larger
-// graph; the split-and-merge optimizer verifies per-cluster solutions on
-// induced sub-views of the parent CSR without materializing graph copies.
+// Subgraph utilities: BFS region selection, internal-edge counting and
+// bounded out-neighbourhoods. The synthetic vote workloads (paper SVII-A)
+// link queries and answers into an Nnodes-node region of a larger graph.
 
 #ifndef KGOV_GRAPH_SUBGRAPH_H_
 #define KGOV_GRAPH_SUBGRAPH_H_
@@ -10,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 
@@ -22,88 +19,9 @@ namespace kgov::graph {
 std::vector<NodeId> SelectBfsRegion(const WeightedDigraph& graph,
                                     size_t target, Rng& rng);
 
-/// Shared membership index over a node set: answers "is v in the set, and
-/// which local id does it map to?" in O(1). This is the single hashing
-/// step behind induced-subgraph extraction, internal-edge counting, and
-/// sub-view construction.
-class NodeSetIndex {
- public:
-  /// Builds the index. Fails on duplicate entries or ids >= num_nodes.
-  static Result<NodeSetIndex> Make(const std::vector<NodeId>& nodes,
-                                   size_t num_nodes);
-
-  size_t size() const { return to_original_.size(); }
-  bool Contains(NodeId original) const {
-    return original < local_of_.size() &&
-           local_of_[original] != kInvalidNode;
-  }
-  /// Local id of `original`, or kInvalidNode when outside the set.
-  NodeId LocalOf(NodeId original) const {
-    return original < local_of_.size() ? local_of_[original] : kInvalidNode;
-  }
-  NodeId ToOriginal(NodeId local) const { return to_original_[local]; }
-  const std::vector<NodeId>& nodes() const { return to_original_; }
-
- private:
-  // local_of_[v] = local id of v, or kInvalidNode. Sized to the parent
-  // graph so lookups are branch-plus-load (the sets are small relative to
-  // the graphs they index).
-  std::vector<NodeId> local_of_;
-  std::vector<NodeId> to_original_;
-};
-
-/// The subgraph induced by `nodes`: a new graph whose node i corresponds
-/// to nodes[i], containing exactly the edges with both endpoints in the
-/// set (weights preserved).
-struct InducedSubgraph {
-  WeightedDigraph graph;
-  /// node id in the induced graph -> node id in the original graph.
-  std::vector<NodeId> to_original;
-};
-
-/// Extracts the induced subgraph (a copying WeightedDigraph build — prefer
-/// InducedSubview for read-only work). Duplicate entries in `nodes` are an
-/// error.
-Result<InducedSubgraph> ExtractInducedSubgraph(
-    const WeightedDigraph& graph, const std::vector<NodeId>& nodes);
-
 /// Number of edges with both endpoints inside `nodes`.
 size_t CountInternalEdges(const WeightedDigraph& graph,
                           const std::vector<NodeId>& nodes);
-
-/// Zero-copy-ish induced sub-view over a parent GraphView: owns only the
-/// small local CSR index arrays (offsets + renumbered targets), never a
-/// WeightedDigraph; weights are read from the parent entries and edge ids
-/// stay the *parent's* EdgeIds, so EdgeId-keyed overrides built against
-/// the parent graph apply directly to the sub-view.
-class InducedSubview {
- public:
-  /// Builds the sub-view of `parent` induced by `nodes`. The parent view's
-  /// backing storage must outlive the sub-view. Fails on duplicates or
-  /// out-of-range ids.
-  static Result<InducedSubview> Make(GraphView parent,
-                                     const std::vector<NodeId>& nodes);
-
-  /// The sub-view as a GraphView (nodes renumbered 0..size-1). Valid while
-  /// this InducedSubview is alive; HasEdgeIds() mirrors the parent.
-  GraphView view() const {
-    if (index_.size() == 0) return GraphView{};
-    return GraphView(index_.size(), offsets_.data(), neighbors_.data(),
-                     edge_ids_.empty() ? nullptr : edge_ids_.data());
-  }
-
-  size_t NumNodes() const { return index_.size(); }
-  NodeId ToParent(NodeId local) const { return index_.ToOriginal(local); }
-  /// Local id of a parent node, or kInvalidNode when outside the set.
-  NodeId LocalOf(NodeId parent) const { return index_.LocalOf(parent); }
-  const NodeSetIndex& index() const { return index_; }
-
- private:
-  NodeSetIndex index_;
-  std::vector<size_t> offsets_;
-  std::vector<GraphView::Neighbor> neighbors_;
-  std::vector<EdgeId> edge_ids_;
-};
 
 /// Nodes reachable from `roots` within `depth` out-edge hops (the L-ball
 /// that bounds a length-limited propagation), roots included, each node

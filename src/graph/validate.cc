@@ -58,7 +58,7 @@ Status ValidateCsr(const GraphView& view) {
   }
 
   // Edge-id remap injectivity: a duplicated id would make EdgeId-keyed
-  // weight overrides hit two CSR slots at once.
+  // variables hit two CSR slots at once.
   if (view.HasEdgeIds()) {
     std::unordered_set<EdgeId> seen;
     seen.reserve(view.NumEdges());

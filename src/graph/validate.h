@@ -10,12 +10,12 @@
 //  * every neighbor target is a valid node id of the view;
 //  * every weight is finite and non-negative;
 //  * when the view carries an edge-id table, the remap is injective (no
-//    CSR slot aliases another slot's originating edge), so EdgeId-keyed
-//    weight overrides cannot silently hit two slots.
+//    CSR slot aliases another slot's originating edge), so an EdgeId-keyed
+//    variable index cannot silently hit two slots.
 //
-// Row order is NOT checked: CsrSnapshot and InducedSubview preserve
-// insertion order within a row by design (see graph/csr.h), and consumers
-// iterate ranges rather than binary-searching them.
+// Row order is NOT checked: CsrSnapshot preserves insertion order within a
+// row by design (see graph/csr.h), and consumers iterate ranges rather than
+// binary-searching them.
 //
 // Debug builds run ValidateCsr on every non-empty GraphView constructed
 // from raw arrays (see the GraphView constructor); the check honors

@@ -133,7 +133,9 @@ struct VariableAdjacency {
 /// Forward and backward EIPD passes over a view whose variable edges read
 /// their weights from a trial point x. Thread-compatible: concurrent calls
 /// are safe with one workspace per thread. The view and the variable index
-/// are borrowed and must outlive the adjoint.
+/// are borrowed and must outlive the adjoint. The index is read on every
+/// pass, never cached, so a caller may rewrite its entries between passes
+/// (the judgment filter makes one vote's edges variables at a time).
 class EipdAdjoint {
  public:
   /// `var_of_edge` (null: no variables) maps each EdgeId of the view to a

@@ -52,10 +52,8 @@ Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {
   return Status::OK();
 }
 
-void EipdEngine::PropagateLanes(
-    std::span<const QuerySeed* const> roots,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    PropagationWorkspace* lanes) const {
+void EipdEngine::PropagateLanes(std::span<const QuerySeed* const> roots,
+                                PropagationWorkspace* lanes) const {
   // Serving-latency telemetry: one Timer (two steady-clock reads) and one
   // histogram Observe per pass -- a fraction of a percent of a single
   // propagation on the bench graph. Each lane counts as one query (it does
@@ -79,17 +77,8 @@ void EipdEngine::PropagateLanes(
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.multi_roots");
   Timer timer;
-  if (overrides == nullptr) {
-    internal::PropagatePhi(internal::ViewAdjacency{view_}, roots, options_,
-                           lanes);
-  } else {
-    // Overrides are keyed by EdgeId; without the edge-id table they could
-    // not be applied, so fail loudly (an edgeless view has nothing to
-    // override and is fine).
-    KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0);
-    internal::PropagatePhi(internal::OverrideAdjacency{view_, overrides},
-                           roots, options_, lanes);
-  }
+  internal::PropagatePhi(internal::ViewAdjacency{view_}, roots, options_,
+                         lanes);
   propagations->Increment(roots.size());
   queries->Increment(roots.size());
   if (roots.size() > 1) {
@@ -100,61 +89,24 @@ void EipdEngine::PropagateLanes(
 }
 
 const std::vector<double>& EipdEngine::PropagateInto(
-    const QuerySeed& seed,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    PropagationWorkspace* ws) const {
+    const QuerySeed& seed, PropagationWorkspace* ws) const {
   if (ws == nullptr) ws = &ThreadLocalLanes().front();
   const QuerySeed* root = &seed;
-  PropagateLanes({&root, 1}, overrides, ws);
+  PropagateLanes({&root, 1}, ws);
   return ws->phi;
 }
 
 StatusOr<std::vector<double>> EipdEngine::Propagate(
     const QuerySeed& seed, PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  return PropagateInto(seed, nullptr, ws);
-}
-
-StatusOr<std::vector<double>> EipdEngine::PropagateWithOverrides(
-    const QuerySeed& seed,
-    const std::unordered_map<graph::EdgeId, double>& overrides,
-    PropagationWorkspace* ws) const {
-  KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  if (!view_.HasEdgeIds() && view_.NumEdges() > 0) {
-    return Status::FailedPrecondition(
-        "weight overrides require a view with an edge-id table");
-  }
-  return PropagateInto(seed, &overrides, ws);
+  return PropagateInto(seed, ws);
 }
 
 StatusOr<std::vector<double>> EipdEngine::Scores(
     const QuerySeed& seed, const std::vector<graph::NodeId>& answers,
     PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  const std::vector<double>& phi = PropagateInto(seed, nullptr, ws);
-  std::vector<double> out(answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    if (!view_.IsValidNode(answers[i])) {
-      return Status::InvalidArgument(
-          "answers[" + std::to_string(i) + "] = " +
-          std::to_string(answers[i]) + " is outside the view's " +
-          std::to_string(view_.NumNodes()) + " nodes");
-    }
-    out[i] = phi[answers[i]];
-  }
-  return out;
-}
-
-StatusOr<std::vector<double>> EipdEngine::ScoresWithOverrides(
-    const QuerySeed& seed, const std::vector<graph::NodeId>& answers,
-    const std::unordered_map<graph::EdgeId, double>& overrides,
-    PropagationWorkspace* ws) const {
-  KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  if (!view_.HasEdgeIds() && view_.NumEdges() > 0) {
-    return Status::FailedPrecondition(
-        "weight overrides require a view with an edge-id table");
-  }
-  const std::vector<double>& phi = PropagateInto(seed, &overrides, ws);
+  const std::vector<double>& phi = PropagateInto(seed, ws);
   std::vector<double> out(answers.size());
   for (size_t i = 0; i < answers.size(); ++i) {
     if (!view_.IsValidNode(answers[i])) {
@@ -172,19 +124,7 @@ StatusOr<std::vector<ScoredAnswer>> EipdEngine::Rank(
     const QuerySeed& seed, const std::vector<graph::NodeId>& candidates,
     size_t k, PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  return TopKByScore(PropagateInto(seed, nullptr, ws), candidates, k);
-}
-
-StatusOr<std::vector<ScoredAnswer>> EipdEngine::RankWithOverrides(
-    const QuerySeed& seed, const std::vector<graph::NodeId>& candidates,
-    size_t k, const std::unordered_map<graph::EdgeId, double>& overrides,
-    PropagationWorkspace* ws) const {
-  KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  if (!view_.HasEdgeIds() && view_.NumEdges() > 0) {
-    return Status::FailedPrecondition(
-        "weight overrides require a view with an edge-id table");
-  }
-  return TopKByScore(PropagateInto(seed, &overrides, ws), candidates, k);
+  return TopKByScore(PropagateInto(seed, ws), candidates, k);
 }
 
 StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
@@ -201,7 +141,7 @@ StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
   }
   if (lanes == nullptr) lanes = &ThreadLocalLanes();
   if (lanes->size() < roots.size()) lanes->resize(roots.size());
-  PropagateLanes(roots, nullptr, lanes->data());
+  PropagateLanes(roots, lanes->data());
 
   results.reserve(roots.size());
   for (size_t b = 0; b < roots.size(); ++b) {

@@ -13,18 +13,20 @@
 // S(vq, a_{rank-1}), the vote is discarded before SGP encoding. The two
 // edge sets (the paper's Set(v_a)) are the support of one forward and two
 // backward propagations (ppr::EipdAdjoint::SupportEdges), whose last hop
-// walks only the edges into the votes' answers.
+// walks only the edges into the votes' answers. The extreme weights reach
+// the kernel the way every trial point does: as the adjoint's variables,
+// one per reassigned edge, read by one more forward propagation.
 
 #ifndef KGOV_VOTES_JUDGMENT_H_
 #define KGOV_VOTES_JUDGMENT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "ppr/edge_vars.h"
 #include "ppr/eipd_adjoint.h"
-#include "ppr/eipd_engine.h"
 #include "votes/vote.h"
 
 namespace kgov::votes {
@@ -57,12 +59,15 @@ class JudgmentFilter {
 
  private:
   /// IsSatisfiable, walking the edge sets with `adjoint`, whose targets
-  /// must include the vote's answers.
-  bool Judge(const Vote& vote, const ppr::EipdAdjoint& adjoint) const;
+  /// must include the vote's answers. `var_of_edge` is the adjoint's
+  /// variable index: all -1 on entry and on return; the vote's reassigned
+  /// edges are its variables only while their extreme Phi is evaluated.
+  bool Judge(const Vote& vote, const ppr::EipdAdjoint& adjoint,
+             std::vector<int32_t>* var_of_edge) const;
 
   const graph::WeightedDigraph* graph_;
+  graph::GraphView view_;
   JudgmentOptions options_;
-  ppr::EipdEngine engine_;
 };
 
 }  // namespace kgov::votes

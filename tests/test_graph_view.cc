@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "graph/csr.h"
-#include "graph/generators.h"
 #include "graph/subgraph.h"
+#include "ppr/eipd_adjoint.h"
 #include "ppr/eipd_engine.h"
 
 namespace kgov::graph {
@@ -32,114 +33,41 @@ TEST(GraphViewTest, ViewsAreCheapCopies) {
   EXPECT_DOUBLE_EQ(b.begin(0)->weight, 0.5);
 }
 
-TEST(NodeSetIndexTest, MapsBothDirections) {
-  Result<NodeSetIndex> index = NodeSetIndex::Make({4, 1, 7}, 10);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->size(), 3u);
-  EXPECT_TRUE(index->Contains(4));
-  EXPECT_TRUE(index->Contains(1));
-  EXPECT_FALSE(index->Contains(0));
-  EXPECT_FALSE(index->Contains(9));
-  EXPECT_EQ(index->LocalOf(4), 0u);
-  EXPECT_EQ(index->LocalOf(7), 2u);
-  EXPECT_EQ(index->LocalOf(3), kInvalidNode);
-  EXPECT_EQ(index->ToOriginal(1), 1u);
-}
-
-TEST(NodeSetIndexTest, RejectsDuplicatesAndOutOfRange) {
-  EXPECT_FALSE(NodeSetIndex::Make({1, 2, 1}, 5).ok());
-  EXPECT_FALSE(NodeSetIndex::Make({1, 5}, 5).ok());
-}
-
-TEST(InducedSubviewTest, KeepsOnlyInternalEdges) {
-  WeightedDigraph g(4);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0.2).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2, 0.3).ok());  // leaves the set
-  ASSERT_TRUE(g.AddEdge(1, 0, 0.4).ok());
-  ASSERT_TRUE(g.AddEdge(3, 0, 0.5).ok());  // enters from outside
-  CsrSnapshot snap(g);
-  Result<InducedSubview> sub = InducedSubview::Make(snap.View(), {0, 1});
-  ASSERT_TRUE(sub.ok());
-  GraphView view = sub->view();
-  EXPECT_EQ(view.NumNodes(), 2u);
-  EXPECT_EQ(view.NumEdges(), 2u);
-  ASSERT_EQ(view.OutDegree(0), 1u);
-  EXPECT_EQ(view.begin(0)->to, sub->LocalOf(1));
-  EXPECT_DOUBLE_EQ(view.begin(0)->weight, 0.2);
-  ASSERT_EQ(view.OutDegree(1), 1u);
-  EXPECT_EQ(view.begin(1)->to, sub->LocalOf(0));
-  EXPECT_DOUBLE_EQ(view.begin(1)->weight, 0.4);
-}
-
-TEST(InducedSubviewTest, KeepsParentEdgeIds) {
+TEST(GraphViewTest, EdgeIdsNameTheGraphsEdges) {
   WeightedDigraph g(3);
   EdgeId e01 = *g.AddEdge(0, 1, 0.2);
-  ASSERT_TRUE(g.AddEdge(1, 2, 0.3).ok());
+  EdgeId e12 = *g.AddEdge(1, 2, 0.3);
   EdgeId e10 = *g.AddEdge(1, 0, 0.4);
   CsrSnapshot snap(g);
-  Result<InducedSubview> sub = InducedSubview::Make(snap.View(), {0, 1});
-  ASSERT_TRUE(sub.ok());
-  GraphView view = sub->view();
+  GraphView view = snap.View();
   ASSERT_TRUE(view.HasEdgeIds());
-  // The ids are the PARENT's EdgeIds, so overrides keyed against the
-  // original graph apply to the sub-view unchanged.
+  ASSERT_EQ(view.OutDegree(1), 2u);
   EXPECT_EQ(view.edge_ids(0)[0], e01);
-  EXPECT_EQ(view.edge_ids(1)[0], e10);
+  // Slots keep insertion order within a row, each naming its own edge.
+  EXPECT_EQ(view.edge_ids(1)[0], e12);
+  EXPECT_EQ(view.edge_ids(1)[1], e10);
+  EXPECT_DOUBLE_EQ(view.begin(1)[1].weight, g.Weight(e10));
 }
 
-TEST(InducedSubviewTest, AgreesWithCopyingExtraction) {
-  // The zero-copy sub-view and the copying ExtractInducedSubgraph must
-  // describe the same graph: identical EIPD scores on matching nodes.
-  Rng rng(21);
-  Result<WeightedDigraph> g = ErdosRenyi(40, 200, rng);
-  ASSERT_TRUE(g.ok());
-  std::vector<NodeId> nodes;
-  for (NodeId v = 0; v < 40; v += 2) nodes.push_back(v);
-
-  Result<InducedSubgraph> copied = ExtractInducedSubgraph(*g, nodes);
-  ASSERT_TRUE(copied.ok());
-  CsrSnapshot snap(*g);
-  Result<InducedSubview> sub = InducedSubview::Make(snap.View(), nodes);
-  ASSERT_TRUE(sub.ok());
-  ASSERT_EQ(sub->NumNodes(), copied->graph.NumNodes());
-  ASSERT_EQ(sub->view().NumEdges(), copied->graph.NumEdges());
-
-  CsrSnapshot copied_snap(copied->graph);
-  ppr::EipdEngine on_copy(copied_snap.View());
-  ppr::EipdEngine on_view(sub->view());
-  ppr::QuerySeed seed;
-  seed.links.emplace_back(0, 0.6);
-  seed.links.emplace_back(3, 0.4);
-  std::vector<NodeId> answers;
-  for (NodeId local = 0; local < sub->NumNodes(); ++local) {
-    answers.push_back(local);
-  }
-  std::vector<double> a = on_copy.Scores(seed, answers).value();
-  std::vector<double> b = on_view.Scores(seed, answers).value();
-  for (size_t i = 0; i < answers.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-14);
-  }
-}
-
-TEST(InducedSubviewTest, ParentKeyedOverridesApply) {
+TEST(GraphViewTest, EdgeIdKeyedVariablesReadTrialWeights) {
+  // A variable index keyed by the graph's EdgeIds reaches the kernel
+  // through the view's edge-id table: zeroing 0->1 at the trial point
+  // silences node 1 and leaves node 2 as the graph has it.
   WeightedDigraph g(3);
   EdgeId e01 = *g.AddEdge(0, 1, 0.5);
   ASSERT_TRUE(g.AddEdge(0, 2, 0.5).ok());
   CsrSnapshot snap(g);
-  Result<InducedSubview> sub =
-      InducedSubview::Make(snap.View(), {0, 1, 2});
-  ASSERT_TRUE(sub.ok());
-  ppr::EipdEngine engine(sub->view());
+  std::vector<int32_t> var_of_edge(g.NumEdges(), -1);
+  var_of_edge[e01] = 0;
+  const double x[] = {0.0};
+  ppr::EipdAdjoint adjoint(snap.View(), {}, var_of_edge.data());
   ppr::QuerySeed seed;
-  seed.links.emplace_back(sub->LocalOf(0), 1.0);
-  std::unordered_map<EdgeId, double> overrides{{e01, 0.0}};
-  std::vector<double> scores =
-      engine
-          .ScoresWithOverrides(seed, {sub->LocalOf(1), sub->LocalOf(2)},
-                               overrides)
-          .value();
-  EXPECT_DOUBLE_EQ(scores[0], 0.0);
-  EXPECT_GT(scores[1], 0.0);
+  seed.links.emplace_back(0, 1.0);
+  ppr::AdjointWorkspace ws;
+  adjoint.Forward(seed, x, &ws);
+  EXPECT_DOUBLE_EQ(ws.lane.phi[1], 0.0);
+  EXPECT_DOUBLE_EQ(ws.lane.phi[2],
+                   ppr::EipdEngine(snap.View()).Scores(seed, {2}).value()[0]);
 }
 
 TEST(CollectOutNeighborhoodTest, BoundedBfs) {

@@ -50,35 +50,6 @@ TEST(SelectBfsRegionTest, DeterministicUnderSeed) {
   EXPECT_EQ(SelectBfsRegion(*g, 30, r1), SelectBfsRegion(*g2, 30, r2));
 }
 
-TEST(InducedSubgraphTest, KeepsOnlyInternalEdges) {
-  WeightedDigraph g(4);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0.3).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2, 0.5).ok());  // crosses the boundary
-  ASSERT_TRUE(g.AddEdge(1, 0, 0.7).ok());
-  g.SetNodeLabel(0, "a");
-  Result<InducedSubgraph> sub = ExtractInducedSubgraph(g, {0, 1});
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->graph.NumNodes(), 2u);
-  EXPECT_EQ(sub->graph.NumEdges(), 2u);
-  EXPECT_DOUBLE_EQ(sub->graph.Weight(*sub->graph.FindEdge(0, 1)), 0.3);
-  EXPECT_DOUBLE_EQ(sub->graph.Weight(*sub->graph.FindEdge(1, 0)), 0.7);
-  EXPECT_EQ(sub->to_original, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(sub->graph.NodeLabel(0), "a");
-}
-
-TEST(InducedSubgraphTest, RejectsDuplicatesAndBadNodes) {
-  WeightedDigraph g(3);
-  EXPECT_FALSE(ExtractInducedSubgraph(g, {0, 0}).ok());
-  EXPECT_FALSE(ExtractInducedSubgraph(g, {0, 9}).ok());
-}
-
-TEST(InducedSubgraphTest, EmptySetYieldsEmptyGraph) {
-  WeightedDigraph g(3);
-  Result<InducedSubgraph> sub = ExtractInducedSubgraph(g, {});
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->graph.NumNodes(), 0u);
-}
-
 TEST(CountInternalEdgesTest, Counts) {
   WeightedDigraph g(4);
   ASSERT_TRUE(g.AddEdge(0, 1, 0.1).ok());

@@ -38,8 +38,8 @@ Rules (each suppressible on the offending line or the line above with
                      wrappers (RankAnswers* / SimilarityMany* families)
                      were deleted in favor of the StatusOr-returning
                      EipdEngine API; this rule keeps them from growing
-                     back. Use EipdEngine::Scores/Rank/Propagate (and
-                     their *WithOverrides variants) instead.
+                     back. Use EipdEngine::Scores/Rank/Propagate instead
+                     (ppr::EipdAdjoint::Forward for Phi at trial weights).
   stream-status-api  Entry-point verbs in src/stream/ headers (Offer /
                      TryOffer / Drain* / Start / Stop / Close / Flush* /
                      Ingest* / Checkpoint* / Append*) must return Status,
