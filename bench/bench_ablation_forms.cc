@@ -13,6 +13,7 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "core/scoring.h"
+#include "graph/csr.h"
 #include "graph/source.h"
 #include "votes/vote_generator.h"
 
@@ -76,8 +77,9 @@ int Run() {
                       FormatDuration(seconds), "failed", "-"});
       continue;
     }
+    const graph::CsrSnapshot optimized(report->optimized);
     core::OmegaResult omega =
-        core::EvaluateOmega(report->optimized, workload->votes,
+        core::EvaluateOmega(optimized.View(), workload->votes,
                             options.encoder.symbolic.eipd);
     table.PrintRow({c.name, c.filter ? "on" : "off",
                     FormatDuration(seconds), bench::Num(omega.average),

@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "core/scoring.h"
+#include "graph/csr.h"
 #include "graph/source.h"
 #include "votes/vote_generator.h"
 
@@ -56,8 +57,9 @@ int Run() {
         optimizer.SplitMergeSolve(workload->votes);
     double seconds = timer.ElapsedSeconds();
     if (!report.ok()) continue;
+    const graph::CsrSnapshot optimized(report->optimized);
     core::OmegaResult omega =
-        core::EvaluateOmega(report->optimized, workload->votes,
+        core::EvaluateOmega(optimized.View(), workload->votes,
                             options.encoder.symbolic.eipd);
     table.PrintRow({rule == cluster::MergeRule::kWeightedSignExtreme
                         ? "weighted-sign/extreme (paper)"

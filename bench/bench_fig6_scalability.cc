@@ -23,6 +23,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/scoring.h"
+#include "graph/csr.h"
 #include "graph/source.h"
 #include "votes/vote_generator.h"
 
@@ -100,7 +101,8 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
     Result<core::OptimizeReport> r_single = optimizer.SingleVoteSolve(votes);
     single.seconds = timer.ElapsedSeconds();
     if (r_single.ok()) {
-      single.omega = core::EvaluateOmega(r_single->optimized, votes,
+      const graph::CsrSnapshot optimized(r_single->optimized);
+      single.omega = core::EvaluateOmega(optimized.View(), votes,
                                          options.encoder.symbolic.eipd)
                          .average;
     }
@@ -110,7 +112,8 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
       Result<core::OptimizeReport> r_multi = optimizer.MultiVoteSolve(votes);
       multi.seconds = timer.ElapsedSeconds();
       if (r_multi.ok()) {
-        multi.omega = core::EvaluateOmega(r_multi->optimized, votes,
+        const graph::CsrSnapshot optimized(r_multi->optimized);
+        multi.omega = core::EvaluateOmega(optimized.View(), votes,
                                           options.encoder.symbolic.eipd)
                           .average;
       }
@@ -120,7 +123,8 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
     Result<core::OptimizeReport> r_sm = optimizer.SplitMergeSolve(votes);
     sm.seconds = timer.ElapsedSeconds();
     if (r_sm.ok()) {
-      sm.omega = core::EvaluateOmega(r_sm->optimized, votes,
+      const graph::CsrSnapshot optimized(r_sm->optimized);
+      sm.omega = core::EvaluateOmega(optimized.View(), votes,
                                      options.encoder.symbolic.eipd)
                      .average;
 

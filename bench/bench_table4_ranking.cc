@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "core/scoring.h"
+#include "graph/csr.h"
 #include "math/stats.h"
 #include "qa/metrics.h"
 
@@ -99,10 +100,12 @@ int Run() {
   std::vector<double> multi_ranks =
       BestRanks(t.env.test_questions, multi_rankings);
 
+  const graph::CsrSnapshot single_snapshot(single->optimized);
+  const graph::CsrSnapshot multi_snapshot(multi->optimized);
   core::OmegaResult omega_single = core::EvaluateOmega(
-      single->optimized, votes, t.sim_params.qa.eipd);
+      single_snapshot.View(), votes, t.sim_params.qa.eipd);
   core::OmegaResult omega_multi = core::EvaluateOmega(
-      multi->optimized, votes, t.sim_params.qa.eipd);
+      multi_snapshot.View(), votes, t.sim_params.qa.eipd);
 
   bench::TablePrinter table({"Graph", "Ravg", "Omega_avg", "Pavg"},
                             {36, 8, 10, 10});

@@ -132,7 +132,7 @@ int main() {
   }
 
   core::OmegaResult omega =
-      core::EvaluateOmega(report->optimized, implicit_votes, eipd);
+      core::EvaluateOmega(optimized_snapshot.View(), implicit_votes, eipd);
   std::printf("\nOmega_avg = %.2f; '%s' moved from rank %d to rank %d.\n",
               omega.average, product_names[6].c_str(),
               votes::RankOf(implicit_votes[0].answer_list, products[6]),

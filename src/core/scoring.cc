@@ -1,7 +1,6 @@
 #include "core/scoring.h"
 
 #include "common/logging.h"
-#include "graph/csr.h"
 #include "ppr/eipd_engine.h"
 
 namespace kgov::core {
@@ -33,13 +32,6 @@ OmegaResult EvaluateOmega(graph::GraphView view,
         result.total / static_cast<double>(result.before_ranks.size());
   }
   return result;
-}
-
-OmegaResult EvaluateOmega(const graph::WeightedDigraph& optimized,
-                          const std::vector<votes::Vote>& votes,
-                          const ppr::EipdOptions& eipd) {
-  graph::CsrSnapshot snapshot(optimized);
-  return EvaluateOmega(snapshot.View(), votes, eipd);
 }
 
 }  // namespace kgov::core

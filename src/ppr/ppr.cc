@@ -86,13 +86,6 @@ Result<std::vector<double>> PowerIterationPpr(graph::GraphView view,
   return Iterate(view, preference, options);
 }
 
-Result<std::vector<double>> PowerIterationPpr(
-    const graph::WeightedDigraph& graph, graph::NodeId source,
-    const PprOptions& options) {
-  graph::CsrSnapshot snapshot(graph);
-  return PowerIterationPpr(snapshot.View(), source, options);
-}
-
 Result<std::vector<double>> PowerIterationPprFromSeed(
     graph::GraphView view, const QuerySeed& seed, const PprOptions& options) {
   // A virtual query node vq with out-links `seed` and preference e_vq:
@@ -111,13 +104,6 @@ Result<std::vector<double>> PowerIterationPprFromSeed(
     preference[node] += (1.0 - options.restart) * weight;
   }
   return Iterate(view, preference, options);
-}
-
-Result<std::vector<double>> PowerIterationPprFromSeed(
-    const graph::WeightedDigraph& graph, const QuerySeed& seed,
-    const PprOptions& options) {
-  graph::CsrSnapshot snapshot(graph);
-  return PowerIterationPprFromSeed(snapshot.View(), seed, options);
 }
 
 RandomWalkBaseline::RandomWalkBaseline(graph::GraphView view,

@@ -2,8 +2,8 @@
 // linear-equation-group random-walk similarity of Yang et al. [5], which the
 // paper uses as the similarity-evaluation baseline in Table VI.
 //
-// The core iteration runs on graph::GraphView (CSR ranges); the
-// WeightedDigraph overloads freeze a snapshot per call for compatibility.
+// The iteration runs on graph::GraphView (CSR ranges): a caller holding a
+// WeightedDigraph freezes one graph::CsrSnapshot and passes its view.
 
 #ifndef KGOV_PPR_PPR_H_
 #define KGOV_PPR_PPR_H_
@@ -38,22 +38,12 @@ Result<std::vector<double>> PowerIterationPpr(graph::GraphView view,
                                               graph::NodeId source,
                                               const PprOptions& options = {});
 
-/// Compatibility overload: snapshots `graph` and runs on the view.
-Result<std::vector<double>> PowerIterationPpr(
-    const graph::WeightedDigraph& graph, graph::NodeId source,
-    const PprOptions& options = {});
-
 /// PPR of a *virtual* query node whose out-edges are `seed`: the stationary
 /// scores of walks whose first hop follows the seed links. Equals
 /// (1-c) * sum_s seed(s) * PPR_s, and matches the extended inverse
 /// P-distance of the same seed as L -> infinity (paper Theorem 1).
 Result<std::vector<double>> PowerIterationPprFromSeed(
     graph::GraphView view, const QuerySeed& seed,
-    const PprOptions& options = {});
-
-/// Compatibility overload: snapshots `graph` and runs on the view.
-Result<std::vector<double>> PowerIterationPprFromSeed(
-    const graph::WeightedDigraph& graph, const QuerySeed& seed,
     const PprOptions& options = {});
 
 /// The random-walk baseline of [5]: evaluates the similarity of ONE

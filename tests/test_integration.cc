@@ -1,3 +1,4 @@
+#include "graph/csr.h"
 // End-to-end reproduction smoke test: build a simulated Taobao-style
 // environment, optimize the deployed graph with the collected votes, and
 // verify the paper's headline effects at miniature scale:
@@ -69,7 +70,8 @@ TEST_F(EndToEndTest, MultiVoteImprovesOmegaOnVotes) {
       optimizer.MultiVoteSolve(env_.votes);
   ASSERT_TRUE(report.ok());
   core::OmegaResult omega = core::EvaluateOmega(
-      report->optimized, env_.votes, options_.encoder.symbolic.eipd);
+      graph::CsrSnapshot(report->optimized).View(), env_.votes,
+      options_.encoder.symbolic.eipd);
   EXPECT_GT(omega.average, 0.0);
 }
 
@@ -100,9 +102,11 @@ TEST_F(EndToEndTest, SplitMergeComparableToMultiVote) {
   ASSERT_TRUE(multi.ok() && split.ok());
 
   core::OmegaResult omega_multi = core::EvaluateOmega(
-      multi->optimized, env_.votes, options_.encoder.symbolic.eipd);
+      graph::CsrSnapshot(multi->optimized).View(), env_.votes,
+      options_.encoder.symbolic.eipd);
   core::OmegaResult omega_split = core::EvaluateOmega(
-      split->optimized, env_.votes, options_.encoder.symbolic.eipd);
+      graph::CsrSnapshot(split->optimized).View(), env_.votes,
+      options_.encoder.symbolic.eipd);
   // S-M should stay within a reasonable factor of the full batch solve
   // (the paper observes it is close or even better, Fig. 6 d-f).
   EXPECT_GT(omega_split.average, 0.0);

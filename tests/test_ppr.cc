@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "graph/generators.h"
+#include "graph/csr.h"
 
 namespace kgov::ppr {
 namespace {
@@ -21,27 +22,30 @@ WeightedDigraph MakeCycle() {
 
 TEST(PprTest, InvalidSourceRejected) {
   WeightedDigraph g(2);
-  EXPECT_FALSE(PowerIterationPpr(g, 7).ok());
+  EXPECT_FALSE(PowerIterationPpr(graph::CsrSnapshot(g).View(), 7).ok());
 }
 
 TEST(PprTest, InvalidRestartRejected) {
   WeightedDigraph g = MakeCycle();
   PprOptions options;
   options.restart = 0.0;
-  EXPECT_FALSE(PowerIterationPpr(g, 0, options).ok());
+  EXPECT_FALSE(PowerIterationPpr(
+      graph::CsrSnapshot(g).View(), 0, options).ok());
   options.restart = 1.0;
-  EXPECT_FALSE(PowerIterationPpr(g, 0, options).ok());
+  EXPECT_FALSE(PowerIterationPpr(
+      graph::CsrSnapshot(g).View(), 0, options).ok());
 }
 
 TEST(PprTest, SuperStochasticGraphRejected) {
   WeightedDigraph g(2);
   ASSERT_TRUE(g.AddEdge(0, 1, 2.0).ok());
-  EXPECT_FALSE(PowerIterationPpr(g, 0).ok());
+  EXPECT_FALSE(PowerIterationPpr(graph::CsrSnapshot(g).View(), 0).ok());
 }
 
 TEST(PprTest, IsolatedSourceKeepsOnlyRestartMass) {
   WeightedDigraph g(2);  // no edges
-  Result<std::vector<double>> pi = PowerIterationPpr(g, 0);
+  Result<std::vector<double>> pi = PowerIterationPpr(
+      graph::CsrSnapshot(g).View(), 0);
   ASSERT_TRUE(pi.ok());
   EXPECT_NEAR((*pi)[0], 0.15, 1e-10);
   EXPECT_NEAR((*pi)[1], 0.0, 1e-10);
@@ -59,7 +63,8 @@ TEST(PprTest, StochasticGraphScoresSumToOne) {
       ASSERT_TRUE(g->AddEdge(v, v, 1.0).ok());
     }
   }
-  Result<std::vector<double>> pi = PowerIterationPpr(*g, 5);
+  Result<std::vector<double>> pi = PowerIterationPpr(
+      graph::CsrSnapshot(*g).View(), 5);
   ASSERT_TRUE(pi.ok());
   double total = std::accumulate(pi->begin(), pi->end(), 0.0);
   EXPECT_NEAR(total, 1.0, 1e-8);
@@ -69,7 +74,8 @@ TEST(PprTest, CycleClosedForm) {
   // For the 2-cycle: pi(0) = c / (1 - (1-c)^2), pi(1) = (1-c) * pi(0).
   WeightedDigraph g = MakeCycle();
   const double c = 0.15;
-  Result<std::vector<double>> pi = PowerIterationPpr(g, 0);
+  Result<std::vector<double>> pi = PowerIterationPpr(
+      graph::CsrSnapshot(g).View(), 0);
   ASSERT_TRUE(pi.ok());
   double expected0 = c / (1.0 - (1.0 - c) * (1.0 - c));
   EXPECT_NEAR((*pi)[0], expected0, 1e-9);
@@ -80,7 +86,8 @@ TEST(PprTest, SourceHasHighestScore) {
   Rng rng(7);
   Result<WeightedDigraph> g = graph::ErdosRenyi(30, 150, rng);
   ASSERT_TRUE(g.ok());
-  Result<std::vector<double>> pi = PowerIterationPpr(*g, 3);
+  Result<std::vector<double>> pi = PowerIterationPpr(
+      graph::CsrSnapshot(*g).View(), 3);
   ASSERT_TRUE(pi.ok());
   for (size_t i = 0; i < pi->size(); ++i) {
     EXPECT_LE((*pi)[i], (*pi)[3] + 1e-12);
@@ -89,14 +96,16 @@ TEST(PprTest, SourceHasHighestScore) {
 
 TEST(PprFromSeedTest, EmptySeedRejected) {
   WeightedDigraph g = MakeCycle();
-  EXPECT_FALSE(PowerIterationPprFromSeed(g, QuerySeed{}).ok());
+  EXPECT_FALSE(PowerIterationPprFromSeed(
+      graph::CsrSnapshot(g).View(), QuerySeed{}).ok());
 }
 
 TEST(PprFromSeedTest, SeedNodeOutOfRangeRejected) {
   WeightedDigraph g = MakeCycle();
   QuerySeed seed;
   seed.links.emplace_back(9, 1.0);
-  EXPECT_FALSE(PowerIterationPprFromSeed(g, seed).ok());
+  EXPECT_FALSE(PowerIterationPprFromSeed(
+      graph::CsrSnapshot(g).View(), seed).ok());
 }
 
 TEST(PprFromSeedTest, MatchesManualSeriesOnChain) {
@@ -107,7 +116,8 @@ TEST(PprFromSeedTest, MatchesManualSeriesOnChain) {
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   QuerySeed seed;
   seed.links.emplace_back(0, 1.0);
-  Result<std::vector<double>> pi = PowerIterationPprFromSeed(g, seed);
+  Result<std::vector<double>> pi = PowerIterationPprFromSeed(
+      graph::CsrSnapshot(g).View(), seed);
   ASSERT_TRUE(pi.ok());
   const double c = 0.15;
   EXPECT_NEAR((*pi)[0], c * (1 - c), 1e-10);
@@ -126,9 +136,9 @@ TEST(PprFromSeedTest, LinearInSeedWeights) {
   mix.links.emplace_back(0, 0.3);
   mix.links.emplace_back(1, 0.7);
 
-  auto pa = PowerIterationPprFromSeed(*g, a);
-  auto pb = PowerIterationPprFromSeed(*g, b);
-  auto pm = PowerIterationPprFromSeed(*g, mix);
+  auto pa = PowerIterationPprFromSeed(graph::CsrSnapshot(*g).View(), a);
+  auto pb = PowerIterationPprFromSeed(graph::CsrSnapshot(*g).View(), b);
+  auto pm = PowerIterationPprFromSeed(graph::CsrSnapshot(*g).View(), mix);
   ASSERT_TRUE(pa.ok() && pb.ok() && pm.ok());
   for (size_t i = 0; i < pm->size(); ++i) {
     EXPECT_NEAR((*pm)[i], 0.3 * (*pa)[i] + 0.7 * (*pb)[i], 1e-9);
@@ -142,7 +152,8 @@ TEST(RandomWalkBaselineTest, AgreesWithSeedPpr) {
   QuerySeed seed = QuerySeed::FromNode(*g, 0);
   ASSERT_FALSE(seed.empty());
   RandomWalkBaseline baseline(&*g);
-  Result<std::vector<double>> pi = PowerIterationPprFromSeed(*g, seed);
+  Result<std::vector<double>> pi = PowerIterationPprFromSeed(
+      graph::CsrSnapshot(*g).View(), seed);
   ASSERT_TRUE(pi.ok());
   for (graph::NodeId answer : {1u, 5u, 12u}) {
     Result<double> s = baseline.Similarity(seed, answer);

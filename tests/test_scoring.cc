@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/csr.h"
 namespace kgov::core {
 namespace {
 
@@ -27,7 +28,8 @@ votes::Vote MakeVote(graph::NodeId best) {
 
 TEST(ScoringTest, UnchangedGraphScoresZero) {
   WeightedDigraph g = MakeFixture();
-  OmegaResult omega = EvaluateOmega(g, {MakeVote(4)});
+  OmegaResult omega = EvaluateOmega(
+      graph::CsrSnapshot(g).View(), {MakeVote(4)});
   EXPECT_DOUBLE_EQ(omega.total, 0.0);
   EXPECT_EQ(omega.before_ranks, (std::vector<int>{2}));
   EXPECT_EQ(omega.after_ranks, (std::vector<int>{2}));
@@ -36,21 +38,23 @@ TEST(ScoringTest, UnchangedGraphScoresZero) {
 TEST(ScoringTest, ImprovedGraphScoresPositive) {
   // Swap the weights: answer 4 now outranks 3.
   WeightedDigraph improved = MakeFixture(0.4, 0.6);
-  OmegaResult omega = EvaluateOmega(improved, {MakeVote(4)});
+  OmegaResult omega = EvaluateOmega(
+      graph::CsrSnapshot(improved).View(), {MakeVote(4)});
   EXPECT_DOUBLE_EQ(omega.total, 1.0);  // rank 2 -> 1
   EXPECT_DOUBLE_EQ(omega.average, 1.0);
 }
 
 TEST(ScoringTest, DegradedPositiveVoteScoresNegative) {
   WeightedDigraph degraded = MakeFixture(0.4, 0.6);
-  OmegaResult omega = EvaluateOmega(degraded, {MakeVote(3)});
+  OmegaResult omega = EvaluateOmega(
+      graph::CsrSnapshot(degraded).View(), {MakeVote(3)});
   EXPECT_DOUBLE_EQ(omega.total, -1.0);  // rank 1 -> 2
 }
 
 TEST(ScoringTest, AverageOverMixedVotes) {
   WeightedDigraph improved = MakeFixture(0.4, 0.6);
-  OmegaResult omega =
-      EvaluateOmega(improved, {MakeVote(4), MakeVote(3)});
+  OmegaResult omega = EvaluateOmega(graph::CsrSnapshot(improved).View(),
+                                    {MakeVote(4), MakeVote(3)});
   EXPECT_DOUBLE_EQ(omega.total, 0.0);  // +1 and -1
   EXPECT_DOUBLE_EQ(omega.average, 0.0);
   EXPECT_EQ(omega.before_ranks.size(), 2u);
@@ -59,13 +63,14 @@ TEST(ScoringTest, AverageOverMixedVotes) {
 TEST(ScoringTest, MalformedVotesSkipped) {
   WeightedDigraph g = MakeFixture();
   votes::Vote bad;
-  OmegaResult omega = EvaluateOmega(g, {bad, MakeVote(4)});
+  OmegaResult omega = EvaluateOmega(
+      graph::CsrSnapshot(g).View(), {bad, MakeVote(4)});
   EXPECT_EQ(omega.before_ranks.size(), 1u);
 }
 
 TEST(ScoringTest, EmptyVoteSet) {
   WeightedDigraph g = MakeFixture();
-  OmegaResult omega = EvaluateOmega(g, {});
+  OmegaResult omega = EvaluateOmega(graph::CsrSnapshot(g).View(), {});
   EXPECT_DOUBLE_EQ(omega.total, 0.0);
   EXPECT_DOUBLE_EQ(omega.average, 0.0);
 }

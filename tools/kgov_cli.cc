@@ -348,8 +348,9 @@ Status CmdOptimize(const Flags& flags) {
   optimized.graph = report->optimized;
   KGOV_RETURN_IF_ERROR(SaveKgGraph(optimized, out));
 
+  const graph::CsrSnapshot optimized_snapshot(report->optimized);
   core::OmegaResult omega = core::EvaluateOmega(
-      report->optimized, vote_set, options.encoder.symbolic.eipd);
+      optimized_snapshot.View(), vote_set, options.encoder.symbolic.eipd);
   std::printf("strategy=%s votes=%zu encoded=%zu satisfied=%d/%d "
               "omega_avg=%.2f -> %s\n",
               strategy.c_str(), vote_set.size(), report->votes_encoded,
