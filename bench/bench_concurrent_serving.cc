@@ -15,14 +15,10 @@
 // the qps. The cache-hit speedup is the 1-caller hit-path qps over the
 // 1-thread cache-off row.
 //
-// Three serving-path phases follow the sweeps:
+// Two serving-path phases follow the sweeps:
 //
-//  * single_flight - a flash crowd (K threads, one cold key at a time)
-//    against the coalescing engine; the propagation count must equal the
-//    number of cold keys (exactly one leader per key), verified from the
-//    engine's own outcome counters.
-//  * batching - the stream executed with cache and single-flight off, so
-//    every query propagates as a lane of its same-cluster group's pass,
+//  * batching - the stream executed with the cache off, so every query
+//    propagates as a lane of its same-cluster group's pass,
 //    plus the serving.eipd.multi_passes / multi_roots counter deltas.
 //  * shedding - clients hammer a capacity-2 admission window; shed
 //    Submits must return kResourceExhausted promptly (p99 is gated in
@@ -92,10 +88,6 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
   options.top_k = 20;
   options.num_threads = threads;
   options.enable_cache = false;
-  // Miss collapse is measured by its own phase below, not folded into
-  // these rows. SubmitBatch groups same-cluster queries into multi-root
-  // passes here as everywhere.
-  options.enable_single_flight = false;
   auto engine_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
   KGOV_CHECK(engine_or.ok());
@@ -235,66 +227,6 @@ serve::QueryEngineOptions PhaseOptions() {
   return options;
 }
 
-struct SingleFlightReport {
-  size_t flash_threads = 0;
-  size_t cold_keys = 0;
-  serve::QueryEngine::ServeStats stats;
-  double collapsed_wall_seconds = 0.0;
-  double duplicated_wall_seconds = 0.0;
-};
-
-/// Flash crowd: for each of `cold_keys` distinct seeds, `kFlash` threads
-/// Submit the same seed simultaneously. With single-flight on, exactly
-/// one propagation per key may run; everyone else follows the leader or
-/// hits the cache the leader filled. The duplicated baseline (cache and
-/// coalescing off) pays one propagation per caller.
-SingleFlightReport RunSingleFlightPhase(const Setup& s,
-                                        const core::OnlineKgOptimizer& online) {
-  constexpr size_t kFlash = 8;
-  SingleFlightReport report;
-  report.flash_threads = kFlash;
-  report.cold_keys = std::min<size_t>(4, s.seeds.size());
-
-  auto flash = [&](serve::QueryEngine& engine) {
-    Timer timer;
-    for (size_t k = 0; k < report.cold_keys; ++k) {
-      std::atomic<bool> go{false};
-      std::vector<std::thread> threads;
-      threads.reserve(kFlash);
-      for (size_t t = 0; t < kFlash; ++t) {
-        threads.emplace_back([&]() {
-          while (!go.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          StatusOr<serve::RankedAnswers> r = engine.Submit(s.seeds[k]);
-          KGOV_CHECK(r.ok());
-        });
-      }
-      go.store(true, std::memory_order_release);
-      for (std::thread& t : threads) t.join();
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  serve::QueryEngineOptions options = PhaseOptions();
-  options.num_threads = 4;
-  options.enable_cache = true;
-  options.enable_single_flight = true;
-  auto collapsed_or =
-      serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
-  KGOV_CHECK(collapsed_or.ok());
-  report.collapsed_wall_seconds = flash(**collapsed_or);
-  report.stats = (*collapsed_or)->GetServeStats();
-
-  options.enable_cache = false;
-  options.enable_single_flight = false;
-  auto duplicated_or =
-      serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
-  KGOV_CHECK(duplicated_or.ok());
-  report.duplicated_wall_seconds = flash(**duplicated_or);
-  return report;
-}
-
 struct BatchingReport {
   uint64_t queries = 0;
   double qps_batched = 0.0;
@@ -303,8 +235,8 @@ struct BatchingReport {
   double avg_roots_per_pass = 0.0;
 };
 
-/// Multi-root execution over the stream. Cache and single-flight stay off
-/// so every query propagates, each as one lane of its same-cluster
+/// Multi-root execution over the stream. The cache stays off so every
+/// query propagates, each as one lane of its same-cluster
 /// group's pass; the counters show how many lanes the passes folded.
 BatchingReport RunBatchingPhase(const Setup& s,
                                 const core::OnlineKgOptimizer& online,
@@ -312,7 +244,6 @@ BatchingReport RunBatchingPhase(const Setup& s,
   serve::QueryEngineOptions options = PhaseOptions();
   options.num_threads = 2;
   options.enable_cache = false;
-  options.enable_single_flight = false;
   auto engine_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
   KGOV_CHECK(engine_or.ok());
@@ -374,7 +305,6 @@ ShedReport RunShedPhase(const Setup& s, const core::OnlineKgOptimizer& online,
   serve::QueryEngineOptions options = PhaseOptions();
   options.num_threads = 1;
   options.enable_cache = false;  // every admitted query occupies the window
-  options.enable_single_flight = false;
   options.admission.capacity = 2;
   auto engine_or =
       serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
@@ -498,19 +428,6 @@ void RunAndReport(bool smoke, const char* json_path,
               "cache-off row): %.2fx\n",
               cache_speedup);
 
-  SingleFlightReport sf = RunSingleFlightPhase(s, online);
-  std::printf(
-      "single-flight: %zu threads x %zu cold keys -> %llu propagations "
-      "(%llu leaders, %llu followers, %llu hits, %llu timeouts); "
-      "collapsed %.1f ms vs duplicated %.1f ms\n",
-      sf.flash_threads, sf.cold_keys,
-      static_cast<unsigned long long>(sf.stats.misses),
-      static_cast<unsigned long long>(sf.stats.leaders),
-      static_cast<unsigned long long>(sf.stats.followers),
-      static_cast<unsigned long long>(sf.stats.hits),
-      static_cast<unsigned long long>(sf.stats.timeouts),
-      sf.collapsed_wall_seconds * 1e3, sf.duplicated_wall_seconds * 1e3);
-
   BatchingReport batching = RunBatchingPhase(s, online, rounds);
   std::printf(
       "batching: %.1f q/s batched "
@@ -583,12 +500,6 @@ void RunAndReport(bool smoke, const char* json_path,
   std::fprintf(out, "  ]},\n");
   std::fprintf(out,
                "  \"cache_hit_speedup\": %.3f,\n"
-               "  \"single_flight\": {\"flash_threads\": %zu, "
-               "\"cold_keys\": %zu, \"queries\": %llu, "
-               "\"propagations\": %llu, \"leaders\": %llu, "
-               "\"followers\": %llu, \"hits\": %llu, \"timeouts\": %llu, "
-               "\"collapsed_wall_seconds\": %.6f, "
-               "\"duplicated_wall_seconds\": %.6f},\n"
                "  \"batching\": {\"queries\": %llu, "
                "\"qps_batched\": %.2f, \"multi_passes\": %llu, "
                "\"multi_roots\": %llu, \"avg_roots_per_pass\": %.2f},\n"
@@ -596,14 +507,7 @@ void RunAndReport(bool smoke, const char* json_path,
                "\"served\": %llu, \"shed\": %llu, "
                "\"shed_p50_seconds\": %.8f, \"shed_p99_seconds\": %.8f}\n"
                "}\n",
-               cache_speedup, sf.flash_threads, sf.cold_keys,
-               static_cast<unsigned long long>(sf.stats.queries),
-               static_cast<unsigned long long>(sf.stats.misses),
-               static_cast<unsigned long long>(sf.stats.leaders),
-               static_cast<unsigned long long>(sf.stats.followers),
-               static_cast<unsigned long long>(sf.stats.hits),
-               static_cast<unsigned long long>(sf.stats.timeouts),
-               sf.collapsed_wall_seconds, sf.duplicated_wall_seconds,
+               cache_speedup,
                static_cast<unsigned long long>(batching.queries),
                batching.qps_batched,
                static_cast<unsigned long long>(batching.multi_passes),

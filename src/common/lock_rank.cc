@@ -51,10 +51,6 @@ const char* RankName(Rank rank) {
       return "kVoteLogSerial";
     case Rank::kEpochPublish:
       return "kEpochPublish";
-    case Rank::kSingleFlightFlight:
-      return "kSingleFlightFlight";
-    case Rank::kSingleFlightTable:
-      return "kSingleFlightTable";
     case Rank::kServeCacheEpoch:
       return "kServeCacheEpoch";
     case Rank::kServeCacheShard:

@@ -92,11 +92,6 @@ enum class Rank : uint16_t {
   /// lock, taken under the stream queue (flush) and the query epoch pin
   /// (re-pin probe).
   kEpochPublish = 450,
-  /// serve::SingleFlightGroup per-flight mutex - published under no other
-  /// serve lock, but below the flight table for Resolve's scopes.
-  kSingleFlightFlight = 550,
-  /// serve::SingleFlightGroup::mu_ - the flight table.
-  kSingleFlightTable = 600,
   /// serve::ShardedResultCache::epoch_mu_ - nested INSIDE a shard lock by
   /// Put's stale-insert guard.
   kServeCacheEpoch = 650,

@@ -102,7 +102,7 @@ OnlineKgOptimizer::OnlineKgOptimizer(const graph::WeightedDigraph& initial,
     : options_(std::move(options)),
       options_status_(options_.Validate()),
       graph_(initial),
-      serving_{std::make_shared<graph::CsrSnapshot>(graph_), 0, nullptr} {
+      serving_{std::make_shared<graph::CsrSnapshot>(graph_), 0} {
   // The partition is built once from the initial topology; weights evolve
   // but the node set does not, so it stays valid for every future epoch.
   // Build only fails for a zero target, which the clamp rules out (invalid
@@ -364,7 +364,7 @@ void OnlineKgOptimizer::PublishEpoch(
     std::shared_ptr<const stream::EpochDelta> delta) {
   OnlineMetrics::Get().epoch_swaps->Increment();
   MutexLock lock(serving_mu_);
-  serving_ = ServingEpoch{std::move(snapshot), serving_.epoch + 1, delta};
+  serving_ = ServingEpoch{std::move(snapshot), serving_.epoch + 1};
   delta_history_.push_back(DeltaRecord{serving_.epoch, std::move(delta)});
   while (delta_history_.size() > options_.delta_history_capacity) {
     delta_history_.pop_front();

@@ -61,9 +61,6 @@ struct ServingEpoch {
   std::shared_ptr<const graph::CsrSnapshot> snapshot;
   /// 0 for the initial graph; +1 per published flush.
   uint64_t epoch = 0;
-  /// What changed relative to the previous epoch (null for the initial or
-  /// a restored epoch: treat as a full change). See stream::EpochDelta.
-  std::shared_ptr<const stream::EpochDelta> delta;
 
   /// The epoch's read view; valid while `snapshot` is held.
   graph::GraphView view() const {

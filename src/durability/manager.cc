@@ -191,8 +191,7 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
     // optimizer would republish: recovery refuses to hand back a state
     // the query engine would refuse to serve.
     core::ServingEpoch epoch{
-        std::make_shared<graph::CsrSnapshot>(state.graph), state.epoch,
-        nullptr};
+        std::make_shared<graph::CsrSnapshot>(state.graph), state.epoch};
     KGOV_RETURN_IF_ERROR(serve::ValidateEpochPin(epoch, state.epoch));
   }
 

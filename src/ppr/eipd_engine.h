@@ -8,8 +8,8 @@
 // is one lane). The engine serves the view's own weights; Phi at trial
 // weights (the optimizer, the judgment filter) is ppr::EipdAdjoint's, over
 // the same lane primitives. Each lane's floating-point operation sequence
-// is frozen - the serving-path bitwise gates (single-flight leader reuse,
-// multi-root lanes, cache hits) compare results with memcmp, and
+// is frozen - the serving-path bitwise gates (multi-root lanes, cache
+// hits) compare results with memcmp, and
 // tests/test_eipd.cc pins a CRC-32C of the phi bytes.
 //
 // Per-query cost is O(touched nodes + traversed edges), independent of

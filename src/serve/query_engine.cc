@@ -1,7 +1,6 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <optional>
 #include <string>
@@ -17,6 +16,14 @@ namespace kgov::serve {
 
 namespace {
 
+// Result-cache shard count: one reader-writer lock each.
+constexpr size_t kCacheShards = 8;
+
+// An epoch swap whose changed clusters exceed this fraction of the
+// partition flushes the whole cache: a near-global change makes the
+// selective sweep pointless bookkeeping.
+constexpr double kFullFlushFraction = 0.5;
+
 // Serving-subsystem telemetry; pointers resolved once.
 struct ServeMetrics {
   telemetry::Counter* queries;
@@ -24,9 +31,6 @@ struct ServeMetrics {
   telemetry::Counter* cache_misses;
   telemetry::Counter* cache_evictions;
   telemetry::Counter* cache_invalidations;
-  telemetry::Counter* sf_leaders;
-  telemetry::Counter* sf_followers;
-  telemetry::Counter* sf_timeouts;
   telemetry::Counter* errors;
   telemetry::Counter* batch_groups;
   telemetry::Counter* epoch_refreshes;
@@ -42,9 +46,6 @@ struct ServeMetrics {
                           reg.GetCounter("serve.cache.misses"),
                           reg.GetCounter("serve.cache.evictions"),
                           reg.GetCounter("serve.cache.invalidations"),
-                          reg.GetCounter("serve.singleflight.leaders"),
-                          reg.GetCounter("serve.singleflight.followers"),
-                          reg.GetCounter("serve.singleflight.timeouts"),
                           reg.GetCounter("serve.errors"),
                           reg.GetCounter("serve.batch.groups"),
                           reg.GetCounter("serve.epoch_refreshes"),
@@ -97,18 +98,6 @@ Status QueryEngineOptions::Validate() const {
     return Status::InvalidArgument(
         "QueryEngineOptions.cache_capacity must be >= 1");
   }
-  if (cache_shards < 1) {
-    return Status::InvalidArgument(
-        "QueryEngineOptions.cache_shards must be >= 1");
-  }
-  if (!(full_flush_threshold > 0.0) || full_flush_threshold > 1.0) {
-    return Status::InvalidArgument(
-        "QueryEngineOptions.full_flush_threshold must be in (0, 1]");
-  }
-  if (!(single_flight_deadline_seconds > 0.0)) {
-    return Status::InvalidArgument(
-        "QueryEngineOptions.single_flight_deadline_seconds must be > 0");
-  }
   KGOV_RETURN_IF_ERROR(admission.Validate());
   return Status::OK();
 }
@@ -139,7 +128,7 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
       pinned_(source->CurrentEpoch()),
       pinned_epoch_(pinned_.epoch),
-      cache_(options_.cache_capacity, options_.cache_shards),
+      cache_(options_.cache_capacity, kCacheShards),
       admission_(options_.admission),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
@@ -150,9 +139,6 @@ QueryEngine::ServeStats QueryEngine::GetServeStats() const {
   stats.queries = queries_.Value();
   stats.hits = cache_.GetStats().hits;
   stats.misses = misses_.Value();
-  stats.leaders = leaders_.Value();
-  stats.followers = followers_.Value();
-  stats.timeouts = timeouts_.Value();
   stats.shed = admission_.GetStats().shed;
   stats.errors = errors_.Value();
   return stats;
@@ -180,8 +166,7 @@ void QueryEngine::MaybeRefreshEpoch() {
         const size_t clusters = partition_->num_clusters();
         full = clusters == 0 ||
                static_cast<double>(changed.size()) >
-                   options_.full_flush_threshold *
-                       static_cast<double>(clusters);
+                   kFullFlushFraction * static_cast<double>(clusters);
       }
       // Advance the cache BEFORE the new pin becomes visible: a reader
       // that sees fresh.epoch can then never hit an entry the delta
@@ -221,11 +206,6 @@ const core::ServingEpoch& QueryEngine::ThreadPin() {
   return pin.epoch;
 }
 
-std::chrono::nanoseconds QueryEngine::FollowerDeadline() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double>(options_.single_flight_deadline_seconds));
-}
-
 QueryEngine::GroupResult QueryEngine::ServeGroup(
     std::span<const ppr::QuerySeed> seeds, std::span<const size_t> indices) {
   MaybeRefreshEpoch();
@@ -239,171 +219,54 @@ QueryEngine::GroupResult QueryEngine::ServeGroup(
 
   GroupResult out;
   out.reserve(indices.size());
-
-  auto base_result = [&]() {
-    RankedAnswers r;
-    r.epoch = epoch.epoch;
-    return r;
-  };
   auto fail = [&](size_t index, Status status) {
     errors_.Increment();
     metrics.errors->Increment();
     out.emplace_back(index, std::move(status));
   };
-  auto serve_coalesced = [&](size_t index, RankedAnswers result) {
-    result.coalesced = true;
-    followers_.Increment();
-    metrics.sf_followers->Increment();
-    out.emplace_back(index, std::move(result));
-  };
-  // A ranking this group propagated on `lane`: publish it to the cache,
-  // then count the propagation. Callers complete the key's flight only
-  // afterwards (see the leader re-probe below).
-  auto publish_propagated = [&](const std::string& key,
-                                const ppr::PropagationWorkspace& lane,
-                                const RankedAnswers& result) {
-    if (options_.enable_cache) {
-      if (cache_.Put(key, result.answers, DependencySet(lane, *partition_),
-                     epoch.epoch)) {
-        metrics.cache_evictions->Increment();
-      }
-    }
-    misses_.Increment();
-    if (options_.enable_cache) metrics.cache_misses->Increment();
-  };
 
-  // One propagation lane this group leads: the leading query, its flight
-  // obligation (null when single-flight is off), and any in-batch
-  // duplicates coalesced onto it.
-  struct Led {
-    size_t index;
-    std::string cache_key;
-    std::unique_ptr<SingleFlightGroup::LeaderToken> token;
-    std::vector<size_t> coalesced;
-  };
-  struct Waiting {
-    size_t index;
-    SingleFlightGroup::JoinOutcome join;
-  };
-  std::vector<Led> led;
-  std::vector<Waiting> waiting;
-  std::unordered_map<std::string, size_t> local;  // flight key -> led slot
-
-  // Phase 1 (never blocks): validation, flight registration. The caller
-  // already probed the cache (Probe) before admitting these queries.
-  // Foreign flights are only recorded, not waited on.
+  // An invalid seed is an ERROR outcome and fails alone; every valid seed
+  // gets a lane. The caller already probed the cache (Probe).
+  std::vector<size_t> lane_index;
+  std::vector<ppr::QuerySeed> roots;
+  lane_index.reserve(indices.size());
+  roots.reserve(indices.size());
   for (size_t index : indices) {
-    const ppr::QuerySeed& seed = seeds[index];
-    // Validate before taking flight leadership: an invalid seed is an
-    // ERROR outcome, not a miss, and no valid query shares its flight key.
-    Status valid = engine.ValidateSeed(seed);
+    Status valid = engine.ValidateSeed(seeds[index]);
     if (!valid.ok()) {
       fail(index, std::move(valid));
       continue;
     }
-    std::string key;
-    EncodeCacheKey(seed, &key);
-    if (!options_.enable_single_flight) {
-      led.push_back(Led{index, std::move(key), nullptr, {}});
-      continue;
-    }
-    std::string flight_key = EncodeFlightKey(key, epoch.epoch);
-    auto it = local.find(flight_key);
-    if (it != local.end()) {
-      // In-batch duplicate of a lane we already lead.
-      led[it->second].coalesced.push_back(index);
-      continue;
-    }
-    SingleFlightGroup::JoinOutcome join = flights_.JoinOrLead(flight_key);
-    if (join.token == nullptr) {
-      waiting.push_back(Waiting{index, std::move(join)});
-      continue;
-    }
-    // Leader. Re-probe the cache first: the previous leader for this key
-    // publishes to the cache BEFORE retiring its flight, so a miss that
-    // wins leadership just after the old flight retired may find the
-    // value already published - serving it keeps "exactly one
-    // propagation per cold key" exact instead of best-effort.
-    RankedAnswers result = base_result();
-    if (options_.enable_cache &&
-        cache_.Get(key, epoch.epoch, &result.answers)) {
-      join.token->Complete(Status::OK(), result.answers);
-      result.from_cache = true;
-      metrics.cache_hits->Increment();
-      out.emplace_back(index, std::move(result));
-      continue;
-    }
-    local.emplace(std::move(flight_key), led.size());
-    led.push_back(Led{index, std::move(key), std::move(join.token), {}});
+    lane_index.push_back(index);
+    roots.push_back(seeds[index]);
   }
+  if (roots.empty()) return out;
 
-  // Phase 2: ONE propagation pass with a lane per key this group leads,
-  // then resolve our own flights. This MUST precede any foreign Wait
-  // (the deadlock discipline in single_flight.h).
-  if (!led.empty()) {
-    std::vector<ppr::QuerySeed> roots;
-    roots.reserve(led.size());
-    for (const Led& l : led) roots.push_back(seeds[l.index]);
-    if (indices.size() > 1) metrics.batch_groups->Increment();
-    // This thread's lanes: the dependency sets are read off them below.
-    std::vector<ppr::PropagationWorkspace>& lanes = ppr::ThreadLocalLanes();
-    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> ranked =
-        engine.RankMulti(roots, *candidates_, options_.top_k, &lanes);
-    for (size_t b = 0; b < led.size(); ++b) {
-      Led& l = led[b];
-      if (!ranked.ok()) {
-        if (l.token != nullptr) l.token->Complete(ranked.status(), {});
-        fail(l.index, ranked.status());
-        for (size_t dup : l.coalesced) fail(dup, ranked.status());
-        continue;
-      }
-      RankedAnswers result = base_result();
-      result.answers = std::move((*ranked)[b]);
-      publish_propagated(l.cache_key, lanes[b], result);
-      if (l.token != nullptr) {
-        l.token->Complete(Status::OK(), result.answers);
-        leaders_.Increment();
-        metrics.sf_leaders->Increment();
-      }
-      for (size_t dup : l.coalesced) serve_coalesced(dup, result);
-      out.emplace_back(l.index, std::move(result));
-    }
-  }
-
-  // Phase 3: wait on foreign flights. Every flight this group led is
-  // already resolved, so these waits can never participate in a cycle.
-  for (Waiting& w : waiting) {
-    SingleFlightGroup::WaitResult wait =
-        SingleFlightGroup::Wait(w.join.flight, FollowerDeadline());
-    if (wait.published) {
-      if (!wait.status.ok()) {
-        fail(w.index, std::move(wait.status));
-        continue;
-      }
-      RankedAnswers result = base_result();
-      result.answers = std::move(wait.answers);
-      serve_coalesced(w.index, std::move(result));
-      continue;
-    }
-    // Deadline expired: detach and propagate for ourselves (counted as a
-    // timeout AND a miss; the flight stays live for other followers). The
-    // pass above is done, so this thread's first lane is free.
-    timeouts_.Increment();
-    metrics.sf_timeouts->Increment();
-    const ppr::QuerySeed& seed = seeds[w.index];
-    ppr::PropagationWorkspace& lane = ppr::ThreadLocalLanes().front();
-    StatusOr<std::vector<ppr::ScoredAnswer>> ranked =
-        engine.Rank(seed, *candidates_, options_.top_k, &lane);
+  // ONE propagation pass on this thread's lanes; the dependency sets are
+  // read off them below.
+  if (indices.size() > 1) metrics.batch_groups->Increment();
+  std::vector<ppr::PropagationWorkspace>& lanes = ppr::ThreadLocalLanes();
+  StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> ranked =
+      engine.RankMulti(roots, *candidates_, options_.top_k, &lanes);
+  std::string key;
+  for (size_t b = 0; b < lane_index.size(); ++b) {
     if (!ranked.ok()) {
-      fail(w.index, ranked.status());
+      fail(lane_index[b], ranked.status());
       continue;
     }
-    RankedAnswers result = base_result();
-    result.answers = std::move(ranked).value();
-    std::string key;
-    EncodeCacheKey(seed, &key);
-    publish_propagated(key, lane, result);
-    out.emplace_back(w.index, std::move(result));
+    RankedAnswers result;
+    result.answers = std::move((*ranked)[b]);
+    result.epoch = epoch.epoch;
+    if (options_.enable_cache) {
+      EncodeCacheKey(roots[b], &key);
+      if (cache_.Put(key, result.answers, DependencySet(lanes[b], *partition_),
+                     epoch.epoch)) {
+        metrics.cache_evictions->Increment();
+      }
+      metrics.cache_misses->Increment();
+    }
+    misses_.Increment();
+    out.emplace_back(lane_index[b], std::move(result));
   }
   return out;
 }

@@ -27,13 +27,11 @@
 //    clusters intersect it - selective invalidation, the read-side half
 //    of the streaming pipeline. An entry's dependency set is read off its
 //    propagation's own frontier log (DependencySet). When the delta is
-//    unavailable, disabled, or larger than full_flush_threshold of the
-//    partition, it falls back to the old wholesale flush.
-//  * Concurrent misses on the same (seed, epoch) key collapse onto one
-//    single-flight leader propagation; followers receive the leader's
-//    bitwise-identical result (serve/single_flight.h). The flight key
-//    embeds the pinned epoch, so a follower is never handed a result
-//    computed under a different pin.
+//    unavailable, disabled, or spans more than half the partition's
+//    clusters, it falls back to the old wholesale flush.
+//  * Every admitted miss propagates. Concurrent misses on one key each
+//    run their own pass and each Put the result; the values are bitwise
+//    equal, so the later Put only refreshes the entry.
 //  * Queries that share a partition cluster inside one SubmitBatch window
 //    (up to kMaxGroupRoots of them) fold into one group, whose misses run
 //    as the lanes of a single propagation pass
@@ -68,19 +66,16 @@
 //    shared reservoir cursor (one fetch_add per 64 samples per stripe).
 //
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
-// .misses / .evictions / .invalidations, serve.singleflight.leaders /
-// .followers / .timeouts, serve.admission.shed, serve.errors,
+// .misses / .evictions / .invalidations, serve.admission.shed, serve.errors,
 // serve.batch.groups (groups of two or more queries that ran a pass),
 // serve.epoch_refreshes, span.serve.query.seconds (latency from the
 // probe to the served result; a SubmitBatch miss is timed from its
 // group's enqueue, so it includes pool queue wait, for Submit there is
 // none), stream.invalidation.selective /
 // .full. Misses in flight are read from AdmissionStats().in_flight.
-// serve.cache.misses counts PROPAGATIONS the engine ran (leaders,
-// follower-timeout fallbacks, single-flight-off misses) - collapsed
-// followers are counted in serve.singleflight.followers instead, so
-// hits + misses + followers + shed (+ errors) == queries. See
-// docs/serving.md.
+// serve.cache.misses counts the propagations a cache-on engine ran, one
+// per miss; GetServeStats() keeps hits + misses + shed + errors ==
+// queries. See docs/serving.md.
 
 #ifndef KGOV_SERVE_QUERY_ENGINE_H_
 #define KGOV_SERVE_QUERY_ENGINE_H_
@@ -102,7 +97,6 @@
 #include "ppr/ranking.h"
 #include "serve/admission.h"
 #include "serve/result_cache.h"
-#include "serve/single_flight.h"
 #include "stream/partition.h"
 #include "telemetry/metrics.h"
 
@@ -129,24 +123,10 @@ struct QueryEngineOptions {
   bool enable_cache = true;
   /// Total cached seed rankings across all shards.
   size_t cache_capacity = 4096;
-  /// Cache shard count (one reader-writer lock each; more shards = less
-  /// contention).
-  size_t cache_shards = 8;
   /// Invalidate selectively on epoch swap using the optimizer's published
   /// changed-cluster deltas. Disable to flush the whole cache on every
   /// swap (the pre-streaming behaviour, and the bench baseline).
   bool selective_invalidation = true;
-  /// Fall back to a full flush when the changed-cluster set exceeds this
-  /// fraction of the partition (a near-global change makes the selective
-  /// sweep pointless bookkeeping). In (0, 1].
-  double full_flush_threshold = 0.5;
-  /// Collapse concurrent identical misses onto one leader propagation.
-  /// Disable for the duplicated-work baseline (every miss propagates).
-  bool enable_single_flight = true;
-  /// How long a follower waits for its leader before detaching and
-  /// propagating for itself. A backstop, not a latency target - it only
-  /// fires if a leader stalls for a full propagation's worth of time.
-  double single_flight_deadline_seconds = 5.0;
   /// Admission window (load-shedding) settings.
   AdmissionOptions admission;
 
@@ -163,9 +143,6 @@ struct RankedAnswers {
   uint64_t epoch = 0;
   /// True when the ranking came out of the result cache.
   bool from_cache = false;
-  /// True when the ranking was coalesced off another query's propagation
-  /// (single-flight follower or in-batch duplicate).
-  bool coalesced = false;
 };
 
 /// Concurrent query-serving engine over an OnlineKgOptimizer's published
@@ -174,27 +151,21 @@ struct RankedAnswers {
 class QueryEngine {
  public:
   /// Engine-local outcome counters (mirrored into global telemetry).
-  /// Every query resolves to exactly one of {hit, miss, follower, shed,
-  /// error}, so hits + misses + followers + shed + errors == queries;
-  /// misses further splits into leaders + timeouts + plain misses
-  /// (single-flight disabled).
+  /// Every query resolves to exactly one of {hit, miss, shed, error}, so
+  /// hits + misses + shed + errors == queries.
   struct ServeStats {
     uint64_t queries = 0;
-    /// Served from the result cache (the probe before admission, or a
-    /// leader's re-probe). Read from the cache's own hit counter.
+    /// Served by the probe from the result cache. Read from the cache's
+    /// own hit counter.
     uint64_t hits = 0;
     /// Ran their own propagation.
     uint64_t misses = 0;
-    /// Misses that led a single-flight (subset of misses).
-    uint64_t leaders = 0;
-    /// Coalesced onto another query's propagation.
+    /// Always 0: no query is served off another's propagation. Kept only
+    /// because kgbench's serve.coalesced_ratio reads it.
     uint64_t followers = 0;
-    /// Followers whose deadline expired and who self-computed (subset of
-    /// misses, disjoint from leaders).
-    uint64_t timeouts = 0;
     /// Shed by admission control with kResourceExhausted.
     uint64_t shed = 0;
-    /// Failed with any other status (invalid seed, abandoned leader...).
+    /// Failed with any other status (invalid seed, failed propagation).
     uint64_t errors = 0;
   };
 
@@ -274,10 +245,9 @@ class QueryEngine {
   using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
 
   /// The serving body of every admitted miss, run once per same-cluster
-  /// group: validation, local + cross-group single-flight coalescing
-  /// (with the leader's cache re-probe), then ONE propagation pass with a
-  /// lane per key this group leads. Returns (index-into-seeds, result)
-  /// pairs covering exactly `indices`.
+  /// group: validation, then ONE propagation pass with a lane per valid
+  /// seed, each result Put into the cache. Returns (index-into-seeds,
+  /// result) pairs covering exactly `indices`.
   GroupResult ServeGroup(std::span<const ppr::QuerySeed> seeds,
                          std::span<const size_t> indices)
       KGOV_EXCLUDES(epoch_mu_);
@@ -294,8 +264,6 @@ class QueryEngine {
   std::vector<std::vector<size_t>> GroupForBatch(
       const std::vector<ppr::QuerySeed>& seeds,
       const std::vector<size_t>& admitted) const;
-
-  std::chrono::nanoseconds FollowerDeadline() const;
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
@@ -317,14 +285,10 @@ class QueryEngine {
   std::atomic<uint64_t> pinned_epoch_;
 
   ShardedResultCache cache_;
-  SingleFlightGroup flights_;
   AdmissionController admission_;
 
   telemetry::Counter queries_;
   telemetry::Counter misses_;
-  telemetry::Counter leaders_;
-  telemetry::Counter followers_;
-  telemetry::Counter timeouts_;
   telemetry::Counter errors_;
 
   /// Declared last: destroyed first, so workers drain before the state

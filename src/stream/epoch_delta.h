@@ -1,12 +1,14 @@
 // EpochDelta: what changed between two consecutive serving epochs.
 //
-// The streaming write path publishes each new ServingEpoch together with
-// the set of partition clusters (stream::GraphPartition) whose edge
-// weights differ bitwise from the previous epoch. The serve side uses the
+// For each ServingEpoch it publishes, the optimizer records the set of
+// partition clusters (stream::GraphPartition) whose edge weights differ
+// bitwise from the previous epoch (OnlineKgOptimizer::
+// CollectChangedClusters reads the records back). The serve side uses the
 // set for selective cache invalidation: a cached ranking whose dependency
 // ball misses every changed cluster is still bitwise-valid on the new
-// epoch. A missing delta (the initial or a restored epoch) means
-// "anything may have changed" and forces the conservative wholesale flush.
+// epoch. A missing record (the initial or a restored epoch, or one
+// trimmed from the history) means "anything may have changed" and forces
+// the conservative wholesale flush.
 
 #ifndef KGOV_STREAM_EPOCH_DELTA_H_
 #define KGOV_STREAM_EPOCH_DELTA_H_

@@ -10,8 +10,8 @@
 // one consumer thread, and folded in with the optimizer's one flush path,
 // whose solve moves only edges on the buffered votes' walks. Each
 // successful micro-batch that actually changes the graph publishes a
-// ServingEpoch carrying the changed-cluster delta, which
-// serve::QueryEngine uses for selective cache invalidation.
+// ServingEpoch and records its changed-cluster delta, which
+// serve::QueryEngine reads for selective cache invalidation.
 //
 // Ordering guarantees (docs/streaming.md):
 //  * Offer OK implies the vote is in the WAL (when durability is wired).

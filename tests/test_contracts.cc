@@ -235,8 +235,7 @@ core::ServingEpoch MakeEpoch(uint64_t number) {
   graph::WeightedDigraph g(3);
   EXPECT_TRUE(g.AddEdge(0, 1, 0.5).ok());
   EXPECT_TRUE(g.AddEdge(1, 2, 0.5).ok());
-  return core::ServingEpoch{std::make_shared<graph::CsrSnapshot>(g), number,
-                           /*delta=*/nullptr};
+  return core::ServingEpoch{std::make_shared<graph::CsrSnapshot>(g), number};
 }
 
 TEST(ValidateEpochPinTest, AcceptsHealthyEpoch) {

@@ -3,7 +3,7 @@
 // The serving-path batcher folds same-cluster queries into one
 // level-interleaved pass; its load-bearing contract is that every lane is
 // BITWISE identical to the solo propagation of the same seed (a cache
-// entry written by a batched leader must satisfy the same memcmp check a
+// entry written by a batched lane must satisfy the same memcmp check a
 // solo entry does). These tests compare raw score bits, not tolerances.
 
 #include <gtest/gtest.h>
@@ -56,8 +56,8 @@ TEST_P(RankMultiEquivalence, EveryLaneBitwiseMatchesSoloRank) {
     if (!seed.empty()) seeds.push_back(std::move(seed));
   }
   if (seeds.empty()) GTEST_SKIP();
-  // Duplicate roots must be allowed (the batcher dedupes by flight key,
-  // but single-flight can be disabled) and identical per lane.
+  // Duplicate roots must be allowed (a serving group gives each admitted
+  // miss its own lane, duplicates included) and identical per lane.
   seeds.push_back(seeds.front());
 
   for (int length : {1, 3, 5}) {

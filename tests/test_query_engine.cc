@@ -333,7 +333,11 @@ TEST(QueryEngineTest, ConcurrentFlushAndServeStress) {
   EXPECT_EQ(engine.PinnedEpochNumber(), static_cast<uint64_t>(kFlushes));
 }
 
-TEST(QueryEngineTest, ConcurrentColdMissesCollapseOntoOneLeader) {
+// Eight threads race one cold seed with the cache on. Each miss runs its
+// own propagation and Puts the same bits, so every caller is served the
+// cold reference bitwise, the outcome books balance, and the next Submit
+// hits.
+TEST(QueryEngineTest, SameKeyColdMissRaceServesIdenticalBitsThenHits) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());
   auto engine_or =
@@ -341,10 +345,9 @@ TEST(QueryEngineTest, ConcurrentColdMissesCollapseOntoOneLeader) {
   ASSERT_TRUE(engine_or.ok()) << engine_or.status();
   QueryEngine& engine = **engine_or;
 
-  // Cold single-threaded reference, cache and single-flight off.
+  // Cold single-threaded reference, cache off.
   QueryEngineOptions cold_options = SmallEngineOptions();
   cold_options.enable_cache = false;
-  cold_options.enable_single_flight = false;
   cold_options.num_threads = 1;
   auto cold_or = QueryEngine::Create(&online, &Candidates(), cold_options);
   ASSERT_TRUE(cold_or.ok()) << cold_or.status();
@@ -352,7 +355,7 @@ TEST(QueryEngineTest, ConcurrentColdMissesCollapseOntoOneLeader) {
       (*cold_or)->Submit(ppr::QuerySeed::UniformOver({0}));
   ASSERT_TRUE(reference.ok()) << reference.status();
 
-  // A flash crowd: K threads submit the identical cold query at once.
+  // K threads submit the identical cold query at once.
   constexpr int kThreads = 8;
   std::vector<std::optional<StatusOr<RankedAnswers>>> results(kThreads);
   std::atomic<bool> go{false};
@@ -373,17 +376,23 @@ TEST(QueryEngineTest, ConcurrentColdMissesCollapseOntoOneLeader) {
     ExpectIdenticalAnswers(reference->answers, (**results[t]).answers);
   }
 
-  // Exactly ONE propagation ran; every other query was a cache hit or a
-  // coalesced follower. This is the counter-verified dedup invariant the
-  // CI smoke gate also enforces.
+  // Each query was a hit or ran its own propagation; none was coalesced.
   QueryEngine::ServeStats stats = engine.GetServeStats();
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.leaders, 1u);
-  EXPECT_EQ(stats.hits + stats.followers, static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.hits + stats.misses + stats.shed + stats.errors,
+            stats.queries);
+  EXPECT_GE(stats.misses, 1u);
+  EXPECT_EQ(stats.followers, 0u);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.errors, 0u);
+
+  // Whichever Put landed last, the key is cached with the reference bits.
+  StatusOr<RankedAnswers> next =
+      engine.Submit(ppr::QuerySeed::UniformOver({0}));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_TRUE(next->from_cache);
+  ExpectIdenticalAnswers(reference->answers, next->answers);
+  EXPECT_EQ(engine.GetServeStats().hits, stats.hits + 1);
 }
 
 TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
@@ -404,8 +413,7 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
   }
 
   QueryEngineOptions options = SmallEngineOptions();
-  options.enable_cache = false;
-  options.enable_single_flight = false;  // every lane propagates
+  options.enable_cache = false;  // every lane propagates
   auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
   ASSERT_TRUE(engine_or.ok()) << engine_or.status();
   QueryEngine& engine = **engine_or;
@@ -462,8 +470,7 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
   QueryEngine::ServeStats stats = engine.GetServeStats();
   EXPECT_EQ(stats.queries, stream.size() + mixed.size());
   EXPECT_EQ(stats.errors, 2u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
-                stats.errors,
+  EXPECT_EQ(stats.hits + stats.misses + stats.shed + stats.errors,
             stats.queries);
 }
 
@@ -484,7 +491,7 @@ TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t]() {
       // Overlapping streams: each thread replays its stream, and threads
-      // share streams pairwise, so hits, leaders and followers all occur.
+      // share streams pairwise, so both hits and misses occur.
       const std::vector<ppr::QuerySeed> stream =
           SeededStream(kBatch, 0xFEED + static_cast<uint64_t>(t % 2));
       for (int rep = 0; rep < kReps; ++rep) {
@@ -500,24 +507,20 @@ TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {
   EXPECT_EQ(failures.load(), 0);
 
   // Every query resolves to exactly one outcome: the books must balance
-  // to the query count with nothing double- or un-counted. (This is the
-  // accounting the old code got wrong: collapsed duplicates all bumped
-  // serve.cache.misses even though only one propagation ran.)
+  // to the query count with nothing double- or un-counted.
   QueryEngine::ServeStats stats = engine.GetServeStats();
   EXPECT_EQ(stats.queries,
             static_cast<uint64_t>(kClients) * kReps * kBatch);
-  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
-                stats.errors,
+  EXPECT_EQ(stats.hits + stats.misses + stats.shed + stats.errors,
             stats.queries);
-  EXPECT_EQ(stats.leaders + stats.timeouts, stats.misses);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.leaders, 0u);
+  EXPECT_GT(stats.misses, 0u);
 }
 
-// Submit and SubmitBatch from four callers, mixing hits, misses,
-// followers, shed queries (each batch is larger than the window) and
+// Submit and SubmitBatch from four callers, mixing hits, misses, shed
+// queries (each batch is larger than the window) and
 // invalid seeds. Each caller tallies the outcome it was handed; once the
 // callers stop, the engine's counters equal the tallies exactly.
 TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
@@ -533,7 +536,6 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
     uint64_t queries = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t followers = 0;
     uint64_t shed = 0;
     uint64_t errors = 0;
 
@@ -544,8 +546,6 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
                                                                : errors);
       } else if (r->from_cache) {
         ++hits;
-      } else if (r->coalesced) {
-        ++followers;
       } else {
         ++misses;
       }
@@ -561,7 +561,8 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
   std::vector<std::thread> callers;
   for (size_t t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t]() {
-      // Callers share streams pairwise, so their misses also coalesce.
+      // Callers share streams pairwise, so their misses also race on one
+      // key.
       const std::vector<ppr::QuerySeed> stream =
           SeededStream(24, 0x5ED + static_cast<uint64_t>(t % 2));
       Tally& tally = tallies[t];
@@ -594,7 +595,6 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
     total.queries += t.queries;
     total.hits += t.hits;
     total.misses += t.misses;
-    total.followers += t.followers;
     total.shed += t.shed;
     total.errors += t.errors;
   }
@@ -602,22 +602,18 @@ TEST(QueryEngineTest, OutcomeCountersMatchCallersExactlyWithShedding) {
   EXPECT_EQ(stats.queries, total.queries);
   EXPECT_EQ(stats.hits, total.hits);
   EXPECT_EQ(stats.misses, total.misses);
-  EXPECT_EQ(stats.followers, total.followers);
+  EXPECT_EQ(stats.followers, 0u);
   EXPECT_EQ(stats.shed, total.shed);
   EXPECT_EQ(stats.errors, total.errors);
-  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
-                stats.errors,
+  EXPECT_EQ(stats.hits + stats.misses + stats.shed + stats.errors,
             stats.queries);
-  EXPECT_EQ(stats.leaders + stats.timeouts, stats.misses);
   EXPECT_GE(stats.shed, kCallers * kReps * (kBatch - options.admission.capacity));
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
-  // A hit served by the probe takes no slot; only a leader's re-probe hit
-  // was admitted. So admitted + shed falls short of queries by at most
-  // the hits.
-  const uint64_t admitted = engine.AdmissionStats().admitted;
-  EXPECT_LE(admitted + stats.shed, stats.queries);
-  EXPECT_GE(admitted + stats.shed + stats.hits, stats.queries);
+  // A hit served by the probe takes no slot, and every other query is
+  // either admitted or shed.
+  EXPECT_EQ(engine.AdmissionStats().admitted + stats.shed + stats.hits,
+            stats.queries);
   EXPECT_EQ(engine.AdmissionStats().in_flight, 0u);
 }
 
@@ -735,7 +731,7 @@ TEST(QueryEngineTest, SequentialEnginesNeverShareAThreadPin) {
   RecordProperty("reused_addresses", reused_addresses);
 }
 
-TEST(QueryEngineTest, EpochSwapRacedAgainstCoalescedMissesNeverMixesPins) {
+TEST(QueryEngineTest, EpochSwapRacedAgainstConcurrentMissesNeverMixesPins) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());
   auto engine_or =
@@ -744,10 +740,9 @@ TEST(QueryEngineTest, EpochSwapRacedAgainstCoalescedMissesNeverMixesPins) {
   QueryEngine& engine = **engine_or;
 
   // Property: under racing epoch swaps, every served ranking is bitwise
-  // identical to a cold propagation on the epoch it CLAIMS - a follower
-  // can never receive a result computed under a different pin (the
-  // flight key embeds the epoch), and the acquire-probe re-pin can never
-  // hand out a stale-epoch ranking for a fresh pin.
+  // identical to a cold propagation on the epoch it CLAIMS - the
+  // acquire-probe re-pin can never hand out a stale-epoch ranking for a
+  // fresh pin, and a miss always propagates under the pin it reports.
   struct Observation {
     size_t seed_index;
     uint64_t epoch;
@@ -849,8 +844,7 @@ TEST(QueryEngineTest, FullAdmissionWindowShedsWithResourceExhausted) {
 
   QueryEngine::ServeStats stats = engine.GetServeStats();
   EXPECT_EQ(stats.shed, 30u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
-                stats.errors,
+  EXPECT_EQ(stats.hits + stats.misses + stats.shed + stats.errors,
             stats.queries);
   EXPECT_EQ(engine.AdmissionStats().admitted, 2u);
 
@@ -1016,7 +1010,7 @@ TEST(QueryEngineTest, ConcurrentCallersEachPropagateOnOneLane) {
       for (size_t i = t; i < stream.size(); i += kCallers) {
         StatusOr<RankedAnswers> served = engine.Submit(stream[i]);
         EXPECT_TRUE(served.ok()) << served.status();
-        if (served.ok() && !served->from_cache && !served->coalesced) ++mine;
+        if (served.ok() && !served->from_cache) ++mine;
       }
       misses.fetch_add(mine, std::memory_order_relaxed);
       own_lane[t] = mine == 0 || ThisThreadPropagated(g.NumNodes());

@@ -1,9 +1,9 @@
 // Tests for the deterministic schedule explorer (common/sched.h): the
 // exhaustive bounded-preemption enumeration, racy-invariant detection
 // with replayable tokens, modeled deadlock detection, the PCT fallback,
-// and the ported concurrency invariants from the serving and streaming
-// paths (single-flight exactly-one-propagation, ingest ack==logged under
-// shed, DrainAllAndRun producer lockout, ThreadPool shutdown-vs-submit).
+// and the ported concurrency invariants from the streaming path and the
+// thread pool (ingest ack==logged under shed, DrainAllAndRun producer
+// lockout, ThreadPool shutdown-vs-submit).
 
 #include "common/sched.h"
 
@@ -18,7 +18,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "serve/single_flight.h"
 #include "stream/ingest_queue.h"
 #include "votes/vote.h"
 #include "votes/vote_log.h"
@@ -240,91 +239,8 @@ TEST(SchedExplorer, PctPhaseIsDeterministicPerSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Ported invariants from the serving / streaming paths.
+// Ported invariants from the streaming path and the thread pool.
 // ---------------------------------------------------------------------------
-
-// Single-flight: for one flight key, exactly one of the concurrent
-// misses leads (runs the propagation); the follower receives the
-// leader's published result rather than recomputing. A request pinned to
-// the next epoch uses a different flight key and must lead its own
-// flight - never observe the old epoch's result.
-TEST(SchedExplorer, SingleFlightExactlyOnePropagationAcrossEpochSwap) {
-  struct State {
-    serve::SingleFlightGroup group;
-    std::atomic<int> propagations_old{0};
-    std::atomic<int> propagations_new{0};
-    std::atomic<int> follower_published{0};
-    std::atomic<int> follower_timeouts{0};
-  };
-  auto factory = [] {
-    auto st = std::make_shared<State>();
-    const std::string old_key = serve::EncodeFlightKey("seed", 7);
-    const std::string new_key = serve::EncodeFlightKey("seed", 8);
-
-    auto miss = [st](const std::string& key, std::atomic<int>* propagations) {
-      serve::SingleFlightGroup::JoinOutcome outcome = st->group.JoinOrLead(key);
-      if (outcome.token != nullptr) {
-        sched::TestYield();  // the propagation "runs" here
-        propagations->fetch_add(1);
-        outcome.token->Complete(Status::OK(), {});
-        return;
-      }
-      serve::SingleFlightGroup::WaitResult result =
-          serve::SingleFlightGroup::Wait(outcome.flight,
-                                         std::chrono::seconds(30));
-      if (result.published) {
-        st->follower_published.fetch_add(1);
-      } else {
-        st->follower_timeouts.fetch_add(1);
-        propagations->fetch_add(1);  // detached follower recomputes
-      }
-    };
-
-    sched::Scenario s;
-    s.threads.push_back([=] { miss(old_key, &st->propagations_old); });
-    s.threads.push_back([=] { miss(old_key, &st->propagations_old); });
-    // The epoch-swapped request: same seed, new pin, separate flight.
-    s.threads.push_back([=] { miss(new_key, &st->propagations_new); });
-    s.check = [st]() -> Status {
-      // Every old-key miss either ran the propagation itself or received
-      // a leader's published result - and never both. Schedules where the
-      // two misses are disjoint in time legitimately propagate twice (a
-      // resolved flight retires from the table); what may NOT happen is a
-      // follower that joined a live flight recomputing, timing out under
-      // the model, or walking away with nothing.
-      if (st->propagations_old.load() + st->follower_published.load() != 2) {
-        return Status::Internal(
-            "old-epoch misses: " + std::to_string(st->propagations_old.load()) +
-            " propagations + " + std::to_string(st->follower_published.load()) +
-            " published follower results != 2 misses");
-      }
-      if (st->follower_timeouts.load() != 0) {
-        return Status::Internal("a follower timed out under the model");
-      }
-      // The epoch-swapped miss shares no flight: it always propagates
-      // under its own pin, exactly once.
-      if (st->propagations_new.load() != 1) {
-        return Status::Internal(
-            "expected exactly one propagation for the new-epoch key, got " +
-            std::to_string(st->propagations_new.load()));
-      }
-      if (st->group.InFlight() != 0) {
-        return Status::Internal("unresolved flights left behind");
-      }
-      return Status::OK();
-    };
-    return s;
-  };
-
-  sched::ExplorerOptions options;
-  options.preemption_bound = 2;
-  options.max_schedules = 512;
-  options.random_schedules = 8;
-  sched::Explorer explorer(options);
-  Status status = explorer.Explore(factory);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GT(explorer.GetStats().schedules_run, 1);
-}
 
 // Counts durable acknowledgments so ack==logged can be asserted exactly.
 class CountingVoteLog final : public votes::VoteLogSink {

@@ -220,18 +220,20 @@ TEST(StreamInvalidationProperty, FullFlushFallbackServesBitwiseIdentical) {
 }
 
 TEST(StreamInvalidationProperty, TinyThresholdForcesFullFlushFallback) {
-  // The other fallback trigger: a threshold so small every non-empty
-  // delta exceeds it. The engine must degrade to full flushes (never
-  // taking the selective sweep) and stay bitwise-correct.
+  // The other fallback trigger: a delta larger than half the partition.
+  // With one cluster, that threshold is half a cluster, so every
+  // non-empty delta exceeds it. The engine must degrade to full flushes
+  // (never taking the selective sweep) and stay bitwise-correct.
   WeightedDigraph g = MakePods(kPods);
-  OnlineKgOptimizer online(g, StreamingOnlineOptions());
+  OnlineOptimizerOptions one_cluster = StreamingOnlineOptions();
+  one_cluster.partition_clusters = 1;
+  OnlineKgOptimizer online(g, one_cluster);
   auto pipeline_or = stream::StreamPipeline::Create(&online, {}, nullptr);
   ASSERT_TRUE(pipeline_or.ok());
   const std::vector<graph::NodeId> candidates = AllCandidates(kPods);
 
-  QueryEngineOptions tiny = EngineOptions(true, true);
-  tiny.full_flush_threshold = 1e-9;
-  auto cached_or = QueryEngine::Create(&online, &candidates, tiny);
+  auto cached_or = QueryEngine::Create(&online, &candidates,
+                                       EngineOptions(true, true));
   auto cold_or = QueryEngine::Create(&online, &candidates,
                                      EngineOptions(false, true));
   ASSERT_TRUE(cached_or.ok()) << cached_or.status();

@@ -5,9 +5,9 @@
 # not produce false leak reports), then a dedicated UBSan-only pass over
 # the serving / streaming / durability suites (-fsanitize=undefined with
 # -fno-sanitize-recover=all and none of ASan's allocator interference),
-# then the concurrency-heavy tests (serve, single-flight, admission,
-# thread pool, online optimizer, durability recovery, lock-rank
-# detector, schedule explorer) under ThreadSanitizer.
+# then the concurrency-heavy tests (serve, admission, thread pool, online
+# optimizer, durability recovery, lock-rank detector, schedule explorer)
+# under ThreadSanitizer.
 #
 # Usage: tools/ci/sanitize.sh [build-dir] [ctest-args...]
 #
@@ -43,11 +43,11 @@ if [[ "${KGOV_SKIP_UBSAN:-0}" != "1" ]]; then
       -DKGOV_BUILD_BENCHMARKS=OFF \
       -DKGOV_BUILD_EXAMPLES=OFF
   cmake --build "$UBSAN_BUILD_DIR" -j "$(nproc)" --target \
-      test_query_engine test_single_flight test_admission \
+      test_query_engine test_admission \
       test_stream test_stream_invalidation test_online_optimizer \
       test_durability test_durability_kill
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure \
-      -R 'QueryEngine|SingleFlight|Admission|Stream|VoteIngestQueue|OnlineOptimizer|Durability' \
+      -R 'QueryEngine|Admission|Stream|VoteIngestQueue|OnlineOptimizer|Durability' \
       "$@"
 else
   echo "== sanitize: UBSan-only pass skipped (KGOV_SKIP_UBSAN=1) =="
@@ -64,12 +64,12 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" --target \
       test_query_engine test_thread_pool test_online_optimizer \
       test_resilience test_durability test_stream test_stream_invalidation \
-      test_single_flight test_admission test_result_cache test_eipd_multi \
+      test_admission test_result_cache test_eipd_multi \
       test_eipd \
       test_telemetry test_lock_rank test_sched_explorer test_kg_optimizer
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|ResultCache|RankMulti|Counter|Gauge|Histogram|ConcurrencyTest|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
+      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|Admission|ResultCache|RankMulti|Counter|Gauge|Histogram|ConcurrencyTest|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
       "$@"
 else
   echo "== sanitize: TSan skipped (KGOV_SKIP_TSAN=1) =="
