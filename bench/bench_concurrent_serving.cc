@@ -15,14 +15,9 @@
 // the qps. The cache-hit speedup is the 1-caller hit-path qps over the
 // 1-thread cache-off row.
 //
-// Two serving-path phases follow the sweeps:
-//
-//  * batching - the stream executed with the cache off, so every query
-//    propagates as a lane of its same-cluster group's pass,
-//    plus the serving.eipd.multi_passes / multi_roots counter deltas.
-//  * shedding - clients hammer a capacity-2 admission window; shed
-//    Submits must return kResourceExhausted promptly (p99 is gated in
-//    tools/ci/check.sh).
+// A shedding phase follows the sweeps: clients hammer a capacity-2
+// admission window; shed Submits must return kResourceExhausted promptly
+// (p99 is gated in tools/ci/check.sh).
 //
 // Writes BENCH_concurrent.json + a telemetry snapshot with the serve.*
 // counters and the span.serve.query.seconds histogram populated
@@ -43,7 +38,6 @@
 #include "math/stats.h"
 #include "qa/kg_builder.h"
 #include "serve/query_engine.h"
-#include "telemetry/metrics.h"
 
 namespace kgov {
 namespace {
@@ -227,57 +221,6 @@ serve::QueryEngineOptions PhaseOptions() {
   return options;
 }
 
-struct BatchingReport {
-  uint64_t queries = 0;
-  double qps_batched = 0.0;
-  uint64_t multi_passes = 0;
-  uint64_t multi_roots = 0;
-  double avg_roots_per_pass = 0.0;
-};
-
-/// Multi-root execution over the stream. The cache stays off so every
-/// query propagates, each as one lane of its same-cluster
-/// group's pass; the counters show how many lanes the passes folded.
-BatchingReport RunBatchingPhase(const Setup& s,
-                                const core::OnlineKgOptimizer& online,
-                                int rounds) {
-  serve::QueryEngineOptions options = PhaseOptions();
-  options.num_threads = 2;
-  options.enable_cache = false;
-  auto engine_or =
-      serve::QueryEngine::Create(&online, &s.kg.answer_nodes, options);
-  KGOV_CHECK(engine_or.ok());
-  serve::QueryEngine& engine = **engine_or;
-  auto serve_round = [&]() {
-    std::vector<StatusOr<serve::RankedAnswers>> results =
-        engine.SubmitBatch(s.seeds);
-    for (const auto& r : results) KGOV_CHECK(r.ok());
-  };
-  serve_round();  // warm-up
-
-  telemetry::MetricRegistry& registry = telemetry::MetricRegistry::Global();
-  telemetry::Counter* passes =
-      registry.GetCounter("serving.eipd.multi_passes");
-  telemetry::Counter* roots = registry.GetCounter("serving.eipd.multi_roots");
-  const uint64_t passes_before = passes->Value();
-  const uint64_t roots_before = roots->Value();
-  Timer timer;
-  for (int r = 0; r < rounds; ++r) serve_round();
-  const double wall = timer.ElapsedSeconds();
-
-  BatchingReport report;
-  report.queries = static_cast<uint64_t>(rounds) * s.seeds.size();
-  report.multi_passes = passes->Value() - passes_before;
-  report.multi_roots = roots->Value() - roots_before;
-  report.avg_roots_per_pass =
-      report.multi_passes == 0
-          ? 0.0
-          : static_cast<double>(report.multi_roots) /
-                static_cast<double>(report.multi_passes);
-  report.qps_batched = static_cast<double>(report.queries) / wall;
-  return report;
-}
-
 struct ShedReport {
   size_t capacity = 0;
   uint64_t attempted = 0;
@@ -428,15 +371,6 @@ void RunAndReport(bool smoke, const char* json_path,
               "cache-off row): %.2fx\n",
               cache_speedup);
 
-  BatchingReport batching = RunBatchingPhase(s, online, rounds);
-  std::printf(
-      "batching: %.1f q/s batched "
-      "(%llu multi-root passes, %llu roots, %.1f roots/pass)\n",
-      batching.qps_batched,
-      static_cast<unsigned long long>(batching.multi_passes),
-      static_cast<unsigned long long>(batching.multi_roots),
-      batching.avg_roots_per_pass);
-
   ShedReport shed = RunShedPhase(s, online, smoke ? 200 : 1000);
   std::printf(
       "shedding: capacity %zu, %llu attempted -> %llu served, %llu shed; "
@@ -500,19 +434,11 @@ void RunAndReport(bool smoke, const char* json_path,
   std::fprintf(out, "  ]},\n");
   std::fprintf(out,
                "  \"cache_hit_speedup\": %.3f,\n"
-               "  \"batching\": {\"queries\": %llu, "
-               "\"qps_batched\": %.2f, \"multi_passes\": %llu, "
-               "\"multi_roots\": %llu, \"avg_roots_per_pass\": %.2f},\n"
                "  \"shedding\": {\"capacity\": %zu, \"attempted\": %llu, "
                "\"served\": %llu, \"shed\": %llu, "
                "\"shed_p50_seconds\": %.8f, \"shed_p99_seconds\": %.8f}\n"
                "}\n",
-               cache_speedup,
-               static_cast<unsigned long long>(batching.queries),
-               batching.qps_batched,
-               static_cast<unsigned long long>(batching.multi_passes),
-               static_cast<unsigned long long>(batching.multi_roots),
-               batching.avg_roots_per_pass, shed.capacity,
+               cache_speedup, shed.capacity,
                static_cast<unsigned long long>(shed.attempted),
                static_cast<unsigned long long>(shed.served),
                static_cast<unsigned long long>(shed.shed),

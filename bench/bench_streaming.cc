@@ -1,19 +1,9 @@
 // Streaming feedback pipeline benchmark: sustained vote ingestion through
 // stream::StreamPipeline while serve::QueryEngine answers queries
-// concurrently, plus the cache hit-rate retention of selective epoch
-// invalidation vs the full-flush baseline.
-//
-// Phase 1 (sustained ingest): the background consumer folds micro-batches
-// while a serving thread replays the query stream. Reports acknowledged
-// votes/sec (Offer wall-clock, backpressure included) and the concurrent
-// serving latency distribution (p50/p99 measured per query, not modeled).
-//
-// Phase 2 (invalidation retention): two cache-enabled engines watch the
-// same epoch swaps - one invalidating selectively from the published
-// changed-cluster deltas, one flushing wholesale. Identical queries,
-// identical swaps; the hit rate of the post-swap passes is the honest
-// value of the delta machinery. tools/ci/check.sh gates
-// hit_rate_selective > hit_rate_full on this file.
+// concurrently. The background consumer folds micro-batches while a
+// serving thread replays the query stream. Reports acknowledged votes/sec
+// (Offer wall-clock, backpressure included) and the concurrent serving
+// latency distribution (p50/p99 measured per query, not modeled).
 //
 // Writes BENCH_streaming.json + a telemetry snapshot with the stream.*
 // counters populated. --smoke shrinks the workload for CI.
@@ -36,13 +26,8 @@
 namespace kgov {
 namespace {
 
-/// The workload models a large KG's locality at bench scale: K entity
-/// communities (documents about unrelated topics), each with its own
-/// answer nodes and query seeds. Queries propagate within their
-/// community, so a vote's weight changes can only affect that community's
-/// cached rankings - the structure selective invalidation monetizes, and
-/// what a production graph has at scale (a vote about one product does
-/// not touch the clusters serving every other query).
+/// A synthetic KG of K entity communities (documents about unrelated
+/// topics), each with its own answer nodes, query seeds and votes.
 struct Workload {
   graph::WeightedDigraph graph;
   size_t num_entities = 0;
@@ -138,13 +123,11 @@ core::OnlineOptimizerOptions StreamingOptions(const Workload& w) {
   return options;
 }
 
-serve::QueryEngineOptions EngineOptions(bool selective) {
+serve::QueryEngineOptions EngineOptions() {
   serve::QueryEngineOptions options;
   options.eipd.max_length = 4;
   options.top_k = 10;
   options.num_threads = 2;
-  options.enable_cache = true;
-  options.selective_invalidation = selective;
   return options;
 }
 
@@ -164,8 +147,8 @@ struct IngestResult {
   double serving_p99_ms = 0.0;
 };
 
-/// Phase 1: background consumer + one serving thread, both running until
-/// every offered vote has been acknowledged.
+/// Background consumer + one serving thread, both running until every
+/// offered vote has been acknowledged.
 IngestResult RunSustainedIngest(const Workload& w, bool smoke) {
   core::OnlineKgOptimizer online(w.graph, StreamingOptions(w));
   stream::StreamPipelineOptions pipeline_options;
@@ -175,8 +158,8 @@ IngestResult RunSustainedIngest(const Workload& w, bool smoke) {
   KGOV_CHECK(pipeline_or.ok());
   stream::StreamPipeline& pipeline = **pipeline_or;
 
-  auto engine_or = serve::QueryEngine::Create(&online, &w.answers,
-                                              EngineOptions(true));
+  auto engine_or =
+      serve::QueryEngine::Create(&online, &w.answers, EngineOptions());
   KGOV_CHECK(engine_or.ok());
   serve::QueryEngine& engine = **engine_or;
 
@@ -221,74 +204,10 @@ IngestResult RunSustainedIngest(const Workload& w, bool smoke) {
   return result;
 }
 
-struct RetentionResult {
-  size_t epoch_swaps = 0;
-  double hit_rate_selective = 0.0;
-  double hit_rate_full = 0.0;
-};
-
-/// Phase 2: identical swaps and queries, two invalidation policies. Only
-/// the post-swap serving passes count toward the hit rates.
-RetentionResult RunRetention(const Workload& w, bool smoke) {
-  core::OnlineKgOptimizer online(w.graph, StreamingOptions(w));
-  auto pipeline_or = stream::StreamPipeline::Create(&online, {}, nullptr);
-  KGOV_CHECK(pipeline_or.ok());
-  stream::StreamPipeline& pipeline = **pipeline_or;
-
-  auto selective_or = serve::QueryEngine::Create(&online, &w.answers,
-                                                 EngineOptions(true));
-  auto full_or = serve::QueryEngine::Create(&online, &w.answers,
-                                            EngineOptions(false));
-  KGOV_CHECK(selective_or.ok());
-  KGOV_CHECK(full_or.ok());
-  serve::QueryEngine& selective = **selective_or;
-  serve::QueryEngine& full = **full_or;
-
-  auto serve_all = [&](serve::QueryEngine& engine) {
-    std::vector<StatusOr<serve::RankedAnswers>> results =
-        engine.SubmitBatch(w.seeds);
-    for (const auto& r : results) KGOV_CHECK(r.ok());
-  };
-  auto hit_lookups = [](const serve::QueryEngine& engine) {
-    serve::ShardedResultCache::Stats stats = engine.CacheStats();
-    return std::pair<uint64_t, uint64_t>(stats.hits,
-                                         stats.hits + stats.misses);
-  };
-
-  // Warm both caches on the initial epoch.
-  serve_all(selective);
-  serve_all(full);
-
-  RetentionResult result;
-  result.epoch_swaps = smoke ? 4 : 8;
-  const auto sel_before = hit_lookups(selective);
-  const auto full_before = hit_lookups(full);
-  size_t vote_index = 0;
-  for (size_t swap = 0; swap < result.epoch_swaps; ++swap) {
-    // One localized micro-batch per swap.
-    for (int i = 0; i < 4; ++i) {
-      KGOV_CHECK(pipeline.Offer(NumberedVote(w, vote_index++)).ok());
-    }
-    StatusOr<size_t> drained = pipeline.DrainOnce(16);
-    KGOV_CHECK(drained.ok());
-    serve_all(selective);
-    serve_all(full);
-  }
-  const auto sel_after = hit_lookups(selective);
-  const auto full_after = hit_lookups(full);
-  result.hit_rate_selective =
-      static_cast<double>(sel_after.first - sel_before.first) /
-      static_cast<double>(sel_after.second - sel_before.second);
-  result.hit_rate_full =
-      static_cast<double>(full_after.first - full_before.first) /
-      static_cast<double>(full_after.second - full_before.second);
-  return result;
-}
-
 void RunAndReport(bool smoke, const char* json_path,
                   const char* telemetry_path) {
   bench::Banner(
-      "Streaming pipeline: sustained ingest + selective invalidation",
+      "Streaming pipeline: sustained ingest with concurrent serving",
       "kgov streaming subsystem (docs/streaming.md)");
 
   Workload w = MakeWorkload(smoke);
@@ -306,19 +225,8 @@ void RunAndReport(bool smoke, const char* json_path,
       ingest.votes_offered, ingest.votes_per_sec, ingest.micro_batches,
       ingest.epochs_published);
   std::printf(
-      "concurrent serving: %zu queries, p50 %.2f ms, p99 %.2f ms\n",
+      "concurrent serving: %zu queries, p50 %.4f ms, p99 %.4f ms\n",
       ingest.queries_served, ingest.serving_p50_ms, ingest.serving_p99_ms);
-
-  RetentionResult retention = RunRetention(w, smoke);
-  bench::TablePrinter table({"policy", "post-swap hit rate"}, {12, 18});
-  table.PrintHeader();
-  table.PrintRow({"selective", bench::Num(retention.hit_rate_selective, 4)});
-  table.PrintRow({"full-flush", bench::Num(retention.hit_rate_full, 4)});
-  std::printf(
-      "retention across %zu epoch swaps: selective keeps %.1f%% of "
-      "lookups hot vs %.1f%% under full flush\n",
-      retention.epoch_swaps, retention.hit_rate_selective * 100.0,
-      retention.hit_rate_full * 100.0);
 
   std::FILE* out = std::fopen(json_path, "w");
   if (out == nullptr) {
@@ -338,14 +246,8 @@ void RunAndReport(bool smoke, const char* json_path,
                "    \"micro_batches\": %" PRIu64 ",\n"
                "    \"epochs_published\": %" PRIu64 ",\n"
                "    \"queries_served\": %zu,\n"
-               "    \"serving_p50_ms\": %.3f,\n"
-               "    \"serving_p99_ms\": %.3f\n"
-               "  },\n"
-               "  \"invalidation\": {\n"
-               "    \"epoch_swaps\": %zu,\n"
-               "    \"hit_rate_selective\": %.4f,\n"
-               "    \"hit_rate_full\": %.4f,\n"
-               "    \"retention_gain\": %.4f\n"
+               "    \"serving_p50_ms\": %.6f,\n"
+               "    \"serving_p99_ms\": %.6f\n"
                "  }\n"
                "}\n",
                smoke ? "true" : "false", host_cores,
@@ -353,9 +255,7 @@ void RunAndReport(bool smoke, const char* json_path,
                ingest.votes_offered, ingest.votes_per_sec,
                ingest.micro_batches, ingest.epochs_published,
                ingest.queries_served, ingest.serving_p50_ms,
-               ingest.serving_p99_ms, retention.epoch_swaps,
-               retention.hit_rate_selective, retention.hit_rate_full,
-               retention.hit_rate_selective - retention.hit_rate_full);
+               ingest.serving_p99_ms);
   std::fclose(out);
   std::printf("wrote %s\n", json_path);
 

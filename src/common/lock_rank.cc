@@ -51,8 +51,6 @@ const char* RankName(Rank rank) {
       return "kVoteLogSerial";
     case Rank::kEpochPublish:
       return "kEpochPublish";
-    case Rank::kServeCacheEpoch:
-      return "kServeCacheEpoch";
     case Rank::kServeCacheShard:
       return "kServeCacheShard";
     case Rank::kQueryEpochPin:

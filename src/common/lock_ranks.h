@@ -37,9 +37,9 @@
 //   kQueryEpochPin      > the serve-side refresh path: the QueryEngine
 //                         epoch pin is held while advancing the result
 //                         cache and re-pinning from the optimizer.
-//   kServeCacheShard    > kServeCacheEpoch: ShardedResultCache::Put
-//                         validates the epoch history inside a shard
-//                         critical section.
+//   kServeCacheShard    : a ShardedResultCache shard lock, taken under
+//                         the epoch pin by the refresh sweep; nothing of
+//                         the cache nests under it.
 //   kEpochPublish       < both write paths above: the optimizer's epoch
 //                         swap lock is taken under the queue mutex (flush
 //                         publication) and under the epoch pin (re-pin).
@@ -92,9 +92,6 @@ enum class Rank : uint16_t {
   /// lock, taken under the stream queue (flush) and the query epoch pin
   /// (re-pin probe).
   kEpochPublish = 450,
-  /// serve::ShardedResultCache::epoch_mu_ - nested INSIDE a shard lock by
-  /// Put's stale-insert guard.
-  kServeCacheEpoch = 650,
   /// serve::ShardedResultCache per-shard mutex.
   kServeCacheShard = 700,
   /// serve::QueryEngine::epoch_mu_ - held (write mode) across the cache

@@ -53,25 +53,20 @@ struct OnlineMetrics {
   }
 };
 
-// Partition clusters whose source-side edge weights differ bitwise between
-// `before` and `after` (identical topology). Bitwise comparison is the
-// ground truth selective invalidation hangs off: it is immune to
-// normalization reproducing an "equal" weight through a different float
-// path, and an unchanged bit pattern provably serves identical results.
-std::vector<uint32_t> DiffChangedClusters(
-    const graph::WeightedDigraph& before, const graph::WeightedDigraph& after,
-    const stream::GraphPartition& partition) {
+// True when some edge weight differs bitwise between `before` and `after`
+// (identical topology). Bitwise comparison is the ground truth publication
+// hangs off: it is immune to normalization reproducing an "equal" weight
+// through a different float path, and an unchanged bit pattern provably
+// serves identical results.
+bool AnyWeightChanged(const graph::WeightedDigraph& before,
+                      const graph::WeightedDigraph& after) {
   KGOV_ASSERT(before.NumEdges() == after.NumEdges());
-  std::vector<uint32_t> changed;
   for (size_t e = 0; e < before.NumEdges(); ++e) {
     const double a = before.edges()[e].weight;
     const double b = after.edges()[e].weight;
-    if (std::memcmp(&a, &b, sizeof(double)) != 0) {
-      changed.push_back(partition.ClusterOf(before.edges()[e].from));
-    }
+    if (std::memcmp(&a, &b, sizeof(double)) != 0) return true;
   }
-  stream::CanonicalizeClusterSet(&changed);
-  return changed;
+  return false;
 }
 
 }  // namespace
@@ -86,14 +81,6 @@ Status OnlineOptimizerOptions::Validate() const {
     return Status::InvalidArgument(
         "OnlineOptimizerOptions.max_vote_attempts must be >= 1");
   }
-  if (partition_clusters < 1) {
-    return Status::InvalidArgument(
-        "OnlineOptimizerOptions.partition_clusters must be >= 1");
-  }
-  if (delta_history_capacity < 1) {
-    return Status::InvalidArgument(
-        "OnlineOptimizerOptions.delta_history_capacity must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -103,15 +90,6 @@ OnlineKgOptimizer::OnlineKgOptimizer(const graph::WeightedDigraph& initial,
       options_status_(options_.Validate()),
       graph_(initial),
       serving_{std::make_shared<graph::CsrSnapshot>(graph_), 0} {
-  // The partition is built once from the initial topology; weights evolve
-  // but the node set does not, so it stays valid for every future epoch.
-  // Build only fails for a zero target, which the clamp rules out (invalid
-  // options are still reported through options_status_).
-  Result<stream::GraphPartition> partition = stream::GraphPartition::Build(
-      initial, std::max<size_t>(size_t{1}, options_.partition_clusters));
-  KGOV_CHECK(partition.ok());
-  partition_ = std::make_shared<const stream::GraphPartition>(
-      std::move(partition.value()));
   // The validator must accept anything the optimizer may legally produce:
   // widen its weight band to cover the encoder's bounds (normalization can
   // push weights up to 1 regardless of the encoder's upper bound).
@@ -321,23 +299,17 @@ Result<FlushReport> OnlineKgOptimizer::Flush() {
 
   const size_t rejected = opt.votes_in - opt.votes_after_filter;
   const size_t applied = batch.size() - quarantined.size();
-  // What actually changed, bitwise: the delta readers will invalidate by.
-  std::vector<uint32_t> changed =
-      DiffChangedClusters(graph_, opt.optimized, *partition_);
   // Publication guard: a batch that applied nothing (everything rejected
   // or quarantined), or whose solve reproduced every weight bit-for-bit,
   // publishes no epoch - cycling caches for an unchanged graph would only
   // burn hit rate.
-  const bool publish = applied > 0 && !changed.empty();
+  const bool publish = applied > 0 && AnyWeightChanged(graph_, opt.optimized);
   if (publish) {
-    report.changed_clusters = changed;
     graph_ = std::move(opt.optimized);
     // Build the new snapshot fully before taking the epoch lock: readers
     // only ever wait on the pointer swap, never on the optimize or the CSR
     // construction.
-    PublishEpoch(std::make_shared<graph::CsrSnapshot>(graph_),
-                 std::make_shared<const stream::EpochDelta>(
-                     stream::EpochDelta{std::move(changed)}));
+    PublishEpoch(std::make_shared<graph::CsrSnapshot>(graph_));
   } else {
     metrics.epoch_skips->Increment();
   }
@@ -360,47 +332,14 @@ Result<FlushReport> OnlineKgOptimizer::Flush() {
 }
 
 void OnlineKgOptimizer::PublishEpoch(
-    std::shared_ptr<const graph::CsrSnapshot> snapshot,
-    std::shared_ptr<const stream::EpochDelta> delta) {
+    std::shared_ptr<const graph::CsrSnapshot> snapshot) {
   OnlineMetrics::Get().epoch_swaps->Increment();
   MutexLock lock(serving_mu_);
   serving_ = ServingEpoch{std::move(snapshot), serving_.epoch + 1};
-  delta_history_.push_back(DeltaRecord{serving_.epoch, std::move(delta)});
-  while (delta_history_.size() > options_.delta_history_capacity) {
-    delta_history_.pop_front();
-  }
   // Published after serving_ so CurrentEpochNumber() == N implies a
   // subsequent CurrentEpoch() returns epoch >= N (readers synchronize on
   // either the mutex or this release store, never on neither).
   epoch_number_.store(serving_.epoch, std::memory_order_release);
-}
-
-bool OnlineKgOptimizer::CollectChangedClusters(
-    uint64_t from_epoch, uint64_t to_epoch,
-    std::vector<uint32_t>* out) const {
-  KGOV_ASSERT(out != nullptr);
-  if (from_epoch == to_epoch) return true;
-  if (from_epoch > to_epoch) return false;
-  std::vector<uint32_t> merged = *out;
-  {
-    MutexLock lock(serving_mu_);
-    // Every epoch in (from, to] must have a retained record; a trimmed
-    // record makes the union unknowable and the caller must fall back to
-    // treating everything as changed.
-    uint64_t next = from_epoch + 1;
-    for (const DeltaRecord& record : delta_history_) {
-      if (record.epoch <= from_epoch) continue;
-      if (record.epoch > to_epoch) break;
-      if (record.epoch != next) return false;
-      merged.insert(merged.end(), record.delta->changed_clusters.begin(),
-                    record.delta->changed_clusters.end());
-      ++next;
-    }
-    if (next != to_epoch + 1) return false;
-  }
-  stream::CanonicalizeClusterSet(&merged);
-  *out = std::move(merged);
-  return true;
 }
 
 }  // namespace kgov::core

@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -47,8 +46,6 @@
 #include "core/resilience.h"
 #include "graph/csr.h"
 #include "graph/graph_view.h"
-#include "stream/epoch_delta.h"
-#include "stream/partition.h"
 #include "votes/vote_log.h"
 
 namespace kgov::core {
@@ -89,13 +86,6 @@ struct OnlineOptimizerOptions {
   /// weight bounds are widened to cover the encoder's configured bounds
   /// automatically.
   GraphValidatorOptions validator;
-  /// Target cluster count of the streaming partition (streaming.md): the
-  /// granularity of epoch deltas and selective cache invalidation. Built
-  /// once from the initial graph (topology is fixed).
-  size_t partition_clusters = 64;
-  /// Published epoch deltas retained for CollectChangedClusters (a serve
-  /// engine that fell further behind gets a conservative full answer).
-  size_t delta_history_capacity = 64;
 
   /// Checks this struct and the nested OptimizerOptions; returns
   /// InvalidArgument naming the first offending field. OnlineKgOptimizer
@@ -133,12 +123,9 @@ struct FlushReport {
   /// SGP solve attempts, counting retries.
   size_t solve_attempts = 0;
   /// Whether this flush published a new serving epoch. A successful flush
-  /// that applied no vote, or whose bitwise graph diff is empty, keeps the
-  /// current epoch instead of forcing a pointless cache cycle.
+  /// that applied no vote, or that left every weight bitwise unchanged,
+  /// keeps the current epoch instead of forcing a pointless cache cycle.
   bool epoch_published = false;
-  /// Partition clusters whose edge weights changed (sorted unique);
-  /// empty when epoch_published is false.
-  std::vector<uint32_t> changed_clusters;
 };
 
 /// Owns a knowledge graph that evolves under vote feedback. The write path
@@ -219,28 +206,10 @@ class OnlineKgOptimizer {
   /// buffered vote (no-op on an empty buffer). The solve's variables are
   /// the configured encoder.is_variable edges on the votes' walks, so only
   /// those edges and the out-weights of their sources can move. Publishes
-  /// a new epoch only when the flush applied a vote and the resulting
-  /// graph differs bitwise from the current one; its delta is the set of
-  /// partition clusters holding a changed edge's source.
-  /// FlushReport.epoch_published / .changed_clusters say what happened.
+  /// a new epoch only when the flush applied a vote and some weight of the
+  /// resulting graph differs bitwise from the current one.
+  /// FlushReport.epoch_published says what happened.
   Result<FlushReport> Flush();
-
-  /// The fixed streaming partition built from the initial graph (topology
-  /// never changes; only weights do). Never null. Thread-safe.
-  std::shared_ptr<const stream::GraphPartition> partition() const {
-    return partition_;
-  }
-
-  /// Accumulates into `out` the clusters that changed across epochs
-  /// (from_epoch, to_epoch] from the retained delta history. Returns true
-  /// when the history covers the whole range; false (out left canonical
-  /// but incomplete) when any record is missing - callers must then treat
-  /// everything as changed.
-  /// from_epoch == to_epoch trivially succeeds with no additions.
-  /// Thread-safe.
-  bool CollectChangedClusters(uint64_t from_epoch, uint64_t to_epoch,
-                              std::vector<uint32_t>* out) const
-      KGOV_EXCLUDES(serving_mu_);
 
   /// Dead-letter occupancy, readable from any thread (the ingest queue's
   /// shed probe). Tracks dead_letter_ with release/acquire ordering.
@@ -281,21 +250,14 @@ class OnlineKgOptimizer {
     int attempts = 0;
   };
 
-  /// One retained publication record for CollectChangedClusters.
-  struct DeltaRecord {
-    uint64_t epoch = 0;
-    std::shared_ptr<const stream::EpochDelta> delta;
-  };
-
   /// Re-queues `failed` votes with one more attempt on their counters;
   /// votes out of attempts move to the dead-letter buffer. Returns how
   /// many were dead-lettered.
   size_t RequeueOrDeadLetter(std::vector<PendingVote> failed);
 
-  /// Publishes `snapshot` as the next epoch (outside work done, swap only)
-  /// and records `delta` in the delta history.
-  void PublishEpoch(std::shared_ptr<const graph::CsrSnapshot> snapshot,
-                    std::shared_ptr<const stream::EpochDelta> delta)
+  /// Publishes `snapshot` as the next epoch (outside work done, swap
+  /// only).
+  void PublishEpoch(std::shared_ptr<const graph::CsrSnapshot> snapshot)
       KGOV_EXCLUDES(serving_mu_);
 
   OnlineOptimizerOptions options_;
@@ -304,14 +266,8 @@ class OnlineKgOptimizer {
   // serve the unoptimized graph).
   Status options_status_;
   graph::WeightedDigraph graph_;
-  // Fixed node-to-cluster map shared with serve engines;
-  // built once at construction (never null, immutable afterwards).
-  std::shared_ptr<const stream::GraphPartition> partition_;
   mutable Mutex serving_mu_{KGOV_LOCK_RANK(kEpochPublish)};
   ServingEpoch serving_ KGOV_GUARDED_BY(serving_mu_);
-  // Most recent publications, oldest first, capped at
-  // options_.delta_history_capacity. Fuel for CollectChangedClusters.
-  std::deque<DeltaRecord> delta_history_ KGOV_GUARDED_BY(serving_mu_);
   // Mirrors serving_.epoch for lock-free staleness checks. Stored with
   // release order while serving_mu_ is held (after serving_ is updated);
   // read with acquire in CurrentEpochNumber().

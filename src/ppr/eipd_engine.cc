@@ -22,9 +22,9 @@ Status EipdOptions::Validate() const {
   return Status::OK();
 }
 
-std::vector<PropagationWorkspace>& ThreadLocalLanes() {
-  static thread_local std::vector<PropagationWorkspace> lanes(1);
-  return lanes;
+PropagationWorkspace& ThreadLocalWorkspace() {
+  static thread_local PropagationWorkspace ws;
+  return ws;
 }
 
 EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options)
@@ -52,47 +52,28 @@ Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {
   return Status::OK();
 }
 
-void EipdEngine::PropagateLanes(std::span<const QuerySeed* const> roots,
-                                PropagationWorkspace* lanes) const {
+const std::vector<double>& EipdEngine::PropagateInto(
+    const QuerySeed& seed, PropagationWorkspace* ws) const {
   // Serving-latency telemetry: one Timer (two steady-clock reads) and one
   // histogram Observe per pass -- a fraction of a percent of a single
-  // propagation on the bench graph. Each lane counts as one query (it does
-  // the arithmetic a single-root query would); passes that fold two or
-  // more lanes are counted too, so dashboards can see the batching ratio.
+  // propagation on the bench graph.
   static telemetry::Histogram* const latency =
       telemetry::MetricRegistry::Global().GetHistogram(
           "serving.eipd.propagate.seconds");
   static telemetry::Counter* const queries =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.queries");
-  // Counts every lane. The name predates the one kernel; kgbench reads it
-  // for ppr.kernel_sparse_ratio.
+  // Counts every propagation. The name predates the one kernel; kgbench
+  // reads it for ppr.kernel_sparse_ratio.
   static telemetry::Counter* const propagations =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.kernel.sparse");
-  static telemetry::Counter* const multi_passes =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_passes");
-  static telemetry::Counter* const multi_roots =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_roots");
+  if (ws == nullptr) ws = &ThreadLocalWorkspace();
   Timer timer;
-  internal::PropagatePhi(internal::ViewAdjacency{view_}, roots, options_,
-                         lanes);
-  propagations->Increment(roots.size());
-  queries->Increment(roots.size());
-  if (roots.size() > 1) {
-    multi_passes->Increment();
-    multi_roots->Increment(roots.size());
-  }
+  internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_, ws);
+  propagations->Increment();
+  queries->Increment();
   latency->Observe(timer.ElapsedSeconds());
-}
-
-const std::vector<double>& EipdEngine::PropagateInto(
-    const QuerySeed& seed, PropagationWorkspace* ws) const {
-  if (ws == nullptr) ws = &ThreadLocalLanes().front();
-  const QuerySeed* root = &seed;
-  PropagateLanes({&root, 1}, ws);
   return ws->phi;
 }
 
@@ -125,31 +106,6 @@ StatusOr<std::vector<ScoredAnswer>> EipdEngine::Rank(
     size_t k, PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
   return TopKByScore(PropagateInto(seed, ws), candidates, k);
-}
-
-StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
-    const std::vector<QuerySeed>& seeds,
-    const std::vector<graph::NodeId>& candidates, size_t k,
-    std::vector<PropagationWorkspace>* lanes) const {
-  std::vector<std::vector<ScoredAnswer>> results;
-  if (seeds.empty()) return results;
-  std::vector<const QuerySeed*> roots;
-  roots.reserve(seeds.size());
-  for (const QuerySeed& seed : seeds) {
-    KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-    roots.push_back(&seed);
-  }
-  if (lanes == nullptr) lanes = &ThreadLocalLanes();
-  if (lanes->size() < roots.size()) lanes->resize(roots.size());
-  PropagateLanes(roots, lanes->data());
-
-  results.reserve(roots.size());
-  for (size_t b = 0; b < roots.size(); ++b) {
-    KGOV_ASSIGN_OR_RETURN(std::vector<ScoredAnswer> ranked,
-                          TopKByScore((*lanes)[b].phi, candidates, k));
-    results.push_back(std::move(ranked));
-  }
-  return results;
 }
 
 }  // namespace kgov::ppr

@@ -4,13 +4,13 @@
 //
 // One driver computes it: internal::PropagatePhi, a level-synchronous
 // truncated power iteration that scores every node of the view in one
-// pass, for B >= 1 seeds at once (one lane per seed; a single-root query
-// is one lane). The engine serves the view's own weights; Phi at trial
-// weights (the optimizer, the judgment filter) is ppr::EipdAdjoint's, over
-// the same lane primitives. Each lane's floating-point operation sequence
-// is frozen - the serving-path bitwise gates (multi-root lanes, cache
-// hits) compare results with memcmp, and
-// tests/test_eipd.cc pins a CRC-32C of the phi bytes.
+// pass for one seed in one workspace. The engine serves the view's own
+// weights; Phi at trial weights (the optimizer, the judgment filter) is
+// ppr::EipdAdjoint's, over the same per-level primitives (SeedLane,
+// AbsorbLane, AdvanceLane). The floating-point operation sequence is
+// frozen - the serving-path bitwise gates (cache hits, batched serving)
+// compare results with memcmp, and tests/test_eipd.cc pins a CRC-32C of
+// the phi bytes.
 //
 // Per-query cost is O(touched nodes + traversed edges), independent of
 // |V|: PropagationWorkspace keeps `phi`, `mass` and `next` alive across
@@ -18,14 +18,14 @@
 // zeroes only those entries (or all of phi once the log reaches |V|).
 // Nothing is pruned; every walk of length <= L contributes. Pass a
 // workspace explicitly to reuse it across engines, or pass nullptr to use
-// the thread's lanes (ThreadLocalLanes). docs/scale.md has the cost model.
+// the thread's own (ThreadLocalWorkspace). docs/scale.md has the cost
+// model.
 
 #ifndef KGOV_PPR_EIPD_ENGINE_H_
 #define KGOV_PPR_EIPD_ENGINE_H_
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "common/contracts.h"
@@ -54,7 +54,8 @@ struct EipdOptions {
 
 /// Reusable per-query scratch buffers; capacity is retained, so repeated
 /// queries on graphs of stable size allocate nothing. Not thread-safe: use
-/// one workspace per thread (the engines default to ThreadLocalLanes()).
+/// one workspace per thread (the engines default to
+/// ThreadLocalWorkspace()).
 ///
 /// Between queries the kernel leaves `next` all zero, `mass` nonzero only
 /// on `frontier`, and `phi` nonzero only on `touched` - unless `touched`
@@ -69,11 +70,6 @@ struct PropagationWorkspace {
   /// Every frontier absorbed into phi since the last Prepare, in order
   /// (may contain duplicates), capped at phi.size() entries.
   std::vector<graph::NodeId> touched;
-  /// touched[0, expanded) holds every node whose out-edges the last
-  /// PropagatePhi pass read: PropagatePhi sets it just before absorbing
-  /// the final level. When it equals phi.size() the log reached its cap
-  /// and may have dropped some of them.
-  size_t expanded = 0;
 
   /// Zeroes what the previous query left behind, or allocates n zeroed
   /// entries when n differs from the current size.
@@ -104,11 +100,10 @@ struct PropagationWorkspace {
   }
 };
 
-/// The per-thread default lanes used when callers pass nullptr: never
-/// empty, and a single-root query runs on the first lane. Lane capacity is
-/// retained (multi-root calls only grow the vector), so a thread that
-/// ranks steadily allocates nothing.
-std::vector<PropagationWorkspace>& ThreadLocalLanes();
+/// The per-thread default workspace used when callers pass nullptr. Its
+/// capacity is retained, so a thread that ranks steadily allocates
+/// nothing.
+PropagationWorkspace& ThreadLocalWorkspace();
 
 namespace internal {
 
@@ -131,11 +126,9 @@ struct ViewAdjacency {
 
 // --- Per-lane primitives ---------------------------------------------
 // One lane = one seed's propagation state in its own workspace. The
-// driver (PropagatePhi) runs every lane through exactly these steps, so a
-// lane's floating-point operation sequence does not depend on how many
-// lanes share the pass: a lane of a multi-root pass is bitwise-identical
-// to the single-lane propagation of the same seed
-// (tests/test_eipd_multi.cc).
+// driver (PropagatePhi) and the adjoint's forward pass (EipdAdjoint) run
+// a seed through exactly these steps, so both see the same floating-point
+// operation sequence.
 
 /// Level 1: the query's first hop.
 template <typename Adjacency>
@@ -195,34 +188,21 @@ void AdvanceLane(const Adjacency& adj, PropagationWorkspace* ws) {
 /// truncated power iteration over the walk length), yielding the scores
 /// of *all* nodes in one pass - the property behind the paper's Table VI
 /// efficiency result. Walks longer than L are dropped (SIV-A; L = 5 in the
-/// paper's experiments, justified by Fig. 7).
-///
-/// B = seeds.size() >= 1 lanes advance together, seed b in lanes[b]
-/// (`lanes` points at B workspaces); a single-root query is one lane.
-/// Because the lanes interleave at level granularity (every lane absorbs,
-/// then every lane advances), the adjacency rows a level touches are
-/// revisited across lanes while still warm - the locality batched serving
-/// rides on. Lane b's result lands in lanes[b].phi, and the nodes whose
-/// out-edges it read in lanes[b].touched[0, expanded).
+/// paper's experiments, justified by Fig. 7). The result lands in
+/// ws->phi.
 template <typename Adjacency>
-void PropagatePhi(const Adjacency& adj,
-                  std::span<const QuerySeed* const> seeds,
-                  const EipdOptions& options, PropagationWorkspace* lanes) {
+void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
+                  const EipdOptions& options, PropagationWorkspace* ws) {
   const double c = options.restart;
-  const size_t count = seeds.size();
-  for (size_t b = 0; b < count; ++b) SeedLane(adj, *seeds[b], &lanes[b]);
+  SeedLane(adj, seed, ws);
   double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
   for (int len = 1; len < options.max_length; ++len) {
-    for (size_t b = 0; b < count; ++b) AbsorbLane(&lanes[b], decay);
-    for (size_t b = 0; b < count; ++b) AdvanceLane(adj, &lanes[b]);
+    AbsorbLane(ws, decay);
+    AdvanceLane(adj, ws);
     decay *= 1.0 - c;
   }
-  // The final level is absorbed, never advanced: every node whose
-  // out-edges this pass read is already in the log.
-  for (size_t b = 0; b < count; ++b) {
-    lanes[b].expanded = lanes[b].touched.size();
-    AbsorbLane(&lanes[b], decay);
-  }
+  // The final level is absorbed, never advanced.
+  AbsorbLane(ws, decay);
 }
 
 }  // namespace internal
@@ -233,11 +213,11 @@ void PropagatePhi(const Adjacency& adj,
 /// concurrent calls on one instance are safe as long as each thread uses
 /// its own workspace (the default).
 ///
-/// All entry points (Propagate, Scores, Rank, RankMulti)
-/// return StatusOr<T> and reject malformed seeds/candidates with
-/// InvalidArgument instead of asserting; there is no unchecked API. Code
-/// that held a raw phi reference should use the checked Propagate() and
-/// keep the returned vector.
+/// All entry points (Propagate, Scores, Rank) return StatusOr<T> and
+/// reject malformed seeds/candidates with InvalidArgument instead of
+/// asserting; there is no unchecked API. Code that held a raw phi
+/// reference should use the checked Propagate() and keep the returned
+/// vector.
 class EipdEngine {
  public:
   explicit EipdEngine(graph::GraphView view, EipdOptions options = {});
@@ -266,26 +246,10 @@ class EipdEngine {
       const QuerySeed& seed, const std::vector<graph::NodeId>& candidates,
       size_t k, PropagationWorkspace* ws = nullptr) const;
 
-  /// Ranks every seed against `candidates` in ONE propagation pass with
-  /// one lane per seed (internal::PropagatePhi): the seeds advance
-  /// level-synchronously, so adjacency rows shared by related roots are
-  /// revisited while still cache-warm. results[b] is bitwise-identical
-  /// to Rank(seeds[b], ...) - per-lane arithmetic order is preserved.
-  /// `lanes` grows to seeds.size() and never shrinks. The serving path
-  /// runs every query group through this.
-  StatusOr<std::vector<std::vector<ScoredAnswer>>> RankMulti(
-      const std::vector<QuerySeed>& seeds,
-      const std::vector<graph::NodeId>& candidates, size_t k,
-      std::vector<PropagationWorkspace>* lanes = nullptr) const;
-
  private:
   /// The one kernel invocation every entry point funnels through: runs
-  /// PropagatePhi over lanes[0 .. roots.size()) and records telemetry.
-  void PropagateLanes(std::span<const QuerySeed* const> roots,
-                      PropagationWorkspace* lanes) const;
-
-  /// A single-root PropagateLanes on `ws` (the thread's first lane when
-  /// null); returns the workspace's phi vector.
+  /// PropagatePhi on `ws` (the thread's workspace when null), records
+  /// telemetry and returns the workspace's phi vector.
   const std::vector<double>& PropagateInto(const QuerySeed& seed,
                                            PropagationWorkspace* ws) const;
 

@@ -43,7 +43,7 @@ struct AdmissionOptions {
 
 /// Bounded admission window. Thread-safe and lock-free; one instance per
 /// QueryEngine. Every admitted query must be matched by exactly one
-/// Finish() (the engine pairs them in FinishGroup).
+/// Finish() (the engine pairs them in FinishMiss).
 class AdmissionController {
  public:
   struct Stats {

@@ -10,34 +10,23 @@
 //  * Both entry points first probe the result cache on the calling
 //    thread (Probe): the pinned epoch number, the key encoded into a
 //    reused thread-local buffer, one Get. A hit returns right there -
-//    no admission slot, no thread pin, no group, no pool task, and one
-//    allocation (its copy of the answers).
-//  * Every miss runs one serving body (ServeGroup). Submit runs it on
-//    the calling thread as a group of one, with no pool hand-off;
-//    SubmitBatch fans same-cluster groups out over a ThreadPool (the
-//    pool's only job). A group that propagates runs on its thread's
-//    reusable lanes (ppr::ThreadLocalLanes); a cache hit touches none.
-//    So there is at most one lane set per thread that has propagated,
-//    freed when that thread exits, and steady-state serving allocates
-//    nothing sized by the graph.
-//  * Results are memoized in a delta-aware ShardedResultCache. A cache
-//    hit is bitwise identical to the propagation it replaced. On epoch
-//    swap the engine asks the optimizer for the changed-cluster delta
-//    (stream::EpochDelta history) and drops only entries whose dependency
-//    clusters intersect it - selective invalidation, the read-side half
-//    of the streaming pipeline. An entry's dependency set is read off its
-//    propagation's own frontier log (DependencySet). When the delta is
-//    unavailable, disabled, or spans more than half the partition's
-//    clusters, it falls back to the old wholesale flush.
+//    no admission slot, no thread pin, no pool task, and one allocation
+//    (its copy of the answers).
+//  * Every miss runs one serving body (ServeMiss): one seed, one
+//    propagation on its thread's reusable workspace
+//    (ppr::ThreadLocalWorkspace), one Put. Submit runs it on the calling
+//    thread, with no pool hand-off; SubmitBatch runs it once per admitted
+//    miss as a ThreadPool task (the pool's only job). A cache hit touches
+//    no workspace. So there is at most one workspace per thread that has
+//    propagated, freed when that thread exits, and steady-state serving
+//    allocates nothing sized by the graph.
+//  * Results are memoized in a ShardedResultCache. A cache hit is bitwise
+//    identical to the propagation it replaced. On an epoch swap the
+//    engine advances the cache, which drops every entry (result_cache.h
+//    says why nothing finer pays).
 //  * Every admitted miss propagates. Concurrent misses on one key each
 //    run their own pass and each Put the result; the values are bitwise
 //    equal, so the later Put only refreshes the entry.
-//  * Queries that share a partition cluster inside one SubmitBatch window
-//    (up to kMaxGroupRoots of them) fold into one group, whose misses run
-//    as the lanes of a single propagation pass
-//    (ppr::EipdEngine::RankMulti), amortizing the level-synchronous
-//    frontier walk across roots while keeping each lane's result bitwise
-//    identical to a single-root propagation.
 //  * An AdmissionController bounds the admitted-and-unfinished MISSES:
 //    beyond capacity, a miss sheds immediately with kResourceExhausted
 //    (never parks the caller). A hit is never admitted, so never shed.
@@ -48,7 +37,7 @@
 //    promptly without polling threads.
 //  * Each thread that serves a miss keeps its own pin: one ServingEpoch
 //    in a thread_local slot, keyed by the engine's process-unique id
-//    (never its address, which a later engine may reuse). A group reuses
+//    (never its address, which a later engine may reuse). A miss reuses
 //    the slot while its epoch equals the engine's pinned epoch number, so
 //    in steady state it takes no lock and changes no reference count;
 //    only after a re-pin (or when the thread last served another engine)
@@ -67,12 +56,10 @@
 //
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.admission.shed, serve.errors,
-// serve.batch.groups (groups of two or more queries that ran a pass),
 // serve.epoch_refreshes, span.serve.query.seconds (latency from the
 // probe to the served result; a SubmitBatch miss is timed from its
-// group's enqueue, so it includes pool queue wait, for Submit there is
-// none), stream.invalidation.selective /
-// .full. Misses in flight are read from AdmissionStats().in_flight.
+// task's enqueue, so it includes pool queue wait, for Submit there is
+// none). Misses in flight are read from AdmissionStats().in_flight.
 // serve.cache.misses counts the propagations a cache-on engine ran, one
 // per miss; GetServeStats() keeps hits + misses + shed + errors ==
 // queries. See docs/serving.md.
@@ -83,8 +70,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -97,36 +82,23 @@
 #include "ppr/ranking.h"
 #include "serve/admission.h"
 #include "serve/result_cache.h"
-#include "stream/partition.h"
 #include "telemetry/metrics.h"
 
 namespace kgov::serve {
-
-/// The partition clusters a ranking computed on `lane` depends on, sorted
-/// unique: the clusters of touched[0, expanded), the nodes whose out-edges
-/// the lane's last PropagatePhi pass read (why that is exact is in
-/// result_cache.h). When that log reached its |V| cap it may have dropped
-/// some, so the ranking depends on every cluster.
-std::vector<uint32_t> DependencySet(const ppr::PropagationWorkspace& lane,
-                                    const stream::GraphPartition& partition);
 
 struct QueryEngineOptions {
   /// Propagation settings used for every query.
   ppr::EipdOptions eipd;
   /// Answers returned per query.
   size_t top_k = 10;
-  /// Worker threads SubmitBatch fans its groups out over. Submit runs on
+  /// Worker threads SubmitBatch fans its misses out over. Submit runs on
   /// the calling thread and never uses them.
   size_t num_threads = 4;
-  /// Memoize per-seed rankings (delta-aware CLOCK). Disable to force every
+  /// Memoize per-seed rankings (sharded CLOCK). Disable to force every
   /// query through a fresh propagation (the cache-off baseline).
   bool enable_cache = true;
   /// Total cached seed rankings across all shards.
   size_t cache_capacity = 4096;
-  /// Invalidate selectively on epoch swap using the optimizer's published
-  /// changed-cluster deltas. Disable to flush the whole cache on every
-  /// swap (the pre-streaming behaviour, and the bench baseline).
-  bool selective_invalidation = true;
   /// Admission window (load-shedding) settings.
   AdmissionOptions admission;
 
@@ -185,7 +157,7 @@ class QueryEngine {
 
   /// Serves one query on the calling thread and returns its ranking. A
   /// hit returns from the probe; a miss is admitted, then propagates on
-  /// the thread's ppr::ThreadLocalLanes(), overwriting what an earlier
+  /// the thread's ppr::ThreadLocalWorkspace(), overwriting what an earlier
   /// workspace-less EipdEngine call left there. InvalidArgument when the
   /// seed does not fit the pinned epoch's view; ResourceExhausted
   /// (immediately) when the query misses and the admission window is
@@ -193,7 +165,7 @@ class QueryEngine {
   StatusOr<RankedAnswers> Submit(const ppr::QuerySeed& seed);
 
   /// Serves a batch: every query is probed on the calling thread, the
-  /// misses are admitted, grouped by partition cluster, enqueued up front
+  /// misses are admitted and enqueued up front as one pool task each
   /// (saturating the pool), then gathered in order. results[i]
   /// corresponds to seeds[i].
   std::vector<StatusOr<RankedAnswers>> SubmitBatch(
@@ -226,13 +198,12 @@ class QueryEngine {
 
   /// Re-pins the serving epoch when the optimizer has published a newer
   /// one (cheap acquire-load probe; lock taken only on an actual swap),
-  /// advancing the cache with the changed-cluster delta (or a full flush
-  /// when no usable delta exists) BEFORE the new pin becomes visible.
+  /// advancing (emptying) the cache BEFORE the new pin becomes visible.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
 
   /// This thread's pin of the engine's current epoch (see the header
   /// comment). The reference stays valid until this thread's next call;
-  /// ServeGroup never runs nested on one thread.
+  /// ServeMiss never runs nested on one thread.
   const core::ServingEpoch& ThreadPin() KGOV_EXCLUDES(epoch_mu_);
 
   /// The probe step of Submit and SubmitBatch, on the calling thread:
@@ -242,34 +213,17 @@ class QueryEngine {
   bool Probe(const ppr::QuerySeed& seed, const Timer& timer,
              RankedAnswers* out) KGOV_EXCLUDES(epoch_mu_);
 
-  using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
-
-  /// The serving body of every admitted miss, run once per same-cluster
-  /// group: validation, then ONE propagation pass with a lane per valid
-  /// seed, each result Put into the cache. Returns (index-into-seeds,
-  /// result) pairs covering exactly `indices`.
-  GroupResult ServeGroup(std::span<const ppr::QuerySeed> seeds,
-                         std::span<const size_t> indices)
+  /// The serving body of every admitted miss: validation, ONE
+  /// propagation on this thread's workspace, then a Put into the cache.
+  StatusOr<RankedAnswers> ServeMiss(const ppr::QuerySeed& seed)
       KGOV_EXCLUDES(epoch_mu_);
 
-  /// Records a served group's latency and releases its admission slots.
-  void FinishGroup(const GroupResult& served, double elapsed_seconds);
-
-  /// Most queries folded into one group, hence lanes in one propagation
-  /// pass (bounds per-task latency and workspace footprint).
-  static constexpr size_t kMaxGroupRoots = 8;
-
-  /// Splits the admitted indices into per-task groups: same-cluster runs
-  /// capped at kMaxGroupRoots (cluster of the seed's first link node).
-  std::vector<std::vector<size_t>> GroupForBatch(
-      const std::vector<ppr::QuerySeed>& seeds,
-      const std::vector<size_t>& admitted) const;
+  /// Records a served miss's latency and releases its admission slot.
+  void FinishMiss(double elapsed_seconds);
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
   QueryEngineOptions options_;
-  /// The optimizer's fixed streaming partition (shared; never null).
-  std::shared_ptr<const stream::GraphPartition> partition_;
 
   /// Process-unique, never reused: keys the per-thread pins.
   const uint64_t id_;

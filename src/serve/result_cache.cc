@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <utility>
-
-#include "stream/epoch_delta.h"
 
 namespace kgov::serve {
 
 namespace {
-
-// Epoch-change records retained for Put validation. Deep enough that an
-// in-flight propagation would have to straddle this many epoch swaps
-// before its insert gets (conservatively) rejected.
-constexpr size_t kHistoryCapacity = 32;
 
 template <typename T>
 void AppendBytes(std::string* key, const T& value) {
@@ -50,11 +42,11 @@ bool ShardedResultCache::Get(std::string_view key, uint64_t reader_epoch,
     if (it != index.end()) {
       const Slot& slot = std::as_const(shard.slots)[it->second];
       if (slot.entry.computed_epoch <= reader_epoch) {
-        // The entry survived every sweep up to the cache's current epoch,
-        // so its dependencies are untouched on [computed, current] -
-        // which contains the reader's epoch (readers pin at most
-        // current). Store the bit only when it is clear, so repeated hits
-        // on a hot entry write nothing shared.
+        // Every resident entry was computed on the cache's current epoch
+        // (see the header), and the reader's epoch is at least the
+        // entry's, so the value is what a recompute there returns. Store
+        // the bit only when it is clear, so repeated hits on a hot entry
+        // write nothing shared.
         std::atomic_ref<uint8_t> referenced(slot.referenced);
         if (referenced.load(std::memory_order_relaxed) == 0) {
           referenced.store(1, std::memory_order_relaxed);
@@ -69,34 +61,13 @@ bool ShardedResultCache::Get(std::string_view key, uint64_t reader_epoch,
   return false;
 }
 
-bool ShardedResultCache::ValidAtCurrent(const std::vector<uint32_t>& deps,
-                                        uint64_t computed_epoch) const {
-  if (computed_epoch >= current_epoch_) return true;
-  // Coverage: the chained records must reach back to computed_epoch;
-  // trimmed history means the intervening deltas are unknowable.
-  if (history_.empty() || history_.front().from > computed_epoch) {
-    return false;
-  }
-  for (const EpochChange& change : history_) {
-    if (change.to <= computed_epoch) continue;
-    if (change.full) return false;
-    if (stream::ClustersIntersect(deps, change.changed)) return false;
-  }
-  return true;
-}
-
 uint32_t ShardedResultCache::TakeSlot(Shard& shard, bool* evicted) {
   *evicted = false;
-  if (!shard.free.empty()) {
-    const uint32_t at = shard.free.back();
-    shard.free.pop_back();
-    return at;
-  }
   if (shard.slots.size() < per_shard_capacity_) {
     shard.slots.emplace_back();
     return static_cast<uint32_t>(shard.slots.size() - 1);
   }
-  // Every slot is resident (no free ones), so the hand finds a victim
+  // Every slot is resident, so the hand finds a victim
   // within two turns: it gives each referenced slot a second chance.
   while (true) {
     const uint32_t at = static_cast<uint32_t>(shard.hand);
@@ -114,22 +85,18 @@ uint32_t ShardedResultCache::TakeSlot(Shard& shard, bool* evicted) {
 
 bool ShardedResultCache::Put(std::string_view key,
                              std::vector<ppr::ScoredAnswer> value,
-                             std::vector<uint32_t> deps,
                              uint64_t computed_epoch) {
   const HashedKey hashed{key, KeyHash{}(key)};
   Shard& shard = ShardFor(hashed);
   WriterMutexLock lock(shard.mu);
-  {
-    // Stale-insert guard, under the shard lock so a concurrent
-    // AdvanceEpoch either already recorded its delta (we validate against
-    // it) or will sweep this shard after we insert (it waits on shard.mu).
-    MutexLock epoch_lock(epoch_mu_);
-    if (!ValidAtCurrent(deps, computed_epoch)) {
-      rejected_puts_.Increment();
-      return false;
-    }
+  // Stale-insert guard, under the shard lock: a concurrent AdvanceEpoch
+  // either stored its epoch before sweeping this shard (this load reads
+  // it) or will sweep this shard after the insert (see the header).
+  if (computed_epoch < current_epoch_.load(std::memory_order_acquire)) {
+    rejected_puts_.Increment();
+    return false;
   }
-  Entry entry{std::move(value), std::move(deps), computed_epoch};
+  Entry entry{std::move(value), computed_epoch};
   auto it = shard.index.find(hashed);
   if (it != shard.index.end()) {
     Slot& slot = shard.slots[it->second];
@@ -148,51 +115,20 @@ bool ShardedResultCache::Put(std::string_view key,
   return evicted;
 }
 
-size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch,
-                                        const std::vector<uint32_t>& changed,
-                                        bool full) {
-  {
-    MutexLock epoch_lock(epoch_mu_);
-    if (epoch <= current_epoch_) return 0;  // raced or replayed advance
-    history_.push_back(EpochChange{current_epoch_, epoch, changed, full});
-    while (history_.size() > kHistoryCapacity) history_.pop_front();
-    current_epoch_ = epoch;
-  }
-  // Sweep without the epoch mutex (Put nests it inside a shard lock; the
-  // reverse nesting here would deadlock). Every entry inserted after the
-  // record above validated against it, so the sweep misses nothing.
-  if (full) {
-    full_sweeps_.Increment();
-    return InvalidateAll();
-  }
-  selective_sweeps_.Increment();
-  size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    WriterMutexLock lock(shard.mu);
-    for (auto it = shard.index.begin(); it != shard.index.end();) {
-      Slot& slot = shard.slots[it->second];
-      if (stream::ClustersIntersect(slot.entry.deps, changed)) {
-        slot = Slot{};
-        shard.free.push_back(it->second);
-        it = shard.index.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  invalidations_.Increment(dropped);
-  return dropped;
-}
-
-size_t ShardedResultCache::InvalidateAll() {
+size_t ShardedResultCache::AdvanceEpoch(uint64_t epoch) {
+  uint64_t current = current_epoch_.load(std::memory_order_relaxed);
+  do {
+    if (epoch <= current) return 0;  // raced or replayed advance
+  } while (!current_epoch_.compare_exchange_weak(
+      current, epoch, std::memory_order_release, std::memory_order_relaxed));
+  // Stored before the sweep: a Put that locks a shard after the sweep
+  // released it reads the new epoch and rejects an older value.
   size_t dropped = 0;
   for (Shard& shard : shards_) {
     WriterMutexLock lock(shard.mu);
     dropped += shard.index.size();
     shard.index.clear();
     shard.slots.clear();
-    shard.free.clear();
     shard.hand = 0;
   }
   invalidations_.Increment(dropped);
@@ -205,8 +141,6 @@ ShardedResultCache::Stats ShardedResultCache::GetStats() const {
   stats.misses = misses_.Value();
   stats.evictions = evictions_.Value();
   stats.invalidations = invalidations_.Value();
-  stats.selective_sweeps = selective_sweeps_.Value();
-  stats.full_sweeps = full_sweeps_.Value();
   stats.rejected_puts = rejected_puts_.Value();
   return stats;
 }

@@ -9,9 +9,9 @@
 // acknowledged (durably logged) at Offer time, drained in micro-batches by
 // one consumer thread, and folded in with the optimizer's one flush path,
 // whose solve moves only edges on the buffered votes' walks. Each
-// successful micro-batch that actually changes the graph publishes a
-// ServingEpoch and records its changed-cluster delta, which
-// serve::QueryEngine reads for selective cache invalidation.
+// successful micro-batch that changes some weight bitwise publishes a
+// ServingEpoch; serve::QueryEngine empties its result cache when it
+// re-pins onto it.
 //
 // Ordering guarantees (docs/streaming.md):
 //  * Offer OK implies the vote is in the WAL (when durability is wired).

@@ -11,12 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
-#include <vector>
-
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <memory>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -24,7 +25,6 @@
 #include "core/online_optimizer.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
-#include "stream/partition.h"
 #include "stream/pipeline.h"
 #include "telemetry/metrics.h"
 #include "votes/judgment.h"
@@ -70,6 +70,47 @@ votes::SyntheticWorkload GoldenWorkload() {
       votes::GenerateSyntheticWorkload(*base, params, rng);
   EXPECT_TRUE(workload.ok());
   return std::move(workload).value();
+}
+
+// Assigns `g`'s nodes to at most `target` clusters of equal size, filled in
+// breadth-first order over out-edges from each unvisited node in id order
+// (a cluster fills before the next opens, across components). The
+// optimizer digest scopes its variables with it, so the assignment is
+// frozen: changing it changes the digest.
+std::vector<uint32_t> EqualChunkBfsClusters(const WeightedDigraph& g,
+                                            size_t target) {
+  const size_t n = g.NumNodes();
+  const size_t cap = (n + target - 1) / target;
+  std::vector<uint32_t> cluster_of(n, 0);
+  std::vector<uint8_t> visited(n, 0);
+  uint32_t cluster = 0;
+  size_t in_cluster = 0;
+  auto assign = [&](graph::NodeId node) {
+    if (in_cluster >= cap) {
+      ++cluster;
+      in_cluster = 0;
+    }
+    cluster_of[node] = cluster;
+    ++in_cluster;
+  };
+  std::deque<graph::NodeId> frontier;
+  for (graph::NodeId seed = 0; seed < n; ++seed) {
+    if (visited[seed]) continue;
+    visited[seed] = 1;
+    assign(seed);
+    frontier.push_back(seed);
+    while (!frontier.empty()) {
+      const graph::NodeId node = frontier.front();
+      frontier.pop_front();
+      for (const graph::OutEdge& out : g.OutEdges(node)) {
+        if (visited[out.to]) continue;
+        visited[out.to] = 1;
+        assign(out.to);
+        frontier.push_back(out.to);
+      }
+    }
+  }
+  return cluster_of;
 }
 
 OptimizerOptions GoldenOptions(const votes::SyntheticWorkload& workload) {
@@ -186,26 +227,21 @@ TEST(LearningGoldenTest, OptimizerDigestIsPinned) {
   crc = FoldReport(*split, crc);
 
   // One online flush per strategy with only the edges whose source lies in
-  // an even partition cluster variable, so that part of the workload's
-  // variable edges are held constant.
-  Result<stream::GraphPartition> built =
-      stream::GraphPartition::Build(workload.graph, 8);
-  ASSERT_TRUE(built.ok()) << built.status();
-  auto partition =
-      std::make_shared<const stream::GraphPartition>(std::move(built).value());
+  // an even cluster of 8 equal BFS chunks variable, so that part of the
+  // workload's variable edges are held constant.
+  auto cluster_of = std::make_shared<const std::vector<uint32_t>>(
+      EqualChunkBfsClusters(workload.graph, 8));
   for (FlushStrategy strategy :
        {FlushStrategy::kMultiVote, FlushStrategy::kSplitMerge}) {
     OnlineOptimizerOptions online_options;
     online_options.optimizer = options;
     online_options.optimizer.encoder.is_variable =
-        [entity = options.encoder.is_variable, partition](
+        [entity = options.encoder.is_variable, cluster_of](
             const WeightedDigraph& g, graph::EdgeId e) {
-          return entity(g, e) &&
-                 partition->ClusterOf(g.edges()[e].from) % 2 == 0;
+          return entity(g, e) && (*cluster_of)[g.edges()[e].from] % 2 == 0;
         };
     online_options.batch_size = 1000;
     online_options.strategy = strategy;
-    online_options.partition_clusters = 8;
     OnlineKgOptimizer online(workload.graph, online_options);
     for (const votes::Vote& vote : workload.votes) {
       ASSERT_TRUE(online.IngestLogged(vote).ok());
@@ -234,7 +270,6 @@ TEST(LearningGoldenTest, StreamedDigestIsPinned) {
     online_options.optimizer = GoldenOptions(workload);
     online_options.batch_size = 1000;
     online_options.strategy = strategy;
-    online_options.partition_clusters = 8;
     OnlineKgOptimizer online(workload.graph, online_options);
     StatusOr<std::unique_ptr<stream::StreamPipeline>> pipeline =
         stream::StreamPipeline::Create(&online, {}, nullptr);
@@ -275,7 +310,6 @@ TEST(LearningGoldenTest, RejectedVotesCountTheSameInAnyMicroBatch) {
       online_options.optimizer = GoldenOptions(workload);
       online_options.batch_size = 1000;
       online_options.strategy = strategy;
-      online_options.partition_clusters = 8;
       OnlineKgOptimizer online(workload.graph, online_options);
       StatusOr<std::unique_ptr<stream::StreamPipeline>> pipeline =
           stream::StreamPipeline::Create(&online, {}, nullptr);

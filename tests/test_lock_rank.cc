@@ -294,10 +294,10 @@ TEST_F(LockRankTest, ServeAndStreamWorkloadIsCleanUnderTracking) {
                   })
                   .ok());
 
-  // Serve side: the shard -> epoch-history nesting in ShardedResultCache.
+  // Serve side: ShardedResultCache's shard locks.
   serve::ShardedResultCache cache(/*capacity=*/16, /*num_shards=*/2);
-  cache.AdvanceEpoch(/*epoch=*/1, /*changed=*/{0}, /*full=*/false);
-  cache.Put("key", /*value=*/{}, /*deps=*/{0}, /*computed_epoch=*/1);
+  cache.AdvanceEpoch(/*epoch=*/1);
+  cache.Put("key", /*value=*/{}, /*computed_epoch=*/1);
   std::vector<ppr::ScoredAnswer> answers;
   (void)cache.Get("key", /*reader_epoch=*/1, &answers);
 

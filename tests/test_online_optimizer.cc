@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -168,6 +169,36 @@ TEST(OnlineOptimizerTest, EpochAdvancesOnlyOnSuccessfulFlush) {
   EXPECT_FALSE(online.Flush().ok());
   EXPECT_EQ(online.serving().epoch, 1u);
   EXPECT_EQ(online.CurrentEpoch().snapshot.get(), pinned.get());
+}
+
+TEST(OnlineOptimizerTest, BitwiseUnchangedFlushPublishesNoEpoch) {
+  // The conflicting pair below is applied (both votes settle in an OK
+  // flush), but its solve reproduces every weight bit for bit, so the
+  // flush publishes nothing: no new epoch, the same snapshot, one skip.
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOptions(10));
+  telemetry::Counter* skips =
+      telemetry::MetricRegistry::Global().GetCounter("online.epoch_skips");
+  const uint64_t skips_before = skips->Value();
+  const std::shared_ptr<const graph::CsrSnapshot> pinned =
+      online.CurrentEpoch().snapshot;
+
+  ASSERT_TRUE(online.AddVote(MakeVote(4, 10)).ok());
+  ASSERT_TRUE(online.AddVote(MakeVote(3, 11)).ok());
+  Result<FlushReport> report = online.Flush();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->votes_flushed, 2u);
+  EXPECT_EQ(online.TotalVotesApplied(), 2u);
+  EXPECT_FALSE(report->epoch_published);
+  EXPECT_EQ(online.CurrentEpochNumber(), 0u);
+  EXPECT_EQ(online.CurrentEpoch().snapshot.get(), pinned.get());
+  EXPECT_EQ(skips->Value() - skips_before, 1u);
+  for (size_t e = 0; e < g.NumEdges(); ++e) {
+    const double before = g.edges()[e].weight;
+    const double after = online.graph().edges()[e].weight;
+    EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0)
+        << "edge " << e;
+  }
 }
 
 TEST(OnlineOptimizerTest, PinnedEpochServesIdenticalScoresAcrossFlushes) {

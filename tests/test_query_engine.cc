@@ -18,7 +18,6 @@
 #include "ppr/eipd_engine.h"
 #include "ppr/query_seed.h"
 #include "serve/result_cache.h"
-#include "telemetry/metrics.h"
 
 namespace kgov::serve {
 
@@ -395,12 +394,10 @@ TEST(QueryEngineTest, SameKeyColdMissRaceServesIdenticalBitsThenHits) {
   EXPECT_EQ(engine.GetServeStats().hits, stats.hits + 1);
 }
 
-TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
+TEST(QueryEngineTest, SubmitBatchServesBitwiseIdenticalToRank) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());
 
-  // All seeds share first-link node 0 so the engine folds them into
-  // same-cluster multi-root groups deterministically.
   std::mt19937_64 rng(0xBA7C4);
   std::uniform_real_distribution<double> weight(0.1, 1.0);
   std::vector<ppr::QuerySeed> stream;
@@ -413,12 +410,12 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
   }
 
   QueryEngineOptions options = SmallEngineOptions();
-  options.enable_cache = false;  // every lane propagates
+  options.enable_cache = false;  // every query propagates
   auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
   ASSERT_TRUE(engine_or.ok()) << engine_or.status();
   QueryEngine& engine = **engine_or;
 
-  // The oracle: a single-root Rank of each seed on the pinned epoch.
+  // The oracle: a direct Rank of each seed on the pinned epoch.
   const core::ServingEpoch epoch = online.CurrentEpoch();
   const ppr::EipdEngine oracle(epoch.view(), options.eipd);
   auto expect_oracle = [&](const ppr::QuerySeed& seed,
@@ -431,23 +428,16 @@ TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
     ExpectIdenticalAnswers(*solo, served->answers);
   };
 
-  telemetry::Counter* multi_passes =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_passes");
-  const uint64_t passes_before = multi_passes->Value();
-
   std::vector<StatusOr<RankedAnswers>> served = engine.SubmitBatch(stream);
   ASSERT_EQ(served.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
     expect_oracle(stream[i], served[i]);
   }
-  // The engine really took the multi-root path.
-  EXPECT_GT(multi_passes->Value(), passes_before);
   EXPECT_EQ(engine.GetServeStats().misses, stream.size());
 
-  // One batch mixing, in the same cluster, valid seeds with a seed naming
-  // a node outside the view and a seed with a NaN weight: the bad seeds
-  // fail alone, every valid seed still matches the oracle bit for bit.
+  // One batch mixing valid seeds with a seed naming a node outside the
+  // view and a seed with a NaN weight: the bad seeds fail alone, every
+  // valid seed still matches the oracle bit for bit.
   ppr::QuerySeed out_of_range;
   out_of_range.links = {{0, 0.5}, {99, 0.5}};
   ppr::QuerySeed nan_weight;
@@ -924,13 +914,12 @@ TEST(QueryEngineTest, AHitReleasesASupersededPin) {
   EXPECT_EQ(old.use_count(), held - 1);
 }
 
-// Submit propagates on the calling thread's lanes (ppr::ThreadLocalLanes),
-// so a fresh thread's lanes show whether it, rather than a pool worker,
-// ran the propagation: they are sized to the graph only after a miss.
+// Submit propagates on the calling thread's workspace
+// (ppr::ThreadLocalWorkspace), so a fresh thread's workspace shows whether
+// it, rather than a pool worker, ran the propagation: it is sized to the
+// graph only after a miss.
 bool ThisThreadPropagated(size_t num_nodes) {
-  const std::vector<ppr::PropagationWorkspace>& lanes =
-      ppr::ThreadLocalLanes();
-  return lanes.size() == 1 && lanes.front().phi.size() == num_nodes;
+  return ppr::ThreadLocalWorkspace().phi.size() == num_nodes;
 }
 
 TEST(QueryEngineTest, SubmitServesOnTheCallingThread) {
@@ -943,7 +932,7 @@ TEST(QueryEngineTest, SubmitServesOnTheCallingThread) {
   QueryEngine& engine = **engine_or;
   const ppr::QuerySeed seed = ppr::QuerySeed::UniformOver({0});
 
-  // A cold miss propagates on the caller's own lanes; its hit follows.
+  // A cold miss propagates on the caller's own workspace; its hit follows.
   std::optional<StatusOr<RankedAnswers>> miss;
   std::optional<StatusOr<RankedAnswers>> hit;
   bool fresh_before = false;
@@ -963,7 +952,7 @@ TEST(QueryEngineTest, SubmitServesOnTheCallingThread) {
   EXPECT_TRUE((*hit)->from_cache);
   ExpectIdenticalAnswers((*miss)->answers, (*hit)->answers);
 
-  // A hit on a thread that never propagated leaves its lanes unsized.
+  // A hit on a thread that never propagated leaves its workspace unsized.
   std::optional<StatusOr<RankedAnswers>> other_hit;
   bool hit_propagated = true;
   std::thread reader([&]() {
@@ -987,7 +976,7 @@ TEST(QueryEngineTest, ConcurrentCallersEachPropagateOnOneLane) {
 
   // N callers sending distinct seeds past one pool worker: each caller
   // propagates its own misses on its own single lane, so N callers hold
-  // at most N lane sets however many queries they send.
+  // at most N workspaces however many queries they send.
   constexpr size_t kCallers = 4;
   constexpr size_t kPerCaller = 50;
   const std::vector<ppr::QuerySeed> stream =

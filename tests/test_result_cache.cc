@@ -1,6 +1,6 @@
 // ShardedResultCache: the per-shard capacity bound, CLOCK second-chance
-// eviction, refresh on Put, the selective AdvanceEpoch sweep, stale-Put
-// rejection, and hits racing Puts and sweeps.
+// eviction, refresh on Put, the AdvanceEpoch sweep, stale-Put rejection,
+// and hits racing Puts and sweeps.
 
 #include "serve/result_cache.h"
 
@@ -51,7 +51,7 @@ TEST(ResultCacheTest, CapacityBoundsEveryShard) {
   constexpr uint32_t kKeys = 200;
   uint64_t evicted = 0;
   for (uint32_t id = 0; id < kKeys; ++id) {
-    if (cache.Put(KeyFor(id), ValueFor(id), {0}, 0)) ++evicted;
+    if (cache.Put(KeyFor(id), ValueFor(id), 0)) ++evicted;
     EXPECT_LE(cache.size(), 8u);
   }
   EXPECT_EQ(cache.size(), 8u);
@@ -61,25 +61,25 @@ TEST(ResultCacheTest, CapacityBoundsEveryShard) {
   // One shard holds one slot at the least.
   ShardedResultCache tiny(/*capacity=*/1, /*num_shards=*/4);
   for (uint32_t id = 0; id < kKeys; ++id) {
-    tiny.Put(KeyFor(id), ValueFor(id), {0}, 0);
+    tiny.Put(KeyFor(id), ValueFor(id), 0);
   }
   EXPECT_EQ(tiny.size(), 4u);
 }
 
 TEST(ResultCacheTest, ReferencedEntrySurvivesOneSweepUnreferencedIsEvicted) {
   ShardedResultCache cache(/*capacity=*/2, /*num_shards=*/1);
-  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(1), {0}, 0));
-  EXPECT_FALSE(cache.Put(KeyFor(2), ValueFor(2), {0}, 0));
+  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(1), 0));
+  EXPECT_FALSE(cache.Put(KeyFor(2), ValueFor(2), 0));
   ASSERT_EQ(Lookup(cache, 1), 1);  // 1 is now referenced
 
   // The hand clears 1's bit and evicts 2, which no hit referenced.
-  EXPECT_TRUE(cache.Put(KeyFor(3), ValueFor(3), {0}, 0));
+  EXPECT_TRUE(cache.Put(KeyFor(3), ValueFor(3), 0));
   EXPECT_EQ(Lookup(cache, 2), -1);
   EXPECT_EQ(cache.size(), 2u);
 
   // 1 had its second chance: with no hit since, the next Put evicts it,
   // not 3, which the hand has not passed yet.
-  EXPECT_TRUE(cache.Put(KeyFor(4), ValueFor(4), {0}, 0));
+  EXPECT_TRUE(cache.Put(KeyFor(4), ValueFor(4), 0));
   EXPECT_EQ(Lookup(cache, 1), -1);
   EXPECT_EQ(Lookup(cache, 3), 3);
   EXPECT_EQ(Lookup(cache, 4), 4);
@@ -88,23 +88,23 @@ TEST(ResultCacheTest, ReferencedEntrySurvivesOneSweepUnreferencedIsEvicted) {
 
 TEST(ResultCacheTest, PutRefreshesAnExistingKey) {
   ShardedResultCache cache(/*capacity=*/2, /*num_shards=*/1);
-  cache.Put(KeyFor(1), ValueFor(1), {0}, 0);
-  cache.Put(KeyFor(2), ValueFor(2), {0}, 0);
+  cache.Put(KeyFor(1), ValueFor(1), 0);
+  cache.Put(KeyFor(2), ValueFor(2), 0);
   // Same key, new value: replaced in place, nothing evicted.
-  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(7), {0}, 0));
+  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(7), 0));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.GetStats().evictions, 0u);
 
   // The refresh marked 1 referenced, so a new key evicts 2 instead.
-  EXPECT_TRUE(cache.Put(KeyFor(3), ValueFor(3), {0}, 0));
+  EXPECT_TRUE(cache.Put(KeyFor(3), ValueFor(3), 0));
   EXPECT_EQ(Lookup(cache, 2), -1);
   EXPECT_EQ(Lookup(cache, 1), 7);
 }
 
 TEST(ResultCacheTest, GetHitsOnlyEntriesComputedAtOrBeforeTheReadersEpoch) {
   ShardedResultCache cache(/*capacity=*/4, /*num_shards=*/1);
-  cache.AdvanceEpoch(1, {9}, /*full=*/false);
-  cache.Put(KeyFor(1), ValueFor(1), {0}, /*computed_epoch=*/1);
+  cache.AdvanceEpoch(1);
+  cache.Put(KeyFor(1), ValueFor(1), /*computed_epoch=*/1);
   EXPECT_EQ(Lookup(cache, 1, /*epoch=*/0), -1);
   EXPECT_EQ(Lookup(cache, 1, /*epoch=*/1), 1);
   const ShardedResultCache::Stats stats = cache.GetStats();
@@ -112,63 +112,60 @@ TEST(ResultCacheTest, GetHitsOnlyEntriesComputedAtOrBeforeTheReadersEpoch) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
-TEST(ResultCacheTest, SelectiveSweepDropsOnlyIntersectingEntries) {
+TEST(ResultCacheTest, AdvanceEpochDropsEveryEntry) {
   ShardedResultCache cache(/*capacity=*/3, /*num_shards=*/1);
-  cache.Put(KeyFor(1), ValueFor(1), {0, 1}, 0);
-  cache.Put(KeyFor(2), ValueFor(2), {2}, 0);
-  cache.Put(KeyFor(3), ValueFor(3), {3, 4}, 0);
+  cache.Put(KeyFor(1), ValueFor(1), 0);
+  cache.Put(KeyFor(2), ValueFor(2), 0);
+  cache.Put(KeyFor(3), ValueFor(3), 0);
 
-  EXPECT_EQ(cache.AdvanceEpoch(1, {1, 3}, /*full=*/false), 2u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.AdvanceEpoch(1), 3u);
+  EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(Lookup(cache, 1, 1), -1);
-  EXPECT_EQ(Lookup(cache, 2, 1), 2);
-  EXPECT_EQ(Lookup(cache, 3, 1), -1);
 
-  // The freed slots are reused before the hand evicts anything.
-  EXPECT_FALSE(cache.Put(KeyFor(4), ValueFor(4), {5}, 1));
-  EXPECT_FALSE(cache.Put(KeyFor(5), ValueFor(5), {5}, 1));
+  // The shard refills from empty: no slot survives to be evicted.
+  EXPECT_FALSE(cache.Put(KeyFor(4), ValueFor(4), 1));
+  EXPECT_FALSE(cache.Put(KeyFor(5), ValueFor(5), 1));
+  EXPECT_FALSE(cache.Put(KeyFor(6), ValueFor(6), 1));
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(Lookup(cache, 2, 1), 2);
   EXPECT_EQ(Lookup(cache, 4, 1), 4);
   EXPECT_EQ(Lookup(cache, 5, 1), 5);
-
-  // A full advance drops everything.
-  EXPECT_EQ(cache.AdvanceEpoch(2, {}, /*full=*/true), 3u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(Lookup(cache, 6, 1), 6);
   const ShardedResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.selective_sweeps, 1u);
-  EXPECT_EQ(stats.full_sweeps, 1u);
-  EXPECT_EQ(stats.invalidations, 5u);
+  EXPECT_EQ(stats.invalidations, 3u);
   EXPECT_EQ(stats.evictions, 0u);
 
   // An advance to an epoch already reached is ignored.
-  cache.Put(KeyFor(6), ValueFor(6), {0}, 2);
-  EXPECT_EQ(cache.AdvanceEpoch(2, {0}, /*full=*/false), 0u);
-  EXPECT_EQ(Lookup(cache, 6, 2), 6);
+  EXPECT_EQ(cache.AdvanceEpoch(1), 0u);
+  EXPECT_EQ(cache.AdvanceEpoch(0), 0u);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(Lookup(cache, 6, 1), 6);
 }
 
-TEST(ResultCacheTest, StalePutIsRejectedUnlessTheHistoryProvesItValid) {
+TEST(ResultCacheTest, StalePutIsRejected) {
   ShardedResultCache cache(/*capacity=*/8, /*num_shards=*/2);
-  cache.AdvanceEpoch(1, {5}, /*full=*/false);
-  // Computed on epoch 0; the delta into 1 changed a cluster it read.
-  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(1), {4, 5}, 0));
+  cache.AdvanceEpoch(1);
+  // Computed on epoch 0, inserted after the advance to 1: rejected.
+  EXPECT_FALSE(cache.Put(KeyFor(1), ValueFor(1), 0));
   EXPECT_EQ(Lookup(cache, 1, 1), -1);
   EXPECT_EQ(cache.GetStats().rejected_puts, 1u);
-  // Computed on epoch 0, but the delta missed it: still bitwise valid.
-  cache.Put(KeyFor(2), ValueFor(2), {6}, 0);
+  // Computed on the current epoch: kept.
+  cache.Put(KeyFor(2), ValueFor(2), 1);
   EXPECT_EQ(Lookup(cache, 2, 1), 2);
 
-  // After a full advance nothing older can be proved valid.
-  cache.AdvanceEpoch(2, {}, /*full=*/true);
-  cache.Put(KeyFor(3), ValueFor(3), {6}, 1);
-  EXPECT_EQ(Lookup(cache, 3, 2), -1);
-  EXPECT_EQ(cache.GetStats().rejected_puts, 2u);
+  // Two epochs behind is no better than one.
+  cache.AdvanceEpoch(3);
+  cache.Put(KeyFor(3), ValueFor(3), 1);
+  cache.Put(KeyFor(4), ValueFor(4), 2);
+  EXPECT_EQ(Lookup(cache, 3, 3), -1);
+  EXPECT_EQ(Lookup(cache, 4, 3), -1);
+  EXPECT_EQ(cache.GetStats().rejected_puts, 3u);
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// Hits on shared reader locks race Puts (with evictions) and selective
-// sweeps. A hit must return the value stored under its key, never
-// another key's, and the counters must add up once everyone stops.
+// Hits on shared reader locks race Puts (with evictions and stale-Put
+// rejections) and epoch sweeps. A hit must return the value stored under
+// its key, never another key's, and the counters must add up once
+// everyone stops.
 TEST(ResultCacheTest, HitsRacingPutsAndSweepsReturnTheirOwnValue) {
   ShardedResultCache cache(/*capacity=*/16, /*num_shards=*/2);
   constexpr uint32_t kKeys = 48;
@@ -196,13 +193,14 @@ TEST(ResultCacheTest, HitsRacingPutsAndSweepsReturnTheirOwnValue) {
     });
   }
   std::thread writer([&]() {
+    uint64_t epoch = 0;
     for (int round = 0; round < kRounds; ++round) {
       const uint32_t id = static_cast<uint32_t>(round) % kKeys;
-      cache.Put(KeyFor(id), ValueFor(id), {id % 4}, 0);
-      if (round % 97 == 0) {
-        cache.AdvanceEpoch(static_cast<uint64_t>(round) + 1, {1},
-                           /*full=*/false);
-      }
+      // Every third value was computed one epoch back and, past the first
+      // advance, is rejected.
+      cache.Put(KeyFor(id), ValueFor(id),
+                round % 3 == 0 && epoch > 0 ? epoch - 1 : epoch);
+      if (round % 97 == 0) cache.AdvanceEpoch(++epoch);
     }
     stop.store(true, std::memory_order_relaxed);
   });
@@ -211,6 +209,7 @@ TEST(ResultCacheTest, HitsRacingPutsAndSweepsReturnTheirOwnValue) {
   EXPECT_EQ(wrong.load(), 0);
   const ShardedResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.rejected_puts, 0u);
   EXPECT_LE(cache.size(), 16u);
 }
 

@@ -1,11 +1,12 @@
 // Unit tests for the streaming write path: VoteIngestQueue semantics
 // (bounded backpressure, WAL-before-enqueue, dead-letter shed, close),
-// GraphPartition, SerializedVoteLog, and the StreamPipeline end to end
+// SerializedVoteLog, and the StreamPipeline end to end
 // (micro-batch flushes, epoch publication, the publication-skip guard and
 // the first micro-batch after a restart).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -14,9 +15,7 @@
 
 #include "core/online_optimizer.h"
 #include "graph/subgraph.h"
-#include "stream/epoch_delta.h"
 #include "stream/ingest_queue.h"
-#include "stream/partition.h"
 #include "stream/pipeline.h"
 #include "stream/serialized_vote_log.h"
 #include "telemetry/metrics.h"
@@ -241,41 +240,6 @@ TEST(VoteIngestQueueTest, InvalidOptionsFailFastNamingTheField) {
   EXPECT_NE(rejected.message().find("capacity"), std::string::npos);
 }
 
-// ------------------------------------------------------------ partition
-
-TEST(GraphPartitionTest, BuildCoversEveryNodeDeterministically) {
-  WeightedDigraph g = MakeFixture();
-  Result<GraphPartition> first = GraphPartition::Build(g, 3);
-  Result<GraphPartition> second = GraphPartition::Build(g, 3);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_GE(first->num_clusters(), 1u);
-  EXPECT_LE(first->num_clusters(), 3u);
-  EXPECT_EQ(first->num_nodes(), g.NumNodes());
-  for (graph::NodeId n = 0; n < g.NumNodes(); ++n) {
-    EXPECT_LT(first->ClusterOf(n), first->num_clusters());
-    EXPECT_EQ(first->ClusterOf(n), second->ClusterOf(n));
-  }
-}
-
-TEST(GraphPartitionTest, OneClusterPerNodeWhenTargetIsLarge) {
-  WeightedDigraph g = MakeFixture();
-  Result<GraphPartition> partition = GraphPartition::Build(g, 100);
-  ASSERT_TRUE(partition.ok());
-  EXPECT_LE(partition->num_clusters(), g.NumNodes());
-  // Out-of-range lookups map to cluster 0 rather than crashing.
-  EXPECT_EQ(partition->ClusterOf(10'000), 0u);
-}
-
-TEST(EpochDeltaTest, ClustersIntersectOnSortedSets) {
-  EXPECT_TRUE(ClustersIntersect({1, 3, 5}, {5, 7}));
-  EXPECT_FALSE(ClustersIntersect({1, 3, 5}, {0, 2, 6}));
-  EXPECT_FALSE(ClustersIntersect({}, {1}));
-  std::vector<uint32_t> set = {5, 1, 3, 1, 5};
-  CanonicalizeClusterSet(&set);
-  EXPECT_EQ(set, (std::vector<uint32_t>{1, 3, 5}));
-}
-
 // ---------------------------------------------------- serialized log
 
 TEST(SerializedVoteLogTest, ForwardsBothChannelsToTheBaseSink) {
@@ -291,7 +255,7 @@ TEST(SerializedVoteLogTest, ForwardsBothChannelsToTheBaseSink) {
 
 // ------------------------------------------------------------- pipeline
 
-TEST(StreamPipelineTest, DrainOncePublishesEpochWithSelectiveDelta) {
+TEST(StreamPipelineTest, DrainOncePublishesAnEpoch) {
   WeightedDigraph g = MakeFixture();
   core::OnlineKgOptimizer online(g, SmallOptions(100));
   StatusOr<std::unique_ptr<StreamPipeline>> pipeline_or =
@@ -310,23 +274,15 @@ TEST(StreamPipelineTest, DrainOncePublishesEpochWithSelectiveDelta) {
   EXPECT_EQ(stats.micro_batches, 1u);
   EXPECT_EQ(stats.epochs_published, 1u);
   EXPECT_EQ(stats.flush_failures, 0u);
-
-  // The published epoch recorded a real selective delta: known and
-  // non-empty (the flush changed the graph).
-  std::vector<uint32_t> changed;
-  ASSERT_TRUE(online.CollectChangedClusters(0, 1, &changed));
-  EXPECT_FALSE(changed.empty());
 }
 
-TEST(StreamPipelineTest, ChangedClustersStayWithinTheDirtySet) {
+TEST(StreamPipelineTest, ChangedEdgesStayWithinTheVotesBall) {
   // A micro-batch moves only edges on its votes' walks and renormalizes
-  // only their sources, so what the epoch reports changed lies inside the
-  // clusters of the vote's L-ball around its seed links and answers.
+  // only their sources, so every edge the epoch changed starts inside the
+  // vote's L-ball around its seed links and answers.
   WeightedDigraph g = MakeFixture();
   core::OnlineOptimizerOptions options = SmallOptions(100);
-  options.partition_clusters = 5;
   core::OnlineKgOptimizer online(g, options);
-  auto partition = online.partition();
 
   StatusOr<std::unique_ptr<StreamPipeline>> pipeline_or =
       StreamPipeline::Create(&online, {}, nullptr);
@@ -336,22 +292,25 @@ TEST(StreamPipelineTest, ChangedClustersStayWithinTheDirtySet) {
   votes::Vote vote = MakeVote(4, 1);
   std::vector<graph::NodeId> roots = vote.answer_list;
   for (const auto& [node, weight] : vote.query.links) roots.push_back(node);
-  std::vector<uint32_t> ball;
-  for (graph::NodeId node : graph::CollectOutNeighborhood(
-           online.CurrentEpoch().view(), roots,
-           options.optimizer.encoder.symbolic.eipd.max_length)) {
-    ball.push_back(partition->ClusterOf(node));
-  }
-  CanonicalizeClusterSet(&ball);
+  std::vector<graph::NodeId> ball = graph::CollectOutNeighborhood(
+      online.CurrentEpoch().view(), roots,
+      options.optimizer.encoder.symbolic.eipd.max_length);
+  std::sort(ball.begin(), ball.end());
 
   ASSERT_TRUE(pipeline.Offer(vote).ok());
   ASSERT_TRUE(pipeline.DrainOnce(16).ok());
-  std::vector<uint32_t> delta;
-  ASSERT_TRUE(online.CollectChangedClusters(0, 1, &delta));
-  for (uint32_t changed : delta) {
-    EXPECT_TRUE(std::binary_search(ball.begin(), ball.end(), changed))
-        << "changed cluster " << changed << " is outside the vote's ball";
+  ASSERT_EQ(online.CurrentEpochNumber(), 1u);
+  size_t changed = 0;
+  for (size_t e = 0; e < g.NumEdges(); ++e) {
+    const double before = g.edges()[e].weight;
+    const double after = online.graph().edges()[e].weight;
+    if (std::memcmp(&before, &after, sizeof(double)) == 0) continue;
+    ++changed;
+    EXPECT_TRUE(
+        std::binary_search(ball.begin(), ball.end(), g.edges()[e].from))
+        << "edge " << e << " changed outside the vote's ball";
   }
+  EXPECT_GT(changed, 0u);
 }
 
 TEST(StreamPipelineTest, DrainOnceRefusedWhileConsumerRuns) {
@@ -514,72 +473,6 @@ TEST(StreamPipelineTest, RestoredPendingVoteIsSolvedLikeALiveOne) {
           << "edge " << e << ": " << got << " vs live " << want;
     }
   }
-}
-
-// ------------------------------------------- optimizer delta plumbing
-
-TEST(OnlineOptimizerStreamTest, CollectChangedClustersUnionsContiguousDeltas) {
-  WeightedDigraph g = MakeFixture();
-  core::OnlineKgOptimizer online(g, SmallOptions(100));
-  StatusOr<std::unique_ptr<StreamPipeline>> pipeline_or =
-      StreamPipeline::Create(&online, {}, nullptr);
-  ASSERT_TRUE(pipeline_or.ok());
-  StreamPipeline& pipeline = **pipeline_or;
-  for (uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pipeline.Offer(MakeVote(4, i)).ok());
-    ASSERT_TRUE(pipeline.DrainOnce(1).ok());
-  }
-  ASSERT_EQ(online.CurrentEpochNumber(), 3u);
-
-  std::vector<uint32_t> changed;
-  EXPECT_TRUE(online.CollectChangedClusters(0, 3, &changed));
-  EXPECT_FALSE(changed.empty());
-  for (size_t i = 1; i < changed.size(); ++i) {
-    EXPECT_LT(changed[i - 1], changed[i]);  // canonical form
-  }
-  // Identity span is trivially collectible; a backwards span is not.
-  std::vector<uint32_t> none;
-  EXPECT_TRUE(online.CollectChangedClusters(3, 3, &none));
-  EXPECT_TRUE(none.empty());
-  EXPECT_FALSE(online.CollectChangedClusters(3, 2, &none));
-}
-
-TEST(OnlineOptimizerStreamTest, CollectChangedClustersRefusesTrimmedHistory) {
-  WeightedDigraph g = MakeFixture();
-  core::OnlineOptimizerOptions options = SmallOptions(100);
-  options.delta_history_capacity = 2;
-  core::OnlineKgOptimizer online(g, options);
-  StatusOr<std::unique_ptr<StreamPipeline>> pipeline_or =
-      StreamPipeline::Create(&online, {}, nullptr);
-  ASSERT_TRUE(pipeline_or.ok());
-  StreamPipeline& pipeline = **pipeline_or;
-  for (uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pipeline.Offer(MakeVote(4, i)).ok());
-    ASSERT_TRUE(pipeline.DrainOnce(1).ok());
-  }
-  ASSERT_EQ(online.CurrentEpochNumber(), 4u);
-  // Epochs 1 and 2 fell out of the two-deep history: a span crossing them
-  // is unknowable and the reader must fall back to a full flush.
-  std::vector<uint32_t> changed;
-  EXPECT_FALSE(online.CollectChangedClusters(0, 4, &changed));
-  changed.clear();
-  EXPECT_TRUE(online.CollectChangedClusters(2, 4, &changed));
-}
-
-TEST(OnlineOptimizerStreamTest, BatchFlushAlsoPublishesSelectiveDelta) {
-  // The batch-shaped write path is the same flush: AddVote + Flush
-  // publishes the bitwise changed set, so batch deployers get selective
-  // cache invalidation too.
-  WeightedDigraph g = MakeFixture();
-  core::OnlineKgOptimizer online(g, SmallOptions(100));
-  ASSERT_TRUE(online.AddVote(MakeVote(4, 1)).ok());
-  Result<core::FlushReport> report = online.Flush();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->epoch_published);
-  EXPECT_FALSE(report->changed_clusters.empty());
-  std::vector<uint32_t> changed;
-  ASSERT_TRUE(online.CollectChangedClusters(0, 1, &changed));
-  EXPECT_EQ(changed, report->changed_clusters);
 }
 
 }  // namespace

@@ -64,12 +64,11 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" --target \
       test_query_engine test_thread_pool test_online_optimizer \
       test_resilience test_durability test_stream test_stream_invalidation \
-      test_admission test_result_cache test_eipd_multi \
-      test_eipd \
+      test_admission test_result_cache test_eipd \
       test_telemetry test_lock_rank test_sched_explorer test_kg_optimizer
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|Admission|ResultCache|RankMulti|Counter|Gauge|Histogram|ConcurrencyTest|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
+      -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|Admission|ResultCache|Counter|Gauge|Histogram|ConcurrencyTest|WorkspaceReuse|LockRank|SchedExplorer|StrategyIntegration' \
       "$@"
 else
   echo "== sanitize: TSan skipped (KGOV_SKIP_TSAN=1) =="
