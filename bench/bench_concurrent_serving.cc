@@ -2,9 +2,10 @@
 // OnlineKgOptimizer's pinned epoch, swept across worker-thread counts
 // {1, 2, 4} with the result cache off, so every query propagates on the
 // pool. Each row is wall-clock queries/sec of SubmitBatch on this host
-// (measured_qps); host_cores is recorded in the JSON, because on a
-// single-core runner the thread sweep cannot show real scaling (every
-// worker shares one core).
+// (measured_qps): the median of kReps repetitions of at least a minimum
+// duration each (1 s, 0.25 s in --smoke), with their IQR; host_cores is
+// recorded in the JSON, because on a single-core runner the thread sweep
+// cannot show real scaling (every worker shares one core).
 //
 // The hit-path sweep times the cache hit. A hit is served by the probe on
 // the calling thread, before admission, so it uses no pool worker and
@@ -66,17 +67,21 @@ Setup MakeSetup(size_t num_questions) {
   return s;
 }
 
+constexpr int kReps = 3;
+
 struct SweepPoint {
   size_t threads = 0;
-  double wall_seconds = 0.0;
-  double measured_qps = 0.0;
+  /// Per repetition: completed queries per second.
+  std::vector<double> qps_reps;
+  double measured_qps = 0.0;  // median of qps_reps
+  double qps_iqr = 0.0;
 };
 
 /// One configuration: build a cache-off engine, warm up one round
-/// (untimed), then serve `rounds` full replays of the stream and report
-/// wall-clock throughput.
+/// (untimed), then kReps repetitions, each serving full replays of the
+/// stream for at least `min_seconds`, and report wall-clock throughput.
 SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
-                     size_t threads, int rounds) {
+                     size_t threads, double min_seconds) {
   serve::QueryEngineOptions options;
   options.eipd.max_length = 5;
   options.top_k = 20;
@@ -94,13 +99,21 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
   };
 
   serve_round();  // warm-up
-  Timer timer;
-  for (int r = 0; r < rounds; ++r) serve_round();
   SweepPoint point;
   point.threads = threads;
-  point.wall_seconds = timer.ElapsedSeconds();
-  point.measured_qps = static_cast<double>(rounds * s.seeds.size()) /
-                       point.wall_seconds;
+  for (int rep = 0; rep < kReps; ++rep) {
+    size_t queries = 0;
+    Timer timer;
+    do {
+      serve_round();
+      queries += s.seeds.size();
+    } while (timer.ElapsedSeconds() < min_seconds);
+    point.qps_reps.push_back(static_cast<double>(queries) /
+                             timer.ElapsedSeconds());
+  }
+  point.measured_qps = math::Median(point.qps_reps);
+  point.qps_iqr = math::Percentile(point.qps_reps, 75) -
+                  math::Percentile(point.qps_reps, 25);
   return point;
 }
 
@@ -115,8 +128,6 @@ struct HitPathPoint {
   /// Hits over queries across every repetition (1.0: nothing propagated).
   double hit_ratio = 0.0;
 };
-
-constexpr int kHitPathReps = 3;
 
 /// `callers` threads each call Submit on `engine` in a closed loop for
 /// `min_seconds`, cycling through the (cached) seeds from their own
@@ -174,7 +185,7 @@ std::pair<double, double> RunHitPathRep(serve::QueryEngine& engine,
 }
 
 /// The hit-path point for `callers` threads: a fresh engine, warmed by
-/// one SubmitBatch of every seed, then kHitPathReps timed repetitions.
+/// one SubmitBatch of every seed, then kReps timed repetitions.
 HitPathPoint RunHitPath(const Setup& s, const core::OnlineKgOptimizer& online,
                         size_t callers, double min_seconds) {
   serve::QueryEngineOptions options;
@@ -190,7 +201,7 @@ HitPathPoint RunHitPath(const Setup& s, const core::OnlineKgOptimizer& online,
   HitPathPoint point;
   point.callers = callers;
   const serve::QueryEngine::ServeStats before = engine.GetServeStats();
-  for (int rep = 0; rep < kHitPathReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     const auto [qps, p50_us] =
         RunHitPathRep(engine, s.seeds, callers, min_seconds);
     point.qps_reps.push_back(qps);
@@ -302,7 +313,7 @@ void RunAndReport(bool smoke, const char* json_path,
       "kgov serving subsystem (docs/serving.md)");
 
   const size_t num_questions = smoke ? 16 : 64;
-  const int rounds = smoke ? 2 : 8;
+  const double sweep_seconds = smoke ? 0.25 : 1.0;
   Setup s = MakeSetup(num_questions);
 
   core::OnlineOptimizerOptions online_options;
@@ -310,23 +321,26 @@ void RunAndReport(bool smoke, const char* json_path,
   core::OnlineKgOptimizer online(s.kg.graph, online_options);
 
   const unsigned host_cores = std::thread::hardware_concurrency();
-  std::printf("graph: %zu nodes, %zu edges; %zu seeds x %d rounds; "
-              "top-20 over %zu answers; host_cores=%u%s\n",
-              s.kg.graph.NumNodes(), s.kg.graph.NumEdges(),
-              s.seeds.size(), rounds, s.kg.answer_nodes.size(),
-              host_cores, smoke ? " [smoke]" : "");
+  std::printf("graph: %zu nodes, %zu edges; %zu seeds; top-20 over %zu "
+              "answers; host_cores=%u, %s build%s\n",
+              s.kg.graph.NumNodes(), s.kg.graph.NumEdges(), s.seeds.size(),
+              s.kg.answer_nodes.size(), host_cores, KGOV_BUILD_TYPE,
+              smoke ? " [smoke]" : "");
 
   const std::vector<size_t> thread_counts = {1, 2, 4};
   std::vector<SweepPoint> sweep;
   for (size_t threads : thread_counts) {
-    sweep.push_back(RunConfig(s, online, threads, rounds));
+    sweep.push_back(RunConfig(s, online, threads, sweep_seconds));
   }
 
-  std::printf("thread sweep: SubmitBatch, cache off\n");
-  bench::TablePrinter table({"threads", "measured q/s"}, {7, 12});
+  std::printf("thread sweep: SubmitBatch, cache off, median of %d reps of "
+              ">= %.2f s each\n",
+              kReps, sweep_seconds);
+  bench::TablePrinter table({"threads", "measured q/s", "IQR"}, {7, 12, 10});
   table.PrintHeader();
   for (const SweepPoint& p : sweep) {
-    table.PrintRow({std::to_string(p.threads), bench::Num(p.measured_qps, 1)});
+    table.PrintRow({std::to_string(p.threads), bench::Num(p.measured_qps, 1),
+                    bench::Num(p.qps_iqr, 1)});
   }
 
   // A single-core host cannot produce a meaningful thread-scaling verdict:
@@ -356,7 +370,7 @@ void RunAndReport(bool smoke, const char* json_path,
   }
   std::printf("hit path: Submit on a warmed cache, median of %d reps of "
               ">= %.2f s each\n",
-              kHitPathReps, hit_path_seconds);
+              kReps, hit_path_seconds);
   bench::TablePrinter hit_table({"callers", "q/s", "p50 us", "hit ratio"},
                                 {7, 12, 8, 9});
   hit_table.PrintHeader();
@@ -390,36 +404,41 @@ void RunAndReport(bool smoke, const char* json_path,
                "  \"bench\": \"concurrent_serving\",\n"
                "  \"smoke\": %s,\n"
                "  \"host_cores\": %u,\n"
+               "  \"build_type\": \"%s\",\n"
                "  \"nodes\": %zu,\n"
                "  \"edges\": %zu,\n"
-               "  \"queries_per_config\": %zu,\n"
+               "  \"seeds\": %zu,\n"
                "  \"top_k\": 20,\n"
                "  \"max_length\": 5,\n"
-               "  \"sweep\": [\n",
-               smoke ? "true" : "false", host_cores,
-               s.kg.graph.NumNodes(), s.kg.graph.NumEdges(),
-               static_cast<size_t>(rounds) * s.seeds.size());
+               "  \"sweep\": {\"reps\": %d, \"min_seconds\": %.3f, "
+               "\"points\": [\n",
+               smoke ? "true" : "false", host_cores, KGOV_BUILD_TYPE,
+               s.kg.graph.NumNodes(), s.kg.graph.NumEdges(), s.seeds.size(),
+               kReps, sweep_seconds);
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
     std::fprintf(out,
                  "    {\"threads\": %zu, \"cache\": false, "
-                 "\"measured_qps\": %.2f}%s\n",
-                 p.threads, p.measured_qps, i + 1 < sweep.size() ? "," : "");
+                 "\"measured_qps\": %.1f, \"qps_iqr\": %.1f, "
+                 "\"qps_reps\": %s}%s\n",
+                 p.threads, p.measured_qps, p.qps_iqr,
+                 JsonArray(p.qps_reps).c_str(),
+                 i + 1 < sweep.size() ? "," : "");
   }
   if (scaling_meaningful) {
     std::fprintf(out,
-                 "  ],\n"
+                 "  ]},\n"
                  "  \"scaling\": {\"measured_1_to_4\": %.3f},\n",
                  scaling_measured);
   } else {
     std::fprintf(out,
-                 "  ],\n"
+                 "  ]},\n"
                  "  \"scaling\": null,\n");
   }
   std::fprintf(out,
                "  \"hit_path\": {\"reps\": %d, \"min_seconds\": %.3f, "
                "\"points\": [\n",
-               kHitPathReps, hit_path_seconds);
+               kReps, hit_path_seconds);
   for (size_t i = 0; i < hit_path.size(); ++i) {
     const HitPathPoint& p = hit_path[i];
     std::fprintf(out,

@@ -24,10 +24,7 @@ AdjointWorkspace& ThreadLocalAdjointWorkspace() {
 EipdAdjoint::EipdAdjoint(graph::GraphView view, EipdOptions options,
                          const int32_t* var_of_edge,
                          std::span<const graph::NodeId> targets)
-    : view_(view),
-      options_(options),
-      var_of_edge_(var_of_edge),
-      targets_(targets.begin(), targets.end()) {
+    : view_(view), options_(options), var_of_edge_(var_of_edge) {
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
   KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0)
@@ -38,38 +35,20 @@ EipdAdjoint::EipdAdjoint(graph::GraphView view, EipdOptions options,
     decay_.push_back(decay);
     decay *= 1.0 - c;
   }
-  if (targets_.empty()) return;
-  std::sort(targets_.begin(), targets_.end());
-  targets_.erase(std::unique(targets_.begin(), targets_.end()),
-                 targets_.end());
-  const size_t n = view_.NumNodes();
-  std::vector<char> is_target(n, 0);
-  for (graph::NodeId t : targets_) {
-    KGOV_CHECK(view_.IsValidNode(t)) << "target " << t << " is not a node";
-    is_target[t] = 1;
-  }
-  last_hop_.begin.assign(1, 0);
-  last_hop_.begin.reserve(n + 1);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const graph::GraphView::Neighbor* b = view_.begin(u);
-    for (size_t k = 0, e = view_.OutDegree(u); k < e; ++k) {
-      if (is_target[b[k].to]) {
-        last_hop_.offsets.push_back(static_cast<uint32_t>(k));
-      }
-    }
-    last_hop_.begin.push_back(last_hop_.offsets.size());
+  if (!targets.empty()) {
+    last_hop_ = internal::BuildTargetSlots(view_, targets);
   }
 }
 
 internal::VariableAdjacency EipdAdjoint::HopInto(int len,
                                                  const double* x) const {
-  const bool last = len == options_.max_length && !targets_.empty();
+  const bool last =
+      len == options_.max_length && !last_hop_.is_target.empty();
   return {view_, var_of_edge_, x, last ? &last_hop_ : nullptr};
 }
 
 bool EipdAdjoint::IsTarget(graph::NodeId node) const {
-  return targets_.empty() ||
-         std::binary_search(targets_.begin(), targets_.end(), node);
+  return last_hop_.is_target.empty() || last_hop_.is_target[node] != 0;
 }
 
 void EipdAdjoint::Forward(const QuerySeed& seed, const double* x,

@@ -75,20 +75,12 @@ AdjointWorkspace& ThreadLocalAdjointWorkspace();
 
 namespace internal {
 
-/// Each node's CSR slots whose head lies in a target set, in CSR order:
-/// node u's are offsets[begin[u], begin[u + 1]), each an index into u's
-/// out-range.
-struct TargetSlots {
-  std::vector<size_t> begin;
-  std::vector<uint32_t> offsets;
-};
-
 /// A GraphView whose variable edges weigh what a trial point says: edge e
 /// with var_of_edge[e] >= 0 weighs x[var_of_edge[e]], every other edge
 /// keeps the view's weight. A null `var_of_edge` or `x` leaves every
 /// weight as the view has it. The index is dense by EdgeId, so the view
 /// must carry edge ids. With `only` set, a node's out-edges are just the
-/// slots `only` lists for it.
+/// slots `only` lists for it, as for ViewAdjacency.
 struct VariableAdjacency {
   graph::GraphView view;
   const int32_t* var_of_edge;
@@ -142,7 +134,8 @@ class EipdAdjoint {
   /// variable index, or -1 for an edge that keeps its weight. `targets`
   /// (empty: every node) are the nodes whose Phi the caller reads; each
   /// lambda node and support target must be one of them. The constructor
-  /// indexes, once, the CSR slots whose head is a target, and the forward
+  /// indexes, once, the CSR slots whose head is a target (the engine's
+  /// internal::BuildTargetSlots), and the forward
   /// hop into level L and the backward's first pull walk only those: the
   /// other level-L terms are w * 0 additions, so every target's Phi, the
   /// gradient and the support are bitwise what an untargeted adjoint gives.
@@ -189,8 +182,7 @@ class EipdAdjoint {
   graph::GraphView view_;
   EipdOptions options_;
   const int32_t* var_of_edge_;
-  /// Sorted and unique; empty means every node.
-  std::vector<graph::NodeId> targets_;
+  /// The target index; empty (no is_target entries) means every node.
   internal::TargetSlots last_hop_;
   /// c(1-c)^l for l = 1..L, computed as PropagatePhi does.
   std::vector<double> decay_;

@@ -27,10 +27,41 @@ PropagationWorkspace& ThreadLocalWorkspace() {
   return ws;
 }
 
-EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options)
+namespace internal {
+
+TargetSlots BuildTargetSlots(graph::GraphView view,
+                             std::span<const graph::NodeId> targets) {
+  const size_t n = view.NumNodes();
+  TargetSlots index;
+  index.is_target.assign(n, 0);
+  for (graph::NodeId t : targets) {
+    KGOV_CHECK(view.IsValidNode(t)) << "target " << t << " is not a node";
+    index.is_target[t] = 1;
+  }
+  index.begin.reserve(n + 1);
+  index.begin.push_back(0);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const graph::GraphView::Neighbor* b = view.begin(u);
+    for (size_t k = 0, e = view.OutDegree(u); k < e; ++k) {
+      if (index.is_target[b[k].to]) {
+        index.offsets.push_back(static_cast<uint32_t>(k));
+      }
+    }
+    index.begin.push_back(index.offsets.size());
+  }
+  return index;
+}
+
+}  // namespace internal
+
+EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options,
+                       std::span<const graph::NodeId> answers)
     : view_(view), options_(options) {
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
+  if (!answers.empty()) {
+    answer_index_ = internal::BuildTargetSlots(view_, answers);
+  }
 }
 
 Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {
@@ -53,7 +84,8 @@ Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {
 }
 
 const std::vector<double>& EipdEngine::PropagateInto(
-    const QuerySeed& seed, PropagationWorkspace* ws) const {
+    const QuerySeed& seed, PropagationWorkspace* ws,
+    const internal::TargetSlots* last_hop) const {
   // Serving-latency telemetry: one Timer (two steady-clock reads) and one
   // histogram Observe per pass -- a fraction of a percent of a single
   // propagation on the bench graph.
@@ -70,7 +102,8 @@ const std::vector<double>& EipdEngine::PropagateInto(
           "serving.eipd.kernel.sparse");
   if (ws == nullptr) ws = &ThreadLocalWorkspace();
   Timer timer;
-  internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_, ws);
+  internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_, ws,
+                         last_hop);
   propagations->Increment();
   queries->Increment();
   latency->Observe(timer.ElapsedSeconds());
@@ -80,14 +113,15 @@ const std::vector<double>& EipdEngine::PropagateInto(
 StatusOr<std::vector<double>> EipdEngine::Propagate(
     const QuerySeed& seed, PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  return PropagateInto(seed, ws);
+  return PropagateInto(seed, ws, nullptr);
 }
 
 StatusOr<std::vector<double>> EipdEngine::Scores(
     const QuerySeed& seed, const std::vector<graph::NodeId>& answers,
     PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  const std::vector<double>& phi = PropagateInto(seed, ws);
+  const internal::TargetSlots* index = AnswerIndex();
+  const std::vector<double>& phi = PropagateInto(seed, ws, index);
   std::vector<double> out(answers.size());
   for (size_t i = 0; i < answers.size(); ++i) {
     if (!view_.IsValidNode(answers[i])) {
@@ -95,6 +129,11 @@ StatusOr<std::vector<double>> EipdEngine::Scores(
           "answers[" + std::to_string(i) + "] = " +
           std::to_string(answers[i]) + " is outside the view's " +
           std::to_string(view_.NumNodes()) + " nodes");
+    }
+    if (index != nullptr && !index->is_target[answers[i]]) {
+      return Status::InvalidArgument(
+          "answers[" + std::to_string(i) + "] = " +
+          std::to_string(answers[i]) + " is not in the engine's answer set");
     }
     out[i] = phi[answers[i]];
   }
@@ -105,7 +144,9 @@ StatusOr<std::vector<ScoredAnswer>> EipdEngine::Rank(
     const QuerySeed& seed, const std::vector<graph::NodeId>& candidates,
     size_t k, PropagationWorkspace* ws) const {
   KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-  return TopKByScore(PropagateInto(seed, ws), candidates, k);
+  const internal::TargetSlots* index = AnswerIndex();
+  return TopKByScore(PropagateInto(seed, ws, index), candidates, k,
+                     index == nullptr ? nullptr : &index->is_target);
 }
 
 }  // namespace kgov::ppr

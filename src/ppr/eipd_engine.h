@@ -12,6 +12,16 @@
 // compare results with memcmp, and tests/test_eipd.cc pins a CRC-32C of
 // the phi bytes.
 //
+// Answer index. A ranking reads Phi only at the answer nodes, so an
+// engine may be given its answer set at construction, as EipdAdjoint is
+// given its targets. It then indexes, once (internal::BuildTargetSlots,
+// O(|V| + |E|)), the CSR slots whose head is an answer, and Rank and
+// Scores walk only those on the hop into level L. Each answer's level-L
+// sum is the same additions in the same CSR order, and no other node's
+// level-L mass is read, so every ranking and score is bitwise what an
+// engine without the set returns. Propagate promises every node's Phi, so
+// it always walks the full last level.
+//
 // Per-query cost is O(touched nodes + traversed edges), independent of
 // |V|: PropagationWorkspace keeps `phi`, `mass` and `next` alive across
 // queries, logs every frontier it absorbs into phi, and the next query
@@ -26,6 +36,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/contracts.h"
@@ -107,19 +119,47 @@ PropagationWorkspace& ThreadLocalWorkspace();
 
 namespace internal {
 
-/// Adjacency adapter over a GraphView (contiguous CSR ranges).
+/// The answer index of a view: which nodes are targets, and each node's
+/// CSR slots whose head is a target, in CSR order - node u's are
+/// offsets[begin[u], begin[u + 1]), each an index into u's out-range.
+struct TargetSlots {
+  std::vector<char> is_target;
+  std::vector<size_t> begin;
+  std::vector<uint32_t> offsets;
+};
+
+/// Indexes `targets` (any order, duplicates allowed; each a node of
+/// `view`) in one pass over the CSR: O(|V| + |E|) time, |V| bytes plus one
+/// size_t per node and one uint32_t per slot into a target.
+TargetSlots BuildTargetSlots(graph::GraphView view,
+                             std::span<const graph::NodeId> targets);
+
+/// Adjacency adapter over a GraphView (contiguous CSR ranges). With `only`
+/// set, a node's out-edges are just the slots `only` lists for it.
 struct ViewAdjacency {
   graph::GraphView view;
+  const TargetSlots* only = nullptr;
 
   size_t NumNodes() const { return view.NumNodes(); }
   bool IsValidNode(graph::NodeId v) const { return view.IsValidNode(v); }
-  size_t OutDegree(graph::NodeId u) const { return view.OutDegree(u); }
+  size_t OutDegree(graph::NodeId u) const {
+    return only == nullptr ? view.OutDegree(u)
+                           : only->begin[u + 1] - only->begin[u];
+  }
 
   template <typename Fn>
   void ForEachOut(graph::NodeId u, Fn&& fn) const {
-    for (const graph::GraphView::Neighbor* it = view.begin(u);
-         it != view.end(u); ++it) {
-      fn(it->to, it->weight);
+    if (only == nullptr) {
+      for (const graph::GraphView::Neighbor* it = view.begin(u);
+           it != view.end(u); ++it) {
+        fn(it->to, it->weight);
+      }
+      return;
+    }
+    const graph::GraphView::Neighbor* b = view.begin(u);
+    for (size_t i = only->begin[u]; i < only->begin[u + 1]; ++i) {
+      const graph::GraphView::Neighbor& edge = b[only->offsets[i]];
+      fn(edge.to, edge.weight);
     }
   }
 };
@@ -189,16 +229,25 @@ void AdvanceLane(const Adjacency& adj, PropagationWorkspace* ws) {
 /// of *all* nodes in one pass - the property behind the paper's Table VI
 /// efficiency result. Walks longer than L are dropped (SIV-A; L = 5 in the
 /// paper's experiments, justified by Fig. 7). The result lands in
-/// ws->phi.
+/// ws->phi. With `last_hop` set, the hop into level L walks only the slots
+/// it lists, so ws->phi is exact only on its targets: each target's
+/// level-L sum is the same additions in the same order.
 template <typename Adjacency>
 void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
-                  const EipdOptions& options, PropagationWorkspace* ws) {
+                  const EipdOptions& options, PropagationWorkspace* ws,
+                  const TargetSlots* last_hop = nullptr) {
   const double c = options.restart;
   SeedLane(adj, seed, ws);
   double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
   for (int len = 1; len < options.max_length; ++len) {
     AbsorbLane(ws, decay);
-    AdvanceLane(adj, ws);
+    if (len + 1 == options.max_length && last_hop != nullptr) {
+      Adjacency into_targets = adj;
+      into_targets.only = last_hop;
+      AdvanceLane(into_targets, ws);
+    } else {
+      AdvanceLane(adj, ws);
+    }
     decay *= 1.0 - c;
   }
   // The final level is absorbed, never advanced.
@@ -220,7 +269,12 @@ void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
 /// vector.
 class EipdEngine {
  public:
-  explicit EipdEngine(graph::GraphView view, EipdOptions options = {});
+  /// `answers` (empty: every node) are the nodes Rank and Scores may be
+  /// asked about; each must be a node of the view. A non-empty set is
+  /// indexed here, once, and Rank and Scores then walk only the slots into
+  /// it on the hop into level L (see the header comment).
+  explicit EipdEngine(graph::GraphView view, EipdOptions options = {},
+                      std::span<const graph::NodeId> answers = {});
 
   const EipdOptions& options() const { return options_; }
   const graph::GraphView& view() const { return view_; }
@@ -229,32 +283,43 @@ class EipdEngine {
   /// non-negative weight. The error message names the offending link.
   Status ValidateSeed(const QuerySeed& seed) const;
 
-  /// One propagation pass; returns Phi(seed, v) for every node v of the
-  /// view. Pass a workspace to reuse scratch across calls (the returned
-  /// vector is an independent copy either way).
+  /// One propagation pass over the full last level; returns Phi(seed, v)
+  /// for every node v of the view, whatever the answer set. Pass a
+  /// workspace to reuse scratch across calls (the returned vector is an
+  /// independent copy either way).
   StatusOr<std::vector<double>> Propagate(
       const QuerySeed& seed, PropagationWorkspace* ws = nullptr) const;
 
   /// Phi(seed, a) for every a in `answers`, in one propagation pass.
+  /// InvalidArgument for a node outside the view or the answer set.
   StatusOr<std::vector<double>> Scores(
       const QuerySeed& seed, const std::vector<graph::NodeId>& answers,
       PropagationWorkspace* ws = nullptr) const;
 
   /// Top-k candidates sorted by descending score, ties by ascending node
-  /// id (rankings are deterministic).
+  /// id (rankings are deterministic). InvalidArgument for a candidate
+  /// outside the view or the answer set.
   StatusOr<std::vector<ScoredAnswer>> Rank(
       const QuerySeed& seed, const std::vector<graph::NodeId>& candidates,
       size_t k, PropagationWorkspace* ws = nullptr) const;
 
  private:
   /// The one kernel invocation every entry point funnels through: runs
-  /// PropagatePhi on `ws` (the thread's workspace when null), records
-  /// telemetry and returns the workspace's phi vector.
-  const std::vector<double>& PropagateInto(const QuerySeed& seed,
-                                           PropagationWorkspace* ws) const;
+  /// PropagatePhi on `ws` (the thread's workspace when null), its last hop
+  /// restricted to `last_hop` when set, records telemetry and returns the
+  /// workspace's phi vector.
+  const std::vector<double>& PropagateInto(
+      const QuerySeed& seed, PropagationWorkspace* ws,
+      const internal::TargetSlots* last_hop) const;
+
+  /// The answer index, or null when the engine has no answer set.
+  const internal::TargetSlots* AnswerIndex() const {
+    return answer_index_.is_target.empty() ? nullptr : &answer_index_;
+  }
 
   graph::GraphView view_;
   EipdOptions options_;
+  internal::TargetSlots answer_index_;
 };
 
 }  // namespace kgov::ppr

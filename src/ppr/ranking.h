@@ -56,10 +56,13 @@ inline void SortRankedTruncate(std::vector<ScoredAnswer>* entries,
 /// Public top-k entry point: ranks `candidates` by their scores in `phi`
 /// (a full per-node score vector, e.g. a propagation result), descending,
 /// ties by ascending node id, truncated to k. Returns InvalidArgument
-/// naming the offending candidate when one is outside [0, phi.size()).
+/// naming the offending candidate when one is outside [0, phi.size()), or
+/// when `scored` (a mask by node of where phi is exact; null: everywhere)
+/// does not mark it.
 inline StatusOr<std::vector<ScoredAnswer>> TopKByScore(
     const std::vector<double>& phi,
-    const std::vector<graph::NodeId>& candidates, size_t k) {
+    const std::vector<graph::NodeId>& candidates, size_t k,
+    const std::vector<char>* scored = nullptr) {
   std::vector<ScoredAnswer> ranked(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     const graph::NodeId node = candidates[i];
@@ -68,6 +71,11 @@ inline StatusOr<std::vector<ScoredAnswer>> TopKByScore(
           "candidates[" + std::to_string(i) + "] = " + std::to_string(node) +
           " is outside the scored node range [0, " +
           std::to_string(phi.size()) + ")");
+    }
+    if (scored != nullptr && !(*scored)[node]) {
+      return Status::InvalidArgument(
+          "candidates[" + std::to_string(i) + "] = " + std::to_string(node) +
+          " is not in the engine's answer set");
     }
     ranked[i] = ScoredAnswer{node, phi[node]};
   }

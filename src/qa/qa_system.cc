@@ -38,6 +38,12 @@ std::shared_ptr<const graph::CsrSnapshot> SnapshotOf(
   return std::make_shared<graph::CsrSnapshot>(*graph);
 }
 
+const std::vector<graph::NodeId>& AnswersOf(
+    const std::vector<graph::NodeId>* answer_nodes) {
+  KGOV_CHECK(answer_nodes != nullptr);
+  return *answer_nodes;
+}
+
 }  // namespace
 
 QaSystem::QaSystem(graph::GraphView view,
@@ -46,8 +52,7 @@ QaSystem::QaSystem(graph::GraphView view,
     : answer_nodes_(answer_nodes),
       num_entities_(num_entities),
       options_(options),
-      engine_(view, options.eipd) {
-  KGOV_CHECK(answer_nodes_ != nullptr);
+      engine_(view, options.eipd, AnswersOf(answer_nodes)) {
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }
@@ -59,8 +64,8 @@ QaSystem::QaSystem(const graph::WeightedDigraph* graph,
       answer_nodes_(answer_nodes),
       num_entities_(num_entities),
       options_(options),
-      engine_(owned_snapshot_->View(), options.eipd) {
-  KGOV_CHECK(answer_nodes_ != nullptr);
+      engine_(owned_snapshot_->View(), options.eipd,
+              AnswersOf(answer_nodes)) {
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }

@@ -3,7 +3,11 @@
 // answers.
 //
 // Serving is snapshot-backed: a QaSystem evaluates on an immutable
-// graph::GraphView (one EipdEngine, zero per-query allocation). Construct
+// graph::GraphView through one EipdEngine whose answer set is the answer
+// nodes: the engine indexes, once at construction, the edges into them
+// (O(|V| + |E|)), and each question's propagation walks only those on its
+// last hop, with rankings bitwise those of a full pass
+// (ppr/eipd_engine.h). Construct
 // it either directly over a view whose backing storage you manage (the
 // epoch-serving path, e.g. core::OnlineKgOptimizer::serving()), or from a
 // WeightedDigraph, in which case the system freezes its own CSR snapshot

@@ -47,10 +47,11 @@ struct ServeMetrics {
 // Engine ids start at 1, so an unused ThreadPinSlot (id 0) matches none.
 std::atomic<uint64_t> next_engine_id{1};
 
-// The epoch this thread serves from, and the engine it was pinned from.
+// The epoch this thread serves from, and the engine it was pinned from;
+// `pin` is set whenever `engine_id` is.
 struct ThreadPinSlot {
   uint64_t engine_id = 0;
-  core::ServingEpoch epoch;
+  std::shared_ptr<const PinnedEpoch> pin;
 };
 thread_local ThreadPinSlot this_thread_pin;
 
@@ -59,6 +60,11 @@ thread_local ThreadPinSlot this_thread_pin;
 thread_local std::string this_thread_key;
 
 }  // namespace
+
+PinnedEpoch::PinnedEpoch(core::ServingEpoch pinned,
+                         const ppr::EipdOptions& options,
+                         const std::vector<graph::NodeId>& candidates)
+    : epoch(std::move(pinned)), ranker(epoch.view(), options, candidates) {}
 
 Status QueryEngineOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(eipd.Validate());
@@ -89,6 +95,17 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     return Status::InvalidArgument(
         "QueryEngine requires a non-empty candidate set");
   }
+  // Every epoch has the same nodes (a flush changes weights only), so the
+  // current one decides for all.
+  const core::ServingEpoch current = source->CurrentEpoch();
+  for (size_t i = 0; i < candidates->size(); ++i) {
+    if (!current.view().IsValidNode((*candidates)[i])) {
+      return Status::InvalidArgument(
+          "candidates[" + std::to_string(i) + "] = " +
+          std::to_string((*candidates)[i]) + " is outside the graph's " +
+          std::to_string(current.view().NumNodes()) + " nodes");
+    }
+  }
   return std::unique_ptr<QueryEngine>(
       new QueryEngine(source, candidates, std::move(options)));
 }
@@ -100,8 +117,9 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       candidates_(candidates),
       options_(std::move(options)),
       id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
-      pinned_(source->CurrentEpoch()),
-      pinned_epoch_(pinned_.epoch),
+      pinned_(std::make_shared<const PinnedEpoch>(
+          source->CurrentEpoch(), options_.eipd, *candidates)),
+      pinned_epoch_(pinned_->epoch.epoch),
       cache_(options_.cache_capacity, kCacheShards),
       admission_(options_.admission),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
@@ -121,46 +139,52 @@ QueryEngine::ServeStats QueryEngine::GetServeStats() const {
 void QueryEngine::MaybeRefreshEpoch() {
   const uint64_t latest = source_->CurrentEpochNumber();
   if (pinned_epoch_.load(std::memory_order_acquire) >= latest) return;
-  // Pin the fresh epoch outside the exclusive section (CurrentEpoch takes
-  // the optimizer's own lock), then swap under ours.
-  core::ServingEpoch fresh = source_->CurrentEpoch();
+  // Pin the fresh epoch and build its engine's answer index outside the
+  // exclusive section (CurrentEpoch takes the optimizer's own lock; the
+  // index is one pass over the CSR), then swap under ours.
+  auto fresh = std::make_shared<const PinnedEpoch>(
+      source_->CurrentEpoch(), options_.eipd, *candidates_);
+  const uint64_t fresh_epoch = fresh->epoch.epoch;
   size_t dropped = 0;
   {
     WriterMutexLock lock(epoch_mu_);
-    if (fresh.epoch <= pinned_.epoch) return;  // raced with another refresh
+    // Raced with another refresh.
+    if (fresh_epoch <= pinned_->epoch.epoch) return;
     // Advance the cache BEFORE the new pin becomes visible: a reader that
-    // sees fresh.epoch can then never hit an entry computed before it
+    // sees fresh_epoch can then never hit an entry computed before it
     // (see the happens-before argument in result_cache.h).
-    if (options_.enable_cache) dropped = cache_.AdvanceEpoch(fresh.epoch);
-    pinned_ = std::move(fresh);
+    if (options_.enable_cache) dropped = cache_.AdvanceEpoch(fresh_epoch);
+    // The superseded pin is released with `fresh`, after the lock.
+    pinned_.swap(fresh);
     // Published last: a thread that reads this number has the advanced
     // cache and the new pin visible (see result_cache.h).
-    pinned_epoch_.store(pinned_.epoch, std::memory_order_release);
+    pinned_epoch_.store(fresh_epoch, std::memory_order_release);
   }
   const ServeMetrics& metrics = ServeMetrics::Get();
   metrics.epoch_refreshes->Increment();
   if (options_.enable_cache) metrics.cache_invalidations->Increment(dropped);
 }
 
-const core::ServingEpoch& QueryEngine::ThreadPin() {
-  ThreadPinSlot& pin = this_thread_pin;
-  if (pin.engine_id != id_ ||
-      pin.epoch.epoch != pinned_epoch_.load(std::memory_order_acquire)) {
-    core::ServingEpoch fresh;
+const PinnedEpoch& QueryEngine::ThreadPin() {
+  ThreadPinSlot& slot = this_thread_pin;
+  if (slot.engine_id != id_ ||
+      slot.pin->epoch.epoch != pinned_epoch_.load(std::memory_order_acquire)) {
+    std::shared_ptr<const PinnedEpoch> fresh;
     {
       ReaderMutexLock lock(epoch_mu_);
       fresh = pinned_;
     }
-    // The superseded epoch is released here, outside the lock.
-    pin.epoch = std::move(fresh);
-    pin.engine_id = id_;
+    // The superseded pin is released here, outside the lock.
+    slot.pin = std::move(fresh);
+    slot.engine_id = id_;
   }
-  return pin.epoch;
+  return *slot.pin;
 }
 
 StatusOr<RankedAnswers> QueryEngine::ServeMiss(const ppr::QuerySeed& seed) {
   MaybeRefreshEpoch();
-  const core::ServingEpoch& epoch = ThreadPin();
+  const PinnedEpoch& pinned = ThreadPin();
+  const core::ServingEpoch& epoch = pinned.epoch;
   // Debug builds re-check the pinned epoch's structural contract on every
   // miss (compiled out under NDEBUG; see serve/validate.h).
   KGOV_DCHECK_OK(ValidateEpochPin(epoch));
@@ -169,8 +193,7 @@ StatusOr<RankedAnswers> QueryEngine::ServeMiss(const ppr::QuerySeed& seed) {
   // An invalid seed is an ERROR outcome. The caller already probed the
   // cache (Probe).
   StatusOr<std::vector<ppr::ScoredAnswer>> ranked =
-      ppr::EipdEngine(epoch.view(), options_.eipd)
-          .Rank(seed, *candidates_, options_.top_k);
+      pinned.ranker.Rank(seed, *candidates_, options_.top_k);
   if (!ranked.ok()) {
     errors_.Increment();
     metrics.errors->Increment();
@@ -206,10 +229,10 @@ bool QueryEngine::Probe(const ppr::QuerySeed& seed, const Timer& timer,
   const uint64_t epoch = pinned_epoch_.load(std::memory_order_acquire);
   // It does release a pin the engine has moved past (or another engine's),
   // so a thread that keeps hitting holds no superseded snapshot alive.
-  ThreadPinSlot& pin = this_thread_pin;
-  if (pin.engine_id != 0 &&
-      (pin.engine_id != id_ || pin.epoch.epoch != epoch)) {
-    pin = ThreadPinSlot{};
+  ThreadPinSlot& slot = this_thread_pin;
+  if (slot.engine_id != 0 &&
+      (slot.engine_id != id_ || slot.pin->epoch.epoch != epoch)) {
+    slot = ThreadPinSlot{};
   }
   // Encoded into this thread's reused buffer: only a Put copies a key.
   EncodeCacheKey(seed, &this_thread_key);

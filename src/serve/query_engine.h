@@ -20,6 +20,14 @@
 //    no workspace. So there is at most one workspace per thread that has
 //    propagated, freed when that thread exits, and steady-state serving
 //    allocates nothing sized by the graph.
+//  * Each pinned epoch carries one answer-indexed ppr::EipdEngine
+//    (PinnedEpoch): built with the candidates as its answer set when the
+//    epoch is pinned - at construction, and in MaybeRefreshEpoch outside
+//    the writer lock - so a miss builds nothing, and its propagation
+//    walks only the edges into the candidates on the hop into level L.
+//    The rankings are bitwise those of an engine without the set
+//    (ppr/eipd_engine.h). The index costs O(|V| + |E|) once per epoch
+//    (docs/serving.md).
 //  * Results are memoized in a ShardedResultCache. A cache hit is bitwise
 //    identical to the propagation it replaced. On an epoch swap the
 //    engine advances the cache, which drops every entry (result_cache.h
@@ -35,18 +43,19 @@
 //    its own atomic copy of the pinned epoch number, and re-pins when the
 //    optimizer has published a newer epoch, so fresh results appear
 //    promptly without polling threads.
-//  * Each thread that serves a miss keeps its own pin: one ServingEpoch
-//    in a thread_local slot, keyed by the engine's process-unique id
-//    (never its address, which a later engine may reuse). A miss reuses
-//    the slot while its epoch equals the engine's pinned epoch number, so
-//    in steady state it takes no lock and changes no reference count;
-//    only after a re-pin (or when the thread last served another engine)
-//    does it copy the engine's pin under the reader lock. A hit reads no
-//    graph and takes no pin, but it releases a superseded one. Retention
-//    bound: at most one ServingEpoch per thread that has served a miss,
-//    from whichever engine it served last. A superseded epoch stays alive
-//    until that thread's next query or its exit, so an idle thread can
-//    hold one old snapshot (and a destroyed engine's last epoch) alive.
+//  * Each thread that serves a miss keeps its own pin: one PinnedEpoch
+//    (the epoch and its engine, one shared_ptr) in a thread_local slot,
+//    keyed by the engine's process-unique id (never its address, which a
+//    later engine may reuse). A miss reuses the slot while its epoch
+//    equals the engine's pinned epoch number, so in steady state it takes
+//    no lock and changes no reference count; only after a re-pin (or when
+//    the thread last served another engine) does it copy the engine's pin
+//    under the reader lock. A hit reads no graph and takes no pin, but it
+//    releases a superseded one. Retention bound: at most one PinnedEpoch
+//    per thread that has served a miss, from whichever engine it served
+//    last. A superseded epoch stays alive until that thread's next query
+//    or its exit, so an idle thread can hold one old snapshot and its
+//    index (and a destroyed engine's last epoch) alive.
 //  * Outcome counters are telemetry::Counter cells, like the registry's
 //    serve.* mirrors; the engine's hit count is the cache's own. A cache
 //    hit writes only its own thread's cache lines, apart from the cache
@@ -85,6 +94,19 @@
 #include "telemetry/metrics.h"
 
 namespace kgov::serve {
+
+/// One pinned epoch and the engine that ranks on it. The engine is built
+/// over epoch.view() with the query engine's candidates as its answer set,
+/// once per epoch; a PinnedEpoch is shared (shared_ptr), so a thread's pin
+/// copies the index by reference.
+struct PinnedEpoch {
+  PinnedEpoch(core::ServingEpoch pinned, const ppr::EipdOptions& options,
+              const std::vector<graph::NodeId>& candidates);
+
+  core::ServingEpoch epoch;
+  /// Reads epoch's snapshot, so it is only ever held beside it.
+  ppr::EipdEngine ranker;
+};
 
 struct QueryEngineOptions {
   /// Propagation settings used for every query.
@@ -143,8 +165,9 @@ class QueryEngine {
 
   /// `source` and `candidates` are borrowed and must outlive the engine.
   /// `candidates` is the fixed answer-node universe ranked for every
-  /// query (a QA system's answer documents). Fails fast on invalid
-  /// options or null/empty inputs.
+  /// query (a QA system's answer documents) and the answer set of every
+  /// epoch's engine. Fails fast on invalid options, null/empty inputs, or
+  /// a candidate outside the source's graph.
   static StatusOr<std::unique_ptr<QueryEngine>> Create(
       const core::OnlineKgOptimizer* source,
       const std::vector<graph::NodeId>* candidates,
@@ -199,12 +222,13 @@ class QueryEngine {
   /// Re-pins the serving epoch when the optimizer has published a newer
   /// one (cheap acquire-load probe; lock taken only on an actual swap),
   /// advancing (emptying) the cache BEFORE the new pin becomes visible.
+  /// The new epoch's engine and answer index are built before the lock.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
 
   /// This thread's pin of the engine's current epoch (see the header
   /// comment). The reference stays valid until this thread's next call;
   /// ServeMiss never runs nested on one thread.
-  const core::ServingEpoch& ThreadPin() KGOV_EXCLUDES(epoch_mu_);
+  const PinnedEpoch& ThreadPin() KGOV_EXCLUDES(epoch_mu_);
 
   /// The probe step of Submit and SubmitBatch, on the calling thread:
   /// true, with `*out` served and the span observed from `timer`, when
@@ -214,7 +238,8 @@ class QueryEngine {
              RankedAnswers* out) KGOV_EXCLUDES(epoch_mu_);
 
   /// The serving body of every admitted miss: validation, ONE
-  /// propagation on this thread's workspace, then a Put into the cache.
+  /// propagation through the pinned epoch's engine on this thread's
+  /// workspace, then a Put into the cache.
   StatusOr<RankedAnswers> ServeMiss(const ppr::QuerySeed& seed)
       KGOV_EXCLUDES(epoch_mu_);
 
@@ -232,8 +257,9 @@ class QueryEngine {
   /// copy it without serializing on each other, while a refresh takes it
   /// exclusively.
   mutable SharedMutex epoch_mu_{KGOV_LOCK_RANK(kQueryEpochPin)};
-  core::ServingEpoch pinned_ KGOV_GUARDED_BY(epoch_mu_);
-  /// pinned_.epoch, stored (release) under the writer lock after the
+  /// Never null.
+  std::shared_ptr<const PinnedEpoch> pinned_ KGOV_GUARDED_BY(epoch_mu_);
+  /// pinned_->epoch.epoch, stored (release) under the writer lock after the
   /// cache has advanced and pinned_ has been swapped; the lock-free fast
   /// paths read it (acquire).
   std::atomic<uint64_t> pinned_epoch_;

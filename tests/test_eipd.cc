@@ -377,6 +377,147 @@ TEST(EipdTest, BranchlessAppendKeepsUnderflowDuplicates) {
   }
 }
 
+// A random digraph with self-loops, 2-cycles and zero-weight edges, plus
+// one node with an out-edge but no in-edge (unreachable from any seed that
+// does not name it).
+WeightedDigraph RandomKernelGraph(Rng& rng, size_t n) {
+  WeightedDigraph g(n);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    for (size_t k = 0, d = rng.NextIndex(5); k < d; ++k) {
+      const graph::NodeId v = static_cast<graph::NodeId>(rng.NextIndex(n));
+      const double w = rng.NextIndex(6) == 0 ? 0.0 : rng.Uniform(0.01, 1.0);
+      (void)g.AddEdge(u, v, w);
+    }
+  }
+  const graph::NodeId unreachable = g.AddNode();
+  EXPECT_TRUE(g.AddEdge(unreachable, 0, 0.5).ok());
+  return g;
+}
+
+// Seeds never name the unreachable node (the last one).
+QuerySeed RandomKernelSeed(Rng& rng, size_t n) {
+  QuerySeed seed;
+  for (size_t k = 0, links = 1 + rng.NextIndex(3); k < links; ++k) {
+    seed.links.emplace_back(static_cast<graph::NodeId>(rng.NextIndex(n)),
+                            rng.Uniform(0.1, 1.0));
+  }
+  return seed;
+}
+
+void ExpectSameRanking(const std::vector<ScoredAnswer>& want,
+                       const std::vector<ScoredAnswer>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].node, got[i].node) << "rank " << i;
+    EXPECT_EQ(std::memcmp(&want[i].score, &got[i].score, sizeof(double)), 0)
+        << "rank " << i << ": " << want[i].score << " vs " << got[i].score;
+  }
+}
+
+// The answer index changes which edges the last hop walks, never what an
+// answer scores: Rank and Scores match an engine without the set bit for
+// bit, for every k up to past the answer count, on one workspace shared
+// with the full engine. A non-answer keeps only the first L - 1 levels.
+TEST(EipdTest, AnswerIndexedRankIsBitwiseFullRank) {
+  for (uint64_t trial = 0; trial < 40; ++trial) {
+    Rng rng(9100 + trial);
+    const size_t n = 8 + rng.NextIndex(40);
+    const WeightedDigraph g = RandomKernelGraph(rng, n);
+    const graph::NodeId unreachable = static_cast<graph::NodeId>(n);
+    std::vector<graph::NodeId> answers;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (rng.NextIndex(3) == 0) answers.push_back(v);
+    }
+    answers.push_back(unreachable);
+    std::vector<char> is_answer(g.NumNodes(), 0);
+    for (graph::NodeId a : answers) is_answer[a] = 1;
+    const QuerySeed seed = RandomKernelSeed(rng, n);
+    CsrSnapshot snap(g);
+    for (int length = 1; length <= 5; ++length) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " L " +
+                   std::to_string(length));
+      const EipdOptions options{.max_length = length};
+      const EipdEngine full(snap.View(), options);
+      const EipdEngine indexed(snap.View(), options, answers);
+      PropagationWorkspace ws;
+      for (size_t k : {size_t{1}, size_t{3}, answers.size(),
+                       answers.size() + 4}) {
+        StatusOr<std::vector<ScoredAnswer>> want =
+            full.Rank(seed, answers, k, &ws);
+        StatusOr<std::vector<ScoredAnswer>> got =
+            indexed.Rank(seed, answers, k, &ws);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ExpectSameRanking(*want, *got);
+      }
+      StatusOr<std::vector<double>> want_scores =
+          full.Scores(seed, answers, &ws);
+      StatusOr<std::vector<double>> got_scores =
+          indexed.Scores(seed, answers, &ws);
+      ASSERT_TRUE(want_scores.ok() && got_scores.ok());
+      EXPECT_TRUE(BitwiseEqualVectors(*want_scores, *got_scores));
+      EXPECT_EQ(got_scores->back(), 0.0);  // the unreachable answer
+
+      // The last hop walked only the answer slots: off the answers, the
+      // workspace holds the (L - 1)-level Phi.
+      if (length == 1) continue;
+      ASSERT_TRUE(indexed.Rank(seed, answers, 1, &ws).ok());
+      StatusOr<std::vector<double>> shorter =
+          EipdEngine(snap.View(), {.max_length = length - 1}).Propagate(seed);
+      ASSERT_TRUE(shorter.ok());
+      for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
+        if (is_answer[v]) continue;
+        EXPECT_EQ(std::memcmp(&ws.phi[v], &(*shorter)[v], sizeof(double)), 0)
+            << "node " << v << ": " << ws.phi[v] << " vs " << (*shorter)[v];
+      }
+    }
+  }
+}
+
+TEST(EipdTest, IndexedRankRejectsACandidateOutsideTheAnswerSet) {
+  CsrSnapshot snap(MakeFixture());
+  const EipdEngine engine(snap.View(), {}, std::vector<graph::NodeId>{3, 4});
+  ASSERT_TRUE(engine.Rank(SeedAt(0), {4, 3}, 2).ok());
+
+  StatusOr<std::vector<ScoredAnswer>> ranked =
+      engine.Rank(SeedAt(0), {3, 1}, 2);
+  ASSERT_FALSE(ranked.ok());
+  EXPECT_EQ(ranked.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ranked.status().message().find("candidates[1] = 1"),
+            std::string::npos)
+      << ranked.status();
+
+  StatusOr<std::vector<double>> scores = engine.Scores(SeedAt(0), {2});
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(scores.status().message().find("answers[0] = 2"),
+            std::string::npos)
+      << scores.status();
+}
+
+// Propagate promises every node's Phi, so an answer set changes nothing.
+TEST(EipdTest, IndexedPropagateIsFullPropagate) {
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    Rng rng(9300 + trial);
+    const size_t n = 8 + rng.NextIndex(40);
+    const WeightedDigraph g = RandomKernelGraph(rng, n);
+    const std::vector<graph::NodeId> answers = {
+        static_cast<graph::NodeId>(rng.NextIndex(n))};
+    const QuerySeed seed = RandomKernelSeed(rng, n);
+    CsrSnapshot snap(g);
+    for (int length = 1; length <= 5; ++length) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " L " +
+                   std::to_string(length));
+      const EipdOptions options{.max_length = length};
+      StatusOr<std::vector<double>> want =
+          EipdEngine(snap.View(), options).Propagate(seed);
+      StatusOr<std::vector<double>> got =
+          EipdEngine(snap.View(), options, answers).Propagate(seed);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_TRUE(BitwiseEqualVectors(*want, *got));
+    }
+  }
+}
+
 TEST(EipdTest, KernelCounterCountsEveryPropagation) {
   // serving.eipd.kernel.sparse counts single-root propagations; its name
   // predates the one kernel, and kgbench reads it.

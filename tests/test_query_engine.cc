@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -135,6 +136,21 @@ TEST(QueryEngineTest, CreateFailsFastNamingTheField) {
   EXPECT_NE(admission_or.status().message().find("capacity"),
             std::string::npos)
       << admission_or.status().message();
+}
+
+// The candidates are every epoch's answer index, so Create checks them
+// against the graph once, and names the first one outside it.
+TEST(QueryEngineTest, CreateRejectsACandidateOutsideTheGraph) {
+  WeightedDigraph g = MakeFixture();
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  const std::vector<graph::NodeId> candidates = {3, 5};
+  auto engine_or =
+      QueryEngine::Create(&online, &candidates, SmallEngineOptions());
+  ASSERT_FALSE(engine_or.ok());
+  EXPECT_EQ(engine_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(engine_or.status().message().find("candidates[1] = 5"),
+            std::string::npos)
+      << engine_or.status().message();
 }
 
 TEST(QueryEngineTest, RepeatSubmitIsServedFromCacheBitwiseIdentical) {
@@ -671,6 +687,65 @@ TEST(QueryEngineTest, EveryThreadsNextSubmitAfterAFlushServesTheNewEpoch) {
           << "thread " << t << " after " << p << " flushes";
       ExpectIdenticalAnswers(*reference, r->answers);
     }
+  }
+}
+
+// Each epoch's engine carries its own answer index. On a graph whose
+// answers have out-edges and whose non-answers sit on level L, across
+// weight-changing flushes, every cache-off Submit matches a Rank without
+// an answer set on that epoch's view, bit for bit.
+TEST(QueryEngineTest, AnswerIndexFollowsEveryEpoch) {
+  WeightedDigraph g(8);
+  for (const auto& [u, v, w] : std::vector<std::tuple<int, int, double>>{
+           {0, 1, 0.6}, {0, 2, 0.4}, {1, 3, 0.5}, {1, 5, 0.5},
+           {2, 4, 0.7}, {2, 6, 0.3}, {3, 5, 0.4}, {3, 7, 0.6},
+           {4, 6, 1.0}, {5, 3, 0.5}, {5, 7, 0.5}, {6, 4, 0.8},
+           {6, 5, 0.2}, {7, 4, 1.0}}) {
+    ASSERT_TRUE(g.AddEdge(u, v, w).ok());
+  }
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.enable_cache = false;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
+  const std::vector<ppr::QuerySeed> stream = SeededStream(6, 0xE90C);
+
+  constexpr int kFlushes = 4;
+  std::vector<ppr::ScoredAnswer> previous;
+  for (int p = 0; p <= kFlushes; ++p) {
+    const core::ServingEpoch epoch = online.CurrentEpoch();
+    ASSERT_EQ(epoch.epoch, static_cast<uint64_t>(p));
+    const ppr::EipdEngine full(epoch.view(), options.eipd);
+    for (const ppr::QuerySeed& seed : stream) {
+      StatusOr<RankedAnswers> served = engine.Submit(seed);
+      ASSERT_TRUE(served.ok()) << served.status();
+      EXPECT_EQ(served->epoch, epoch.epoch);
+      StatusOr<std::vector<ppr::ScoredAnswer>> want =
+          full.Rank(seed, Candidates(), options.top_k);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectIdenticalAnswers(*want, served->answers);
+    }
+    // Each flush moved the first seed's scores, so an engine left on an
+    // earlier epoch would fail above.
+    StatusOr<std::vector<ppr::ScoredAnswer>> first =
+        full.Rank(stream.front(), Candidates(), options.top_k);
+    ASSERT_TRUE(first.ok());
+    if (p > 0) {
+      ASSERT_EQ(first->size(), previous.size());
+      bool moved = false;
+      for (size_t i = 0; i < previous.size(); ++i) {
+        moved |= previous[i].node != (*first)[i].node ||
+                 !BitwiseEqual(previous[i].score, (*first)[i].score);
+      }
+      EXPECT_TRUE(moved) << "flush " << p << " changed no score";
+    }
+    previous = *first;
+    if (p == kFlushes) break;
+    ASSERT_TRUE(online.AddVote(MakeVote(p % 2 == 0 ? 4 : 3,
+                                        static_cast<uint32_t>(p)))
+                    .ok());
+    ASSERT_TRUE(online.Flush().ok());
   }
 }
 
