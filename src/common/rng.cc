@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -104,20 +105,29 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return pool;
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
+CategoricalSampler::CategoricalSampler(const std::vector<double>& weights) {
+  running_sums_.reserve(weights.size());
   double total = 0.0;
   for (double w : weights) {
     KGOV_DCHECK(w >= 0.0);
     total += w;
+    running_sums_.push_back(total);
   }
-  KGOV_CHECK(total > 0.0) << "Categorical requires positive total weight";
-  double r = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
+  KGOV_CHECK(total > 0.0)
+      << "CategoricalSampler requires a positive total weight";
+}
+
+size_t CategoricalSampler::Sample(Rng& rng) const {
+  return IndexAt(rng.NextDouble() * running_sums_.back());
+}
+
+size_t CategoricalSampler::IndexAt(double point) const {
+  const auto it =
+      std::upper_bound(running_sums_.begin(), running_sums_.end(), point);
+  if (it == running_sums_.end()) {
+    return running_sums_.size() - 1;  // numeric slack: the last bucket
   }
-  return weights.size() - 1;  // numeric slack: land on the last bucket
+  return static_cast<size_t>(it - running_sums_.begin());
 }
 
 }  // namespace kgov

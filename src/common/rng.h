@@ -66,14 +66,32 @@ class Rng {
     }
   }
 
-  /// Draws an index in [0, weights.size()) with probability proportional to
-  /// weights[i]. Requires a positive total weight.
-  size_t Categorical(const std::vector<double>& weights);
-
  private:
   uint64_t state_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;
+};
+
+/// Draws indices in [0, n) with probability proportional to fixed weights.
+/// Construction sums the weights once, in index order, into running sums;
+/// each Sample takes one NextDouble() * total and binary-searches for the
+/// first running sum above it: O(log n) per draw, where a scan that re-sums
+/// the weights is O(n). The sums never decrease, so the search lands on the
+/// index that scan would, bit for bit.
+class CategoricalSampler {
+ public:
+  /// Requires non-negative weights with a positive total.
+  explicit CategoricalSampler(const std::vector<double>& weights);
+
+  /// IndexAt(rng.NextDouble() * total).
+  size_t Sample(Rng& rng) const;
+
+  /// The index whose bucket holds `point`: the first i whose running sum
+  /// exceeds it, or the last index when none does (numeric slack).
+  size_t IndexAt(double point) const;
+
+ private:
+  std::vector<double> running_sums_;
 };
 
 }  // namespace kgov

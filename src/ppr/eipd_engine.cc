@@ -52,6 +52,29 @@ TargetSlots BuildTargetSlots(graph::GraphView view,
   return index;
 }
 
+Status CheckTargetSlots(graph::GraphView view, const TargetSlots& index) {
+  const size_t n = view.NumNodes();
+  size_t slot = 0;
+  for (graph::NodeId u = 0; u <= n; ++u) {
+    if (index.begin[u] != slot) {
+      return Status::FailedPrecondition(
+          "answer index drifts from the view at node " + std::to_string(u));
+    }
+    if (u == n) break;
+    const graph::GraphView::Neighbor* b = view.begin(u);
+    for (size_t k = 0, e = view.OutDegree(u); k < e; ++k) {
+      if (!index.is_target[b[k].to]) continue;
+      if (slot == index.offsets.size() || index.offsets[slot] != k) {
+        return Status::FailedPrecondition(
+            "answer index misses out-edge " + std::to_string(k) +
+            " of node " + std::to_string(u));
+      }
+      ++slot;
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace internal
 
 EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options,
@@ -60,8 +83,28 @@ EipdEngine::EipdEngine(graph::GraphView view, EipdOptions options,
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
   if (!answers.empty()) {
-    answer_index_ = internal::BuildTargetSlots(view_, answers);
+    answer_index_ = std::make_shared<const internal::TargetSlots>(
+        internal::BuildTargetSlots(view_, answers));
   }
+}
+
+EipdEngine::EipdEngine(
+    graph::GraphView view, EipdOptions options,
+    std::shared_ptr<const internal::TargetSlots> answer_index)
+    : view_(view), options_(options), answer_index_(std::move(answer_index)) {
+  Status valid = options_.Validate();
+  KGOV_CHECK(valid.ok()) << valid.ToString();
+  KGOV_CHECK(answer_index_ != nullptr) << "null answer index";
+  const internal::TargetSlots& index = *answer_index_;
+  KGOV_CHECK(index.is_target.size() == view_.NumNodes() &&
+             index.begin.size() == view_.NumNodes() + 1 &&
+             index.begin.back() == index.offsets.size() &&
+             index.begin.back() <= view_.NumEdges())
+      << "answer index over " << index.is_target.size() << " nodes and "
+      << index.begin.back() << " slots does not fit a view of "
+      << view_.NumNodes() << " nodes and " << view_.NumEdges() << " edges";
+  // O(|V| + |E|), so compiled out under NDEBUG.
+  KGOV_DCHECK_OK(internal::CheckTargetSlots(view_, index));
 }
 
 Status EipdEngine::ValidateSeed(const QuerySeed& seed) const {

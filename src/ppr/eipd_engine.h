@@ -20,7 +20,10 @@
 // sum is the same additions in the same CSR order, and no other node's
 // level-L mass is read, so every ranking and score is bitwise what an
 // engine without the set returns. Propagate promises every node's Phi, so
-// it always walks the full last level.
+// it always walks the full last level. The index reads only the topology
+// (offsets and heads, never weights), so engines over views of one
+// topology - the epochs of one serving graph - share one index; such an
+// engine takes it in O(1) (serve::QueryEngine builds one per engine).
 //
 // Per-query cost is O(touched nodes + traversed edges), independent of
 // |V|: PropagationWorkspace keeps `phi`, `mass` and `next` alive across
@@ -37,6 +40,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -133,6 +137,11 @@ struct TargetSlots {
 /// size_t per node and one uint32_t per slot into a target.
 TargetSlots BuildTargetSlots(graph::GraphView view,
                              std::span<const graph::NodeId> targets);
+
+/// OK iff `index` (sized to the view: |V| flags, |V| + 1 begins) lists
+/// exactly the slots BuildTargetSlots over `view` would for its targets.
+/// O(|V| + |E|).
+Status CheckTargetSlots(graph::GraphView view, const TargetSlots& index);
 
 /// Adjacency adapter over a GraphView (contiguous CSR ranges). With `only`
 /// set, a node's out-edges are just the slots `only` lists for it.
@@ -276,6 +285,16 @@ class EipdEngine {
   explicit EipdEngine(graph::GraphView view, EipdOptions options = {},
                       std::span<const graph::NodeId> answers = {});
 
+  /// An engine whose answer set is the one `answer_index` (non-null)
+  /// indexes, built by internal::BuildTargetSlots over a view of the same
+  /// topology as `view`: the same nodes, and every node's out-edges to the
+  /// same heads in the same CSR order (weights may differ). Takes the
+  /// index in O(1). CHECKs that the index covers the view's nodes and no
+  /// more slots than its edges; debug builds also check every slot
+  /// against the view.
+  EipdEngine(graph::GraphView view, EipdOptions options,
+             std::shared_ptr<const internal::TargetSlots> answer_index);
+
   const EipdOptions& options() const { return options_; }
   const graph::GraphView& view() const { return view_; }
 
@@ -314,12 +333,14 @@ class EipdEngine {
 
   /// The answer index, or null when the engine has no answer set.
   const internal::TargetSlots* AnswerIndex() const {
-    return answer_index_.is_target.empty() ? nullptr : &answer_index_;
+    return answer_index_.get();
   }
 
   graph::GraphView view_;
   EipdOptions options_;
-  internal::TargetSlots answer_index_;
+  /// Null when the engine has no answer set; may be shared with engines
+  /// over other views of the same topology.
+  std::shared_ptr<const internal::TargetSlots> answer_index_;
 };
 
 }  // namespace kgov::ppr

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
 
 namespace kgov::qa {
+namespace {
+
+// A linear scan: questions mention at most a handful of entities and
+// documents a few dozen, so no set pays for itself.
+bool MentionsEntity(const std::vector<EntityMention>& mentions,
+                    EntityId entity) {
+  return std::any_of(
+      mentions.begin(), mentions.end(),
+      [entity](const EntityMention& m) { return m.entity == entity; });
+}
+
+}  // namespace
 
 CorpusParams TaobaoScaleParams() {
   CorpusParams params;
@@ -190,9 +203,19 @@ std::vector<Question> GenerateQuestions(const Corpus& corpus,
     popularity[d] =
         std::pow(static_cast<double>(d + 1), -params.question_popularity_skew);
   }
+  const CategoricalSampler target_sampler(popularity);
+
+  // Each topic's documents in ascending document order: the relevance loop
+  // below walks only the target's topic, and meets its documents in the
+  // order a scan of the whole corpus would.
+  std::unordered_map<int, std::vector<int>> documents_by_topic;
+  for (size_t d = 0; d < corpus.documents.size(); ++d) {
+    documents_by_topic[corpus.documents[d].topic].push_back(
+        static_cast<int>(d));
+  }
 
   for (size_t q = 0; q < num_questions; ++q) {
-    int target = static_cast<int>(rng.Categorical(popularity));
+    int target = static_cast<int>(target_sampler.Sample(rng));
     const Document& doc = corpus.documents[target];
 
     Question question;
@@ -218,14 +241,9 @@ std::vector<Question> GenerateQuestions(const Corpus& corpus,
                        return doc.mentions[a].count > doc.mentions[b].count;
                      });
     size_t take = std::min(params.mentions_per_question, topical.size());
-    std::vector<size_t> picks(topical.begin(), topical.begin() + take);
-    std::unordered_set<EntityId> doc_entity_set;
-    for (const EntityMention& m : doc.mentions) {
-      doc_entity_set.insert(m.entity);
-    }
-    std::unordered_set<EntityId> used;
     bool first_mention = true;
-    for (size_t idx : picks) {
+    for (size_t p = 0; p < take; ++p) {
+      const size_t idx = topical[p];
       // The user's emphasis mirrors the document's: mention counts follow
       // the doc's counts. This is the count-share signal the KG's
       // answer-link weights encode and surface overlap cannot.
@@ -242,7 +260,7 @@ std::vector<Question> GenerateQuestions(const Corpus& corpus,
         mention.entity =
             static_cast<EntityId>(rng.NextIndex(corpus.num_entities));
       }
-      if (!used.insert(mention.entity).second) continue;
+      if (MentionsEntity(question.mentions, mention.entity)) continue;
       question.mentions.push_back(mention);
       first_mention = false;
     }
@@ -254,23 +272,14 @@ std::vector<Question> GenerateQuestions(const Corpus& corpus,
     // Graded relevance: same-topic documents sharing >= 2 entities with the
     // target (up to 4 extras), plus the target itself.
     question.relevant_documents.push_back(target);
-    std::unordered_set<EntityId> target_entities;
-    for (const EntityMention& m : doc.mentions) {
-      target_entities.insert(m.entity);
-    }
-    for (size_t d = 0;
-         d < corpus.documents.size() && question.relevant_documents.size() < 5;
-         ++d) {
-      if (static_cast<int>(d) == target) continue;
-      const Document& other = corpus.documents[d];
-      if (other.topic != doc.topic) continue;
+    for (int d : documents_by_topic.at(doc.topic)) {
+      if (question.relevant_documents.size() >= 5) break;
+      if (d == target) continue;
       int shared = 0;
-      for (const EntityMention& m : other.mentions) {
-        if (target_entities.count(m.entity) > 0) ++shared;
+      for (const EntityMention& m : corpus.documents[d].mentions) {
+        if (MentionsEntity(doc.mentions, m.entity)) ++shared;
       }
-      if (shared >= 2) {
-        question.relevant_documents.push_back(static_cast<int>(d));
-      }
+      if (shared >= 2) question.relevant_documents.push_back(d);
     }
     questions.push_back(std::move(question));
   }

@@ -61,10 +61,11 @@ thread_local std::string this_thread_key;
 
 }  // namespace
 
-PinnedEpoch::PinnedEpoch(core::ServingEpoch pinned,
-                         const ppr::EipdOptions& options,
-                         const std::vector<graph::NodeId>& candidates)
-    : epoch(std::move(pinned)), ranker(epoch.view(), options, candidates) {}
+PinnedEpoch::PinnedEpoch(
+    core::ServingEpoch pinned, const ppr::EipdOptions& options,
+    std::shared_ptr<const ppr::internal::TargetSlots> answer_index)
+    : epoch(std::move(pinned)),
+      ranker(epoch.view(), options, std::move(answer_index)) {}
 
 Status QueryEngineOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(eipd.Validate());
@@ -95,9 +96,9 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
     return Status::InvalidArgument(
         "QueryEngine requires a non-empty candidate set");
   }
-  // Every epoch has the same nodes (a flush changes weights only), so the
-  // current one decides for all.
-  const core::ServingEpoch current = source->CurrentEpoch();
+  // Every epoch has the same topology (a flush changes weights only), so
+  // the current one decides for all, and its answer index serves all.
+  core::ServingEpoch current = source->CurrentEpoch();
   for (size_t i = 0; i < candidates->size(); ++i) {
     if (!current.view().IsValidNode((*candidates)[i])) {
       return Status::InvalidArgument(
@@ -106,19 +107,26 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Create(
           std::to_string(current.view().NumNodes()) + " nodes");
     }
   }
+  auto answer_index = std::make_shared<const ppr::internal::TargetSlots>(
+      ppr::internal::BuildTargetSlots(current.view(), *candidates));
   return std::unique_ptr<QueryEngine>(
-      new QueryEngine(source, candidates, std::move(options)));
+      new QueryEngine(source, candidates, std::move(options),
+                      std::move(current), std::move(answer_index)));
 }
 
-QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
-                         const std::vector<graph::NodeId>* candidates,
-                         QueryEngineOptions options)
+QueryEngine::QueryEngine(
+    const core::OnlineKgOptimizer* source,
+    const std::vector<graph::NodeId>* candidates, QueryEngineOptions options,
+    core::ServingEpoch first,
+    std::shared_ptr<const ppr::internal::TargetSlots> answer_index)
     : source_(source),
       candidates_(candidates),
       options_(std::move(options)),
       id_(next_engine_id.fetch_add(1, std::memory_order_relaxed)),
-      pinned_(std::make_shared<const PinnedEpoch>(
-          source->CurrentEpoch(), options_.eipd, *candidates)),
+      answer_index_(std::move(answer_index)),
+      pinned_(std::make_shared<const PinnedEpoch>(std::move(first),
+                                                  options_.eipd,
+                                                  answer_index_)),
       pinned_epoch_(pinned_->epoch.epoch),
       cache_(options_.cache_capacity, kCacheShards),
       admission_(options_.admission),
@@ -139,11 +147,11 @@ QueryEngine::ServeStats QueryEngine::GetServeStats() const {
 void QueryEngine::MaybeRefreshEpoch() {
   const uint64_t latest = source_->CurrentEpochNumber();
   if (pinned_epoch_.load(std::memory_order_acquire) >= latest) return;
-  // Pin the fresh epoch and build its engine's answer index outside the
-  // exclusive section (CurrentEpoch takes the optimizer's own lock; the
-  // index is one pass over the CSR), then swap under ours.
+  // Pin the fresh epoch and make its engine (over the shared answer
+  // index) outside the exclusive section (CurrentEpoch takes the
+  // optimizer's own lock), then swap under ours.
   auto fresh = std::make_shared<const PinnedEpoch>(
-      source_->CurrentEpoch(), options_.eipd, *candidates_);
+      source_->CurrentEpoch(), options_.eipd, answer_index_);
   const uint64_t fresh_epoch = fresh->epoch.epoch;
   size_t dropped = 0;
   {

@@ -21,13 +21,15 @@
 //    propagated, freed when that thread exits, and steady-state serving
 //    allocates nothing sized by the graph.
 //  * Each pinned epoch carries one answer-indexed ppr::EipdEngine
-//    (PinnedEpoch): built with the candidates as its answer set when the
-//    epoch is pinned - at construction, and in MaybeRefreshEpoch outside
-//    the writer lock - so a miss builds nothing, and its propagation
-//    walks only the edges into the candidates on the hop into level L.
-//    The rankings are bitwise those of an engine without the set
-//    (ppr/eipd_engine.h). The index costs O(|V| + |E|) once per epoch
-//    (docs/serving.md).
+//    (PinnedEpoch), so a miss builds nothing, and its propagation walks
+//    only the edges into the candidates on the hop into level L. The
+//    rankings are bitwise those of an engine without the set
+//    (ppr/eipd_engine.h). The answer index depends only on the topology
+//    and the candidates, and every epoch of one optimizer has the same
+//    topology (core::ValidateGraphUpdate rejects node-count, edge-count
+//    and endpoint drift on every flush), so Create builds it once,
+//    O(|V| + |E|), and every epoch's engine shares it: pinning an epoch
+//    costs O(1) (docs/serving.md).
 //  * Results are memoized in a ShardedResultCache. A cache hit is bitwise
 //    identical to the propagation it replaced. On an epoch swap the
 //    engine advances the cache, which drops every entry (result_cache.h
@@ -95,13 +97,12 @@
 
 namespace kgov::serve {
 
-/// One pinned epoch and the engine that ranks on it. The engine is built
-/// over epoch.view() with the query engine's candidates as its answer set,
-/// once per epoch; a PinnedEpoch is shared (shared_ptr), so a thread's pin
-/// copies the index by reference.
+/// One pinned epoch and the engine that ranks on it, over epoch.view()
+/// with the query engine's one answer index. A PinnedEpoch is shared
+/// (shared_ptr), so a thread's pin copies it by reference.
 struct PinnedEpoch {
   PinnedEpoch(core::ServingEpoch pinned, const ppr::EipdOptions& options,
-              const std::vector<graph::NodeId>& candidates);
+              std::shared_ptr<const ppr::internal::TargetSlots> answer_index);
 
   core::ServingEpoch epoch;
   /// Reads epoch's snapshot, so it is only ever held beside it.
@@ -166,8 +167,10 @@ class QueryEngine {
   /// `source` and `candidates` are borrowed and must outlive the engine.
   /// `candidates` is the fixed answer-node universe ranked for every
   /// query (a QA system's answer documents) and the answer set of every
-  /// epoch's engine. Fails fast on invalid options, null/empty inputs, or
-  /// a candidate outside the source's graph.
+  /// epoch's engine, indexed here once. Fails fast on invalid options,
+  /// null/empty inputs, or a candidate outside the source's graph. The
+  /// source's graph must keep its topology (OnlineKgOptimizer::Flush
+  /// changes weights only); serve a restored optimizer from a new engine.
   static StatusOr<std::unique_ptr<QueryEngine>> Create(
       const core::OnlineKgOptimizer* source,
       const std::vector<graph::NodeId>* candidates,
@@ -217,12 +220,13 @@ class QueryEngine {
  private:
   QueryEngine(const core::OnlineKgOptimizer* source,
               const std::vector<graph::NodeId>* candidates,
-              QueryEngineOptions options);
+              QueryEngineOptions options, core::ServingEpoch first,
+              std::shared_ptr<const ppr::internal::TargetSlots> answer_index);
 
   /// Re-pins the serving epoch when the optimizer has published a newer
   /// one (cheap acquire-load probe; lock taken only on an actual swap),
   /// advancing (emptying) the cache BEFORE the new pin becomes visible.
-  /// The new epoch's engine and answer index are built before the lock.
+  /// The new epoch's engine is made (O(1)) before the lock.
   void MaybeRefreshEpoch() KGOV_EXCLUDES(epoch_mu_);
 
   /// This thread's pin of the engine's current epoch (see the header
@@ -252,6 +256,10 @@ class QueryEngine {
 
   /// Process-unique, never reused: keys the per-thread pins.
   const uint64_t id_;
+
+  /// The candidates' answer index over the source's topology, shared by
+  /// every epoch's engine. Never null.
+  const std::shared_ptr<const ppr::internal::TargetSlots> answer_index_;
 
   /// Pinned epoch; a shared (reader-writer) mutex so re-pinning threads
   /// copy it without serializing on each other, while a refresh takes it

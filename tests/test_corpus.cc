@@ -5,6 +5,8 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/crc32.h"
+
 namespace kgov::qa {
 namespace {
 
@@ -221,6 +223,60 @@ TEST(QuestionsTest, MentionsMostlyFromTargetDocument) {
     for (const EntityMention& m : q.mentions) {
       EXPECT_TRUE(doc_entities.count(m.entity) > 0);
     }
+  }
+}
+
+
+// A CRC-32C over every field of every question, then the generator's next
+// draw, which pins the Rng state the call leaves behind.
+uint32_t QuestionDigest(const std::vector<Question>& questions, Rng& rng) {
+  uint32_t crc = 0;
+  auto add = [&crc](uint64_t value) {
+    crc = Crc32c(&value, sizeof(value), crc);
+  };
+  for (const Question& q : questions) {
+    add(static_cast<uint64_t>(q.best_document));
+    add(q.mentions.size());
+    for (const EntityMention& m : q.mentions) {
+      add(m.entity);
+      add(static_cast<uint64_t>(m.count));
+    }
+    add(q.relevant_documents.size());
+    for (int d : q.relevant_documents) add(static_cast<uint64_t>(d));
+  }
+  add(rng.Next64());
+  return crc;
+}
+
+// Every generated question and the Rng stream are frozen: kgbench's
+// deployments, the paper-scale benches and the golden digests downstream
+// all draw their questions here. Covers the paper-scale corpus at two
+// seeds, the structural SmallParams and the defaults (common entities,
+// paraphrase).
+TEST(QuestionsTest, GeneratedQuestionsArePinned) {
+  struct Case {
+    const char* name;
+    CorpusParams params;
+    uint64_t seed;
+    size_t num_questions;
+    uint32_t digest;
+  };
+  const Case cases[] = {
+      {"taobao/1", TaobaoScaleParams(), 1, 2000, 0x9cca208bu},
+      {"taobao/51407", TaobaoScaleParams(), 51407, 2000, 0x870a8bc7u},
+      {"small/7", SmallParams(), 7, 300, 0x77e80035u},
+      {"default/7", CorpusParams{}, 7, 500, 0xa630ddb9u},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    Result<Corpus> corpus = GenerateCorpus(c.params, rng);
+    ASSERT_TRUE(corpus.ok()) << c.name;
+    std::vector<Question> questions =
+        GenerateQuestions(*corpus, c.num_questions, c.params, rng);
+    ASSERT_EQ(questions.size(), c.num_questions) << c.name;
+    const uint32_t digest = QuestionDigest(questions, rng);
+    EXPECT_EQ(digest, c.digest)
+        << c.name << std::hex << ": digest 0x" << digest;
   }
 }
 

@@ -174,10 +174,13 @@ TEST(EipdTest, RankTieBreaksByNodeId) {
   EXPECT_EQ((*ranked)[1].node, 2u);
 }
 
-// Oracle for the partial top-k: TopKByScore keeps exactly the first k
+// Oracle for the threshold top-k: TopKByScore keeps exactly the first k
 // entries of a full sort by descending score, ties by ascending id. The
 // score vectors are dominated by exact ties, as in serving: most
-// candidates score an exact 0.0 because no walk reaches them.
+// candidates score an exact 0.0 because no walk reaches them, some -0.0,
+// which ties with +0.0 and keeps its own sign bit. Every trial also ranks
+// under a `scored` mask that marks every candidate, and checks that an
+// unmarked candidate is rejected by its first index.
 TEST(EipdTest, TopKMatchesFullSortOracle) {
   std::mt19937_64 rng(0x70CC);
   for (int trial = 0; trial < 50; ++trial) {
@@ -185,8 +188,10 @@ TEST(EipdTest, TopKMatchesFullSortOracle) {
     std::vector<double> phi(num_nodes);
     for (double& score : phi) {
       const uint64_t draw = rng() % 10;
-      if (draw < 7) {
+      if (draw < 6) {
         score = 0.0;
+      } else if (draw < 7) {
+        score = -0.0;
       } else if (draw < 9) {
         score = 0.125 * static_cast<double>(1 + rng() % 4);
       } else {
@@ -196,8 +201,10 @@ TEST(EipdTest, TopKMatchesFullSortOracle) {
     // Drawn with replacement, so some candidates repeat.
     const size_t n = 2 + rng() % (num_nodes - 1);
     std::vector<graph::NodeId> candidates(n);
+    std::vector<char> scored(num_nodes, 0);
     for (graph::NodeId& node : candidates) {
       node = static_cast<graph::NodeId>(rng() % num_nodes);
+      scored[node] = 1;
     }
     std::vector<ScoredAnswer> oracle;
     for (graph::NodeId node : candidates) {
@@ -209,19 +216,41 @@ TEST(EipdTest, TopKMatchesFullSortOracle) {
                 return a.node < b.node;
               });
 
-    for (size_t k : {size_t{1}, size_t{20}, n - 1, n, n + 5}) {
-      StatusOr<std::vector<ScoredAnswer>> ranked =
-          TopKByScore(phi, candidates, k);
-      ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-      ASSERT_EQ(ranked->size(), std::min(k, n)) << "trial " << trial;
-      for (size_t i = 0; i < ranked->size(); ++i) {
-        EXPECT_EQ((*ranked)[i].node, oracle[i].node)
-            << "trial " << trial << " k " << k << " rank " << i;
-        EXPECT_EQ(std::memcmp(&(*ranked)[i].score, &oracle[i].score,
-                              sizeof(double)),
-                  0)
-            << "trial " << trial << " k " << k << " rank " << i;
+    for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{20}, n - 1, n,
+                     n + 5}) {
+      const std::vector<char>* const masks[] = {nullptr, &scored};
+      for (const std::vector<char>* mask : masks) {
+        StatusOr<std::vector<ScoredAnswer>> ranked =
+            TopKByScore(phi, candidates, k, mask);
+        ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+        ASSERT_EQ(ranked->size(), std::min(k, n)) << "trial " << trial;
+        for (size_t i = 0; i < ranked->size(); ++i) {
+          EXPECT_EQ((*ranked)[i].node, oracle[i].node)
+              << "trial " << trial << " k " << k << " rank " << i;
+          EXPECT_EQ(std::memcmp(&(*ranked)[i].score, &oracle[i].score,
+                                sizeof(double)),
+                    0)
+              << "trial " << trial << " k " << k << " rank " << i;
+        }
       }
+    }
+
+    // Unmark one candidate: every k rejects the first index naming it.
+    const size_t victim = rng() % n;
+    std::vector<char> partial = scored;
+    partial[candidates[victim]] = 0;
+    const size_t first = static_cast<size_t>(
+        std::find(candidates.begin(), candidates.end(), candidates[victim]) -
+        candidates.begin());
+    const std::string want = "candidates[" + std::to_string(first) + "] = " +
+                             std::to_string(candidates[victim]) + " ";
+    for (size_t k : {size_t{0}, size_t{2}, n}) {
+      StatusOr<std::vector<ScoredAnswer>> rejected =
+          TopKByScore(phi, candidates, k, &partial);
+      ASSERT_FALSE(rejected.ok()) << "trial " << trial << " k " << k;
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(rejected.status().message().find(want), std::string::npos)
+          << rejected.status().ToString();
     }
   }
 }
@@ -516,6 +545,73 @@ TEST(EipdTest, IndexedPropagateIsFullPropagate) {
       EXPECT_TRUE(BitwiseEqualVectors(*want, *got));
     }
   }
+}
+
+// The serving epochs of one graph differ in weights only, so engines over
+// them share one answer index, built on the first: each ranks bitwise as
+// an engine that indexes its own snapshot, whatever the weights (zeros
+// included, which the index never looks at).
+TEST(EipdTest, SharedAnswerIndexRanksEveryWeighting) {
+  for (uint64_t trial = 0; trial < 20; ++trial) {
+    Rng rng(9500 + trial);
+    const size_t n = 8 + rng.NextIndex(40);
+    WeightedDigraph g = RandomKernelGraph(rng, n);
+    std::vector<graph::NodeId> answers;
+    for (graph::NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (rng.NextIndex(3) == 0) answers.push_back(v);
+    }
+    if (answers.empty()) answers.push_back(0);
+    const QuerySeed seed = RandomKernelSeed(rng, n);
+    const EipdOptions options{.max_length = 1 + static_cast<int>(trial % 5)};
+    const CsrSnapshot first(g);
+    const auto shared = std::make_shared<const internal::TargetSlots>(
+        internal::BuildTargetSlots(first.View(), answers));
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " epoch " +
+                   std::to_string(epoch));
+      for (graph::EdgeId e = 0; epoch > 0 && e < g.NumEdges(); ++e) {
+        if (rng.NextIndex(2) == 0) continue;
+        g.SetWeight(e, rng.NextIndex(6) == 0 ? 0.0 : rng.Uniform(0.01, 1.0));
+      }
+      const CsrSnapshot snap(g);
+      const EipdEngine fresh(snap.View(), options, answers);
+      const EipdEngine sharing(snap.View(), options, shared);
+      for (size_t k : {size_t{1}, size_t{3}, answers.size() + 2}) {
+        StatusOr<std::vector<ScoredAnswer>> want =
+            fresh.Rank(seed, answers, k);
+        StatusOr<std::vector<ScoredAnswer>> got =
+            sharing.Rank(seed, answers, k);
+        ASSERT_TRUE(want.ok() && got.ok());
+        ExpectSameRanking(*want, *got);
+      }
+    }
+  }
+}
+
+// An index built over another topology is refused at construction: one
+// over a different node count, or with more slots than the view has
+// edges. A debug build also checks every slot, so it refuses an index
+// whose counts fit but whose slots do not.
+TEST(EipdDeathTest, AnswerIndexFromAnotherTopologyDies) {
+  const CsrSnapshot snap(MakeFixture());
+  const auto index = std::make_shared<const internal::TargetSlots>(
+      internal::BuildTargetSlots(snap.View(),
+                                 std::vector<graph::NodeId>{3, 4}));
+  const CsrSnapshot wider(WeightedDigraph(6));
+  EXPECT_DEATH(EipdEngine(wider.View(), {}, index), "does not fit");
+  const CsrSnapshot edgeless(WeightedDigraph(5));
+  EXPECT_DEATH(EipdEngine(edgeless.View(), {}, index), "does not fit");
+#ifndef NDEBUG
+  // Same nodes and edges as the fixture, but 2 -> 1 now points at 3.
+  WeightedDigraph rewired(5);
+  ASSERT_TRUE(rewired.AddEdge(0, 1, 0.5).ok());
+  ASSERT_TRUE(rewired.AddEdge(0, 2, 0.5).ok());
+  ASSERT_TRUE(rewired.AddEdge(1, 3, 1.0).ok());
+  ASSERT_TRUE(rewired.AddEdge(2, 4, 0.6).ok());
+  ASSERT_TRUE(rewired.AddEdge(2, 3, 0.4).ok());
+  const CsrSnapshot rewired_snap(rewired);
+  EXPECT_DEATH(EipdEngine(rewired_snap.View(), {}, index), "answer index");
+#endif
 }
 
 TEST(EipdTest, KernelCounterCountsEveryPropagation) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -140,11 +142,11 @@ TEST(RngTest, ShufflePreservesElements) {
 
 TEST(RngTest, CategoricalProportionalToWeights) {
   Rng rng(47);
-  std::vector<double> weights{1.0, 3.0, 6.0};
+  const CategoricalSampler sampler({1.0, 3.0, 6.0});
   std::vector<int> counts(3, 0);
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    ++counts[rng.Categorical(weights)];
+    ++counts[sampler.Sample(rng)];
   }
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.015);
@@ -153,9 +155,71 @@ TEST(RngTest, CategoricalProportionalToWeights) {
 
 TEST(RngTest, CategoricalZeroWeightNeverPicked) {
   Rng rng(53);
-  std::vector<double> weights{0.0, 1.0, 0.0};
+  const CategoricalSampler sampler({0.0, 1.0, 0.0});
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(rng.Categorical(weights), 1u);
+    EXPECT_EQ(sampler.Sample(rng), 1u);
+  }
+}
+
+// The per-draw linear scan the sampler replaced: re-sums the weights, then
+// returns the first index whose running sum exceeds `point` (NextDouble()
+// times the total), or the last index when none does.
+size_t LinearScanIndex(const std::vector<double>& weights, double point) {
+  double acc = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (point < acc) return i;
+  }
+  return weights.size() - 1;
+}
+
+double Total(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  return total;
+}
+
+// Same seed, same weights: the sampler's index stream is the scan's, draw
+// for draw, on weights with runs of zeros (equal running sums), zeros at
+// both ends, and a single positive weight. A random point almost never
+// lands on a running sum, so every running sum, its neighbours and the
+// total are also looked up directly: a point equal to a sum belongs to
+// the next positive bucket.
+TEST(RngTest, CategoricalSamplerMatchesLinearScan) {
+  std::mt19937_64 gen(0xCA7E);
+  std::vector<std::vector<double>> cases = {
+      {0.0, 0.0, 2.5, 0.0}, {1e-300, 0.0, 1.0}, {0.0, 0.0, 0.0, 0.0, 7.0}};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<double> weights(1 + gen() % 300);
+    for (double& w : weights) {
+      const uint64_t draw = gen() % 4;
+      w = draw == 0 ? 0.0
+                    : std::ldexp(static_cast<double>(1 + gen() % 1000),
+                                 -static_cast<int>(gen() % 20));
+    }
+    weights[gen() % weights.size()] += 1.0;  // a positive total
+    cases.push_back(std::move(weights));
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<double>& weights = cases[c];
+    const CategoricalSampler sampler(weights);
+    Rng sampled(c + 1);
+    Rng scanned(c + 1);
+    for (int draw = 0; draw < 2000; ++draw) {
+      ASSERT_EQ(sampler.Sample(sampled),
+                LinearScanIndex(weights, scanned.NextDouble() * Total(weights)))
+          << "case " << c << " draw " << draw;
+    }
+    double sum = 0.0;
+    for (double w : weights) {
+      sum += w;
+      for (double point : {std::nextafter(sum, 0.0), sum,
+                           std::nextafter(sum, 2.0 * sum + 1.0)}) {
+        EXPECT_EQ(sampler.IndexAt(point), LinearScanIndex(weights, point))
+            << "case " << c << " point " << point;
+      }
+    }
+    EXPECT_EQ(sampler.IndexAt(0.0), LinearScanIndex(weights, 0.0));
   }
 }
 
