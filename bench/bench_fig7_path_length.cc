@@ -8,6 +8,9 @@
 //     sharply with L (the paper could not efficiently solve past 5).
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
@@ -91,8 +94,14 @@ int Run() {
   };
 
   for (int l = 2; l <= 5; ++l) {
-    std::vector<std::string> row{"(" + std::to_string(l) + "," +
-                                 std::to_string(l + 1) + ")"};
+    // Appended, not concatenated: GCC 12 warns -Wrestrict on an inlined
+    // `const char* + std::string&&` in Release builds.
+    std::string label = "(";
+    label += std::to_string(l);
+    label += ",";
+    label += std::to_string(l + 1);
+    label += ")";
+    std::vector<std::string> row{std::move(label)};
     for (const PerGraph& pg : prepared) {
       row.push_back(bench::Num(mean_pd(pg, l), 3) + "%");
     }

@@ -9,7 +9,7 @@
 //   signomial  the walk expansion the optimizer used before
 //              (votes::VoteEncoder, one monomial per walk, pruned at
 //              min_path_mass = 1e-8 as the benches ran it), solved by the
-//              same resilient solver after the same judgment filter.
+//              same solver call after the same judgment filter.
 //
 // Each path's time splits into encode (filter + program build) and solve;
 // iterations are the solver's inner iterations (sgp.solver.iterations),
@@ -32,6 +32,7 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "graph/csr.h"
+#include "math/sgp_solver.h"
 #include "math/stats.h"
 #include "votes/judgment.h"
 #include "votes/vote_encoder.h"
@@ -106,12 +107,11 @@ Run RunSignomial(const TaobaoEnvironment& env,
 
   const uint64_t before = SolverIterations();
   timer.Restart();
-  core::ResilientSolveOutcome outcome =
-      core::ResilientSgpSolver(options.sgp, options.retry)
-          .Solve(program->problem);
+  const math::SgpSolution solution =
+      math::SgpSolver(options.sgp).Solve(program->problem);
   run.solve_s = timer.ElapsedSeconds();
-  run.satisfied = outcome.solution.satisfied_constraints;
-  run.constraints = outcome.solution.total_constraints;
+  run.satisfied = solution.satisfied_constraints;
+  run.constraints = solution.total_constraints;
   Finish(before, &run);
   return run;
 }

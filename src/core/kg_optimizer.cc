@@ -127,10 +127,6 @@ Status OptimizerOptions::Validate() const {
     return Status::InvalidArgument(
         "OptimizerOptions.single_vote_refine_rounds must be >= 1");
   }
-  if (retry.max_attempts < 1) {
-    return Status::InvalidArgument(
-        "OptimizerOptions.retry.max_attempts must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -258,11 +254,10 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
   report.encode_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
-  ResilientSgpSolver solver(options_.sgp, options_.retry);
-  ResilientSolveOutcome outcome = solver.Solve(program.problem);
-  math::SgpSolution& solution = outcome.solution;
+  const math::SgpSolution solution =
+      math::SgpSolver(options_.sgp).Solve(program.problem);
   report.solve_seconds = timer.ElapsedSeconds();
-  report.solve_attempts = outcome.attempts.size();
+  KGOV_RETURN_IF_ERROR(solution.status);
 
   RecordDeltas(program.variables, report.optimized, solution.x,
                &report.weight_changes);
@@ -325,15 +320,15 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
 
   // Solve one multi-vote SGP per cluster (clusters are independent by
   // construction, so they may run in parallel). A cluster whose solve
-  // fails after the retry chain is isolated: its votes are quarantined
-  // into the report and the rest of the batch proceeds.
+  // does not return OK is isolated: its votes are quarantined into the
+  // report and the rest of the batch proceeds.
   timer.Restart();
   std::vector<cluster::ClusterDelta> deltas(num_clusters);
   report.cluster_seconds.assign(num_clusters, 0.0);
   Mutex report_mu{KGOV_LOCK_RANK(kSolverBatchReport)};
   Status first_error;
   std::vector<char> cluster_handled(num_clusters, 0);
-  ResilientSgpSolver solver(options_.sgp, options_.retry);
+  const math::SgpSolver solver(options_.sgp);
 
   auto record_failure = [&](size_t c,
                             const Status& status) KGOV_REQUIRES(report_mu) {
@@ -365,13 +360,11 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
       return;
     }
     votes::EncodedProgram& program = encoded.value();
-    ResilientSolveOutcome outcome = solver.Solve(program.problem, c);
-    math::SgpSolution& solution = outcome.solution;
-    if (outcome.exhausted) {
+    const math::SgpSolution solution = solver.Solve(program.problem);
+    if (!solution.status.ok()) {
       metrics.cluster_span->Observe(cluster_timer.ElapsedSeconds());
       MutexLock lock(report_mu);
       cluster_handled[c] = 1;
-      report.solve_attempts += outcome.attempts.size();
       record_failure(c, solution.status);
       return;
     }
@@ -417,7 +410,6 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     MutexLock lock(report_mu);
     cluster_handled[c] = 1;
     report.cluster_seconds[c] = cluster_timer.ElapsedSeconds();
-    report.solve_attempts += outcome.attempts.size();
     report.votes_encoded += program.encoded_vote_ids.size();
     report.constraints_total += solution.total_constraints;
     report.constraints_satisfied += solution.satisfied_constraints;

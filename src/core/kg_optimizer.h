@@ -19,6 +19,13 @@
 //                                 thread pool (the paper's 4-machine
 //                                 distributed variant).
 //
+// A failed solve is never retried. Both multi-vote strategies settle it
+// one way: the solve's status fails its unit of work (the batch, or the
+// cluster), and the caller's outer recovery takes over (OnlineKgOptimizer
+// re-queues the votes, then dead-letters them). SingleVoteSolve is the one
+// deliberate exception: it applies the solver's best-effort point, as the
+// paper's Algorithm 1 does.
+//
 // All strategies leave the input graph untouched and return the optimized
 // copy G* plus a report of what happened. Every applied solution is
 // re-normalized per touched source node (Alg. 1 line 16). Which edges a
@@ -35,7 +42,6 @@
 #include "cluster/merge.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/resilience.h"
 #include "graph/graph.h"
 #include "math/sgp_solver.h"
 #include "votes/judgment.h"
@@ -66,10 +72,6 @@ struct OptimizerOptions {
   cluster::ApOptions ap;
   /// Conflict-resolution rule for SplitMergeSolve.
   cluster::MergeRule merge_rule = cluster::MergeRule::kWeightedSignExtreme;
-  /// Retry/fallback policy applied to every multi-vote SGP solve (batch
-  /// and per-cluster). max_attempts = 1 reproduces the non-resilient
-  /// behaviour.
-  RetryOptions retry;
 
   /// Checks this struct and its nested option structs; returns
   /// InvalidArgument naming the first offending field. KgOptimizer captures
@@ -106,9 +108,6 @@ struct OptimizeReport {
   double solve_seconds = 0.0;
   /// Net weight change applied per edge (before normalization).
   std::unordered_map<graph::EdgeId, double> weight_changes;
-  /// Total SGP solve attempts, counting retries (split-and-merge and
-  /// multi-vote strategies).
-  size_t solve_attempts = 0;
   /// Split-and-merge: votes whose constraints all hold (g < 0: the best
   /// answer's Phi strictly above every other listed answer's) at their
   /// cluster's solution, before merging and normalization.
@@ -127,20 +126,26 @@ class KgOptimizer {
 
   const OptimizerOptions& options() const { return options_; }
 
-  /// Algorithm 1. Positive votes are ignored (SIV-B). Infeasible votes
-  /// still apply the solver's best-effort point, matching the greedy
-  /// baseline behaviour.
+  /// Algorithm 1. Positive votes are ignored (SIV-B). A vote whose solve
+  /// does not return OK still applies the solver's best-effort point
+  /// (always finite and in the box), matching the greedy baseline: the one
+  /// strategy where a failed solve does not fail its unit of work.
   Result<OptimizeReport> SingleVoteSolve(
       const std::vector<votes::Vote>& votes) const;
 
   /// One batch SGP over all votes (SV). When the judgment filter discards
   /// every vote, this and the split-and-merge strategies return the graph
   /// unchanged with votes_after_filter = 0; a batch without a well-formed
-  /// vote is InvalidArgument.
+  /// vote is InvalidArgument. A solve that does not return OK (NotConverged,
+  /// NumericalError, DeadlineExceeded, ...) is returned as the error and
+  /// nothing is applied.
   Result<OptimizeReport> MultiVoteSolve(
       const std::vector<votes::Vote>& votes) const;
 
-  /// Split-and-merge (SVI); sequential cluster solves.
+  /// Split-and-merge (SVI); sequential cluster solves. A cluster whose
+  /// encode or solve does not return OK is quarantined (failed_clusters,
+  /// quarantined_votes); when every cluster fails, the first failure is
+  /// returned.
   Result<OptimizeReport> SplitMergeSolve(
       const std::vector<votes::Vote>& votes) const;
 

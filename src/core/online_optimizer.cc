@@ -318,7 +318,6 @@ Result<FlushReport> OnlineKgOptimizer::Flush() {
   report.votes_quarantined = quarantined.size();
   report.constraints_total = opt.constraints_total;
   report.constraints_satisfied = opt.constraints_satisfied;
-  report.solve_attempts = opt.solve_attempts;
   report.solve_seconds = timer.ElapsedSeconds();
   total_applied_ += applied;
   report.votes_dead_lettered = RequeueOrDeadLetter(std::move(quarantined));

@@ -12,8 +12,12 @@
 //  * A failed flush PRESERVES the vote buffer - votes are never silently
 //    dropped. Each vote carries an attempt count; votes that have failed
 //    `max_vote_attempts` flushes move to a bounded dead-letter buffer.
-//  * Votes quarantined by per-cluster failure isolation are re-queued for
-//    the next flush under the same bounded-attempt policy.
+//    This is the one recovery path for a solve that does not return OK:
+//    the solver is never retried, so under kMultiVote such a solve fails
+//    the flush, and its votes are re-queued.
+//  * Votes quarantined by per-cluster failure isolation (under
+//    kSplitMerge, a cluster whose solve does not return OK) are re-queued
+//    for the next flush under the same bounded-attempt policy.
 //  * A vote the judgment filter discards is settled by the flush that
 //    judged it, whatever else shares its batch: it is never re-queued or
 //    dead-lettered, counts as applied (nothing of it is folded in) and
@@ -120,8 +124,6 @@ struct FlushReport {
   int constraints_total = 0;
   int constraints_satisfied = 0;
   double solve_seconds = 0.0;
-  /// SGP solve attempts, counting retries.
-  size_t solve_attempts = 0;
   /// Whether this flush published a new serving epoch. A successful flush
   /// that applied no vote, or that left every weight bitwise unchanged,
   /// keeps the current epoch instead of forcing a pointless cache cycle.

@@ -1,80 +1,19 @@
-// Fault-tolerance building blocks for the optimization pipeline:
+// ValidateGraphUpdate: the invariant checks run on an optimized graph
+// before it replaces the serving graph - finite weights, weights in
+// bounds, out-weight sub-stochasticity, and no edge-set drift. A violation
+// means the update must be rolled back (see OnlineKgOptimizer::Flush).
 //
-//  * ResilientSgpSolver - wraps SgpSolver with a retry/fallback policy:
-//    failed solves (NotConverged / NumericalError / DeadlineExceeded /
-//    Infeasible) are retried at once from jittered restart points, walking
-//    the formulation fallback chain: the base formulation, then
-//    ReducedSigmoid and HardConstraints (whichever is not the base). Every
-//    attempt is recorded; the best finite point seen is returned even when
-//    every attempt failed.
-//
-//  * ValidateGraphUpdate - invariant checks run on an optimized graph
-//    before it replaces the serving graph: finite weights, weights in
-//    bounds, out-weight sub-stochasticity, and no edge-set drift. A
-//    violation means the update must be rolled back (see
-//    OnlineKgOptimizer::Flush).
-//
-// Everything here is deterministic: the jitter stream has a fixed seed
-// (salted per caller), so a fixed attempt order replays identical
-// restarts.
+// A failed solve is not retried: it fails its multi-vote batch or
+// quarantines its split-and-merge cluster (see KgOptimizer and
+// docs/robustness.md), and the online optimizer re-queues those votes.
 
 #ifndef KGOV_CORE_RESILIENCE_H_
 #define KGOV_CORE_RESILIENCE_H_
 
-#include <vector>
-
 #include "common/status.h"
 #include "graph/graph.h"
-#include "math/sgp_solver.h"
 
 namespace kgov::core {
-
-/// Retry/fallback policy for one logical SGP solve.
-struct RetryOptions {
-  /// Total attempts, including the first one. 1 disables retries.
-  /// Attempt k > 0 runs the k-th formulation of the fallback chain
-  /// (skipping the base formulation; attempts beyond the chain reuse its
-  /// last entry) from the initial point perturbed by 0.05 x U(-1, 1) x
-  /// each variable's box width.
-  int max_attempts = 3;
-
-  /// Checks every field range; returns InvalidArgument naming the first
-  /// offending field. ResilientSgpSolver::Solve fails fast with the result.
-  Status Validate() const;
-};
-
-/// What happened on one attempt.
-struct SolveAttempt {
-  int attempt = 0;
-  math::SgpFormulation formulation = math::SgpFormulation::kReducedSigmoid;
-  Status status;
-  double seconds = 0.0;
-};
-
-/// Result of a resilient solve. `solution.x` is always finite (the
-/// underlying solver sanitizes its points); `exhausted` is true when no
-/// attempt returned OK.
-struct ResilientSolveOutcome {
-  math::SgpSolution solution;
-  std::vector<SolveAttempt> attempts;
-  bool exhausted = false;
-};
-
-class ResilientSgpSolver {
- public:
-  ResilientSgpSolver(math::SgpSolverOptions base, RetryOptions retry)
-      : base_(std::move(base)), retry_(std::move(retry)) {}
-
-  /// Solves with retries. `seed_salt` is mixed into the jitter seed so
-  /// concurrent callers (e.g. per-cluster solves) draw independent but
-  /// deterministic restart streams; pass the cluster index.
-  ResilientSolveOutcome Solve(const math::SgpProblem& problem,
-                              uint64_t seed_salt = 0) const;
-
- private:
-  math::SgpSolverOptions base_;
-  RetryOptions retry_;
-};
 
 /// Invariants an optimized graph must satisfy before it may replace the
 /// serving graph.

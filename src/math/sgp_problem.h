@@ -82,19 +82,19 @@ class SgpProblem {
   void AddConstraint(Signomial g, std::string label = "", double weight = 1.0);
 
   /// Replaces the signomial constraints with `constraints` (shared, so
-  /// copies of the problem - retries, restarts - share one program).
+  /// copies of the problem share one program).
   void SetConstraints(std::shared_ptr<const SgpConstraints> constraints);
 
   /// Sets the proximal anchor (defaults to the initial values). Must match
   /// the variable count at solve time.
   void SetAnchor(std::vector<double> anchor) { anchor_ = std::move(anchor); }
 
-  /// Replaces the initial point (projected into the box). Used by the
-  /// resilience layer to restart a failed solve from a jittered point
-  /// while keeping the anchor (and thus the proximal objective) intact.
-  /// Requires x0.size() == num_variables(). NOTE: when no explicit anchor
-  /// was set, the anchor is pinned to the *old* initial values first, so
-  /// the restart still minimizes distance from the original weights.
+  /// Replaces the initial point (projected into the box) while keeping the
+  /// anchor (and thus the proximal objective) intact, so a solve can start
+  /// away from the current weights. Requires x0.size() == num_variables().
+  /// NOTE: when no explicit anchor was set, the anchor is pinned to the
+  /// *old* initial values first, so the new start still minimizes distance
+  /// from the original weights.
   void SetInitial(std::vector<double> x0);
 
   size_t num_variables() const { return initial_.size(); }

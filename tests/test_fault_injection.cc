@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/kg_optimizer.h"
 #include "core/online_optimizer.h"
 #include "graph/graph.h"
+#include "telemetry/metrics.h"
 
 namespace kgov {
 namespace {
@@ -162,8 +164,7 @@ OptimizerOptions TwoClusterOptions() {
   OptimizerOptions options;
   options.encoder.symbolic.eipd.max_length = 4;
   options.apply_judgment_filter = false;
-  // One attempt per cluster so a single injected NaN fails its cluster.
-  options.retry.max_attempts = 1;
+  // A solve is never retried, so a single injected NaN fails its cluster.
   // With only two (zero-similarity) votes the median-preference heuristic
   // degenerates to a single cluster; an explicit positive preference makes
   // each vote its own exemplar so the test really exercises two clusters.
@@ -244,6 +245,77 @@ TEST(FaultPipelineTest, OnlineFlushQuarantinesNanClusterDeterministically) {
   std::vector<double> second = run();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// A multi-vote solve that does not return OK fails its flush; the outer
+// path is the only recovery: the batch is re-queued, dead-lettered after
+// max_vote_attempts failed flushes, and applied once a solve succeeds. No
+// epoch is published by a failed flush, and no vote is ever lost.
+TEST(FaultPipelineTest, UnsolvedMultiVoteFlushRequeuesThenDeadLetters) {
+  WeightedDigraph g = MakeTwoComponentGraph();
+  OnlineOptimizerOptions options;
+  options.batch_size = 10;
+  options.strategy = FlushStrategy::kMultiVote;
+  options.max_vote_attempts = 3;
+  options.optimizer = TwoClusterOptions();
+  OnlineKgOptimizer online(g, options);
+  const std::shared_ptr<const graph::CsrSnapshot> serving =
+      online.CurrentEpoch().snapshot;
+  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Global();
+  const uint64_t flush_failures0 =
+      reg.GetCounter("online.flush_failures")->Value();
+  const uint64_t dead_lettered0 =
+      reg.GetCounter("online.dead_lettered")->Value();
+  size_t offered = 0;
+  auto offer = [&](graph::NodeId query, graph::NodeId loser,
+                   graph::NodeId winner) {
+    ++offered;
+    ASSERT_TRUE(online
+                    .AddVote(MakeComponentVote(query, loser, winner,
+                                               static_cast<uint32_t>(offered)))
+                    .ok());
+  };
+  auto expect_no_vote_lost = [&]() {
+    EXPECT_EQ(online.TotalVotesApplied() + online.PendingVotes() +
+                  online.DeadLetters().size(),
+              offered);
+  };
+
+  offer(0, 3, 4);
+  offer(5, 8, 9);
+  {
+    ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      if (attempt == 3) offer(0, 3, 4);  // joins the last failing batch
+      Result<FlushReport> r = online.Flush();
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsNotConverged()) << r.status();
+      EXPECT_TRUE(online.LastFlushStatus().IsNotConverged());
+      EXPECT_EQ(online.CurrentEpochNumber(), 0u);
+      EXPECT_EQ(online.CurrentEpoch().snapshot.get(), serving.get());
+      EXPECT_EQ(online.TotalVotesApplied(), 0u);
+      expect_no_vote_lost();
+    }
+    // The first two votes failed max_vote_attempts flushes; the third has
+    // failed one and waits for the next.
+    ASSERT_EQ(online.DeadLetters().size(), 2u);
+    EXPECT_EQ(online.DeadLetters()[0].id, 1u);
+    EXPECT_EQ(online.DeadLetters()[1].id, 2u);
+    EXPECT_EQ(online.PendingVotes(), 1u);
+    EXPECT_EQ(reg.GetCounter("online.flush_failures")->Value(),
+              flush_failures0 + 3);
+    EXPECT_EQ(reg.GetCounter("online.dead_lettered")->Value(),
+              dead_lettered0 + 2);
+  }
+
+  Result<FlushReport> r = online.Flush();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->votes_flushed, 1u);
+  EXPECT_TRUE(r->epoch_published);
+  EXPECT_EQ(online.CurrentEpochNumber(), 1u);
+  EXPECT_EQ(online.TotalVotesApplied(), 1u);
+  EXPECT_EQ(online.PendingVotes(), 0u);
+  expect_no_vote_lost();
 }
 
 // Acceptance (b): a corrupted update is rolled back; the serving snapshot

@@ -199,14 +199,70 @@ TEST(KgOptimizerTest, SingleVoteBestEffortSurvivesNanGradients) {
   EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
 }
 
-TEST(KgOptimizerTest, MultiVoteReportsSolveAttempts) {
+TEST(KgOptimizerTest, MultiVoteReportsNoClusterFailures) {
   WeightedDigraph g = MakeFixture();
   KgOptimizer optimizer(&g, SmallOptions());
   Result<OptimizeReport> report = optimizer.MultiVoteSolve({MakeVote(4)});
   ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->solve_attempts, 1u);
   EXPECT_TRUE(report->failed_clusters.empty());
   EXPECT_TRUE(report->quarantined_votes.empty());
+}
+
+// MakeFixture's component twice, on nodes 0-4 and 5-9. A vote against
+// each component has a disjoint edge set, so with a positive affinity
+// preference split-and-merge solves each in its own cluster.
+WeightedDigraph MakeTwoComponentFixture() {
+  WeightedDigraph g(10);
+  for (graph::NodeId base : {0u, 5u}) {
+    EXPECT_TRUE(g.AddEdge(base, base + 1, 0.6).ok());
+    EXPECT_TRUE(g.AddEdge(base, base + 2, 0.4).ok());
+    EXPECT_TRUE(g.AddEdge(base + 1, base + 3, 1.0).ok());
+    EXPECT_TRUE(g.AddEdge(base + 2, base + 4, 1.0).ok());
+  }
+  return g;
+}
+
+// A vote on the component rooted at `base` preferring its second answer.
+votes::Vote MakeComponentVote(graph::NodeId base, uint32_t id) {
+  votes::Vote vote;
+  vote.id = id;
+  vote.query.links.emplace_back(base, 1.0);
+  vote.answer_list = {base + 3, base + 4};
+  vote.best_answer = base + 4;
+  return vote;
+}
+
+// The one rule for a failed solve: it is never retried, and it fails its
+// unit of work in both multi-vote strategies - the batch in
+// MultiVoteSolve, the cluster in split-and-merge (the batch only when
+// every cluster fails). No point of an unsolved program is applied.
+TEST(KgOptimizerTest, UnsolvedProgramFailsBothStrategies) {
+  WeightedDigraph g = MakeTwoComponentFixture();
+  OptimizerOptions options = SmallOptions();
+  options.apply_judgment_filter = false;
+  options.ap.preference = 0.5;
+  KgOptimizer optimizer(&g, options);
+  const std::vector<votes::Vote> votes = {MakeComponentVote(0, 1),
+                                          MakeComponentVote(5, 2)};
+  {
+    ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
+    Result<OptimizeReport> multi = optimizer.MultiVoteSolve(votes);
+    EXPECT_TRUE(multi.status().IsNotConverged()) << multi.status();
+    EXPECT_EQ(FaultInjector::Global().Fires(FaultSite::kSolveNonConvergence),
+              1);
+    Result<OptimizeReport> split = optimizer.SplitMergeSolve(votes);
+    EXPECT_TRUE(split.status().IsNotConverged()) << split.status();
+  }
+  // One failed solve of two: its cluster is quarantined, the other applied.
+  ScopedFault fault(FaultSite::kSolveNonConvergence,
+                    {.probability = 1.0, .max_fires = 1});
+  Result<OptimizeReport> split = optimizer.SplitMergeSolve(votes);
+  ASSERT_TRUE(split.ok()) << split.status();
+  EXPECT_EQ(split->num_clusters, 2u);
+  ASSERT_EQ(split->failed_clusters.size(), 1u);
+  EXPECT_TRUE(split->failed_clusters[0].status.IsNotConverged());
+  EXPECT_EQ(split->quarantined_votes.size(), 1u);
+  EXPECT_FALSE(split->weight_changes.empty());
 }
 
 TEST(KgOptimizerTest, DistributedRequiresPool) {

@@ -11,7 +11,6 @@
 #include "cluster/affinity_propagation.h"
 #include "cluster/vote_similarity.h"
 #include "core/kg_optimizer.h"
-#include "core/resilience.h"
 #include "core/scoring.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
@@ -258,16 +257,17 @@ TEST_P(RandomWorkloadProperty, SplitMergeSatisfiedMatchesSolvedRanking) {
   }
   ASSERT_EQ(groups.size(), report->num_clusters);
 
-  core::ResilientSgpSolver solver(options_.sgp, options_.retry);
+  const math::SgpSolver solver(options_.sgp);
   size_t ranked_first = 0;
   for (size_t c = 0; c < groups.size(); ++c) {
     if (groups[c].empty()) continue;
     Result<votes::EncodedProgram> program = votes::EncodeVoteProgram(
         g, snapshot.View(), options_.encoder, groups[c]);
     ASSERT_TRUE(program.ok()) << program.status();
-    core::ResilientSolveOutcome outcome = solver.Solve(program->problem, c);
+    const math::SgpSolution solution = solver.Solve(program->problem);
+    ASSERT_TRUE(solution.status.ok()) << solution.status;
     graph::WeightedDigraph solved = g;
-    program->variables.ApplyValues(outcome.solution.x, &solved);
+    program->variables.ApplyValues(solution.x, &solved);
     const graph::CsrSnapshot solved_snapshot(solved);
     const ppr::EipdEngine engine(solved_snapshot.View(), eipd);
     for (const votes::Vote& vote : groups[c]) {

@@ -229,8 +229,8 @@ TEST(SgpSolverTest, SetInitialMovesStartKeepsAnchor) {
   std::vector<double> original = problem.initial();
   problem.SetInitial({0.9, 0.05});
   EXPECT_EQ(problem.initial(), (std::vector<double>{0.9, 0.05}));
-  // The proximal anchor stays pinned to the original weights, so a
-  // jittered restart still minimizes change against the real graph.
+  // The proximal anchor stays pinned to the original weights, so a solve
+  // from the moved start still minimizes change against the real graph.
   EXPECT_EQ(problem.anchor(), original);
 }
 
@@ -316,6 +316,7 @@ TEST(SgpSolverTest, InjectedNonConvergenceReturnsInitialPoint) {
   EXPECT_TRUE(solution.status.IsNotConverged());
   EXPECT_FALSE(solution.converged);
   EXPECT_EQ(solution.x, problem.initial());
+  for (double v : solution.x) EXPECT_TRUE(std::isfinite(v));
 }
 
 }  // namespace

@@ -14,9 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault_injection.h"
 #include "common/thread_pool.h"
-#include "core/resilience.h"
 #include "math/monomial.h"
 #include "math/sgp_problem.h"
 #include "math/sgp_solver.h"
@@ -444,71 +442,6 @@ TEST(ConcurrencyTest, RegistrationRacesResolveToOneMetric) {
   }
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[0], seen[t]);
   EXPECT_EQ(seen[0]->Value(), static_cast<uint64_t>(kThreads));
-}
-
-// The fault-injection satellite: drive ResilientSgpSolver through a
-// deterministic failure schedule and pin the global counters to it.
-class ResilienceTelemetryTest : public ::testing::Test {
- protected:
-  static math::SgpProblem MakeSwapProblem() {
-    math::SgpProblem problem;
-    problem.AddVariable(0.3, 0.01, 1.0);
-    problem.AddVariable(0.7, 0.01, 1.0);
-    math::Signomial g;
-    g.AddTerm(math::Monomial(1.0, {{1, 1.0}}));
-    g.AddTerm(math::Monomial(-1.0, {{0, 1.0}}));
-    problem.AddConstraint(g, "x1<=x0");
-    return problem;
-  }
-};
-
-TEST_F(ResilienceTelemetryTest, RetryCountersMatchInjectedSchedule) {
-  MetricRegistry& reg = MetricRegistry::Global();
-  const uint64_t solves0 = reg.GetCounter("resilience.solves")->Value();
-  const uint64_t attempts0 = reg.GetCounter("resilience.attempts")->Value();
-  const uint64_t retries0 = reg.GetCounter("resilience.retries")->Value();
-  const uint64_t recovered0 =
-      reg.GetCounter("resilience.recovered")->Value();
-  const uint64_t span0 =
-      reg.GetHistogram("span.resilience.attempt.seconds")->Count();
-
-  // Schedule: exactly 2 forced non-convergences, then a clean solve ->
-  // one logical solve, 3 attempts, 2 retries, 1 recovery.
-  ScopedFault fault(FaultSite::kSolveNonConvergence,
-                    {.probability = 1.0, .max_fires = 2});
-  core::RetryOptions retry;
-  retry.max_attempts = 3;
-  core::ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  core::ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
-  ASSERT_TRUE(outcome.solution.status.ok());
-  ASSERT_EQ(outcome.attempts.size(), 3u);
-
-  EXPECT_EQ(reg.GetCounter("resilience.solves")->Value(), solves0 + 1);
-  EXPECT_EQ(reg.GetCounter("resilience.attempts")->Value(), attempts0 + 3);
-  EXPECT_EQ(reg.GetCounter("resilience.retries")->Value(), retries0 + 2);
-  EXPECT_EQ(reg.GetCounter("resilience.recovered")->Value(),
-            recovered0 + 1);
-  EXPECT_EQ(reg.GetHistogram("span.resilience.attempt.seconds")->Count(),
-            span0 + 3);
-}
-
-TEST_F(ResilienceTelemetryTest, ExhaustionCounterMatchesInjectedSchedule) {
-  MetricRegistry& reg = MetricRegistry::Global();
-  const uint64_t exhausted0 =
-      reg.GetCounter("resilience.exhausted")->Value();
-  const uint64_t attempts0 = reg.GetCounter("resilience.attempts")->Value();
-
-  // Every attempt fails: the chain must exhaust after max_attempts.
-  ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
-  core::RetryOptions retry;
-  retry.max_attempts = 2;
-  core::ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  core::ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
-  EXPECT_TRUE(outcome.exhausted);
-
-  EXPECT_EQ(reg.GetCounter("resilience.exhausted")->Value(),
-            exhausted0 + 1);
-  EXPECT_EQ(reg.GetCounter("resilience.attempts")->Value(), attempts0 + 2);
 }
 
 TEST(SolverTelemetryTest, SolveFeedsIterationAndSpanMetrics) {

@@ -63,7 +63,7 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
       -DKGOV_BUILD_EXAMPLES=OFF
   cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" --target \
       test_query_engine test_thread_pool test_online_optimizer \
-      test_resilience test_durability test_stream test_stream_invalidation \
+      test_graph_validator test_durability test_stream test_stream_invalidation \
       test_admission test_result_cache test_eipd \
       test_telemetry test_lock_rank test_sched_explorer test_kg_optimizer
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
